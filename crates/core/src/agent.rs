@@ -53,6 +53,16 @@ enum Placement {
     Spark { cores: u32 },
 }
 
+/// What one scheduling pass may still admit: the framework's free
+/// capacity minus what in-flight units were already promised.
+#[derive(Clone, Copy)]
+enum Headroom {
+    /// Plain pilots place against the agent's own slot table.
+    Slots,
+    Yarn(Resource),
+    Spark(u32),
+}
+
 /// Continuation of a staging phase: `ok == false` means an injected
 /// staging error exhausted the unit's retry budget.
 type StagingDone = Box<dyn FnOnce(&mut Engine, bool)>;
@@ -790,7 +800,7 @@ impl Agent {
     /// scheduler's sanity checks).
     fn validate(&self, unit: &UnitHandle) -> Result<(), String> {
         let inner = self.inner.borrow();
-        let d = unit.description();
+        let d = unit.descr();
         let spec = inner.machine.cluster.spec();
         match (&d.work, &inner.access) {
             (WorkSpec::MapReduce(_), RuntimeAccess::Yarn { .. }) => {}
@@ -911,15 +921,19 @@ impl Agent {
         }
         unit.rec.borrow_mut().attempts += 1;
         unit.advance(engine, UnitState::StagingInput);
-        let descr = unit.description();
-        let mut directives = descr.input_staging;
         // Pilot-Data dependencies not resident on this machine are pulled
         // over the inter-site network onto the parallel filesystem first.
         let (resource, wan) = {
             let inner = self.inner.borrow();
             (inner.machine.name.clone(), inner.cfg.inter_site_mbps)
         };
-        let remote = crate::data::remote_bytes(&descr.data_deps, &resource);
+        let (mut directives, remote) = {
+            let d = unit.descr();
+            (
+                d.input_staging.clone(),
+                crate::data::remote_bytes(&d.data_deps, &resource),
+            )
+        };
         if remote > 0 {
             engine.metrics.add("agent.wan_pull_bytes", remote);
             engine.trace.record(
@@ -1048,7 +1062,7 @@ impl Agent {
             }
         };
         if faulted {
-            let retry = unit.description().retry;
+            let retry = unit.descr().retry;
             let attempts = unit.attempts();
             engine.trace.record(
                 engine.now(),
@@ -1109,14 +1123,15 @@ impl Agent {
             let inner = self.inner.borrow();
             let (m, s) = inner.cfg.exec_prep_s;
             let mut prep = engine.rng.normal_min(m, s, 0.01);
+            let d = unit.descr();
             let method = launch::select(
                 inner.machine.cluster.spec(),
-                &unit.description(),
+                &d,
                 matches!(inner.access, RuntimeAccess::Yarn { .. }),
                 matches!(inner.access, RuntimeAccess::Spark { .. }),
             );
             prep += method.overhead_s();
-            if unit.description().mpi && method != LaunchMethod::Fork {
+            if d.mpi && method != LaunchMethod::Fork {
                 let (mm, ms) = inner.cfg.mpi_launch_s;
                 prep += engine.rng.normal_min(mm, ms, 0.01);
             }
@@ -1204,7 +1219,9 @@ impl Agent {
         alive: &Rc<Cell<bool>>,
         done: impl FnOnce(&mut Engine, Option<TransitionDraft>) + 'static,
     ) {
-        let d = unit.description();
+        // Sleep, Compute and Native clone without allocating (Native is an
+        // `Rc`); framework work never reaches plain slots.
+        let work = unit.descr().work.clone();
         let inner = self.inner.borrow();
         let cluster = inner.machine.cluster.clone();
         let primary = nodes[0].0;
@@ -1248,7 +1265,7 @@ impl Agent {
             done(eng, draft);
         };
 
-        match d.work {
+        match work {
             WorkSpec::Sleep(dur) => {
                 // The scale hot path: one completion event per unit. It
                 // rides as a split event in the node's domain — the prepare
@@ -1339,8 +1356,11 @@ impl Agent {
             RuntimeAccess::Yarn { env, .. } => env.clone(),
             _ => unreachable!("yarn placement on non-yarn pilot"),
         };
-        let d = unit.description();
-        if let WorkSpec::MapReduce(spec) = d.work {
+        let mr_job = match &unit.descr().work {
+            WorkSpec::MapReduce(spec) => Some(spec.clone()),
+            _ => None,
+        };
+        if let Some(spec) = mr_job {
             // A full MapReduce job: the MR AM drives its own containers.
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
@@ -1380,9 +1400,9 @@ impl Agent {
             }
         };
         let this = self.clone();
-        let req = ResourceRequest {
-            resource: Resource::new(d.cores.max(1), d.mem_mb),
-            preferred_node: None,
+        let req = {
+            let d = unit.descr();
+            ResourceRequest::new(d.cores.max(1), d.mem_mb)
         };
         match reuse_am {
             Some(am) => {
@@ -1451,7 +1471,7 @@ impl Agent {
                     // Pilot terminated; the UM owns this unit now.
                     return;
                 }
-                let policy = unit.description().retry;
+                let policy = unit.descr().retry;
                 let attempts = unit.attempts();
                 if attempts >= policy.max_attempts {
                     am.finish(eng);
@@ -1561,9 +1581,12 @@ impl Agent {
             RuntimeAccess::Spark { cluster } => cluster.clone(),
             _ => unreachable!("spark placement on non-spark pilot"),
         };
-        let d = unit.description();
         // Full stage-DAG jobs run through the simulated Spark app model.
-        if let WorkSpec::SparkJob(spec) = d.work {
+        let spark_job = match &unit.descr().work {
+            WorkSpec::SparkJob(spec) => Some(spec.clone()),
+            _ => None,
+        };
+        if let Some(spec) = spark_job {
             let cluster = self.inner.borrow().machine.cluster.clone();
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
@@ -1592,14 +1615,17 @@ impl Agent {
             });
             return;
         }
-        let (cores, core_seconds) = match d.work {
-            WorkSpec::SparkApp {
-                cores,
-                core_seconds,
-            } => (cores, core_seconds),
-            // Plain work on a Spark pilot runs as a trivial one-stage app.
-            WorkSpec::Sleep(dur) => (d.cores.max(1), dur.as_secs_f64() * d.cores.max(1) as f64),
-            _ => (d.cores.max(1), 0.0),
+        let (cores, core_seconds) = {
+            let d = unit.descr();
+            match d.work {
+                WorkSpec::SparkApp {
+                    cores,
+                    core_seconds,
+                } => (cores, core_seconds),
+                // Plain work on a Spark pilot runs as a trivial one-stage app.
+                WorkSpec::Sleep(dur) => (d.cores.max(1), dur.as_secs_f64() * d.cores.max(1) as f64),
+                _ => (d.cores.max(1), 0.0),
+            }
         };
         let this = self.clone();
         let cluster = self.inner.borrow().machine.cluster.clone();
@@ -1682,7 +1708,7 @@ impl Agent {
             Some(d) => unit.advance_with(engine, UnitState::StagingOutput, d),
             None => unit.advance(engine, UnitState::StagingOutput),
         }
-        let directives = unit.description().output_staging;
+        let directives = unit.descr().output_staging.clone();
         let primary = unit.exec_nodes().first().copied();
         let this = self.clone();
         let u2 = unit.clone();
@@ -1991,7 +2017,7 @@ impl Agent {
         if unit.state().is_final() {
             return;
         }
-        let retry = unit.description().retry;
+        let retry = unit.descr().retry;
         let attempts = unit.attempts();
         if attempts >= retry.max_attempts {
             unit.fail(
@@ -2047,6 +2073,18 @@ impl AgentInner {
     /// remaining walltime (minus the configured safety margin) are moved
     /// to `drained` instead of being admitted — the caller hands them
     /// back to the Unit-Manager.
+    ///
+    /// Cost per call, in order:
+    /// - drain sweep (only with a deadline): O(queue), cloning every
+    ///   queued description. It is the one path left that walks the whole
+    ///   queue on every pop;
+    /// - one framework capacity read: O(NodeManagers) for YARN,
+    ///   O(workers) for Spark, nothing for plain pilots;
+    /// - candidate scan up to the first placement: per candidate a borrow
+    ///   of its description and an O(1) gate (YARN, Spark) or an
+    ///   O(nodes) first fit (plain). A pop costs O(position of the
+    ///   admitted unit); only the last, fruitless call of a scheduling
+    ///   round scans the whole queue.
     fn pop_schedulable(
         &mut self,
         now: SimTime,
@@ -2067,13 +2105,30 @@ impl AgentInner {
             }
             self.queue = keep;
         }
-        // A saturated plain pilot can place nothing (every unit needs at
-        // least one core), so skip the queue scan entirely — with 10k+
-        // queued units this turns the per-completion rescan from O(queue)
-        // into O(1).
-        if matches!(self.access, RuntimeAccess::Plain) && self.slots.free_total == 0 {
-            return None;
-        }
+        // Framework capacity not yet promised to in-flight units, read once
+        // per call. Exact: the scan changes no YARN or Spark capacity and
+        // the call returns on the first placement, so every candidate sees
+        // what a read of its own would have returned.
+        let headroom = match &self.access {
+            // A saturated plain pilot can place nothing (every unit needs
+            // at least one core), so skip the queue scan entirely — with
+            // 10k+ queued units this turns the per-completion rescan from
+            // O(queue) into O(1).
+            RuntimeAccess::Plain if self.slots.free_total == 0 => return None,
+            RuntimeAccess::Plain => Headroom::Slots,
+            RuntimeAccess::Yarn { env, .. } => {
+                let available = env.yarn.available();
+                Headroom::Yarn(Resource::new(
+                    available.vcores.saturating_sub(self.yarn_inflight.vcores),
+                    available.mem_mb.saturating_sub(self.yarn_inflight.mem_mb),
+                ))
+            }
+            RuntimeAccess::Spark { cluster } => Headroom::Spark(
+                cluster
+                    .free_cores()
+                    .saturating_sub(self.spark_inflight_cores),
+            ),
+        };
         // Final (cancelled) units are dropped lazily as the scan reaches
         // them instead of a full `retain` sweep per call: the last call of
         // every scheduling round scans the whole queue (it returns `None`
@@ -2085,51 +2140,39 @@ impl AgentInner {
                 self.queue.remove(i);
                 continue;
             }
-            let d = self.queue[i].description();
-            let placement = match &self.access {
-                RuntimeAccess::Plain => self.place_on_nodes(&d),
-                RuntimeAccess::Yarn { env, .. } => {
-                    let state = env.yarn.cluster_state();
-                    let free_v = state
-                        .available
-                        .vcores
-                        .saturating_sub(self.yarn_inflight.vcores);
-                    let free_m = state
-                        .available
-                        .mem_mb
-                        .saturating_sub(self.yarn_inflight.mem_mb);
-                    // Gate: the unit's container + its AM must fit in what
-                    // is not already promised to in-flight units. MapReduce
-                    // jobs gate coarsely (AM + one container) — the MR AM
-                    // runs its own waves.
-                    let (need_v, need_m) = match &d.work {
-                        WorkSpec::MapReduce(spec) => {
-                            (1 + spec.container.vcores, 1536 + spec.container.mem_mb)
-                        }
-                        _ => (1 + d.cores.max(1), 1536 + d.mem_mb),
-                    };
-                    if need_v <= free_v && need_m <= free_m {
-                        Some(Placement::Yarn {
-                            vcores: need_v,
-                            mem_mb: need_m,
-                        })
-                    } else {
-                        None
+            let placement = {
+                let d = self.queue[i].descr();
+                match headroom {
+                    Headroom::Slots => self.place_on_nodes(&d),
+                    Headroom::Yarn(free) => {
+                        // Gate: the unit's container + its AM must fit in
+                        // the headroom. MapReduce jobs gate coarsely (AM +
+                        // one container) — the MR AM runs its own waves.
+                        let (need_v, need_m) = match &d.work {
+                            WorkSpec::MapReduce(spec) => {
+                                (1 + spec.container.vcores, 1536 + spec.container.mem_mb)
+                            }
+                            _ => (1 + d.cores.max(1), 1536 + d.mem_mb),
+                        };
+                        (need_v <= free.vcores && need_m <= free.mem_mb).then_some(
+                            Placement::Yarn {
+                                vcores: need_v,
+                                mem_mb: need_m,
+                            },
+                        )
                     }
-                }
-                RuntimeAccess::Spark { cluster } => {
-                    let need = match &d.work {
-                        WorkSpec::SparkApp { cores, .. } => *cores,
-                        WorkSpec::SparkJob(spec) => spec.executor_cores.max(1),
-                        _ => d.cores.max(1),
-                    };
-                    let free = cluster
-                        .free_cores()
-                        .saturating_sub(self.spark_inflight_cores);
-                    (need <= free).then_some(Placement::Spark { cores: need })
+                    Headroom::Spark(free) => {
+                        let need = match &d.work {
+                            WorkSpec::SparkApp { cores, .. } => *cores,
+                            WorkSpec::SparkJob(spec) => spec.executor_cores.max(1),
+                            _ => d.cores.max(1),
+                        };
+                        (need <= free).then_some(Placement::Spark { cores: need })
+                    }
                 }
             };
             if let Some(p) = placement {
+                let unit = self.queue.remove(i)?;
                 // Reserve.
                 match &p {
                     Placement::Nodes {
@@ -2150,7 +2193,6 @@ impl AgentInner {
                         self.spark_inflight_cores += cores;
                     }
                 }
-                let unit = self.queue.remove(i).expect("index valid");
                 return Some((unit, p));
             }
             i += 1;

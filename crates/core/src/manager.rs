@@ -751,7 +751,7 @@ impl UnitManager {
             // re-picks its pilot at dispatch time.
             return;
         }
-        let max = unit.description().max_rebinds;
+        let max = unit.descr().max_rebinds;
         if unit.rebinds() >= max {
             unit.fail(
                 engine,

@@ -1,6 +1,6 @@
 //! Compute-Unit runtime records and handles.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use rp_hpc::NodeId;
@@ -167,6 +167,13 @@ impl UnitHandle {
 
     pub fn description(&self) -> ComputeUnitDescription {
         self.rec.borrow().descr.clone()
+    }
+
+    /// Borrow the description in place, for the agent and UM hot paths
+    /// that only read a few fields. Keep the borrow scoped: `advance` and
+    /// `fail` borrow the record mutably and panic while it is held.
+    pub(crate) fn descr(&self) -> Ref<'_, ComputeUnitDescription> {
+        Ref::map(self.rec.borrow(), |r| &r.descr)
     }
 
     /// Root lifecycle span ("unit.run"), for the phase profiler.

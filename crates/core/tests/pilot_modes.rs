@@ -255,6 +255,85 @@ fn mapreduce_unit_runs_on_mode_i_pilot() {
     assert_eq!(stats.reducers, 2);
 }
 
+fn mr_unit(name: &str, vcores: u32, mem_mb: u64) -> ComputeUnitDescription {
+    ComputeUnitDescription::new(
+        name,
+        1,
+        WorkSpec::MapReduce(rp_mapreduce::MrJobSpec {
+            name: name.into(),
+            input_path: "/data/in".into(),
+            num_reducers: 1,
+            container: rp_yarn::Resource::new(vcores, mem_mb),
+            shuffle: rp_mapreduce::ShuffleBackend::LocalDisk,
+            cost: rp_mapreduce::MrCostModel::default(),
+        }),
+    )
+}
+
+#[test]
+fn mode_i_admission_is_fifo_with_skip() {
+    // The Mode I gate admits a MapReduce unit only when its AM plus one
+    // task container fit the YARN capacity not already promised to
+    // in-flight units. On 2 × 8 vcores, `big0` (1 + 8 vcores) fits an
+    // idle cluster; `big1` behind it does not fit what is left, so the
+    // scan skips it and admits the small units queued behind it.
+    // `big1` starts only after capacity comes back.
+    let mut e = Engine::new(43);
+    let session = Session::new(SessionConfig::test_profile());
+    let (_pm, pilot) = active_pilot(&mut e, &session, AccessMode::YarnModeI { with_hdfs: true });
+    let env = pilot.agent().unwrap().hadoop_env().unwrap();
+    env.hdfs
+        .clone()
+        .unwrap()
+        .create_synthetic(
+            "/data/in",
+            256 * 1024 * 1024,
+            rp_hdfs::StoragePolicy::Default,
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let units = um.submit_units(
+        &mut e,
+        vec![
+            mr_unit("big0", 8, 4096),
+            mr_unit("big1", 8, 4096),
+            mr_unit("small0", 1, 1024),
+            mr_unit("small1", 2, 1024),
+        ],
+    );
+    e.run_until(SimTime::from_secs_f64(3600.0));
+    for u in &units {
+        assert_eq!(
+            u.state(),
+            UnitState::Done,
+            "{}: {:?}",
+            u.name(),
+            u.failure()
+        );
+    }
+    let starts: Vec<SimTime> = units
+        .iter()
+        .map(|u| u.times().exec_start.unwrap())
+        .collect();
+    // The spawner launches serially in admission order, so `exec_start`
+    // orders the admissions: big0, small0, small1, then big1.
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&i| starts[i]);
+    let names: Vec<String> = order.iter().map(|&i| units[i].name()).collect();
+    assert_eq!(names, ["big0", "small0", "small1", "big1"]);
+    // Exact start times pin the admission instants, not just their order.
+    assert_eq!(
+        starts,
+        [
+            SimTime(300_096_162),
+            SimTime(662_255_774),
+            SimTime(300_146_162),
+            SimTime(300_196_162),
+        ]
+    );
+}
+
 #[test]
 fn spark_unit_on_plain_pilot_fails_cleanly() {
     let mut e = Engine::new(37);

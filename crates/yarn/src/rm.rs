@@ -312,7 +312,22 @@ impl YarnCluster {
         }
     }
 
-    /// RM REST-style cluster metrics snapshot.
+    /// Free resources summed over the NodeManagers: `cluster_state().available`
+    /// without the allocation or the app walk. O(NodeManagers); this is the
+    /// read for scheduling hot paths.
+    pub fn available(&self) -> Resource {
+        let inner = self.inner.borrow();
+        let mut available = Resource::new(0, 0);
+        for nm in &inner.nms {
+            available.add(&nm.free);
+        }
+        available
+    }
+
+    /// RM REST-style cluster metrics snapshot. O(apps ever submitted) — it
+    /// walks the app table twice and allocates the per-node list — so it is
+    /// for reports and tests, not hot paths; use [`YarnCluster::available`]
+    /// there.
     pub fn cluster_state(&self) -> ClusterState {
         let inner = self.inner.borrow();
         let mut total = Resource::new(0, 0);
@@ -580,9 +595,7 @@ impl YarnCluster {
             }
             match pending.kind {
                 ReqKind::Am(am_logic) => {
-                    {
-                        let mut inner = this.inner.borrow_mut();
-                        let app = inner.apps.get_mut(&container.app).unwrap();
+                    if let Some(app) = this.inner.borrow_mut().apps.get_mut(&container.app) {
                         app.state = AppState::Running;
                         app.am_start_time = Some(eng.now());
                     }
@@ -733,7 +746,7 @@ impl RmInner {
             }
         }
         let (pi, ni) = chosen?;
-        let pending = self.pending.remove(pi).unwrap();
+        let pending = self.pending.remove(pi)?;
         self.rr_cursor = (ni + 1) % n;
         self.nms[ni].free.sub(&pending.resource);
         let cid = ContainerId(self.next_container);
@@ -1133,6 +1146,7 @@ mod tests {
         let (_c, yarn) = test_cluster(&mut e);
         let s0 = yarn.cluster_state();
         assert_eq!(s0.total.vcores, 32);
+        assert_eq!(yarn.available(), s0.total);
         assert_eq!(s0.containers_running, 0);
         let held = Rc::new(RefCell::new(None));
         let h = held.clone();
@@ -1152,6 +1166,7 @@ mod tests {
         let s1 = yarn.cluster_state();
         // AM (1 vcore) + task (3 vcores) in flight.
         assert_eq!(s1.available.vcores, 32 - 4);
+        assert_eq!(yarn.available(), s1.available);
         assert_eq!(s1.containers_running, 2);
         assert_eq!(s1.apps_running, 1);
     }

@@ -15,15 +15,39 @@
 //! `SCALE_UNITS` overrides the unit count: ci.sh runs a 1k smoke in
 //! release, and `CI_SCALE=1` drives a 100k-unit run through the same
 //! assertions (see ci.sh).
+//!
+//! A second tier runs a MapReduce bag through a Mode I (YARN + HDFS)
+//! pilot, where every unit is admitted against the ResourceManager's
+//! capacity and submitted as its own YARN application. It runs a tenth
+//! of `SCALE_UNITS` (200 by default): each unit is a whole MapReduce job.
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
+use hadoop_hpc::{hdfs, mapreduce, yarn};
 
-fn scale_units() -> usize {
+fn scale_units_env() -> Option<usize> {
     std::env::var("SCALE_UNITS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000)
+}
+
+fn scale_units() -> usize {
+    scale_units_env().unwrap_or(10_000)
+}
+
+/// Same seed, same everything: spans, metrics, event count, final clock
+/// and every unit's done time.
+fn assert_replay_identical(e1: &Engine, units1: &[UnitHandle], e2: &Engine, units2: &[UnitHandle]) {
+    assert!(
+        e1.trace.iter_spans().eq(e2.trace.iter_spans()),
+        "span streams must be bit-identical across replays"
+    );
+    assert_eq!(e1.metrics.snapshot(), e2.metrics.snapshot());
+    assert_eq!(e1.events_executed(), e2.events_executed());
+    assert_eq!(e1.now(), e2.now());
+    let done_times =
+        |us: &[UnitHandle]| -> Vec<Option<SimTime>> { us.iter().map(|u| u.times().done).collect() };
+    assert_eq!(done_times(units1), done_times(units2));
 }
 
 const NODES: u32 = 32;
@@ -129,14 +153,95 @@ fn scale_run_completes_bounded_and_replays_bit_identically() {
 
     // (3) Bit-identical replay: same seed, same everything.
     let (e2, units2, _) = scale_run(seed, n);
-    assert!(
-        e1.trace.iter_spans().eq(e2.trace.iter_spans()),
-        "span streams must be bit-identical across replays"
+    assert_replay_identical(&e1, &units, &e2, &units2);
+}
+
+const MR_NODES: u32 = 8;
+const MR_INPUTS: usize = 4;
+
+fn mode_i_units() -> usize {
+    scale_units_env().map_or(200, |n| n / 10)
+}
+
+/// Run `n` MapReduce units (4 maps, 2 reducers each) to completion on an
+/// 8-node Mode I pilot with HDFS.
+fn mode_i_run(seed: u64, n: usize) -> (Engine, Vec<UnitHandle>) {
+    let mut e = Engine::with_trace(seed);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new(
+                "xsede.stampede",
+                MR_NODES,
+                SimDuration::from_secs(30 * 86_400),
+            )
+            .with_access(AccessMode::YarnModeI { with_hdfs: true }),
+        )
+        .expect("pilot submits");
+    while pilot.state() != PilotState::Active {
+        assert!(e.step(), "Mode I pilot never became active");
+    }
+    let fs = pilot
+        .agent()
+        .and_then(|a| a.hadoop_env())
+        .and_then(|env| env.hdfs)
+        .expect("Mode I pilot runs HDFS");
+    for i in 0..MR_INPUTS {
+        fs.create_synthetic(
+            &format!("/scale/in{i}"),
+            512 * 1024 * 1024,
+            hdfs::StoragePolicy::Default,
+        )
+        .expect("input fits HDFS");
+    }
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let units = um.submit_units(
+        &mut e,
+        (0..n)
+            .map(|i| {
+                ComputeUnitDescription::new(
+                    format!("mr{i}"),
+                    1,
+                    WorkSpec::MapReduce(mapreduce::MrJobSpec {
+                        name: format!("mr{i}"),
+                        input_path: format!("/scale/in{}", i % MR_INPUTS),
+                        num_reducers: 2,
+                        container: yarn::Resource::new(1, 1_024),
+                        shuffle: mapreduce::ShuffleBackend::LocalDisk,
+                        cost: mapreduce::MrCostModel::default(),
+                    }),
+                )
+            })
+            .collect(),
     );
-    assert_eq!(e1.metrics.snapshot(), e2.metrics.snapshot());
-    assert_eq!(e1.events_executed(), e2.events_executed());
-    assert_eq!(e1.now(), e2.now());
-    let done_times =
-        |us: &[UnitHandle]| -> Vec<Option<SimTime>> { us.iter().map(|u| u.times().done).collect() };
-    assert_eq!(done_times(&units), done_times(&units2));
+    let sess = session.clone();
+    let p = pilot.clone();
+    when_all_done(&mut e, &units, move |eng| {
+        PilotManager::new(&sess).cancel(eng, &p);
+    });
+    e.run();
+    (e, units)
+}
+
+#[test]
+fn mode_i_mapreduce_bag_completes_and_replays_bit_identically() {
+    let n = mode_i_units();
+    let seed = 0x40DE1;
+    let (e1, units) = mode_i_run(seed, n);
+    assert!(
+        units.iter().all(|u| u.state() == UnitState::Done),
+        "every MapReduce unit must reach Done"
+    );
+    assert!(
+        units.iter().all(|u| u.attempts() == 1),
+        "fault-free run must not retry"
+    );
+    assert_eq!(e1.metrics.counter("yarn.apps_submitted"), n as u64);
+    assert_eq!(e1.metrics.counter("agent.units_completed"), n as u64);
+
+    let (e2, units2) = mode_i_run(seed, n);
+    assert_replay_identical(&e1, &units, &e2, &units2);
 }
