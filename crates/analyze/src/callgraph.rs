@@ -27,8 +27,8 @@ use crate::scan::SourceFile;
 #[derive(Debug, Clone)]
 pub struct FnDef {
     pub name: String,
-    /// `impl` type qualifier (`TransitionDraft` for
-    /// `impl TransitionDraft { fn format ... }`), empty for free fns.
+    /// `impl` type qualifier (`SpanDraft` for
+    /// `impl SpanDraft { fn attr ... }`), empty for free fns.
     pub qual: String,
     /// Index into the `files` slice the graph was built from.
     pub file: usize,

@@ -936,11 +936,13 @@ impl Agent {
         };
         if remote > 0 {
             engine.metrics.add("agent.wan_pull_bytes", remote);
-            engine.trace.record(
-                engine.now(),
-                "agent",
-                format!("{:?} pulling {remote} B of pilot-data over WAN", unit.id()),
-            );
+            if engine.trace.is_enabled() {
+                engine.trace.record(
+                    engine.now(),
+                    "agent",
+                    format!("{:?} pulling {remote} B of pilot-data over WAN", unit.id()),
+                );
+            }
             directives.insert(
                 0,
                 StagingDirective {
@@ -1138,11 +1140,13 @@ impl Agent {
             (SimDuration::from_secs_f64(prep), method)
         };
         engine.metrics.incr("agent.spawner_launches");
-        engine.trace.record(
-            engine.now(),
-            "agent",
-            format!("{:?} launching via {method:?}", unit.id()),
-        );
+        if engine.trace.is_enabled() {
+            engine.trace.record(
+                engine.now(),
+                "agent",
+                format!("{:?} launching via {method:?}", unit.id()),
+            );
+        }
         let this = self.clone();
         engine.schedule_in(prep, move |eng| {
             // Spawner done with this unit; next launch may proceed while
@@ -1209,8 +1213,8 @@ impl Agent {
     /// has already been requeued and its exec span closed.
     ///
     /// `done` receives the `-> StagingOutput` [`TransitionDraft`] when the
-    /// completion travelled as a split event (its prepare closure formats
-    /// the strings, off-thread in parallel mode), `None` otherwise.
+    /// completion travelled as a split event (its prepare closure drafts
+    /// it, off-thread in parallel mode), `None` otherwise.
     fn run_work(
         &self,
         engine: &mut Engine,
@@ -1269,16 +1273,19 @@ impl Agent {
             WorkSpec::Sleep(dur) => {
                 // The scale hot path: one completion event per unit. It
                 // rides as a split event in the node's domain — the prepare
-                // closure formats the `-> StagingOutput` transition strings
+                // closure drafts the `-> StagingOutput` transition
                 // (off-thread in parallel mode), the apply closure runs the
-                // ordinary completion with them.
+                // ordinary completion with it.
                 let domain = self.node_domain(primary);
                 let unit_id = unit.id();
                 // rp-lint: allow(lookahead-coverage): `dur` is the unit's own compute time, scheduled by the node into its own domain — an intra-domain completion makes no cross-domain coupling claim, so no lookahead registration is owed
                 engine.schedule_split_in(
                     dur,
                     domain,
-                    move || TransitionDraft::format(unit_id, UnitState::StagingOutput),
+                    move || TransitionDraft {
+                        unit: unit_id,
+                        next: UnitState::StagingOutput,
+                    },
                     move |eng, draft: TransitionDraft| done(eng, Some(draft)),
                 );
             }
@@ -1407,11 +1414,13 @@ impl Agent {
         match reuse_am {
             Some(am) => {
                 engine.metrics.incr("agent.am_reused");
-                engine.trace.record(
-                    engine.now(),
-                    "agent",
-                    format!("{:?} reusing pooled AM", unit.id()),
-                );
+                if engine.trace.is_enabled() {
+                    engine.trace.record(
+                        engine.now(),
+                        "agent",
+                        format!("{:?} reusing pooled AM", unit.id()),
+                    );
+                }
                 this.yarn_task_container(engine, am, req, unit, vcores, mem_mb, run_alive);
             }
             None => {
@@ -1703,9 +1712,9 @@ impl Agent {
             inner.finishing.insert(unit.id().0, unit.clone());
         }
         match draft {
-            // Split-event completion: the strings were formatted by the
-            // prepare closure (possibly on a worker thread).
-            Some(d) => unit.advance_with(engine, UnitState::StagingOutput, d),
+            // Split-event completion: the prepare closure (possibly on a
+            // worker thread) drafted the transition.
+            Some(d) => unit.advance_with(engine, d),
             None => unit.advance(engine, UnitState::StagingOutput),
         }
         let directives = unit.descr().output_staging.clone();

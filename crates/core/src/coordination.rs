@@ -428,11 +428,13 @@ impl CoordinationStore {
             if held {
                 self.inner.borrow_mut().partition_holds += 1;
                 engine.metrics.incr("coordination.partition_holds");
-                engine.trace.record(
-                    engine.now(),
-                    "store",
-                    format!("{label} #{seq} held by partition; retry in {retry_after}"),
-                );
+                if engine.trace.is_enabled() {
+                    engine.trace.record(
+                        engine.now(),
+                        "store",
+                        format!("{label} #{seq} held by partition; retry in {retry_after}"),
+                    );
+                }
                 let this = self.clone();
                 engine.schedule_in(latency + retry_after, move |eng| {
                     this.transmit(eng, seq, origin, latency, label, apply);
@@ -452,11 +454,13 @@ impl CoordinationStore {
         if dropped {
             self.inner.borrow_mut().msgs_dropped += 1;
             engine.metrics.incr("coordination.msgs_dropped");
-            engine.trace.record(
-                engine.now(),
-                "store",
-                format!("{label} #{seq} dropped; retransmit in {retry_after}"),
-            );
+            if engine.trace.is_enabled() {
+                engine.trace.record(
+                    engine.now(),
+                    "store",
+                    format!("{label} #{seq} dropped; retransmit in {retry_after}"),
+                );
+            }
             let this = self.clone();
             engine.schedule_in(latency + retry_after, move |eng| {
                 this.transmit(eng, seq, origin, latency, label, apply);
@@ -466,11 +470,13 @@ impl CoordinationStore {
         let copies = if duplicated {
             self.inner.borrow_mut().msgs_duplicated += 1;
             engine.metrics.incr("coordination.msgs_duplicated");
-            engine.trace.record(
-                engine.now(),
-                "store",
-                format!("{label} #{seq} duplicated in flight"),
-            );
+            if engine.trace.is_enabled() {
+                engine.trace.record(
+                    engine.now(),
+                    "store",
+                    format!("{label} #{seq} duplicated in flight"),
+                );
+            }
             2
         } else {
             1

@@ -181,14 +181,10 @@ impl PilotHandle {
                 Vec::new()
             }
         };
+        engine.metrics.incr(next.transition_key());
         engine
-            .metrics
-            .incr_labeled("pilot.transitions", &[("state", &format!("{next:?}"))]);
-        engine.trace.record(
-            engine.now(),
-            "pilot",
-            format!("{:?} -> {next:?}", self.id()),
-        );
+            .trace
+            .record(engine.now(), "pilot", self.id().transition(next));
         for w in waiters {
             w(engine, next);
         }

@@ -95,6 +95,59 @@ impl UnitState {
     }
 }
 
+/// Static labels for a lifecycle enum, so recording a transition formats
+/// nothing: `name()` is the variant name exactly as `Debug` prints it,
+/// `transition_key()` the `<counter>{state=<name>}` key `metric_key`
+/// would build, and `ALL` lists every state.
+macro_rules! state_labels {
+    ($ty:ident, $counter:literal, [$($state:ident),+ $(,)?]) => {
+        impl $ty {
+            pub const ALL: &'static [$ty] = &[$($ty::$state),+];
+
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$state => stringify!($state)),+
+                }
+            }
+
+            pub fn transition_key(self) -> &'static str {
+                match self {
+                    $($ty::$state => concat!($counter, "{state=", stringify!($state), "}")),+
+                }
+            }
+        }
+    };
+}
+
+state_labels!(
+    PilotState,
+    "pilot.transitions",
+    [
+        New,
+        PendingLaunch,
+        Launching,
+        Active,
+        Done,
+        Canceled,
+        Failed
+    ]
+);
+state_labels!(
+    UnitState,
+    "unit.transitions",
+    [
+        New,
+        UmScheduling,
+        AgentScheduling,
+        StagingInput,
+        Executing,
+        StagingOutput,
+        Done,
+        Canceled,
+        Failed,
+    ]
+);
+
 /// Guarded state cell shared by handles; panics on illegal transitions
 /// (these would be silent protocol bugs otherwise).
 #[derive(Debug)]

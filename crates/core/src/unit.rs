@@ -4,38 +4,53 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use rp_hpc::NodeId;
-use rp_sim::{Engine, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, Message, SimDuration, SimTime, SpanId};
 
 use crate::description::ComputeUnitDescription;
-use crate::states::{Guarded, UnitState};
+use crate::states::{Guarded, PilotState, UnitState};
 
 /// Identifier of a Compute-Unit within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnitId(pub u64);
 
+impl UnitId {
+    /// Trace record of this unit entering `next`; renders as
+    /// `"{self:?} -> {next:?}"`.
+    pub fn transition(self, next: UnitState) -> Message {
+        Message::Transition {
+            subject: "UnitId",
+            id: self.0,
+            to: next.name(),
+        }
+    }
+}
+
 /// Identifier of a Pilot within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PilotId(pub u64);
 
-/// Preformatted observability strings for one state transition (the
-/// labelled transition counter key and the trace record message). A split
-/// event's prepare closure builds this off-thread — it only needs the
-/// `Copy` + `Send` unit id and target state — and the apply closure feeds
-/// it to [`UnitHandle::advance_with`]; the serial `advance` path builds
-/// the identical draft inline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransitionDraft {
-    metric: String,
-    record: String,
-}
-
-impl TransitionDraft {
-    pub fn format(unit: UnitId, next: UnitState) -> TransitionDraft {
-        TransitionDraft {
-            metric: rp_sim::metric_key("unit.transitions", &[("state", &format!("{next:?}"))]),
-            record: format!("{unit:?} -> {next:?}"),
+impl PilotId {
+    /// Trace record of this pilot entering `next`; renders as
+    /// `"{self:?} -> {next:?}"`.
+    pub fn transition(self, next: PilotState) -> Message {
+        Message::Transition {
+            subject: "PilotId",
+            id: self.0,
+            to: next.name(),
         }
     }
+}
+
+/// One unit state transition, drafted where its inputs are at hand: a
+/// split event's prepare closure builds it (it is `Copy` + `Send`) and the
+/// apply closure feeds it to [`UnitHandle::advance_with`]. It carries no
+/// strings — the counter key is the static
+/// [`UnitState::transition_key`] and the trace record the typed
+/// [`UnitId::transition`], rendered only when the trace is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransitionDraft {
+    pub unit: UnitId,
+    pub next: UnitState,
 }
 
 /// Milestones of a unit's life (all virtual time), used by the Fig. 5
@@ -209,21 +224,14 @@ impl UnitHandle {
         }
     }
 
-    pub(crate) fn advance(&self, engine: &mut Engine, next: UnitState) {
-        let draft = TransitionDraft::format(self.id(), next);
-        self.advance_with(engine, next, draft);
+    /// [`UnitHandle::advance`] to a transition a split event's prepare
+    /// closure drafted; indistinguishable from the inline call.
+    pub(crate) fn advance_with(&self, engine: &mut Engine, draft: TransitionDraft) {
+        debug_assert_eq!(draft.unit, self.id(), "draft applied to another unit");
+        self.advance(engine, draft.next);
     }
 
-    /// [`UnitHandle::advance`] with the observability strings supplied by
-    /// the caller — the hook that lets a split event's prepare closure do
-    /// the `format!` work off-thread. `advance` builds the identical draft
-    /// inline, so the two paths are indistinguishable in the trace.
-    pub(crate) fn advance_with(
-        &self,
-        engine: &mut Engine,
-        next: UnitState,
-        draft: TransitionDraft,
-    ) {
+    pub(crate) fn advance(&self, engine: &mut Engine, next: UnitState) {
         let waiters = {
             let mut rec = self.rec.borrow_mut();
             rec.state.advance(next);
@@ -241,7 +249,7 @@ impl UnitHandle {
                             .trace
                             .span_begin(now, "unit", "unit.run", SpanId::NONE);
                         engine.trace.span_attr(root, "unit", rec.id.0.to_string());
-                        engine.trace.span_attr(root, "name", rec.descr.name.clone());
+                        engine.trace.span_attr(root, "name", &rec.descr.name);
                         rec.span_root = root;
                         rec.span_open =
                             engine
@@ -309,8 +317,10 @@ impl UnitHandle {
                 Vec::new()
             }
         };
-        engine.metrics.add(&draft.metric, 1);
-        engine.trace.record(engine.now(), "unit", draft.record);
+        engine.metrics.incr(next.transition_key());
+        engine
+            .trace
+            .record(engine.now(), "unit", self.id().transition(next));
         for w in waiters {
             w(engine);
         }
@@ -422,6 +432,59 @@ mod tests {
             u.advance(&mut e, UnitState::Canceled);
         }
         assert!(*hit.borrow());
+    }
+
+    #[test]
+    fn static_transition_labels_match_the_formatted_ones() {
+        for &s in UnitState::ALL {
+            let label = format!("{s:?}");
+            assert_eq!(s.name(), label);
+            assert_eq!(
+                s.transition_key(),
+                rp_sim::metric_key("unit.transitions", &[("state", &label)])
+            );
+            for id in [UnitId(0), UnitId(7), UnitId(u64::MAX)] {
+                assert_eq!(id.transition(s).to_string(), format!("{id:?} -> {s:?}"));
+            }
+        }
+        for &s in PilotState::ALL {
+            let label = format!("{s:?}");
+            assert_eq!(s.name(), label);
+            assert_eq!(
+                s.transition_key(),
+                rp_sim::metric_key("pilot.transitions", &[("state", &label)])
+            );
+            for id in [PilotId(0), PilotId(3), PilotId(u64::MAX)] {
+                assert_eq!(id.transition(s).to_string(), format!("{id:?} -> {s:?}"));
+            }
+        }
+        assert_eq!(UnitState::ALL.len(), 9);
+        assert_eq!(PilotState::ALL.len(), 7);
+    }
+
+    #[test]
+    fn advance_records_typed_transition_and_static_counter() {
+        let mut e = Engine::with_trace(1);
+        let u = handle(42);
+        u.advance(&mut e, UnitState::UmScheduling);
+        u.advance_with(
+            &mut e,
+            TransitionDraft {
+                unit: UnitId(42),
+                next: UnitState::Canceled,
+            },
+        );
+        let lines: Vec<String> = e
+            .trace
+            .in_category("unit")
+            .map(|ev| ev.message.to_string())
+            .collect();
+        assert_eq!(
+            lines,
+            ["UnitId(42) -> UmScheduling", "UnitId(42) -> Canceled"]
+        );
+        assert_eq!(e.metrics.counter("unit.transitions{state=Canceled}"), 1);
+        assert!(e.trace.find("-> Canceled").is_some());
     }
 
     #[test]

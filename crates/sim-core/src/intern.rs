@@ -12,8 +12,14 @@
 //! across same-seed runs is exact. Tables are per-[`crate::trace::Trace`]
 //! (never global): a process-wide table's ids would depend on test
 //! interleaving across threads and break bit-identical replay comparisons.
+//!
+//! The `&str -> id` index is a `HashMap`, so interning is expected O(1)
+//! instead of a string-compare walk down a tree that, at 100k units, holds
+//! ~200k per-unit symbols. Its per-process random hash seed cannot leak
+//! into ids or output: the index is only probed, never iterated, and the
+//! id-ordered `names` vector is the table's only ordered view.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Interned string id. `Symbol::NONE` (0) is the empty string, reserved so
 /// synthetic nodes (e.g. the critical-path virtual root) have a stable id.
@@ -29,13 +35,14 @@ impl Symbol {
     }
 }
 
-/// Append-only intern table: `&str -> Symbol` with O(log n) intern and
-/// O(1) resolve. Ids are dense (0..len), so per-symbol side tables can be
-/// plain `Vec`s indexed by [`Symbol::index`].
+/// Append-only intern table: `&str -> Symbol` with expected O(1) intern
+/// and lookup, and O(1) resolve. Ids are dense (0..len), so per-symbol
+/// side tables can be plain `Vec`s indexed by [`Symbol::index`].
 #[derive(Debug, Clone)]
 pub struct SymbolTable {
     names: Vec<String>,
-    index: BTreeMap<String, u32>,
+    /// Probed only, never iterated: its order is the random hash order.
+    index: HashMap<String, u32>,
 }
 
 impl Default for SymbolTable {

@@ -69,8 +69,8 @@ pub use telemetry::{EngineTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION
 pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{
-    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Span, SpanDraft,
-    SpanId, SpanIndex, Trace, TraceEvent,
+    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, Span,
+    SpanDraft, SpanId, SpanIndex, Trace, TraceEvent,
 };
 
 /// Convenience: megabytes → bytes (storage models are specified in MB/s).

@@ -17,6 +17,8 @@
 //! buffer. The trace also tracks the live (begun-but-unended) span count
 //! and its high-water mark, which the scale gate caps.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::io;
 
 pub use crate::intern::{Symbol, SymbolTable};
@@ -32,7 +34,71 @@ const CHUNK: usize = 1024;
 pub struct TraceEvent {
     pub time: SimTime,
     pub category: &'static str,
-    pub message: String,
+    pub message: Message,
+}
+
+/// The text of a [`TraceEvent`]. Lifecycle transitions, recorded for
+/// every unit several times per run, are kept typed — two static strings
+/// and an id, no heap — and rendered as `"{subject}({id}) -> {to}"` only
+/// when the trace is read or exported. Everything else is `Text`.
+///
+/// Equality, `Debug` and `Display` all go through the rendered text, so a
+/// `Transition` is indistinguishable from the `Text` it renders to.
+#[derive(Clone)]
+pub enum Message {
+    Text(String),
+    Transition {
+        subject: &'static str,
+        id: u64,
+        to: &'static str,
+    },
+}
+
+impl Message {
+    /// The rendered text (borrowed for `Text`).
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            Message::Text(s) => Cow::Borrowed(s),
+            t => Cow::Owned(t.to_string()),
+        }
+    }
+
+    pub fn contains(&self, needle: &str) -> bool {
+        self.text().contains(needle)
+    }
+}
+
+impl fmt::Display for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Message::Text(s) => f.write_str(s),
+            Message::Transition { subject, id, to } => write!(f, "{subject}({id}) -> {to}"),
+        }
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text(), f)
+    }
+}
+
+impl PartialEq for Message {
+    fn eq(&self, other: &Message) -> bool {
+        self.text() == other.text()
+    }
+}
+
+impl From<String> for Message {
+    fn from(s: String) -> Message {
+        Message::Text(s)
+    }
+}
+
+impl From<&str> for Message {
+    fn from(s: &str) -> Message {
+        Message::Text(s.to_string())
+    }
 }
 
 /// Identifier of a span. Ids are assigned sequentially from 1 in begin
@@ -131,8 +197,10 @@ impl Trace {
         self.enabled
     }
 
-    /// Record an instant event (no-op when disabled).
-    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl Into<String>) {
+    /// Record an instant event (no-op when disabled). A `String` argument
+    /// is built even when disabled: guard costly `format!`s on hot paths
+    /// with [`Trace::is_enabled`], or pass a typed [`Message`].
+    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl Into<Message>) {
         if self.enabled {
             self.events.push(TraceEvent {
                 time,
@@ -368,7 +436,7 @@ impl Trace {
             write!(
                 w,
                 ",{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                escape_json(&e.message),
+                escape_json(&e.message.text()),
                 e.time.0,
                 tid(e.category)
             )?;
@@ -981,6 +1049,33 @@ mod tests {
         let s = t.render();
         assert_eq!(s.lines().count(), 2);
         assert!(s.contains("m1") && s.contains("m2"));
+    }
+
+    #[test]
+    fn typed_transition_renders_and_exports_like_its_text() {
+        let record = |message: Message| {
+            let mut t = Trace::enabled();
+            t.record(SimTime(1), "unit", "UnitId(6) launching via Fork");
+            t.record(SimTime(2), "unit", message);
+            t
+        };
+        let typed = record(Message::Transition {
+            subject: "UnitId",
+            id: 7,
+            to: "Done",
+        });
+        let text = record("UnitId(7) -> Done".into());
+        assert_eq!(typed.render(), text.render());
+        assert_eq!(typed.to_chrome_json(), text.to_chrome_json());
+        assert_eq!(typed.events(), text.events());
+        assert_eq!(
+            format!("{:?}", typed.events()),
+            format!("{:?}", text.events())
+        );
+        let hit = typed.find("-> Done").expect("typed record is searchable");
+        assert_eq!(hit.time, SimTime(2));
+        assert_eq!(hit.message.to_string(), "UnitId(7) -> Done");
+        assert!(typed.find("-> Failed").is_none());
     }
 
     #[test]

@@ -46,6 +46,48 @@ fn interner_round_trips_and_ids_are_stable_across_runs() {
     }
 }
 
+/// The same contract at the size of a 100k-unit traced run (two per-unit
+/// symbols each): 200k distinct strings interleaved with repeats of a few
+/// hot span names. Ids stay dense and in first-intern order whatever the
+/// index's hash order, and two tables fed the same sequence agree.
+#[test]
+fn interner_keeps_first_intern_order_at_200k_symbols() {
+    const DISTINCT: u64 = 200_000;
+    const HOT: [&str; 4] = ["unit.run", "unit.scheduling", "unit.exec", "unit"];
+    let mut rng = SimRng::new(0x200C);
+    let mut seq: Vec<String> = Vec::new();
+    for i in 0..DISTINCT {
+        seq.push(format!("unit-{i}"));
+        if rng.chance(0.5) {
+            seq.push(HOT[rng.uniform_u64(0, HOT.len() as u64 - 1) as usize].to_string());
+        }
+    }
+    let mut t1 = SymbolTable::new();
+    let mut t2 = SymbolTable::new();
+    let mut first_seen: Vec<&str> = vec![""];
+    for s in &seq {
+        let sym = t1.intern(s);
+        if sym.index() == first_seen.len() {
+            first_seen.push(s);
+        }
+        assert!(
+            sym.index() < first_seen.len(),
+            "id {} skipped ahead",
+            sym.index()
+        );
+        assert_eq!(t2.intern(s), sym);
+    }
+    assert_eq!(t1.len(), DISTINCT as usize + HOT.len() + 1);
+    assert_eq!(t1.names(), first_seen.as_slice());
+    assert_eq!(t1.names(), t2.names());
+    for (i, name) in t1.names().iter().enumerate() {
+        let sym = t1.lookup(name).expect("interned name is found");
+        assert_eq!(sym.index(), i);
+        assert_eq!(t1.resolve(sym), name);
+    }
+    assert_eq!(t1.lookup("unit-200000"), None);
+}
+
 /// Slab slots are recycled between waves, but generational `EventId`s never
 /// alias: stale cancels of long-gone events must not touch the live events
 /// now occupying the same slots, and live cancels stay exact.
