@@ -54,6 +54,9 @@ TRACE_OUT="${TRACE_OUT:-target/quickstart_trace.json}"
 cargo run --release -q --example quickstart -- --trace-out "$TRACE_OUT" > /dev/null
 cargo run --release -q -p rp-bench --bin trace_validate -- "$TRACE_OUT"
 
+echo "==> RDD example smoke (word count, K-Means, triangles; cold == warm cache pass)"
+cargo run --release -q --example spark_rdd_analytics > /dev/null
+
 echo "==> PDES differential tier (serial == parallel, RP_THREADS=2 smoke)"
 # The tier drives every bench scenario plus fault/lossy grids under
 # EngineMode::Serial and EngineMode::Parallel and asserts bit-identical

@@ -60,13 +60,9 @@ where
                 buckets[p].entry(k).or_default().push(v);
             }
             if let Some(c) = combiner {
-                for bucket in &mut buckets {
-                    let keys: Vec<KO> = bucket.keys().cloned().collect();
-                    for k in keys {
-                        let vs = bucket.remove(&k).unwrap();
-                        let combined = c.combine(&k, vs);
-                        bucket.insert(k, vec![combined]);
-                    }
+                for (k, vs) in buckets.iter_mut().flat_map(|b| b.iter_mut()) {
+                    let combined = c.combine(k, std::mem::take(vs));
+                    vs.push(combined);
                 }
             }
             buckets

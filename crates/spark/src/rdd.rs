@@ -5,8 +5,17 @@
 //! transformations (`map`, `filter`, `flat_map`, `map_partitions`), one wide
 //! transformation (`reduce_by_key`, which materialises a hash shuffle) and
 //! actions (`collect`, `count`, `reduce`, `fold`). Partitions evaluate in
-//! parallel on scoped threads; `cache()` memoises partition results the
-//! way Spark's storage layer retains RDDs in executor memory.
+//! parallel on scoped threads (`rp_sim::par`); `cache()` memoises partition
+//! results the way Spark's storage layer retains RDDs in executor memory.
+//!
+//! Evaluation is push-based. A partition is evaluated by handing its
+//! lineage a sink, and each element flows through every narrow stage
+//! (`map`, `filter`, `flat_map`) into the action or the shuffle's map side
+//! without an intermediate `Vec`, as Spark pipelines the narrow stages of
+//! one stage. Only `map_partitions`, `cache` and the shuffle materialise.
+//! The shuffle combines map-side into one `HashMap` per input partition and
+//! merges those in partition order, so each key's values fold in the same
+//! order on every run.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -17,7 +26,8 @@ use rp_sim::par::{default_threads, parallel_map_indexed, split_even};
 /// Partition evaluator: the lineage graph behind an [`Rdd`].
 trait RddNode<T>: Send + Sync {
     fn num_partitions(&self) -> usize;
-    fn compute(&self, part: usize) -> Vec<T>;
+    /// Push every element of partition `part`, in order, into `sink`.
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T));
 }
 
 /// A typed, lazy, partitioned dataset.
@@ -51,12 +61,10 @@ impl SparkContext {
         partitions: usize,
     ) -> Rdd<T> {
         assert!(partitions >= 1);
-        let parts: Vec<Arc<Vec<T>>> = split_even(data, partitions)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
         Rdd {
-            node: Arc::new(Parallelize { parts }),
+            node: Arc::new(Parallelize {
+                parts: split_even(data, partitions),
+            }),
         }
     }
 
@@ -67,15 +75,34 @@ impl SparkContext {
 }
 
 struct Parallelize<T> {
-    parts: Vec<Arc<Vec<T>>>,
+    parts: Vec<Vec<T>>,
 }
 
 impl<T: Clone + Send + Sync> RddNode<T> for Parallelize<T> {
     fn num_partitions(&self) -> usize {
         self.parts.len()
     }
-    fn compute(&self, part: usize) -> Vec<T> {
-        self.parts[part].as_ref().clone()
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T)) {
+        self.parts[part].iter().cloned().for_each(sink);
+    }
+}
+
+/// A per-element narrow stage: pushes zero or more outputs per input.
+type PipeFn<T, U> = dyn Fn(T, &mut dyn FnMut(U)) + Send + Sync;
+
+/// `map`, `filter` and `flat_map`: one element in, its outputs straight
+/// into the downstream sink.
+struct Pipe<T, U> {
+    parent: Arc<dyn RddNode<T>>,
+    f: Arc<PipeFn<T, U>>,
+}
+
+impl<T: Send + Sync, U: Send + Sync> RddNode<U> for Pipe<T, U> {
+    fn num_partitions(&self) -> usize {
+        self.parent.num_partitions()
+    }
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut(U)) {
+        self.parent.for_each(part, &mut |x| (self.f)(x, &mut *sink));
     }
 }
 
@@ -88,13 +115,22 @@ impl<T: Send + Sync, U: Send + Sync> RddNode<U> for MapPartitions<T, U> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize) -> Vec<U> {
-        (self.f)(self.parent.compute(part))
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut(U)) {
+        (self.f)(collect_part(&*self.parent, part))
+            .into_iter()
+            .for_each(sink);
     }
 }
 
-/// Wide dependency: hash-partition parent output by key, then merge
-/// per-bucket. The shuffle (all parent partitions) materialises once, on
+/// Materialise one partition.
+fn collect_part<T>(node: &dyn RddNode<T>, part: usize) -> Vec<T> {
+    let mut out = Vec::new();
+    node.for_each(part, &mut |x| out.push(x));
+    out
+}
+
+/// Wide dependency: combine parent output by key, then hash-partition the
+/// merged keys. The shuffle (all parent partitions) materialises once, on
 /// first access, like Spark's shuffle files.
 struct ShuffleReduce<K, V> {
     parent: Arc<dyn RddNode<(K, V)>>,
@@ -109,6 +145,23 @@ fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
     (h.finish() % buckets as u64) as usize
 }
 
+/// Fold `v` into `k`'s accumulator: one probe when `k` is already present.
+/// Values sit in an `Option` only so the reducer can take the accumulator
+/// by value; every stored slot is `Some`.
+fn combine_into<K: Hash + Eq, V>(
+    acc: &mut HashMap<K, Option<V>>,
+    k: K,
+    v: V,
+    reducer: &dyn Fn(V, V) -> V,
+) {
+    match acc.get_mut(&k) {
+        Some(slot) => *slot = slot.take().map(|prev| reducer(prev, v)),
+        None => {
+            acc.insert(k, Some(v));
+        }
+    }
+}
+
 impl<K, V> ShuffleReduce<K, V>
 where
     K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
@@ -118,48 +171,37 @@ where
         self.buckets.get_or_init(|| {
             let n_in = self.parent.num_partitions();
             let threads = default_threads(n_in);
-            // Map side: compute each parent partition and pre-aggregate
-            // (combiner) into per-bucket maps.
-            let per_part: Vec<Vec<HashMap<K, V>>> = parallel_map_indexed(n_in, threads, |p| {
-                let mut maps: Vec<HashMap<K, V>> =
-                    (0..self.num_out).map(|_| HashMap::new()).collect();
-                for (k, v) in self.parent.compute(p) {
-                    let b = bucket_of(&k, self.num_out);
-                    match maps[b].remove(&k) {
-                        Some(prev) => {
-                            let merged = (self.reducer)(prev, v);
-                            maps[b].insert(k, merged);
-                        }
-                        None => {
-                            maps[b].insert(k, v);
-                        }
-                    }
-                }
-                maps
+            // Map side: stream each parent partition into one combiner
+            // map, folding each key's values in arrival order.
+            let per_part: Vec<HashMap<K, Option<V>>> = parallel_map_indexed(n_in, threads, |p| {
+                let mut combined = HashMap::new();
+                self.parent.for_each(p, &mut |(k, v)| {
+                    combine_into(&mut combined, k, v, &*self.reducer)
+                });
+                combined
             });
-            // Reduce side: merge the map-side combiner outputs per bucket.
-            let mut out: Vec<Vec<(K, V)>> = Vec::with_capacity(self.num_out);
-            for b in 0..self.num_out {
-                let mut merged: HashMap<K, V> = HashMap::new();
-                for part in &per_part {
-                    for (k, v) in &part[b] {
-                        match merged.remove(k) {
-                            Some(prev) => {
-                                let m = (self.reducer)(prev, v.clone());
-                                merged.insert(k.clone(), m);
-                            }
-                            None => {
-                                merged.insert(k.clone(), v.clone());
-                            }
-                        }
+            // Reduce side: merge the partitions' partials in partition
+            // order. Each key occurs once per partition, so the hash order
+            // within one partition cannot change any key's fold order.
+            let mut merged: HashMap<K, Option<V>> = HashMap::new();
+            for part in per_part {
+                for (k, v) in part {
+                    if let Some(v) = v {
+                        combine_into(&mut merged, k, v, &*self.reducer);
                     }
                 }
-                // Sort by key so reduce output is deterministic: HashMap
-                // drain order must not leak into partition contents.
-                // rp-lint: allow(hash-iter): drained to a Vec and sorted by key below
-                let mut bucket: Vec<(K, V)> = merged.into_iter().collect();
+            }
+            let mut out: Vec<Vec<(K, V)>> = (0..self.num_out).map(|_| Vec::new()).collect();
+            // rp-lint: allow(hash-iter): drained into buckets, each sorted by key below
+            for (k, v) in merged {
+                if let Some(v) = v {
+                    out[bucket_of(&k, self.num_out)].push((k, v));
+                }
+            }
+            // Sort by key so reduce output is deterministic: HashMap
+            // drain order must not leak into partition contents.
+            for bucket in &mut out {
                 bucket.sort_by(|a, b| a.0.cmp(&b.0));
-                out.push(bucket);
             }
             out
         })
@@ -174,8 +216,8 @@ where
     fn num_partitions(&self) -> usize {
         self.num_out
     }
-    fn compute(&self, part: usize) -> Vec<(K, V)> {
-        self.materialise()[part].clone()
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut((K, V))) {
+        self.materialise()[part].iter().cloned().for_each(sink);
     }
 }
 
@@ -189,14 +231,15 @@ impl<T: Clone + Send + Sync> RddNode<T> for CacheNode<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, part: usize) -> Vec<T> {
-        let mut slot = self.slots[part].lock().expect("cache poisoned");
-        if let Some(v) = slot.as_ref() {
-            return v.as_ref().clone();
-        }
-        let v = Arc::new(self.parent.compute(part));
-        *slot = Some(v.clone());
-        v.as_ref().clone()
+    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T)) {
+        // Compute under the slot lock (each partition is computed once),
+        // but push with it released.
+        let data = {
+            let mut slot = self.slots[part].lock().expect("cache poisoned");
+            slot.get_or_insert_with(|| Arc::new(collect_part(&*self.parent, part)))
+                .clone()
+        };
+        data.iter().cloned().for_each(sink);
     }
 }
 
@@ -208,10 +251,10 @@ impl<T: Send + Sync> RddNode<T> for UnionNode<T> {
     fn num_partitions(&self) -> usize {
         self.parents.iter().map(|p| p.num_partitions()).sum()
     }
-    fn compute(&self, mut part: usize) -> Vec<T> {
+    fn for_each(&self, mut part: usize, sink: &mut dyn FnMut(T)) {
         for p in &self.parents {
             if part < p.num_partitions() {
-                return p.compute(part);
+                return p.for_each(part, sink);
             }
             part -= p.num_partitions();
         }
@@ -237,22 +280,39 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         }
     }
 
+    /// Per-element narrow stage shared by `map`, `filter` and `flat_map`.
+    fn pipe<U: Clone + Send + Sync + 'static>(
+        &self,
+        f: impl Fn(T, &mut dyn FnMut(U)) + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        Rdd {
+            node: Arc::new(Pipe {
+                parent: self.node.clone(),
+                f: Arc::new(f),
+            }),
+        }
+    }
+
     pub fn map<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(T) -> U + Send + Sync + 'static,
     ) -> Rdd<U> {
-        self.map_partitions(move |part| part.into_iter().map(&f).collect())
+        self.pipe(move |x, sink| sink(f(x)))
     }
 
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        self.map_partitions(move |part| part.into_iter().filter(|x| f(x)).collect())
+        self.pipe(move |x, sink| {
+            if f(&x) {
+                sink(x)
+            }
+        })
     }
 
     pub fn flat_map<U: Clone + Send + Sync + 'static, I: IntoIterator<Item = U>>(
         &self,
         f: impl Fn(T) -> I + Send + Sync + 'static,
     ) -> Rdd<U> {
-        self.map_partitions(move |part| part.into_iter().flat_map(&f).collect())
+        self.pipe(move |x, sink| f(x).into_iter().for_each(sink))
     }
 
     /// Concatenate two RDDs (partitions of `self` first).
@@ -278,8 +338,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     /// Action: evaluate all partitions in parallel and concatenate.
     pub fn collect(&self) -> Vec<T> {
         let n = self.node.num_partitions();
-        let node = self.node.clone();
-        parallel_map_indexed(n, default_threads(n), move |p| node.compute(p))
+        parallel_map_indexed(n, default_threads(n), |p| collect_part(&*self.node, p))
             .into_iter()
             .flatten()
             .collect()
@@ -287,19 +346,28 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
 
     pub fn count(&self) -> usize {
         let n = self.node.num_partitions();
-        let node = self.node.clone();
-        parallel_map_indexed(n, default_threads(n), move |p| node.compute(p).len())
-            .into_iter()
-            .sum()
+        parallel_map_indexed(n, default_threads(n), |p| {
+            let mut c = 0;
+            self.node.for_each(p, &mut |_| c += 1);
+            c
+        })
+        .into_iter()
+        .sum()
     }
 
     /// Action: associative reduction across all elements. Returns `None`
     /// for an empty RDD.
     pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync) -> Option<T> {
         let n = self.node.num_partitions();
-        let node = self.node.clone();
         let partials: Vec<Option<T>> = parallel_map_indexed(n, default_threads(n), |p| {
-            node.compute(p).into_iter().reduce(&f)
+            let mut acc = None;
+            self.node.for_each(p, &mut |x| {
+                acc = Some(match acc.take() {
+                    Some(a) => f(a, x),
+                    None => x,
+                })
+            });
+            acc
         });
         partials.into_iter().flatten().reduce(&f)
     }
@@ -313,12 +381,15 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         combine: impl Fn(A, A) -> A,
     ) -> A {
         let n = self.node.num_partitions();
-        let node = self.node.clone();
-        let zero2 = zero.clone();
-        let partials: Vec<A> = parallel_map_indexed(n, default_threads(n), move |p| {
-            node.compute(p).into_iter().fold(zero2.clone(), &f)
+        // The accumulator sits in an `Option` only so `f` can take it by
+        // value; it is `Some` between elements.
+        let partials: Vec<Option<A>> = parallel_map_indexed(n, default_threads(n), |p| {
+            let mut acc = Some(zero.clone());
+            self.node
+                .for_each(p, &mut |x| acc = acc.take().map(|a| f(a, x)));
+            acc
         });
-        partials.into_iter().fold(zero, combine)
+        partials.into_iter().flatten().fold(zero, combine)
     }
 }
 
@@ -475,6 +546,58 @@ mod tests {
         rdd.collect();
         rdd.collect();
         assert_eq!(CALLS.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn narrow_chain_calls_each_closure_once_per_element_per_action() {
+        let counters: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
+        let (c0, c1, c2) = (counters.clone(), counters.clone(), counters.clone());
+        let sc = ctx();
+        let rdd = sc
+            .parallelize((0..60u64).collect(), 4)
+            .map(move |x| {
+                c0[0].fetch_add(1, Ordering::Relaxed);
+                x + 1
+            })
+            .filter(move |x| {
+                c1[1].fetch_add(1, Ordering::Relaxed);
+                x % 3 == 0
+            })
+            .map(move |x| {
+                c2[2].fetch_add(1, Ordering::Relaxed);
+                x * 10
+            });
+        let calls = || counters.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(rdd.collect().len(), 20);
+        assert_eq!(calls(), [60, 60, 20]);
+        assert_eq!(rdd.count(), 20);
+        assert_eq!(calls(), [120, 120, 40]);
+    }
+
+    #[test]
+    fn cached_rdd_feeding_two_shuffles_computes_parent_once() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c = calls.clone();
+        let sc = ctx();
+        let cached = sc
+            .parallelize((0..100u64).collect(), 5)
+            .map(move |x| {
+                c.fetch_add(1, Ordering::Relaxed);
+                x
+            })
+            .cache();
+        let by_mod = cached
+            .map(|x| (x % 7, x))
+            .reduce_by_key(|a, b| a + b)
+            .collect_as_map();
+        let by_div = cached
+            .map(|x| (x / 10, 1u64))
+            .reduce_by_key_with_partitions(3, |a, b| a + b)
+            .collect_as_map();
+        assert_eq!(calls.load(Ordering::Relaxed), 100);
+        assert_eq!(by_mod.values().sum::<u64>(), (0..100).sum());
+        assert_eq!(by_div.len(), 10);
+        assert!(by_div.values().all(|&n| n == 10));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use hadoop_hpc::hdfs::split_blocks;
 use hadoop_hpc::mapreduce::{partition_of, run_local, Emitter};
+use hadoop_hpc::sim::par::split_even;
 use hadoop_hpc::sim::{Engine, FairLink, SimDuration, SimRng, SimTime};
 use hadoop_hpc::spark::SparkContext;
 
@@ -157,14 +158,19 @@ fn mapreduce_matches_sequential_reference() {
 
 // ---- RDD engine ----
 
-/// map/filter on the RDD engine ≡ the same pipeline on iterators.
+/// Narrow chains on the RDD engine ≡ the same pipelines on iterators:
+/// map/filter, and flat_map unioned with a cached RDD, then cached again,
+/// under every action (`collect`, `count`, `fold`, `reduce`).
 #[test]
 fn rdd_matches_iterator_semantics() {
     let mut rng = SimRng::new(0x12DD);
     for case in 0..32 {
         let n = rng.uniform_u64(0, 499) as usize;
         let xs: Vec<i32> = (0..n).map(|_| rng.next_u64() as i32).collect();
+        let m = rng.uniform_u64(0, 99) as usize;
+        let ys: Vec<i32> = (0..m).map(|_| rng.next_u64() as i32).collect();
         let parts = rng.uniform_u64(1, 8) as usize;
+        let other_parts = rng.uniform_u64(1, 8) as usize;
         let sc = SparkContext::new(parts);
         let got = sc
             .parallelize(xs.clone(), parts)
@@ -177,6 +183,39 @@ fn rdd_matches_iterator_semantics() {
             .filter(|x| x % 2 == 0)
             .collect();
         assert_eq!(got, want, "case {case}");
+
+        let repeat = |x: i32| vec![x; (x & 3) as usize];
+        let cached_side = sc
+            .parallelize(ys.clone(), other_parts)
+            .map(|y| y ^ 0x55)
+            .cache();
+        let rdd = sc
+            .parallelize(xs.clone(), parts)
+            .flat_map(repeat)
+            .union(&cached_side)
+            .filter(|x| x % 3 != 0)
+            .cache()
+            .map(|x| x.wrapping_add(7));
+        let want: Vec<i32> = xs
+            .iter()
+            .flat_map(|&x| repeat(x))
+            .chain(ys.iter().map(|y| y ^ 0x55))
+            .filter(|x| x % 3 != 0)
+            .map(|x| x.wrapping_add(7))
+            .collect();
+        assert_eq!(rdd.num_partitions(), parts + other_parts, "case {case}");
+        assert_eq!(rdd.collect(), want, "case {case}");
+        assert_eq!(rdd.count(), want.len(), "case {case}");
+        assert_eq!(
+            rdd.fold(0i64, |a, x| a + i64::from(x), |a, b| a + b),
+            want.iter().map(|&x| i64::from(x)).sum::<i64>(),
+            "case {case}"
+        );
+        assert_eq!(
+            rdd.reduce(i32::wrapping_add),
+            want.iter().copied().reduce(i32::wrapping_add),
+            "case {case}"
+        );
     }
 }
 
@@ -200,6 +239,64 @@ fn rdd_reduce_by_key_matches_reference() {
             *want.entry(*k).or_default() += v;
         }
         assert_eq!(got, want, "case {case}");
+    }
+}
+
+/// `reduce_by_key` over `f64` folds in one fixed order, bit for bit:
+/// within an input partition in element order, then across input
+/// partitions in ascending order, whatever the output partition count.
+/// The reducers are not associative, so any other order shows.
+#[test]
+fn rdd_reduce_by_key_f64_fold_order_is_fixed() {
+    let reducers: [fn(f64, f64) -> f64; 2] = [|a, b| a + b, |a, b| 0.5 * a + b];
+    let mut rng = SimRng::new(0xF01D);
+    for parts in 1..=8usize {
+        for case in 0..4 {
+            let n = rng.uniform_u64(0, 400) as usize;
+            let pairs: Vec<(u8, f64)> = (0..n)
+                .map(|_| {
+                    let scale = 10f64.powi(rng.uniform_u64(0, 12) as i32);
+                    (rng.uniform_u64(0, 11) as u8, rng.uniform(-1.0, 1.0) * scale)
+                })
+                .collect();
+            for f in reducers {
+                let mut want = std::collections::BTreeMap::<u8, f64>::new();
+                for chunk in split_even(pairs.clone(), parts) {
+                    let mut partial = std::collections::BTreeMap::<u8, f64>::new();
+                    for (k, v) in chunk {
+                        fold_into(&mut partial, k, v, f);
+                    }
+                    for (k, v) in partial {
+                        fold_into(&mut want, k, v, f);
+                    }
+                }
+                let sc = SparkContext::new(parts);
+                let rdd = sc.parallelize(pairs.clone(), parts);
+                let bits = |m: std::collections::BTreeMap<u8, f64>| {
+                    m.into_iter()
+                        .map(|(k, v)| (k, v.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                let want = bits(want);
+                // Default output count (= input partitions), then a different one.
+                for reduced in [
+                    rdd.reduce_by_key(f),
+                    rdd.reduce_by_key_with_partitions(parts % 3 + parts + 1, f),
+                ] {
+                    let got = bits(reduced.collect().into_iter().collect());
+                    assert_eq!(got, want, "parts {parts} case {case}");
+                }
+            }
+        }
+    }
+}
+
+fn fold_into(acc: &mut std::collections::BTreeMap<u8, f64>, k: u8, v: f64, f: fn(f64, f64) -> f64) {
+    match acc.get_mut(&k) {
+        Some(a) => *a = f(*a, v),
+        None => {
+            acc.insert(k, v);
+        }
     }
 }
 
