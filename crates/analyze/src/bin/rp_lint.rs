@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //!   rp_lint [--json] [--root DIR] [--bless] [--emit-dot DIR] [--explain RULE]
-//!           [--timings] [--waivers] [--strict]
+//!           [--timings] [--waivers]
 //!
 //! Exit code 1 when any unwaived fatal finding remains (or on usage error),
 //! 0 otherwise.
@@ -29,8 +29,6 @@ OPTIONS:
     --timings         Print per-rule wall time to stderr after the pass
     --waivers         List every inline waiver (file, line, rules, reason)
                       and exit without running the rules
-    --strict          Promote waived prep-purity findings to fatal (also
-                      enabled by RP_LINT_STRICT=1; used under sanitizers)
     -h, --help        Show this help
 ";
 
@@ -40,9 +38,6 @@ fn main() -> ExitCode {
     let mut opts = Options::default();
     let mut explain: Option<Option<String>> = None;
     let mut list_waivers = false;
-    if std::env::var("RP_LINT_STRICT").is_ok_and(|v| v == "1") {
-        opts.strict = true;
-    }
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -51,7 +46,6 @@ fn main() -> ExitCode {
             "--bless" => opts.bless = true,
             "--timings" => opts.timings = true,
             "--waivers" => list_waivers = true,
-            "--strict" => opts.strict = true,
             "--root" => match args.next() {
                 Some(d) => root = Some(PathBuf::from(d)),
                 None => return usage_error("--root needs a directory"),

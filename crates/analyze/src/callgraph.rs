@@ -12,12 +12,13 @@
 //!
 //! The graph is intentionally over-approximate — receiver-blind matching
 //! can add edges that no concrete type permits — which is the safe
-//! direction for purity lints (false paths are waivable; missed paths
-//! would be silent unsoundness). Definitions inside test code are
+//! direction for reachability lints (false paths are waivable; missed
+//! paths would be silent unsoundness). Definitions inside test code are
 //! excluded so lib-side reachability can never route through a test
-//! helper that happens to share a name.
+//! helper that happens to share a name. `effect-origin` reads the fn
+//! index (`fns`, with body ranges) and splits arguments with
+//! [`call_args`].
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::lexer::{Tok, TokKind};
@@ -27,8 +28,8 @@ use crate::scan::SourceFile;
 #[derive(Debug, Clone)]
 pub struct FnDef {
     pub name: String,
-    /// `impl` type qualifier (`SpanDraft` for
-    /// `impl SpanDraft { fn attr ... }`), empty for free fns.
+    /// `impl` type qualifier (`Trace` for
+    /// `impl Trace { fn span_begin ... }`), empty for free fns.
     pub qual: String,
     /// Index into the `files` slice the graph was built from.
     pub file: usize,
@@ -58,11 +59,8 @@ pub struct CallGraph {
     pub fns: Vec<FnDef>,
     /// Call sites per function (parallel to `fns`).
     pub calls: Vec<Vec<CallSite>>,
-    by_name: BTreeMap<String, Vec<usize>>,
     /// Resolved adjacency: caller fn index -> callee fn indices.
     adj: Vec<Vec<usize>>,
-    /// Reverse adjacency: callee fn index -> caller fn indices.
-    radj: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -108,35 +106,14 @@ impl CallGraph {
         }
 
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut radj: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
         for (i, sites) in calls.iter().enumerate() {
             let mut targets: BTreeSet<usize> = BTreeSet::new();
             for site in sites {
                 targets.extend(resolve_site(&fns, &by_name, site));
             }
-            for &t in &targets {
-                adj[i].push(t);
-                radj[t].push(i);
-            }
+            adj[i].extend(targets);
         }
-        CallGraph {
-            fns,
-            calls,
-            by_name,
-            adj,
-            radj,
-        }
-    }
-
-    /// Definitions a call site resolves to.
-    pub fn resolve(&self, site: &CallSite) -> Vec<usize> {
-        resolve_site(&self.fns, &self.by_name, site)
-    }
-
-    /// Index of the innermost fn whose body contains token `tok` of file
-    /// `file`.
-    pub fn fn_at(&self, file: usize, tok: usize) -> Option<usize> {
-        innermost_fn_of(&self.fns, file, tok)
+        CallGraph { fns, calls, adj }
     }
 
     /// Every fn reachable from `start` (excluding `start` itself unless
@@ -151,66 +128,6 @@ impl CallGraph {
         }
         seen
     }
-
-    /// Every fn that can reach `target` (its transitive callers),
-    /// including `target` itself. Cycle-safe.
-    pub fn ancestors_of(&self, target: usize) -> BTreeSet<usize> {
-        let mut seen = BTreeSet::from([target]);
-        let mut q = VecDeque::from(self.radj[target].clone());
-        while let Some(i) = q.pop_front() {
-            if seen.insert(i) {
-                q.extend(self.radj[i].iter().copied());
-            }
-        }
-        seen
-    }
-
-    /// BFS from the definitions the `seeds` call sites resolve to, looking
-    /// for a fn satisfying `pred`. Returns the path of fn names from the
-    /// first seed hop to the match (for finding messages). Cycle-safe.
-    pub fn path_to(
-        &self,
-        seeds: &[CallSite],
-        mut pred: impl FnMut(usize) -> bool,
-    ) -> Option<Vec<String>> {
-        let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-        let mut q = VecDeque::new();
-        for s in seeds {
-            for d in self.resolve(s) {
-                if let Entry::Vacant(e) = parent.entry(d) {
-                    e.insert(None);
-                    q.push_back(d);
-                }
-            }
-        }
-        while let Some(i) = q.pop_front() {
-            if pred(i) {
-                let mut path = vec![self.fns[i].name.clone()];
-                let mut cur = i;
-                while let Some(&Some(p)) = parent.get(&cur) {
-                    path.push(self.fns[p].name.clone());
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &n in &self.adj[i] {
-                if let Entry::Vacant(e) = parent.entry(n) {
-                    e.insert(Some(i));
-                    q.push_back(n);
-                }
-            }
-        }
-        None
-    }
-}
-
-fn innermost_fn_of(fns: &[FnDef], file: usize, tok: usize) -> Option<usize> {
-    fns.iter()
-        .enumerate()
-        .filter(|(_, d)| d.file == file && tok > d.body.0 && tok < d.body.1)
-        .min_by_key(|(_, d)| d.body.1 - d.body.0)
-        .map(|(i, _)| i)
 }
 
 fn resolve_site(
@@ -458,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn recursion_terminates_and_reaches_both_directions() {
+    fn recursion_terminates_and_reaches_through_cycles() {
         let src = r#"
 fn a() { b(); }
 fn b() { a(); c(); }
@@ -473,8 +390,6 @@ fn c() {}
             ra.contains(&a),
             "a reaches itself through the a->b->a cycle"
         );
-        let anc = g.ancestors_of(c);
-        assert!(anc.contains(&a) && anc.contains(&b) && anc.contains(&c));
     }
 
     #[test]
@@ -534,22 +449,6 @@ impl Clone for A {
         let g = CallGraph::build(&files);
         let c = find(&g, "clone");
         assert_eq!(g.fns[c].qual, "A");
-    }
-
-    #[test]
-    fn path_to_reports_the_call_chain() {
-        let src = r#"
-fn outer() { mid(); }
-fn mid() { sink_here(); }
-fn sink_here() {}
-"#;
-        let files = vec![lib("x.rs", src)];
-        let g = CallGraph::build(&files);
-        let seeds = extract_calls(&files[0].lexed.toks, g.fns[find(&g, "outer")].body);
-        let path = g
-            .path_to(&seeds, |i| g.fns[i].name == "sink_here")
-            .expect("path exists");
-        assert_eq!(path, vec!["mid".to_string(), "sink_here".to_string()]);
     }
 
     #[test]

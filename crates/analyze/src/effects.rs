@@ -1,7 +1,7 @@
 //! Rule `effect-origin`: coordination-store effects must carry a real
 //! fencing origin, and re-bind paths must fence before re-dispatch.
 //!
-//! The partition-tolerance design (DESIGN.md §9) rejects a store write
+//! The partition-tolerance design (DESIGN.md §13) rejects a store write
 //! whose `(PilotId, epoch)` origin is stale — but only if the sender
 //! actually threads its origin. Three ways code silently opts out of
 //! fencing, each checked lexically in `crates/core` library code:

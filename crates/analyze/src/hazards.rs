@@ -74,10 +74,10 @@ pub fn check_wallclock(files: &[SourceFile], report: &mut Report) {
     }
 }
 
-/// Crates whose library code is result-affecting for the parallel engine:
-/// the PDES mode runs split-event prep closures from these crates on
-/// worker threads, so thread identity and relaxed atomics there can leak
-/// scheduling nondeterminism into replayed results.
+/// Crates whose library code is result-affecting simulation code: the
+/// `par` helpers run closures on worker threads, so thread identity and
+/// relaxed atomics there can leak scheduling nondeterminism into
+/// replayed results.
 const PAR_HAZARD_PREFIXES: &[&str] = &["crates/sim-core/", "crates/core/"];
 
 /// Rule `par-hazard`: relaxed atomics and thread-identity reads in
@@ -112,10 +112,9 @@ pub fn check_par_hazard(files: &[SourceFile], report: &mut Report) {
                 &f.rel,
                 line,
                 format!(
-                    "{what} in result-affecting simulation code; worker threads \
-                     run split-event prep here, so relaxed orderings and \
-                     thread-identity reads can leak scheduling nondeterminism \
-                     into results. Use acquire/release or engine state, or \
+                    "{what} in result-affecting simulation code; relaxed \
+                     orderings and thread-identity reads can leak scheduling \
+                     nondeterminism into results. Use acquire/release or engine state, or \
                      waive with a proof the value cannot reach an output"
                 ),
             );

@@ -33,7 +33,7 @@ impl Tok {
     /// Content of a plain `"..."` string literal token, `None` for every
     /// other token. String tokens keep their quoted source text, so they
     /// can never collide with identifier matches — rules that *want* the
-    /// literal (lookahead labels) go through this accessor.
+    /// literal go through this accessor.
     pub fn str_content(&self) -> Option<&str> {
         if self.kind == TokKind::Lit && self.text.len() >= 2 && self.text.starts_with('"') {
             Some(&self.text[1..self.text.len() - 1])
@@ -139,8 +139,8 @@ pub fn lex(src: &str) -> Lexed {
                 line += bump_lines(&b[i..j]);
                 // Keep the quoted source text: the quotes guarantee a
                 // string token can never match an identifier pattern, and
-                // rules that need the literal (lookahead labels) read it
-                // back through `Tok::str_content`.
+                // rules that need the literal read it back through
+                // `Tok::str_content`.
                 toks.push(Tok {
                     kind: TokKind::Lit,
                     text: src[i..j].to_string(),
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn string_content_is_readable_but_never_matches_idents() {
-        let l = lex(r#"note_lookahead_from("store.write", latency)"#);
+        let l = lex(r#"metric_key("store.write", labels)"#);
         let lit = l
             .toks
             .iter()

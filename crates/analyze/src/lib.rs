@@ -1,6 +1,6 @@
 //! rp-analyze: offline static-analysis pass over the workspace source.
 //!
-//! Four rule families guard invariants the type system cannot express:
+//! Six rule families guard invariants the type system cannot express:
 //!
 //! 1. **state-machine** — every literal lifecycle transition the workspace
 //!    exercises must be legal per the `can_transition_to` tables, and every
@@ -10,16 +10,13 @@
 //! 3. **determinism hazards** — `hash-iter` (HashMap/HashSet iteration
 //!    order leaking into traces), `wallclock` (host-time reads in
 //!    virtual-time code), `par-hazard` (relaxed atomics and thread-identity
-//!    reads in code the parallel engine runs on workers), `unwrap-ratchet`
+//!    reads in result-affecting simulation code), `unwrap-ratchet`
 //!    (panic budget per file against `lint_baseline.toml`).
 //! 4. **span-balance** — every `span_begin` must be matched by a
 //!    `span_end` or an ownership transfer on all return paths.
-//! 5. **PDES contracts** (call-graph-aware, see `callgraph`) —
-//!    `prep-purity` (split-event prepare closures must not reach
-//!    apply-side effects), `lookahead-coverage` (every latency feeding
-//!    cross-domain scheduling must be registered as lookahead), and
-//!    `effect-origin` (coordination-store effects must thread a real
-//!    fencing origin; re-bind paths revoke before re-dispatch).
+//! 5. **effect-origin** (over the `callgraph` fn index) —
+//!    coordination-store effects must thread a real fencing origin;
+//!    re-bind paths revoke before re-dispatch.
 //! 6. **stale-waiver** — inline waivers that no longer suppress anything
 //!    are reported (info) so the exception inventory stays honest.
 //!
@@ -34,8 +31,6 @@ pub mod effects;
 pub mod hazards;
 pub mod lexer;
 pub mod locks;
-pub mod lookahead;
-pub mod preppurity;
 pub mod report;
 pub mod scan;
 pub mod spans;
@@ -64,11 +59,6 @@ pub struct Options {
     pub emit_dot: Option<PathBuf>,
     /// Record per-rule wall time in `Pass::timings`.
     pub timings: bool,
-    /// Strict mode (`RP_LINT_STRICT=1` / `--strict`): waived
-    /// `prep-purity` findings are promoted back to fatal. Used by the
-    /// sanitizer CI stage — under TSan a "provably pure" waived prep
-    /// must actually prove itself, so the waiver is not honored.
-    pub strict: bool,
 }
 
 /// Outcome of a full pass.
@@ -134,31 +124,12 @@ pub fn run_pass(root: &Path, opts: &Options) -> std::io::Result<Pass> {
     // Family 4: span balance.
     timed!("span-balance", spans::check(&files, &mut report));
 
-    // Family 5: call-graph-aware PDES contracts. One graph serves all
-    // three rules.
+    // Family 5: fencing-origin contract over the workspace fn index.
     let graph = timed!("callgraph", callgraph::CallGraph::build(&files));
-    timed!(
-        "prep-purity",
-        preppurity::check(&files, &graph, &mut report)
-    );
-    timed!(
-        "lookahead-coverage",
-        lookahead::check(&files, &graph, &mut report)
-    );
     timed!("effect-origin", effects::check(&files, &graph, &mut report));
 
     // Family 6: waiver hygiene — after every producing rule has run.
     timed!("stale-waiver", waivers::check_stale(&files, &mut report));
-
-    if opts.strict {
-        for f in &mut report.findings {
-            if f.rule == "prep-purity" && f.waived {
-                f.waived = false;
-                f.fatal = true;
-                f.message.push_str(" [strict: waiver not honored]");
-            }
-        }
-    }
 
     report.sort();
 

@@ -138,8 +138,6 @@ pub const RULES: &[&str] = &[
     "par-hazard",
     "unwrap-ratchet",
     "span-balance",
-    "prep-purity",
-    "lookahead-coverage",
     "effect-origin",
     "stale-waiver",
 ];
@@ -194,11 +192,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `// rp-lint: allow(wallclock): <justification>`."
         }
         "par-hazard" => {
-            "par-hazard: scheduling nondeterminism from the parallel engine.\n\
-             The conservative PDES mode runs split-event prep closures on\n\
-             worker threads, so code in crates/sim-core and crates/core must\n\
-             not let thread identity or weakly-ordered atomics influence\n\
-             results. The rule flags `Ordering::Relaxed`, `thread_local!`,\n\
+            "par-hazard: scheduling nondeterminism from threads.\n\
+             Results must not depend on which thread ran what: the `par`\n\
+             helpers run closures on worker threads, so code in\n\
+             crates/sim-core and crates/core must not let thread identity or\n\
+             weakly-ordered atomics influence results. The rule flags `Ordering::Relaxed`, `thread_local!`,\n\
              `thread::current()` and `ThreadId` in library code there.\n\
              Fix by using acquire/release (or stronger) orderings and engine\n\
              state instead of thread identity; waive a provably\n\
@@ -225,44 +223,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              and leaks an open span into the trace. Waive intentional leaks with\n\
              `// rp-lint: allow(span-balance): <why>`."
         }
-        "prep-purity" => {
-            "prep-purity: split-event prepare closures must stay pure.\n\
-             The parallel engine runs the prep argument of schedule_split_at/in\n\
-             on worker threads, concurrently within a batch; only the apply\n\
-             closure runs on the main thread in deterministic (time, seq) order.\n\
-             The rule finds every inline prep closure in crates/sim-core and\n\
-             crates/core library code and walks the workspace call graph from\n\
-             it, flagging any reachable apply-side effect: schedule_* calls,\n\
-             coordination-store writes (roundtrip*, return_units*, push_units,\n\
-             report_heartbeat, revoke_lease, ...), span_begin, metrics mutation\n\
-             on a shared registry, and SimRng draws on shared state. Building\n\
-             SpanDraft/MetricDraft/TransitionDraft values is the sanctioned\n\
-             prep-side channel and is exempt, as are rng draws threaded through\n\
-             the closure's own captured state. The graph is receiver-blind and\n\
-             over-approximate; waive a provably-pure path with\n\
-             `// rp-lint: allow(prep-purity): <why the call cannot take effect>`.\n\
-             Under RP_LINT_STRICT=1 (the sanitizer CI stage) prep-purity\n\
-             waivers are not honored."
-        }
-        "lookahead-coverage" => {
-            "lookahead-coverage: every latency feeding cross-domain scheduling\n\
-             must be registered as lookahead. The conservative PDES safe horizon\n\
-             is the minimum registered via note_lookahead/note_lookahead_from; a\n\
-             delay that schedules cross-domain work without a registration\n\
-             silently shrinks the true coupling interval below the claimed one.\n\
-             Sources: every schedule_{at,in}_domain / schedule_split_{at,in}\n\
-             call, plus plain schedule_at/in whose delay expression mentions a\n\
-             latency-like identifier (latency, delay, period, tick, jitter,\n\
-             poll, interval, rtt, ideal, timeout, heartbeat, gap). A source is\n\
-             covered when a registration in the same function or any transitive\n\
-             caller shares one of its delay identifiers (duration constructors\n\
-             are ignored); constant delays accept any in-scope registration.\n\
-             Waive a genuinely intra-domain schedule with\n\
-             `// rp-lint: allow(lookahead-coverage): <why no cross-domain claim>`."
-        }
         "effect-origin" => {
             "effect-origin: coordination-store effects must thread a real\n\
-             fencing origin. Fencing (DESIGN.md §9) rejects writes stamped with\n\
+             fencing origin. Fencing (DESIGN.md §13) rejects writes stamped with\n\
              a stale (PilotId, epoch) — but only when senders thread their\n\
              origin. In crates/core library code outside the store itself the\n\
              rule flags: (1) origin-less emission — calling roundtrip(...) or\n\

@@ -515,11 +515,10 @@ fn run(engine: &mut Engine) {
     assert!(report.findings.iter().any(|f| f.waived));
 }
 
-// ---- call-graph-aware PDES contract rules (prep-purity,
-// lookahead-coverage, effect-origin) and waiver hygiene ----
+// ---- effect-origin (over the call-graph fn index) and waiver hygiene ----
 
 use rp_analyze::callgraph::CallGraph;
-use rp_analyze::{effects, lookahead, preppurity, waivers};
+use rp_analyze::{effects, waivers};
 
 /// Run one of the call-graph rules over a set of (path, source) fixtures.
 fn run_graph_rule(
@@ -531,233 +530,6 @@ fn run_graph_rule(
     let mut report = Report::default();
     rule(&files, &graph, &mut report);
     report
-}
-
-#[test]
-fn prep_purity_fires_on_direct_store_write_in_prep() {
-    let bad = r#"
-fn drive(engine: &mut Engine, store: Store, dur: SimDuration) {
-    engine.schedule_split_in(
-        dur,
-        domain,
-        move || { store.push_units(snapshot, id, units); 1u32 },
-        move |eng, v| consume(eng, v),
-    );
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/bad.rs", bad)], preppurity::check);
-    assert!(
-        fatal_rules(&report).contains(&"prep-purity"),
-        "store write inside a prep closure must be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn prep_purity_fires_on_transitively_reached_effect() {
-    // The prep looks innocent; two hops down the call graph it mutates
-    // the shared metrics registry.
-    let bad = r#"
-fn leaf(engine: &mut Engine) {
-    engine.metrics.incr("boom");
-}
-fn middle(engine: &mut Engine) {
-    leaf(engine);
-}
-fn drive(engine: &mut Engine, dur: SimDuration) {
-    engine.schedule_split_in(dur, domain, move || middle_value(), move |eng, v| apply(eng, v));
-}
-fn middle_value() -> u32 {
-    middle(whatever());
-    7
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/bad.rs", bad)], preppurity::check);
-    assert!(
-        fatal_rules(&report).contains(&"prep-purity"),
-        "transitive registry mutation must be fatal: {}",
-        report.render_text()
-    );
-    // The message names the path so the finding is actionable.
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.rule == "prep-purity")
-        .expect("finding");
-    assert!(
-        f.message.contains("middle_value") && f.message.contains("leaf"),
-        "message should carry the call path: {}",
-        f.message
-    );
-}
-
-#[test]
-fn prep_purity_silent_on_draft_building_prep() {
-    // Building draft values — including via a pure helper and a draft
-    // builder whose method names collide with registry mutators — is the
-    // sanctioned prep-side channel.
-    let good = r#"
-pub struct MetricDraft;
-impl MetricDraft {
-    pub fn new() -> MetricDraft { MetricDraft }
-    pub fn incr(self, name: &str) -> MetricDraft { self }
-    pub fn gauge_set(self, name: &str, v: f64) -> MetricDraft { self }
-}
-fn pure_label(id: u64) -> String {
-    format!("unit-{id}")
-}
-fn drive(engine: &mut Engine, dur: SimDuration, id: u64) {
-    engine.schedule_split_in(
-        dur,
-        domain,
-        move || MetricDraft::new().incr(&pure_label(id)).gauge_set("g", 1.0),
-        move |eng, d| eng.apply_draft(d),
-    );
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/good.rs", good)], preppurity::check);
-    assert_eq!(
-        report.fatal_count(),
-        0,
-        "draft building must stay clean: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn prep_purity_allows_rng_threaded_through_captured_state() {
-    // A draw on a closure-local rng (forked and captured by value) is the
-    // documented escape hatch; a draw through the engine is not.
-    let good = r#"
-fn drive(engine: &mut Engine, dur: SimDuration, mut local_rng: SimRng) {
-    engine.schedule_split_in(
-        dur,
-        domain,
-        move || local_rng.uniform(0.0, 1.0),
-        move |eng, v| apply(eng, v),
-    );
-}
-"#;
-    let bad = r#"
-fn drive(engine: &mut Engine, dur: SimDuration) {
-    engine.schedule_split_in(
-        dur,
-        domain,
-        move || engine.rng.uniform(0.0, 1.0),
-        move |eng, v| apply(eng, v),
-    );
-}
-"#;
-    let ok = run_graph_rule(&[("crates/core/src/good.rs", good)], preppurity::check);
-    assert_eq!(ok.fatal_count(), 0, "{}", ok.render_text());
-    let nok = run_graph_rule(&[("crates/core/src/bad.rs", bad)], preppurity::check);
-    assert!(
-        fatal_rules(&nok).contains(&"prep-purity"),
-        "shared-rng draw must be fatal: {}",
-        nok.render_text()
-    );
-}
-
-#[test]
-fn prep_purity_waiver_downgrades() {
-    let waived = r#"
-fn drive(engine: &mut Engine, store: Store, dur: SimDuration) {
-    engine.schedule_split_in(
-        dur,
-        domain,
-        // rp-lint: allow(prep-purity): effect is proven idempotent and commutative for this test double
-        move || { store.push_units(snapshot, id, units); 1u32 },
-        move |eng, v| consume(eng, v),
-    );
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/w.rs", waived)], preppurity::check);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.waived && f.rule == "prep-purity"));
-}
-
-#[test]
-fn lookahead_coverage_fires_on_unregistered_cross_domain_delay() {
-    let bad = r#"
-fn poll(engine: &mut Engine, poll_interval: SimDuration) {
-    engine.schedule_in_domain(poll_interval, domain, move |eng| on_poll(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/net.rs", bad)], lookahead::check);
-    assert!(
-        fatal_rules(&report).contains(&"lookahead-coverage"),
-        "unregistered cross-domain delay must be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn lookahead_coverage_fires_on_latency_named_plain_schedule() {
-    // Even a plain schedule_in is a claim when its delay is a latency.
-    let bad = r#"
-fn deliver(engine: &mut Engine, link_latency: SimDuration) {
-    engine.schedule_in(link_latency, move |eng| arrive(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/xfer.rs", bad)], lookahead::check);
-    assert!(
-        fatal_rules(&report).contains(&"lookahead-coverage"),
-        "latency-named delay without registration must be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn lookahead_coverage_silent_when_registered_in_caller() {
-    // Registration in a transitive caller covers the source: the caller
-    // claims the latency before the callee schedules with it.
-    let good = r#"
-fn setup(engine: &mut Engine, poll_interval: SimDuration) {
-    engine.note_lookahead_from("net.poll", poll_interval);
-    poll(engine, poll_interval);
-}
-fn poll(engine: &mut Engine, poll_interval: SimDuration) {
-    engine.schedule_in_domain(poll_interval, domain, move |eng| on_poll(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/net.rs", good)], lookahead::check);
-    assert_eq!(
-        report.fatal_count(),
-        0,
-        "caller-side registration must cover the callee: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn lookahead_coverage_ignores_work_durations() {
-    // A plain schedule of a compute duration makes no cross-domain claim.
-    let good = r#"
-fn run(engine: &mut Engine, compute_cost: SimDuration) {
-    engine.schedule_in(compute_cost, move |eng| finish(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/work.rs", good)], lookahead::check);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-}
-
-#[test]
-fn lookahead_coverage_waiver_downgrades() {
-    let waived = r#"
-fn poll(engine: &mut Engine, poll_interval: SimDuration) {
-    // rp-lint: allow(lookahead-coverage): same-domain self-wakeup, no coupling claim
-    engine.schedule_in_domain(poll_interval, domain, move |eng| on_poll(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/w.rs", waived)], lookahead::check);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.waived && f.rule == "lookahead-coverage"));
 }
 
 #[test]

@@ -50,7 +50,7 @@ fn bench_engine() {
         chain(&mut e, 10_000);
         e.run();
     });
-    bench("engine/10k_parallel_events", || {
+    bench("engine/10k_interleaved_events", || {
         let mut e = Engine::new(1);
         for i in 0..10_000u64 {
             e.schedule_in(SimDuration::from_micros(i % 997), |_| {});

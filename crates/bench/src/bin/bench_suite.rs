@@ -63,12 +63,8 @@ fn main() {
             .events_per_sec()
             .map(|eps| format!("  ({eps:.0} events/s)"))
             .unwrap_or_default();
-        let speedup = match (art.parallel_threads, art.speedup()) {
-            (Some(t), Some(s)) => format!("  [parallel x{t}: {s:.2}x]"),
-            _ => String::new(),
-        };
         println!(
-            "  {name:<18} median {:8.1} ms over {reps} rep(s){throughput}{speedup}  -> {}",
+            "  {name:<18} median {:8.1} ms over {reps} rep(s){throughput}  -> {}",
             art.median_ms(),
             path.display()
         );

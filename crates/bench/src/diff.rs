@@ -353,13 +353,7 @@ pub fn diff_artifacts(base: &Value, cand: &Value) -> Result<DiffReport, String> 
                 counters.add(side, k.clone(), n);
             }
         }
-        for key in [
-            "median_ms",
-            "p95_ms",
-            "parallel_median_ms",
-            "events_per_sec",
-            "speedup",
-        ] {
+        for key in ["median_ms", "p95_ms", "events_per_sec"] {
             if let Some(v) = doc
                 .get("host")
                 .and_then(|h| h.get(key))

@@ -21,7 +21,7 @@ use rp_pilot::{
 };
 use rp_sim::stats::percentile;
 use rp_sim::{
-    aggregate_roots, critical_path_run, json, Engine, EngineMode, FaultEvent, FaultKind, FaultPlan,
+    aggregate_roots, critical_path_run, json, Engine, FaultEvent, FaultKind, FaultPlan,
     MetricsSnapshot, RunReport, SimDuration, SimTime, TelemetrySnapshot,
 };
 
@@ -670,20 +670,9 @@ pub struct BenchArtifact {
     /// scenario reports a `scale.events_executed` counter. Turns the host
     /// median into an events-per-second throughput figure.
     pub virtual_events: Option<u64>,
-    /// Host wall-clock per repetition under `EngineMode::Parallel`, when
-    /// the parallel timing pass ran (empty otherwise). The pass asserts
-    /// the parallel virtual result is bit-identical to the serial one
-    /// before recording any timing.
-    pub parallel_host_ms: Vec<f64>,
-    /// Worker count the parallel pass ran with (`RP_THREADS` or 4).
-    pub parallel_threads: Option<usize>,
-    /// Flight-recorder snapshot of the first serial repetition (merged
-    /// over the scenario's engines). Host section only.
+    /// Flight-recorder snapshot of the first repetition (merged over the
+    /// scenario's engines). Host section only.
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Flight-recorder snapshot of the first parallel repetition, when
-    /// the parallel pass ran — the one whose `par`/stall counters say
-    /// how the PDES machinery actually behaved.
-    pub parallel_telemetry: Option<TelemetrySnapshot>,
     /// Markdown rendering of the report (for PR descriptions).
     pub markdown: String,
 }
@@ -701,69 +690,21 @@ impl BenchArtifact {
             .map(|n| n as f64 / (self.median_ms() / 1e3).max(1e-9))
     }
 
-    /// Median of the parallel-mode repetitions, when the pass ran.
-    pub fn parallel_median_ms(&self) -> Option<f64> {
-        if self.parallel_host_ms.is_empty() {
-            None
-        } else {
-            Some(percentile(&self.parallel_host_ms, 50.0))
-        }
-    }
-
-    /// Serial median divided by parallel median: the host-time speedup of
-    /// `EngineMode::Parallel`. Like every `host.*` field this depends on
-    /// the machine (a single-core host reports ~1.0 or below); it is
-    /// recorded, never exact-diffed.
-    pub fn speedup(&self) -> Option<f64> {
-        self.parallel_median_ms()
-            .map(|p| self.median_ms() / p.max(1e-9))
-    }
-
-    /// The flight-recorder snapshot whose parallel/stall counters are
-    /// authoritative for this artifact: the parallel pass when it ran
-    /// (the serial pass never batches), the serial one otherwise.
-    pub fn primary_telemetry(&self) -> Option<&TelemetrySnapshot> {
-        self.parallel_telemetry.as_ref().or(self.telemetry.as_ref())
-    }
-
     /// The full schema-versioned artifact document.
     pub fn to_json(&self) -> String {
         let mut throughput = self
             .events_per_sec()
             .map(|eps| format!(",\"events_per_sec\":{eps:.1}"))
             .unwrap_or_default();
-        if let (Some(threads), Some(par_ms), Some(speedup)) = (
-            self.parallel_threads,
-            self.parallel_median_ms(),
-            self.speedup(),
-        ) {
-            throughput.push_str(&format!(
-                ",\"parallel_threads\":{threads},\"parallel_median_ms\":{par_ms:.3},\
-                 \"speedup\":{speedup:.3}"
-            ));
-        }
-        // Engine flight-recorder output: parallel/stall counters at the
-        // top of `host` (grep-able), full schema-v1 snapshots nested.
+        // The host's core count, recorded so timings from different
+        // machines are read against the hardware that produced them.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        throughput.push_str(&format!(",\"cores\":{cores}"));
+        // Engine flight-recorder output, a schema-versioned snapshot.
         // Everything here is host-side observation — the regression gate
         // never exact-diffs the `host` section.
-        if let Some(t) = self.primary_telemetry() {
-            throughput.push_str(&format!(
-                ",\"par_batches\":{},\"par_prepared\":{},\
-                 \"stalls_attempted\":{},\"stalls_empty\":{},\
-                 \"stalls_clamped\":{},\"stalls_extended\":{}",
-                t.par_batches,
-                t.par_prepared,
-                t.batches_attempted,
-                t.empty_batches,
-                t.horizon_clamped,
-                t.horizon_extended,
-            ));
-        }
         if let Some(t) = &self.telemetry {
             throughput.push_str(&format!(",\"telemetry\":{}", t.to_json()));
-        }
-        if let Some(t) = &self.parallel_telemetry {
-            throughput.push_str(&format!(",\"parallel_telemetry\":{}", t.to_json()));
         }
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"scenario\":\"{}\",\"virtual\":{},\
@@ -823,64 +764,14 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
         virtual_json: virtual_json.unwrap(),
         host_ms,
         virtual_events,
-        parallel_host_ms: Vec::new(),
-        parallel_threads: None,
         telemetry,
-        parallel_telemetry: None,
         markdown,
     }
 }
 
-/// Worker count for the parallel timing pass: `RP_THREADS` (any integer
-/// ≥ 1) or 4. Deliberately never `available_parallelism()` — only the
-/// timings themselves may depend on the host, not the configuration the
-/// artifact records.
-pub fn parallel_pass_threads() -> usize {
-    std::env::var("RP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(4)
-}
-
-/// Time `run` under serial mode, then repeat it under
-/// `EngineMode::Parallel` — asserting the parallel virtual result is
-/// bit-identical to the serial one — and record both timings.
-pub fn bench_with_parallel(
-    scenario: &str,
-    reps: u64,
-    run: impl Fn() -> VirtualResult,
-) -> BenchArtifact {
-    let mut art = bench_with(scenario, reps, &run);
-    let threads = parallel_pass_threads();
-    Engine::set_default_mode(Some(EngineMode::parallel(threads)));
-    Engine::set_default_telemetry(Some(true));
-    let mut parallel_host_ms = Vec::with_capacity(reps as usize);
-    let mut parallel_telemetry: Option<TelemetrySnapshot> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let v = run();
-        parallel_host_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            v.to_json(),
-            art.virtual_json,
-            "{scenario}: parallel({threads}) virtual result diverged from serial"
-        );
-        if parallel_telemetry.is_none() {
-            parallel_telemetry = v.telemetry;
-        }
-    }
-    Engine::set_default_telemetry(None);
-    Engine::set_default_mode(None);
-    art.parallel_host_ms = parallel_host_ms;
-    art.parallel_threads = Some(threads);
-    art.parallel_telemetry = parallel_telemetry;
-    art
-}
-
-/// Run + time the named scenario, serial then parallel.
+/// Run + time the named scenario.
 pub fn bench_scenario(name: &str, reps: u64) -> BenchArtifact {
-    bench_with_parallel(name, reps, || run_scenario(name))
+    bench_with(name, reps, || run_scenario(name))
 }
 
 /// Absolute host-time allowance on top of the factor, so sub-millisecond
@@ -1041,32 +932,6 @@ mod tests {
             .and_then(json::Value::as_f64)
             .is_some());
         assert!(art.markdown.contains("| case |"));
-    }
-
-    #[test]
-    fn parallel_pass_records_speedup_fields_and_identical_virtual() {
-        let art = bench_with_parallel("fault_matrix", 1, || run_fault_matrix(small_params()));
-        assert_eq!(art.parallel_host_ms.len(), 1);
-        assert!(art.parallel_threads.is_some());
-        assert!(art.speedup().unwrap() > 0.0);
-        let doc = art.to_json();
-        let v = json::parse(&doc).expect("artifact parses");
-        let host = v.get("host").expect("host section");
-        assert!(host
-            .get("parallel_median_ms")
-            .and_then(json::Value::as_f64)
-            .is_some());
-        assert!(host.get("speedup").and_then(json::Value::as_f64).is_some());
-        assert!(host
-            .get("parallel_threads")
-            .and_then(json::Value::as_f64)
-            .is_some());
-        // The serial-only path must not emit the fields at all.
-        let serial = bench_with("fault_matrix", 1, || run_fault_matrix(small_params()));
-        assert!(!serial.to_json().contains("parallel_median_ms"));
-        // The parallel pass changed only host fields: both artifacts carry
-        // the identical virtual subtree.
-        assert_eq!(serial.virtual_json, art.virtual_json);
     }
 
     #[test]

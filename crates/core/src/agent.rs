@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use rp_hpc::{Allocation, IoKind, NodeId, StorageTarget};
 use rp_saga::filetransfer::{transfer, Endpoint};
-use rp_sim::{Domain, Engine, FaultKind, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, FaultKind, SimDuration, SimTime, SpanId};
 use rp_spark::SparkCluster;
 use rp_yarn::{
     bootstrap_mode_i_in_span, connect_mode_ii, AmHandle, HadoopEnv, Resource, ResourceRequest,
@@ -27,7 +27,7 @@ use crate::description::{AccessMode, StageEndpoint, StagingDirective, UnitIoTarg
 use crate::launch::{self, LaunchMethod};
 use crate::session::{MachineHandle, SessionConfig};
 use crate::states::UnitState;
-use crate::unit::{PilotId, TransitionDraft, UnitHandle};
+use crate::unit::{PilotId, UnitHandle};
 
 /// What the LRM provisioned for this pilot.
 #[derive(Clone)]
@@ -427,22 +427,6 @@ impl Agent {
         self.inner.borrow().heartbeats
     }
 
-    /// This agent's event [`Domain`]: one partition per pilot, so the
-    /// parallel engine can prepare independent pilots' events concurrently.
-    /// `+1` keeps pilot 0 out of [`Domain::GLOBAL`].
-    fn domain(&self) -> Domain {
-        Domain::from_parts((self.inner.borrow().pilot.0 as u16).wrapping_add(1), 0)
-    }
-
-    /// Per-node sub-domain of this agent (`+1` keeps node 0 distinct from
-    /// the agent-wide lane).
-    fn node_domain(&self, node: NodeId) -> Domain {
-        Domain::from_parts(
-            (self.inner.borrow().pilot.0 as u16).wrapping_add(1),
-            (node.0 as u16).wrapping_add(1),
-        )
-    }
-
     /// Arm the next heartbeat if work is in flight and none is scheduled.
     /// A fenced agent keeps beating too: the tick is where it re-acquires
     /// its lease at a fresh epoch once the partition heals. With leases
@@ -461,11 +445,7 @@ impl Agent {
             inner.heartbeat_armed = true;
         }
         let this = self.clone();
-        // The heartbeat period is a cross-domain coupling interval (the
-        // UM's gap monitor reads it) — register it as lookahead.
-        engine.note_lookahead_from("agent.heartbeat", SimDuration::from_secs(10));
-        let domain = self.domain();
-        engine.schedule_in_domain(SimDuration::from_secs(10), domain, move |eng| {
+        engine.schedule_in(SimDuration::from_secs(10), move |eng| {
             let (pilot, still_busy) = {
                 let mut inner = this.inner.borrow_mut();
                 inner.heartbeat_armed = false;
@@ -1197,13 +1177,13 @@ impl Agent {
         unit.advance(engine, UnitState::Executing);
         let this = self.clone();
         let u2 = unit.clone();
-        self.run_work(engine, &unit, &nodes, &alive.clone(), move |eng, draft| {
+        self.run_work(engine, &unit, &nodes, &alive.clone(), move |eng| {
             if !alive.get() {
                 // Node crashed mid-run and the attempt was requeued; this
                 // stale completion must not double-finish the unit.
                 return;
             }
-            this.complete_unit(eng, u2, placement, draft);
+            this.complete_unit(eng, u2, placement);
         });
     }
 
@@ -1211,17 +1191,13 @@ impl Agent {
     /// kill flag: a stale completion for a killed attempt must leave the
     /// compute span abandoned (open) instead of ending it after the unit
     /// has already been requeued and its exec span closed.
-    ///
-    /// `done` receives the `-> StagingOutput` [`TransitionDraft`] when the
-    /// completion travelled as a split event (its prepare closure drafts
-    /// it, off-thread in parallel mode), `None` otherwise.
     fn run_work(
         &self,
         engine: &mut Engine,
         unit: &UnitHandle,
         nodes: &[(NodeId, u32)],
         alive: &Rc<Cell<bool>>,
-        done: impl FnOnce(&mut Engine, Option<TransitionDraft>) + 'static,
+        done: impl FnOnce(&mut Engine) + 'static,
     ) {
         // Sleep, Compute and Native clone without allocating (Native is an
         // `Rc`); framework work never reaches plain slots.
@@ -1262,32 +1238,17 @@ impl Agent {
             .trace
             .span_attr(span, "cores", total_cores.to_string());
         let alive = alive.clone();
-        let done = move |eng: &mut Engine, draft: Option<TransitionDraft>| {
+        let done = move |eng: &mut Engine| {
             if alive.get() {
                 eng.trace.span_end(eng.now(), span);
             }
-            done(eng, draft);
+            done(eng);
         };
 
         match work {
             WorkSpec::Sleep(dur) => {
-                // The scale hot path: one completion event per unit. It
-                // rides as a split event in the node's domain — the prepare
-                // closure drafts the `-> StagingOutput` transition
-                // (off-thread in parallel mode), the apply closure runs the
-                // ordinary completion with it.
-                let domain = self.node_domain(primary);
-                let unit_id = unit.id();
-                // rp-lint: allow(lookahead-coverage): `dur` is the unit's own compute time, scheduled by the node into its own domain — an intra-domain completion makes no cross-domain coupling claim, so no lookahead registration is owed
-                engine.schedule_split_in(
-                    dur,
-                    domain,
-                    move || TransitionDraft {
-                        unit: unit_id,
-                        next: UnitState::StagingOutput,
-                    },
-                    move |eng, draft: TransitionDraft| done(eng, Some(draft)),
-                );
+                // The scale hot path: one completion event per unit.
+                engine.schedule_in(dur, done);
             }
             WorkSpec::Native(f) => {
                 // Native work runs a real closure and bills its measured host
@@ -1298,7 +1259,7 @@ impl Agent {
                 let t0 = std::time::Instant::now();
                 f();
                 let dur = SimDuration::from_secs_f64(t0.elapsed().as_secs_f64());
-                engine.schedule_in(dur, move |eng| done(eng, None));
+                engine.schedule_in(dur, done);
             }
             WorkSpec::Compute {
                 core_seconds,
@@ -1324,7 +1285,6 @@ impl Agent {
                     .compute_duration(core_seconds / total_cores as f64)
                     .mul_f64(pressure * jitter);
                 let cluster2 = cluster.clone();
-                let done = move |eng: &mut Engine| done(eng, None);
                 cluster.storage_io(
                     engine,
                     target,
@@ -1390,7 +1350,7 @@ impl Agent {
                         return;
                     }
                     u2.rec.borrow_mut().mr_stats = Some(stats);
-                    this.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb }, None);
+                    this.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb });
                 },
             );
             return;
@@ -1552,7 +1512,7 @@ impl Agent {
                 &unit,
                 &[(container.node, cores)],
                 &alive.clone(),
-                move |eng, draft| {
+                move |eng| {
                     if !alive.get() || !run_alive.get() {
                         // This attempt was preempted mid-flight (the restart
                         // owns the unit) or the pilot died (the UM does).
@@ -1571,7 +1531,7 @@ impl Agent {
                     if !pooled {
                         am2.finish(eng);
                     }
-                    this2.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb }, draft);
+                    this2.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb });
                 },
             );
         });
@@ -1606,12 +1566,9 @@ impl Agent {
                     return;
                 }
                 match res {
-                    Ok(_stats) => this.complete_unit(
-                        eng,
-                        u2.clone(),
-                        Placement::Spark { cores: gate_cores },
-                        None,
-                    ),
+                    Ok(_stats) => {
+                        this.complete_unit(eng, u2.clone(), Placement::Spark { cores: gate_cores })
+                    }
                     Err(e) => {
                         this.fail_and_release(
                             eng,
@@ -1672,12 +1629,7 @@ impl Agent {
                         }
                         eng.trace.span_end(eng.now(), span);
                         spark.finish_app(eng, app_id);
-                        this.complete_unit(
-                            eng,
-                            u2.clone(),
-                            Placement::Spark { cores: gate_cores },
-                            None,
-                        );
+                        this.complete_unit(eng, u2.clone(), Placement::Spark { cores: gate_cores });
                     });
                 }
                 Err(e) => {
@@ -1694,13 +1646,7 @@ impl Agent {
 
     // ---- completion ----
 
-    fn complete_unit(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        placement: Placement,
-        draft: Option<TransitionDraft>,
-    ) {
+    fn complete_unit(&self, engine: &mut Engine, unit: UnitHandle, placement: Placement) {
         // The attempt survived execution; it no longer needs crash recovery.
         // The `finishing` entry is this path's ownership token: `terminate`
         // drains it when the pilot dies, after which the stale staging /
@@ -1711,12 +1657,7 @@ impl Agent {
             inner.active.remove(&unit.id().0);
             inner.finishing.insert(unit.id().0, unit.clone());
         }
-        match draft {
-            // Split-event completion: the prepare closure (possibly on a
-            // worker thread) drafted the transition.
-            Some(d) => unit.advance_with(engine, d),
-            None => unit.advance(engine, UnitState::StagingOutput),
-        }
+        unit.advance(engine, UnitState::StagingOutput);
         let directives = unit.descr().output_staging.clone();
         let primary = unit.exec_nodes().first().copied();
         let this = self.clone();

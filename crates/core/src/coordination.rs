@@ -387,12 +387,6 @@ impl CoordinationStore {
             inner.next_seq += 1;
             inner.next_seq
         };
-        // Every store message pays at least `latency` of virtual time
-        // before its effect lands — a genuine cross-domain propagation
-        // delay, which the parallel engine exploits as lookahead.
-        if latency > SimDuration::ZERO {
-            engine.note_lookahead_from("store.write", latency);
-        }
         let apply: Rc<RefCell<Option<ApplyFn>>> = Rc::new(RefCell::new(Some(Box::new(apply))));
         self.transmit(engine, seq, origin, latency, label, apply);
     }
@@ -781,7 +775,6 @@ impl CoordinationStore {
             .hb_in_flight
             .entry(pilot)
             .or_insert(0) += 1;
-        engine.note_lookahead_from("store.heartbeat", delay);
         let this = self.clone();
         engine.schedule_in(delay, move |eng| {
             let mut inner = this.inner.borrow_mut();

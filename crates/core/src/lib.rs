@@ -68,4 +68,4 @@ pub use manager::{
 };
 pub use session::{MachineHandle, PilotError, Session, SessionConfig};
 pub use states::{PilotState, UnitState};
-pub use unit::{when_all_done, PilotId, TransitionDraft, UnitHandle, UnitId, UnitTimestamps};
+pub use unit::{when_all_done, PilotId, UnitHandle, UnitId, UnitTimestamps};

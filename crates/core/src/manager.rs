@@ -834,11 +834,6 @@ impl UnitManager {
             (gap, tick)
         };
         let this = self.clone();
-        // The gap monitor is the UM's fastest reaction to agent-side
-        // state: its tick period is a cross-domain coupling interval, so
-        // register it as lookahead. (The monitor itself stays in
-        // Domain::GLOBAL — it reads every pilot.)
-        engine.note_lookahead_from("um.gap_monitor", tick);
         engine.schedule_in(tick, move |eng| {
             this.inner.borrow_mut().monitor_armed = false;
             this.monitor_tick(eng, gap);

@@ -41,18 +41,6 @@ impl PilotId {
     }
 }
 
-/// One unit state transition, drafted where its inputs are at hand: a
-/// split event's prepare closure builds it (it is `Copy` + `Send`) and the
-/// apply closure feeds it to [`UnitHandle::advance_with`]. It carries no
-/// strings — the counter key is the static
-/// [`UnitState::transition_key`] and the trace record the typed
-/// [`UnitId::transition`], rendered only when the trace is read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransitionDraft {
-    pub unit: UnitId,
-    pub next: UnitState,
-}
-
 /// Milestones of a unit's life (all virtual time), used by the Fig. 5
 /// startup study.
 #[derive(Debug, Clone, Copy, Default)]
@@ -222,13 +210,6 @@ impl UnitHandle {
         } else {
             rec.waiters.push(Box::new(cb));
         }
-    }
-
-    /// [`UnitHandle::advance`] to a transition a split event's prepare
-    /// closure drafted; indistinguishable from the inline call.
-    pub(crate) fn advance_with(&self, engine: &mut Engine, draft: TransitionDraft) {
-        debug_assert_eq!(draft.unit, self.id(), "draft applied to another unit");
-        self.advance(engine, draft.next);
     }
 
     pub(crate) fn advance(&self, engine: &mut Engine, next: UnitState) {
@@ -467,13 +448,7 @@ mod tests {
         let mut e = Engine::with_trace(1);
         let u = handle(42);
         u.advance(&mut e, UnitState::UmScheduling);
-        u.advance_with(
-            &mut e,
-            TransitionDraft {
-                unit: UnitId(42),
-                next: UnitState::Canceled,
-            },
-        );
+        u.advance(&mut e, UnitState::Canceled);
         let lines: Vec<String> = e
             .trace
             .in_category("unit")

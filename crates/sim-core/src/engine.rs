@@ -21,129 +21,23 @@
 //!   aliases a different live event;
 //! * the free list is a `Vec` (LIFO), so slot assignment is a pure
 //!   function of the event sequence — replays are bit-identical.
-//!
-//! ## Conservative parallel mode (PDES)
-//!
-//! Every event carries a [`Domain`] tag (default [`Domain::GLOBAL`]).
-//! Besides plain closures, call sites may schedule **split events**
-//! ([`Engine::schedule_split_at`]): a `Send` *prepare* closure that is a
-//! pure function of its captures (no engine, RNG, or trace access — the
-//! type system enforces `Send`, which rules out the `Rc` component
-//! handles), plus a main-thread *apply* closure that consumes the
-//! prepared value.
-//!
-//! In [`EngineMode::Parallel`] the engine repeatedly computes a safe
-//! horizon — the next pending event's time extended by the registered
-//! cross-domain [lookahead](Engine::note_lookahead), capped at the next
-//! pending global-domain event — collects every unprepared split event at
-//! or before that horizon, partitions the batch by domain, and runs the
-//! prepare closures on scoped worker threads (whole domains are assigned
-//! to workers round-robin in domain-id order, and each domain's events
-//! prepare in `(time, seq)` order). Application *always* happens on the
-//! main thread in exact `(time, seq)` order — the same order the serial
-//! mode uses — so traces, metrics, RNG draws and coordination effects are
-//! bit-identical between modes and across any thread count. Serial mode
-//! runs the prepare closure inline at apply time; either way the prepare
-//! sees exactly the same captures, so its output cannot differ.
-//!
-//! The horizon never makes or breaks correctness (prepare closures cannot
-//! observe engine state, and a prepared-then-cancelled event just drops
-//! its output); it bounds *speculation depth*, so work is not prepared for
-//! far-future events that a nearer event might still cancel.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
-use crate::telemetry::{EngineTelemetry, HorizonOutcome, TelemetrySnapshot};
+use crate::telemetry::{EngineTelemetry, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
-/// Partition tag of a scheduled event: events in different non-global
-/// domains are prepared independently in parallel mode. `Domain::GLOBAL`
-/// (the default for all legacy `schedule_*` calls) marks cross-cutting
-/// events that act as barriers for the parallel prepare horizon.
-///
-/// Conventions in this workspace: pilots tag agent-wide events with
-/// [`Domain::from_parts`]`(pilot_id, 0)` and per-node events with
-/// `from_parts(pilot_id, node_id + 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Domain(pub u32);
-
-impl Domain {
-    /// The cross-cutting domain every untagged event belongs to.
-    pub const GLOBAL: Domain = Domain(0);
-
-    /// Compose a domain id from a coarse (pilot) and fine (node) part.
-    /// `from_parts(0, 0)` is [`Domain::GLOBAL`]; callers that want a
-    /// distinct domain for "pilot 0, agent-wide" should offset one part.
-    pub fn from_parts(hi: u16, lo: u16) -> Domain {
-        Domain(((hi as u32) << 16) | lo as u32)
-    }
-
-    pub fn is_global(self) -> bool {
-        self.0 == 0
-    }
-}
-
-/// Execution mode of the engine. `Parallel` changes *where prepare
-/// closures run*, never what a run computes — the differential tier
-/// (`tests/pdes_differential.rs`) holds the two modes bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Single-threaded reference mode: prepare closures run inline.
-    Serial,
-    /// Conservative PDES mode: prepare closures of split events run on
-    /// `threads` scoped workers within the safe horizon.
-    Parallel { threads: usize },
-}
-
-impl EngineMode {
-    /// Parallel mode with a pinned worker count (clamped to >= 1).
-    pub fn parallel(threads: usize) -> EngineMode {
-        EngineMode::Parallel {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Mode selected by the environment: `RP_ENGINE_MODE=parallel` (with
-    /// `RP_THREADS=<n>`, default 4) or `RP_ENGINE_MODE=serial` (default).
-    /// The worker count is always pinned explicitly — never derived from
-    /// `available_parallelism()` — so a run's *schedule* is identical on
-    /// any host. Parsed once per process.
-    pub fn from_env() -> EngineMode {
-        static FROM_ENV: OnceLock<EngineMode> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("RP_ENGINE_MODE").ok().as_deref() {
-            Some("parallel") => {
-                let threads = std::env::var("RP_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or(4);
-                EngineMode::Parallel { threads }
-            }
-            _ => EngineMode::Serial,
-        })
-    }
-}
-
-// The default mode new engines start in. Thread-local (not global) so
-// concurrently running tests can flip modes independently; it cannot
-// affect results because mode never does (the differential tier is
-// the proof), so the thread-local read is not a determinism leak.
-// rp-lint: allow(par-hazard): mode selection only; serial ≡ parallel is enforced by tests/pdes_differential.rs
-thread_local! {
-    static DEFAULT_MODE: Cell<Option<EngineMode>> = const { Cell::new(None) };
-}
-
-// Whether new engines start with the flight recorder on. Same shape as
-// DEFAULT_MODE, and equally harmless: telemetry is write-only host-side
-// observation, so it cannot affect results (tests/telemetry.rs holds
-// runs bit-identical with the recorder on vs off).
+// Whether new engines start with the flight recorder on. Thread-local
+// (not global) so concurrently running tests can flip it independently,
+// and harmless: telemetry is write-only host-side observation, so it
+// cannot affect results (tests/telemetry.rs holds runs bit-identical
+// with the recorder on vs off).
 // rp-lint: allow(par-hazard): telemetry default selection only; on ≡ off is enforced by tests/telemetry.rs
 thread_local! {
     static DEFAULT_TELEMETRY: Cell<Option<bool>> = const { Cell::new(None) };
@@ -163,8 +57,7 @@ fn telemetry_from_env() -> bool {
 
 /// Identifier of a scheduled event, usable for cancellation. Generational:
 /// the `(slot, seq)` pair identifies one scheduling, so cancelling after
-/// the slot was recycled is a detectable no-op — even when the cancel
-/// originates in a different [`Domain`] than the event it targets.
+/// the slot was recycled is a detectable no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
     slot: u32,
@@ -172,34 +65,12 @@ pub struct EventId {
 }
 
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
-/// Output of a prepare closure, shipped back to the apply closure.
-type PrepOut = Box<dyn Any + Send>;
-/// The `Send` half of a split event; runs on a worker thread in parallel
-/// mode, inline at apply time in serial mode.
-type PrepFn = Box<dyn FnOnce() -> PrepOut + Send>;
-/// The main-thread half of a split event.
-type SplitApplyFn = Box<dyn FnOnce(&mut Engine, PrepOut)>;
 
-/// Event payload: a plain closure, or a prepare/apply split.
-enum Payload {
-    Closure(EventFn),
-    Split {
-        /// `Some` until prepared (by a worker batch, or inline).
-        prep: Option<PrepFn>,
-        /// `Some` once a worker batch prepared it.
-        out: Option<PrepOut>,
-        apply: SplitApplyFn,
-    },
-}
-
-/// Slab cell: the generation (`seq`) of the event occupying it, its
-/// domain/time (needed to re-index split events when the mode changes)
-/// and its payload. `payload == None` on an occupied slot means cancelled.
+/// Slab cell: the generation (`seq`) of the event occupying it and its
+/// closure. `payload == None` on an occupied slot means cancelled.
 struct Slot {
     seq: u64,
-    domain: Domain,
-    time: SimTime,
-    payload: Option<Payload>,
+    payload: Option<EventFn>,
 }
 
 /// Heap entry: ordering key plus the slab slot holding the payload.
@@ -208,7 +79,6 @@ struct Entry {
     time: SimTime,
     seq: u64,
     slot: u32,
-    domain: Domain,
 }
 
 impl PartialOrd for Entry {
@@ -223,35 +93,6 @@ impl Ord for Entry {
     }
 }
 
-/// Conservative safe horizon for `domain`, given the earliest pending
-/// event time per domain (`heads`) and the minimum cross-domain
-/// propagation delay (`lookahead`): events in `domain` at or before the
-/// returned time cannot be influenced by any pending cross-domain event.
-///
-/// * a pending event in another non-global domain `d'` at `t'` needs at
-///   least `lookahead` of virtual time to reach `domain`, so it caps the
-///   horizon at `t' + lookahead`;
-/// * a pending [`Domain::GLOBAL`] event may touch any domain with zero
-///   delay, so it caps the horizon at its own time;
-/// * heads of `domain` itself do not constrain it (in-domain order is
-///   already `(time, seq)`).
-///
-/// Returns `None` when no cross-domain head exists (unbounded horizon).
-/// The property tier (`crates/sim-core/tests/pdes_properties.rs`) holds
-/// this function to the rule "never admit an event earlier than a pending
-/// cross-domain event".
-pub fn safe_horizon(
-    domain: Domain,
-    heads: &[(Domain, SimTime)],
-    lookahead: SimDuration,
-) -> Option<SimTime> {
-    heads
-        .iter()
-        .filter(|&&(d, _)| d != domain)
-        .map(|&(d, t)| if d.is_global() { t } else { t + lookahead })
-        .min()
-}
-
 /// Deterministic discrete-event simulation engine.
 ///
 /// Also carries the run-wide seeded RNG and the event trace so that
@@ -263,20 +104,6 @@ pub struct Engine {
     slots: Vec<Slot>,
     free: Vec<u32>,
     executed: u64,
-    mode: EngineMode,
-    /// Minimum registered cross-domain propagation delay; see
-    /// [`Engine::note_lookahead`]. `None` until a component registers.
-    lookahead: Option<SimDuration>,
-    /// Mirror heap of *unprepared split* events — only maintained in
-    /// parallel mode (rebuilt on a mode switch), drained by batches.
-    par_queue: BinaryHeap<Entry>,
-    /// Unprepared split events currently pending (cheap batch guard).
-    unprepared: usize,
-    /// Parallel-stage statistics (plain fields, not metrics: parallel
-    /// bookkeeping must not perturb the metrics snapshot the differential
-    /// tier compares).
-    par_batches: u64,
-    par_prepared: u64,
     /// Seeded random source shared by all stochastic models in the run.
     pub rng: SimRng,
     /// Structured event trace (cheap no-op unless enabled).
@@ -284,18 +111,14 @@ pub struct Engine {
     /// Run-wide metrics registry (cheap no-op unless enabled).
     pub metrics: MetricsRegistry,
     /// Engine flight recorder: host-side-only observation of the engine
-    /// itself (batch timing, occupancy, stalls, high-water marks). Never
+    /// itself (apply timing, high-water marks, ownership counters). Never
     /// read by the simulation — see `crate::telemetry`.
     pub telemetry: EngineTelemetry,
 }
 
 impl Engine {
-    /// New engine at t=0 with the given RNG seed, in the thread's default
-    /// mode (see [`Engine::set_default_mode`] / [`EngineMode::from_env`]).
+    /// New engine at t=0 with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        let mode = DEFAULT_MODE
-            .with(Cell::get)
-            .unwrap_or_else(EngineMode::from_env);
         let mut telemetry = EngineTelemetry::new();
         if DEFAULT_TELEMETRY
             .with(Cell::get)
@@ -310,12 +133,6 @@ impl Engine {
             slots: Vec::new(),
             free: Vec::new(),
             executed: 0,
-            mode,
-            lookahead: None,
-            par_queue: BinaryHeap::new(),
-            unprepared: 0,
-            par_batches: 0,
-            par_prepared: 0,
             rng: SimRng::new(seed),
             trace: Trace::disabled(),
             metrics: MetricsRegistry::disabled(),
@@ -333,13 +150,6 @@ impl Engine {
         e
     }
 
-    /// Set the default [`EngineMode`] for engines subsequently created on
-    /// *this thread* (`None` restores the environment-derived default).
-    /// Tests use this to run identical scenario code under both modes.
-    pub fn set_default_mode(mode: Option<EngineMode>) {
-        DEFAULT_MODE.with(|m| m.set(mode));
-    }
-
     /// Set whether engines subsequently created on *this thread* start
     /// with the flight recorder enabled (`None` restores the
     /// `RP_TELEMETRY` environment default). The differential tier proves
@@ -353,72 +163,9 @@ impl Engine {
         self.telemetry.enable();
     }
 
-    /// Freeze the flight recorder into a mergeable
-    /// [`TelemetrySnapshot`], folding in the engine's parallel counters
-    /// (which are maintained even with the recorder off).
+    /// Freeze the flight recorder into a mergeable [`TelemetrySnapshot`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot(self.par_batches, self.par_prepared)
-    }
-
-    /// Current execution mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Switch execution mode. Safe at any point: the unprepared-split
-    /// index is rebuilt from the slab, and mode never changes results.
-    pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-        self.par_queue.clear();
-        if matches!(self.mode, EngineMode::Parallel { .. }) {
-            for (i, s) in self.slots.iter().enumerate() {
-                if let Some(Payload::Split { prep: Some(_), .. }) = &s.payload {
-                    self.par_queue.push(Entry {
-                        time: s.time,
-                        seq: s.seq,
-                        slot: i as u32,
-                        domain: s.domain,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Register a cross-domain propagation delay (link latency, heartbeat
-    /// period, store round trip): the engine keeps the minimum as its
-    /// lookahead. A wider lookahead admits deeper prepare batches; it can
-    /// never affect results (application order is always `(time, seq)`),
-    /// only how much work each parallel batch carries.
-    pub fn note_lookahead(&mut self, delay: SimDuration) {
-        self.note_lookahead_from("unlabeled", delay);
-    }
-
-    /// [`Engine::note_lookahead`] with a source label, so the flight
-    /// recorder can report which component's delay is the binding
-    /// constraint on the batch horizon. The label is pure bookkeeping;
-    /// the registered lookahead is identical either way.
-    pub fn note_lookahead_from(&mut self, source: &'static str, delay: SimDuration) {
-        self.telemetry.note_lookahead_source(source, delay);
-        self.lookahead = Some(match self.lookahead {
-            Some(cur) => cur.min(delay),
-            None => delay,
-        });
-    }
-
-    /// The registered lookahead, if any component reported one.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
-    /// Parallel prepare batches executed so far.
-    pub fn par_batches(&self) -> u64 {
-        self.par_batches
-    }
-
-    /// Split events prepared by worker batches so far (inline-prepared
-    /// events in serial mode do not count).
-    pub fn par_prepared(&self) -> u64 {
-        self.par_prepared
+        self.telemetry.snapshot()
     }
 
     /// Current virtual time.
@@ -443,7 +190,8 @@ impl Engine {
         self.slots.len()
     }
 
-    fn insert(&mut self, time: SimTime, domain: Domain, payload: Payload) -> EventId {
+    /// Schedule an event at an absolute time (must not be in the past).
+    pub fn schedule_at(&mut self, time: SimTime, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
@@ -451,12 +199,9 @@ impl Engine {
         );
         let seq = self.seq;
         self.seq += 1;
-        let is_split = matches!(payload, Payload::Split { .. });
         let slot_val = Slot {
             seq,
-            domain,
-            time,
-            payload: Some(payload),
+            payload: Some(Box::new(f)),
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -469,35 +214,8 @@ impl Engine {
                 slot
             }
         };
-        let entry = Entry {
-            time,
-            seq,
-            slot,
-            domain,
-        };
-        self.queue.push(entry);
-        if is_split {
-            self.unprepared += 1;
-            if matches!(self.mode, EngineMode::Parallel { .. }) {
-                self.par_queue.push(entry);
-            }
-        }
+        self.queue.push(Entry { time, seq, slot });
         EventId { slot, seq }
-    }
-
-    /// Schedule an event at an absolute time (must not be in the past).
-    pub fn schedule_at(&mut self, time: SimTime, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
-        self.schedule_at_domain(time, Domain::GLOBAL, f)
-    }
-
-    /// [`Engine::schedule_at`] with an explicit [`Domain`] tag.
-    pub fn schedule_at_domain(
-        &mut self,
-        time: SimTime,
-        domain: Domain,
-        f: impl FnOnce(&mut Engine) + 'static,
-    ) -> EventId {
-        self.insert(time, domain, Payload::Closure(Box::new(f)))
     }
 
     /// Schedule an event after a relative delay.
@@ -509,63 +227,10 @@ impl Engine {
         self.schedule_at(self.now + delay, f)
     }
 
-    /// [`Engine::schedule_in`] with an explicit [`Domain`] tag.
-    pub fn schedule_in_domain(
-        &mut self,
-        delay: SimDuration,
-        domain: Domain,
-        f: impl FnOnce(&mut Engine) + 'static,
-    ) -> EventId {
-        self.schedule_at_domain(self.now + delay, domain, f)
-    }
-
     /// Schedule at the current instant (runs after all already-queued events
     /// for this instant — FIFO within a timestamp).
     pub fn schedule_now(&mut self, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
         self.schedule_at(self.now, f)
-    }
-
-    /// Schedule a **split event**: `prep` is a pure `Send` function of its
-    /// captures (it cannot see the engine, so it cannot observe — or leak
-    /// — execution order), `apply` consumes its output on the main thread
-    /// at the event's `(time, seq)` turn. In parallel mode `prep` may run
-    /// on a worker thread any time from the enclosing safe-horizon batch;
-    /// in serial mode it runs inline at apply time. Results are identical
-    /// by construction.
-    pub fn schedule_split_at<T: Send + 'static>(
-        &mut self,
-        time: SimTime,
-        domain: Domain,
-        prep: impl FnOnce() -> T + Send + 'static,
-        apply: impl FnOnce(&mut Engine, T) + 'static,
-    ) -> EventId {
-        let prep: PrepFn = Box::new(move || Box::new(prep()) as PrepOut);
-        let apply: SplitApplyFn = Box::new(move |eng, out| {
-            let out = out
-                .downcast::<T>()
-                .expect("split event output type mismatch");
-            apply(eng, *out);
-        });
-        self.insert(
-            time,
-            domain,
-            Payload::Split {
-                prep: Some(prep),
-                out: None,
-                apply,
-            },
-        )
-    }
-
-    /// [`Engine::schedule_split_at`] after a relative delay.
-    pub fn schedule_split_in<T: Send + 'static>(
-        &mut self,
-        delay: SimDuration,
-        domain: Domain,
-        prep: impl FnOnce() -> T + Send + 'static,
-        apply: impl FnOnce(&mut Engine, T) + 'static,
-    ) -> EventId {
-        self.schedule_split_at(self.now + delay, domain, prep, apply)
     }
 
     /// Cancel a previously scheduled event. Cancelling an event that already
@@ -575,9 +240,6 @@ impl Engine {
         // ran, its slot is free (or re-occupied under a different seq).
         if let Some(slot) = self.slots.get_mut(id.slot as usize) {
             if slot.seq == id.seq {
-                if let Some(Payload::Split { prep: Some(_), .. }) = &slot.payload {
-                    self.unprepared -= 1;
-                }
                 slot.payload = None;
             }
         }
@@ -585,7 +247,7 @@ impl Engine {
 
     /// Free `entry`'s slab slot and return its payload (`None` if the
     /// event was cancelled).
-    fn release(&mut self, entry: Entry) -> Option<Payload> {
+    fn release(&mut self, entry: Entry) -> Option<EventFn> {
         let slot = &mut self.slots[entry.slot as usize];
         debug_assert_eq!(slot.seq, entry.seq, "heap entry aliases a recycled slot");
         let payload = slot.payload.take();
@@ -604,157 +266,17 @@ impl Engine {
             self.executed += 1;
             if self.telemetry.is_enabled() {
                 let live = self.trace.live_spans();
-                self.telemetry
-                    .on_apply(entry.domain.0, self.slots.len(), live);
+                self.telemetry.on_apply(self.slots.len(), live);
             }
-            match payload {
-                Payload::Closure(f) => f(self),
-                Payload::Split { prep, out, apply } => {
-                    let out = match out {
-                        Some(out) => out,
-                        None => {
-                            // Unprepared (serial mode, or outside every
-                            // batch horizon): run the pure prep inline.
-                            self.unprepared -= 1;
-                            (prep.expect("split event without prep or output"))()
-                        }
-                    };
-                    apply(self, out);
-                }
-            }
+            payload(self);
             return true;
         }
         false
     }
 
-    /// The batch horizon for the current queue state: the next pending
-    /// event's time, extended by the registered lookahead unless that next
-    /// event is global (a global event may affect any domain instantly, so
-    /// speculation past it is pointless). `None` on an empty queue.
-    fn batch_horizon(&self) -> Option<SimTime> {
-        let head = self.queue.peek()?;
-        Some(match self.lookahead {
-            Some(l) if !head.domain.is_global() => head.time + l,
-            _ => head.time,
-        })
-    }
-
-    /// Collect every unprepared split event at or before the safe horizon
-    /// and run their prepare closures on `threads` scoped workers, whole
-    /// domains assigned round-robin in domain-id order. Outputs are stored
-    /// back into the slab for the (serial, deterministic) apply loop.
-    fn prepare_batch(&mut self, threads: usize) {
-        if self.unprepared == 0 {
-            return;
-        }
-        let horizon = self.batch_horizon();
-        if self.telemetry.is_enabled() {
-            // Stall accounting: how the horizon came out for this attempt.
-            let outcome = match horizon {
-                None => HorizonOutcome::NoHorizon,
-                Some(_) => {
-                    let extended = self.lookahead.is_some()
-                        && self.queue.peek().is_some_and(|e| !e.domain.is_global());
-                    if extended {
-                        HorizonOutcome::Extended
-                    } else {
-                        HorizonOutcome::Clamped
-                    }
-                }
-            };
-            self.telemetry.note_batch_attempt(outcome);
-        }
-        let Some(horizon) = horizon else {
-            return;
-        };
-        if self.par_queue.peek().is_none_or(|e| e.time > horizon) {
-            self.telemetry.note_empty_batch();
-            return;
-        }
-        let timer = self.telemetry.start_batch_timer();
-        // Group admissible prep closures by domain; pops arrive in
-        // (time, seq) order, so each domain's vector is ordered too.
-        let mut by_domain: BTreeMap<Domain, Vec<(u32, PrepFn)>> = BTreeMap::new();
-        let mut batched = 0usize;
-        while let Some(&e) = self.par_queue.peek() {
-            if e.time > horizon {
-                break;
-            }
-            self.par_queue.pop();
-            let slot = &mut self.slots[e.slot as usize];
-            if slot.seq != e.seq {
-                continue; // event already ran; slot recycled
-            }
-            let Some(Payload::Split { prep, .. }) = slot.payload.as_mut() else {
-                continue; // cancelled
-            };
-            let Some(prep) = prep.take() else {
-                continue; // already prepared
-            };
-            self.unprepared -= 1;
-            batched += 1;
-            by_domain.entry(e.domain).or_default().push((e.slot, prep));
-        }
-        if batched == 0 {
-            self.telemetry.note_empty_batch();
-            return;
-        }
-        self.par_batches += 1;
-        self.par_prepared += batched as u64;
-        // Round-robin whole domains onto workers in domain-id order. The
-        // assignment is a pure function of the batch, and outputs are
-        // keyed by slot — thread interleaving cannot reorder anything.
-        let threads = threads.max(1).min(by_domain.len());
-        let mut buckets: Vec<Vec<(u32, PrepFn)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, (_, group)) in by_domain.into_iter().enumerate() {
-            buckets[i % threads].extend(group);
-        }
-        let outputs: Vec<Vec<(u32, PrepOut)>> = if threads == 1 {
-            buckets
-                .into_iter()
-                .map(|b| b.into_iter().map(|(s, p)| (s, p())).collect())
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(slot, prep)| (slot, prep()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("prepare worker panicked"))
-                    .collect()
-            })
-        };
-        for (slot, value) in outputs.into_iter().flatten() {
-            if let Some(Payload::Split { out, .. }) = self.slots[slot as usize].payload.as_mut() {
-                *out = Some(value);
-            }
-            // A cancel between batch collection and write-back tombstoned
-            // the payload; the prepared output is simply dropped.
-        }
-        self.telemetry.finish_batch(timer, batched as u64);
-    }
-
-    /// Run until no events remain; returns the final virtual time. In
-    /// parallel mode, prepare batches are interleaved with the
-    /// deterministic apply loop.
+    /// Run until no events remain; returns the final virtual time.
     pub fn run(&mut self) -> SimTime {
-        loop {
-            if let EngineMode::Parallel { threads } = self.mode {
-                self.prepare_batch(threads);
-            }
-            if !self.step() {
-                break;
-            }
-        }
+        while self.step() {}
         self.now
     }
 
@@ -789,7 +311,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("mode", &self.mode)
             .field("pending", &self.queue.len())
             .field("executed", &self.executed)
             .finish()
@@ -901,134 +422,5 @@ mod tests {
         e.schedule_now(move |_| l.borrow_mut().push(1));
         e.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2]);
-    }
-
-    /// A mixed closure/split workload whose apply order is recorded.
-    fn split_workload(mode: EngineMode) -> (Vec<String>, Engine) {
-        Engine::set_default_mode(Some(mode));
-        let mut e = Engine::new(1);
-        Engine::set_default_mode(None);
-        e.note_lookahead(SimDuration::from_secs(5));
-        let log: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..20u32 {
-            let domain = Domain::from_parts(1, (i % 4) as u16 + 1);
-            let t = SimTime::from_secs_f64(1.0 + (i % 7) as f64);
-            let l = log.clone();
-            e.schedule_split_at(
-                t,
-                domain,
-                move || format!("split {i} in {domain:?}"),
-                move |eng, s: String| l.borrow_mut().push(format!("{s} @ {}", eng.now())),
-            );
-            if i % 5 == 0 {
-                let l = log.clone();
-                e.schedule_at(t, move |eng| {
-                    l.borrow_mut().push(format!("closure {i} @ {}", eng.now()))
-                });
-            }
-        }
-        e.run();
-        let out = log.borrow().clone();
-        (out, e)
-    }
-
-    #[test]
-    fn split_events_identical_across_modes_and_thread_counts() {
-        let (serial, se) = split_workload(EngineMode::Serial);
-        assert_eq!(se.par_batches(), 0, "serial mode must not batch");
-        for threads in [1, 2, 4, 8] {
-            let (par, pe) = split_workload(EngineMode::parallel(threads));
-            assert_eq!(serial, par, "parallel({threads}) diverged from serial");
-            assert!(
-                pe.par_prepared() > 0,
-                "parallel({threads}) never exercised the prepare path"
-            );
-        }
-    }
-
-    #[test]
-    fn split_prep_runs_inline_in_serial_mode() {
-        Engine::set_default_mode(Some(EngineMode::Serial));
-        let mut e = Engine::new(1);
-        Engine::set_default_mode(None);
-        let got = Rc::new(RefCell::new(0u64));
-        let g = got.clone();
-        e.schedule_split_in(
-            SimDuration::from_secs(1),
-            Domain(3),
-            || 6u64 * 7,
-            move |_, v| *g.borrow_mut() = v,
-        );
-        e.run();
-        assert_eq!(*got.borrow(), 42);
-        assert_eq!(e.par_prepared(), 0);
-    }
-
-    #[test]
-    fn cancelled_split_event_never_prepares_or_applies() {
-        for mode in [EngineMode::Serial, EngineMode::parallel(2)] {
-            Engine::set_default_mode(Some(mode));
-            let mut e = Engine::new(1);
-            Engine::set_default_mode(None);
-            let hit = Rc::new(RefCell::new(false));
-            let h = hit.clone();
-            let id = e.schedule_split_in(
-                SimDuration::from_secs(1),
-                Domain(1),
-                || 1u8,
-                move |_, _| *h.borrow_mut() = true,
-            );
-            e.cancel(id);
-            e.run();
-            assert!(!*hit.borrow(), "{mode:?}: cancelled split applied");
-            assert_eq!(e.events_executed(), 0);
-        }
-    }
-
-    #[test]
-    fn mode_switch_rebuilds_split_index() {
-        Engine::set_default_mode(Some(EngineMode::Serial));
-        let mut e = Engine::new(1);
-        Engine::set_default_mode(None);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..6u32 {
-            let l = log.clone();
-            e.schedule_split_at(
-                SimTime::from_secs_f64(1.0 + i as f64),
-                Domain(1 + i % 2),
-                move || i * 10,
-                move |_, v| l.borrow_mut().push(v),
-            );
-        }
-        // Switch to parallel *after* scheduling: the index must pick the
-        // pending splits up from the slab.
-        e.set_mode(EngineMode::parallel(2));
-        e.note_lookahead(SimDuration::from_secs(10));
-        e.run();
-        assert_eq!(*log.borrow(), vec![0, 10, 20, 30, 40, 50]);
-        assert!(e.par_prepared() > 0);
-    }
-
-    #[test]
-    fn safe_horizon_math() {
-        let l = SimDuration::from_secs(2);
-        let heads = [
-            (Domain(1), SimTime::from_secs_f64(10.0)),
-            (Domain(2), SimTime::from_secs_f64(5.0)),
-            (Domain::GLOBAL, SimTime::from_secs_f64(8.0)),
-        ];
-        // For domain 1: min(5+2, 8) = 7; the global head caps at its own
-        // time, the cross head extends by lookahead.
-        assert_eq!(
-            safe_horizon(Domain(1), &heads, l),
-            Some(SimTime::from_secs_f64(7.0))
-        );
-        // For domain 2: min(10+2, 8) = 8.
-        assert_eq!(
-            safe_horizon(Domain(2), &heads, l),
-            Some(SimTime::from_secs_f64(8.0))
-        );
-        // Own head never constrains: a lone domain is unbounded.
-        assert_eq!(safe_horizon(Domain(1), &[(Domain(1), SimTime(5))], l), None);
     }
 }

@@ -4,11 +4,7 @@
 //!
 //! * [`engine::Engine`] — an event loop over virtual time. Events are
 //!   `FnOnce(&mut Engine)` closures; ties are broken by schedule order, so
-//!   a run is bit-reproducible given the same seed. An opt-in conservative
-//!   PDES mode ([`engine::EngineMode::Parallel`]) prepares domain-tagged
-//!   *split events* on scoped worker threads inside a lookahead horizon
-//!   while applying all effects on the main thread in the exact serial
-//!   order — parallel runs are bit-identical to serial ones.
+//!   a run is bit-reproducible given the same seed.
 //! * [`time::SimTime`] / [`time::SimDuration`] — integer-microsecond
 //!   virtual time.
 //! * [`link::FairLink`] — a max–min fair-shared bandwidth resource used to
@@ -26,14 +22,15 @@
 //!   nothing: recording is a pure no-op, so runs are bit-identical with
 //!   it on or off.
 //! * [`telemetry::EngineTelemetry`] — the engine *flight recorder*:
-//!   host-side-only histograms/counters over batch timing, occupancy,
-//!   horizon stalls and high-water marks. The only sim-core module
-//!   allowed to read the wall clock; never consulted by the simulation.
+//!   host-side-only histograms/counters over applied events, apply-window
+//!   timing, high-water marks and ownership counters. The only sim-core
+//!   module allowed to read the wall clock; never consulted by the
+//!   simulation.
 //!
 //! Components live in `Rc<RefCell<_>>` handles captured by event closures;
-//! all model *state* stays on the main thread (determinism). Parallelism
-//! enters only through `Send` prepare closures of split events, which are
-//! pure functions of their captures — see `DESIGN.md` §12.
+//! all model *state* stays on one thread (determinism). Threads enter only
+//! through [`par`], whose data-parallel kernels (RDD partitions, K-Means
+//! assignment) return results in input order.
 
 pub mod critpath;
 pub mod engine;
@@ -53,11 +50,11 @@ pub mod tokens;
 pub mod trace;
 
 pub use critpath::{critical_path, critical_path_run, CritPhaseRow, CriticalPath, PathSegment};
-pub use engine::{safe_horizon, Domain, Engine, EngineMode, EventId};
+pub use engine::{Engine, EventId};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use intern::{Symbol, SymbolTable};
 pub use link::{FairLink, FlowId};
-pub use metrics::{metric_key, MetricDraft, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{metric_key, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
     aggregate_roots, mean_breakdown, pilot_utilization, profile_roots, profile_span, Phase,
     PhaseBreakdown, Profiler,
@@ -70,7 +67,7 @@ pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{
     escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, Span,
-    SpanDraft, SpanId, SpanIndex, Trace, TraceEvent,
+    SpanId, SpanIndex, Trace, TraceEvent,
 };
 
 /// Convenience: megabytes → bytes (storage models are specified in MB/s).

@@ -113,14 +113,6 @@ impl FairLink {
             "invalid transfer size {bytes}"
         );
         assert!(per_flow_cap > 0.0, "per-flow cap must be positive");
-        // A nonzero transfer can never land before its ideal (uncontended)
-        // duration — fair sharing only slows flows down — so that duration
-        // is a true propagation delay the parallel engine can use as
-        // lookahead. Zero-byte transfers complete instantly: no hint.
-        let ideal = self.ideal_duration(bytes, per_flow_cap);
-        if ideal > SimDuration::ZERO {
-            engine.note_lookahead_from("link.transfer", ideal);
-        }
         let now = engine.now();
         let id;
         {
@@ -174,15 +166,6 @@ impl FairLink {
             inner.recompute_rates();
         }
         self.fire_finished_and_reschedule(engine);
-    }
-
-    /// Time a transfer of `bytes` would take on an otherwise-idle link.
-    pub fn ideal_duration(&self, bytes: f64, per_flow_cap: f64) -> SimDuration {
-        let rate = self.inner.borrow().capacity.min(per_flow_cap);
-        if !rate.is_finite() || bytes <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_secs_f64(bytes / rate)
     }
 
     /// Advance progress, pop finished flows, recompute rates, reschedule the

@@ -132,19 +132,6 @@ impl MetricsRegistry {
         Summary::of(&values)
     }
 
-    /// Apply a [`MetricDraft`] assembled off-thread: operations replay in
-    /// push order against this registry, exactly as the equivalent inline
-    /// calls would.
-    pub fn apply(&mut self, draft: MetricDraft) {
-        for op in draft.ops {
-            match op {
-                MetricOp::Add(name, n) => self.add(&name, n),
-                MetricOp::GaugeSet(name, value) => self.gauge_set(&name, value),
-                MetricOp::Observe(name, time, value) => self.observe(&name, time, value),
-            }
-        }
-    }
-
     /// Deterministic point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -156,57 +143,6 @@ impl MetricsRegistry {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
-    }
-}
-
-/// One deferred metric operation (keys pre-formatted with
-/// [`metric_key`] where labels are involved).
-#[derive(Debug, Clone, PartialEq)]
-enum MetricOp {
-    Add(String, u64),
-    GaugeSet(String, f64),
-    Observe(String, SimTime, f64),
-}
-
-/// A batch of metric updates assembled off the engine thread (it is
-/// `Send`; key formatting — the expensive part — happens where the draft
-/// is built). [`MetricsRegistry::apply`] replays the operations in push
-/// order, so a drafted update is indistinguishable from inline calls.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricDraft {
-    ops: Vec<MetricOp>,
-}
-
-impl MetricDraft {
-    pub fn new() -> Self {
-        MetricDraft::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Queue a counter increment by `n` (use [`metric_key`] for labels).
-    pub fn add(mut self, name: impl Into<String>, n: u64) -> Self {
-        self.ops.push(MetricOp::Add(name.into(), n));
-        self
-    }
-
-    /// Queue a counter increment by 1.
-    pub fn incr(self, name: impl Into<String>) -> Self {
-        self.add(name, 1)
-    }
-
-    /// Queue a gauge assignment.
-    pub fn gauge_set(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.ops.push(MetricOp::GaugeSet(name.into(), value));
-        self
-    }
-
-    /// Queue a time-stamped series observation.
-    pub fn observe(mut self, name: impl Into<String>, time: SimTime, value: f64) -> Self {
-        self.ops.push(MetricOp::Observe(name.into(), time, value));
-        self
     }
 }
 
@@ -381,28 +317,5 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"c{k=v}\":1"));
         assert!(json.contains("\"s\":[[7,1]]"));
-    }
-
-    #[test]
-    fn drafted_metrics_match_inline_calls() {
-        let mut inline = MetricsRegistry::enabled();
-        inline.incr_labeled("units", &[("pilot", "1")]);
-        inline.add("bytes", 42);
-        inline.gauge_set("load", 0.5);
-        inline.observe("lat", SimTime(3), 1.25);
-
-        let mut drafted = MetricsRegistry::enabled();
-        let draft = MetricDraft::new()
-            .incr(metric_key("units", &[("pilot", "1")]))
-            .add("bytes", 42)
-            .gauge_set("load", 0.5)
-            .observe("lat", SimTime(3), 1.25);
-        assert!(!draft.is_empty());
-        drafted.apply(draft);
-
-        assert_eq!(inline.snapshot(), drafted.snapshot());
-        // Empty draft is a no-op.
-        drafted.apply(MetricDraft::new());
-        assert_eq!(inline.snapshot(), drafted.snapshot());
     }
 }

@@ -2,77 +2,43 @@
 //!
 //! The simulator's observability layer (spans, metrics, profiler) watches
 //! the *simulated workload*; this module watches the *engine itself* —
-//! where host time goes (prepare batches, apply windows), how full PDES
-//! batches run, which domains carry the event load, how often the batch
-//! horizon stalls parallelism and which lookahead source is the binding
-//! constraint, plus periodic high-water samples of the slab, the live
-//! span set and the coordination backlog.
+//! how many events it applies and where host time goes (apply windows),
+//! plus periodic high-water samples of the slab, the live span set and
+//! the coordination backlog, and the ownership counters of the lease
+//! layer.
 //!
 //! **Contract: telemetry never feeds back into the simulation.** It reads
 //! wall-clock time (this is the only sim-core module allowed to — the
 //! `wallclock` lint enforces it) and it is only ever *written*; no engine
 //! or model decision consults it. `tests/telemetry.rs` holds runs
-//! bit-identical with the recorder on vs off in both engine modes.
+//! bit-identical with the recorder on vs off.
 //!
 //! Everything aggregates into mergeable [`Histogram`]s and counters, so
-//! snapshots from a serial pass and a parallel pass (or from many bench
-//! repetitions) combine exactly. [`TelemetrySnapshot::to_json`] renders
-//! the schema-v1 document embedded in `BENCH_*.json` under
-//! `host.telemetry` and diffed by `trace_diff`.
+//! snapshots from many bench repetitions combine exactly.
+//! [`TelemetrySnapshot::to_json`] renders the schema-v2 document embedded
+//! in `BENCH_*.json` under `host.telemetry` and diffed by `trace_diff`.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::stats::Histogram;
-use crate::time::SimDuration;
 
 /// Version stamp of [`TelemetrySnapshot::to_json`]'s document shape.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Applied events per high-water/apply-window sample. Sampling (rather
 /// than per-event clock reads) bounds recorder overhead to well under a
 /// microsecond per event even with telemetry on.
 pub const SAMPLE_EVERY: u64 = 1024;
 
-/// How the engine derived a batch horizon when a prepare batch was
-/// attempted — the stall-accounting taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HorizonOutcome {
-    /// The queue was empty: no horizon exists.
-    NoHorizon,
-    /// Horizon clamped to the queue head's own time (global head, or no
-    /// lookahead registered) — zero speculation depth.
-    Clamped,
-    /// Horizon extended past the head by the registered lookahead.
-    Extended,
-}
-
-/// Opaque wall-clock timer handle. Engine code holds one of these across
-/// a prepare batch without ever touching `Instant` itself, keeping all
-/// wall-clock reads inside this module.
-#[derive(Debug)]
-pub struct BatchTimer(Option<Instant>);
-
 /// The flight recorder an [`crate::engine::Engine`] carries. Disabled by
 /// default; every hook is a cheap early-return when off.
 #[derive(Debug, Default, Clone)]
 pub struct EngineTelemetry {
     enabled: bool,
-    /// Host µs per parallel prepare batch (collection + worker scope).
-    prep_batch_us: Histogram,
+    /// Events applied while the recorder was on.
+    events: u64,
     /// Host µs per window of [`SAMPLE_EVERY`] applied events.
     apply_window_us: Histogram,
-    /// Split events prepared per non-empty parallel batch.
-    batch_occupancy: Histogram,
-    /// Applied events per [`crate::engine::Domain`] id.
-    domain_events: BTreeMap<u32, u64>,
-    batches_attempted: u64,
-    empty_batches: u64,
-    horizon_none: u64,
-    horizon_clamped: u64,
-    horizon_extended: u64,
-    /// Minimum delay registered per lookahead source label.
-    lookahead_sources: BTreeMap<&'static str, SimDuration>,
     window_start: Option<Instant>,
     window_events: u64,
     samples: u64,
@@ -100,14 +66,14 @@ impl EngineTelemetry {
         self.enabled
     }
 
-    /// Hook: one event applied on the main thread. Counts the domain and,
-    /// every [`SAMPLE_EVERY`] applies, closes an apply window (recording
-    /// its host µs) and samples high-water marks.
-    pub fn on_apply(&mut self, domain: u32, slab_len: usize, live_spans: usize) {
+    /// Hook: one event applied. Counts it and, every [`SAMPLE_EVERY`]
+    /// applies, closes an apply window (recording its host µs) and samples
+    /// high-water marks.
+    pub fn on_apply(&mut self, slab_len: usize, live_spans: usize) {
         if !self.enabled {
             return;
         }
-        *self.domain_events.entry(domain).or_insert(0) += 1;
+        self.events += 1;
         self.window_events += 1;
         if self.window_events >= SAMPLE_EVERY {
             let now = Instant::now();
@@ -120,52 +86,6 @@ impl EngineTelemetry {
             self.samples += 1;
             self.slab_len_hw = self.slab_len_hw.max(slab_len as u64);
             self.live_spans_hw = self.live_spans_hw.max(live_spans as u64);
-        }
-    }
-
-    /// Hook: a prepare batch was attempted with the given horizon outcome.
-    pub fn note_batch_attempt(&mut self, outcome: HorizonOutcome) {
-        if !self.enabled {
-            return;
-        }
-        self.batches_attempted += 1;
-        match outcome {
-            HorizonOutcome::NoHorizon => self.horizon_none += 1,
-            HorizonOutcome::Clamped => self.horizon_clamped += 1,
-            HorizonOutcome::Extended => self.horizon_extended += 1,
-        }
-    }
-
-    /// Hook: an attempted batch admitted no split event (horizon stall).
-    pub fn note_empty_batch(&mut self) {
-        if self.enabled {
-            self.empty_batches += 1;
-        }
-    }
-
-    /// Start timing a prepare batch. Returns an armed timer only when
-    /// enabled, so the disabled path never reads the clock.
-    pub fn start_batch_timer(&self) -> BatchTimer {
-        BatchTimer(self.enabled.then(Instant::now))
-    }
-
-    /// Finish a prepare batch: record its host µs and its occupancy
-    /// (split events prepared). No-op when the timer was unarmed.
-    pub fn finish_batch(&mut self, timer: BatchTimer, occupancy: u64) {
-        if let Some(t0) = timer.0 {
-            self.prep_batch_us.record(saturating_micros(t0.elapsed()));
-            self.batch_occupancy.record(occupancy);
-        }
-    }
-
-    /// Hook: a component registered a labelled lookahead source. Recorded
-    /// unconditionally (it is deterministic configuration, not a host
-    /// measurement) so the binding constraint is known even when the
-    /// recorder is enabled after setup.
-    pub fn note_lookahead_source(&mut self, source: &'static str, delay: SimDuration) {
-        let entry = self.lookahead_sources.entry(source).or_insert(delay);
-        if delay < *entry {
-            *entry = delay;
         }
     }
 
@@ -201,24 +121,12 @@ impl EngineTelemetry {
         }
     }
 
-    /// Freeze the recorder into a mergeable snapshot. The engine passes
-    /// its parallel counters in (they live on the engine, outside the
-    /// recorder, because they are maintained even with telemetry off).
-    pub fn snapshot(&self, par_batches: u64, par_prepared: u64) -> TelemetrySnapshot {
+    /// Freeze the recorder into a mergeable snapshot.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             enabled: self.enabled,
-            par_batches,
-            par_prepared,
-            prep_batch_us: self.prep_batch_us.clone(),
+            events: self.events,
             apply_window_us: self.apply_window_us.clone(),
-            batch_occupancy: self.batch_occupancy.clone(),
-            events_per_domain: self.domain_events.clone(),
-            batches_attempted: self.batches_attempted,
-            empty_batches: self.empty_batches,
-            horizon_none: self.horizon_none,
-            horizon_clamped: self.horizon_clamped,
-            horizon_extended: self.horizon_extended,
-            lookahead_sources: self.lookahead_sources.clone(),
             highwater_samples: self.samples,
             slab_len_hw: self.slab_len_hw,
             live_spans_hw: self.live_spans_hw,
@@ -235,26 +143,14 @@ fn saturating_micros(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Frozen, mergeable view of an [`EngineTelemetry`] recorder plus the
-/// engine's parallel counters. Snapshots from independent runs (serial
-/// and parallel bench passes, repetitions) merge exactly: histograms add
-/// bucket-wise, counters add, high-water marks take the max, lookahead
-/// sources take the per-label minimum.
+/// Frozen, mergeable view of an [`EngineTelemetry`] recorder. Snapshots
+/// from independent runs (bench repetitions) merge exactly: histograms
+/// add bucket-wise, counters add, high-water marks take the max.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     pub enabled: bool,
-    pub par_batches: u64,
-    pub par_prepared: u64,
-    pub prep_batch_us: Histogram,
+    pub events: u64,
     pub apply_window_us: Histogram,
-    pub batch_occupancy: Histogram,
-    pub events_per_domain: BTreeMap<u32, u64>,
-    pub batches_attempted: u64,
-    pub empty_batches: u64,
-    pub horizon_none: u64,
-    pub horizon_clamped: u64,
-    pub horizon_extended: u64,
-    pub lookahead_sources: BTreeMap<&'static str, SimDuration>,
     pub highwater_samples: u64,
     pub slab_len_hw: u64,
     pub live_spans_hw: u64,
@@ -265,34 +161,12 @@ pub struct TelemetrySnapshot {
     pub partition_windows: u64,
 }
 
-/// How many domains get their own entry in the JSON document; the rest
-/// roll up into `"other"` so scale runs (thousands of domains) keep
-/// artifacts small.
-const DOMAIN_TOP_K: usize = 16;
-
 impl TelemetrySnapshot {
     /// Merge another snapshot into this one (exact; see type docs).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         self.enabled |= other.enabled;
-        self.par_batches += other.par_batches;
-        self.par_prepared += other.par_prepared;
-        self.prep_batch_us.merge(&other.prep_batch_us);
+        self.events += other.events;
         self.apply_window_us.merge(&other.apply_window_us);
-        self.batch_occupancy.merge(&other.batch_occupancy);
-        for (&d, &n) in &other.events_per_domain {
-            *self.events_per_domain.entry(d).or_insert(0) += n;
-        }
-        self.batches_attempted += other.batches_attempted;
-        self.empty_batches += other.empty_batches;
-        self.horizon_none += other.horizon_none;
-        self.horizon_clamped += other.horizon_clamped;
-        self.horizon_extended += other.horizon_extended;
-        for (&src, &delay) in &other.lookahead_sources {
-            let entry = self.lookahead_sources.entry(src).or_insert(delay);
-            if delay < *entry {
-                *entry = delay;
-            }
-        }
         self.highwater_samples += other.highwater_samples;
         self.slab_len_hw = self.slab_len_hw.max(other.slab_len_hw);
         self.live_spans_hw = self.live_spans_hw.max(other.live_spans_hw);
@@ -303,68 +177,12 @@ impl TelemetrySnapshot {
         self.partition_windows += other.partition_windows;
     }
 
-    /// The binding lookahead constraint: the labelled source with the
-    /// smallest registered delay (ties break to the lexicographically
-    /// first label — `lookahead_sources` is a `BTreeMap`).
-    pub fn binding_lookahead(&self) -> Option<(&'static str, SimDuration)> {
-        self.lookahead_sources
-            .iter()
-            .min_by_key(|&(src, &d)| (d, *src))
-            .map(|(&src, &d)| (src, d))
-    }
-
-    /// Total applied events across all domains.
-    pub fn total_events(&self) -> u64 {
-        self.events_per_domain.values().sum()
-    }
-
-    /// Render the schema-v1 JSON document (stable key order; `null` for
-    /// absent optionals; domain breakdown capped at the top
-    /// [`DOMAIN_TOP_K`] by event count with an `"other"` rollup).
+    /// Render the schema-v2 JSON document (stable key order).
     pub fn to_json(&self) -> String {
-        let mut domains: Vec<(u32, u64)> = self
-            .events_per_domain
-            .iter()
-            .map(|(&d, &n)| (d, n))
-            .collect();
-        // Largest counts first; domain id breaks ties for determinism.
-        domains.sort_by_key(|&(d, n)| (std::cmp::Reverse(n), d));
-        let mut top = String::new();
-        let mut other = 0u64;
-        for (i, &(d, n)) in domains.iter().enumerate() {
-            if i < DOMAIN_TOP_K {
-                if i > 0 {
-                    top.push(',');
-                }
-                top.push_str(&format!("\"{d}\":{n}"));
-            } else {
-                other += n;
-            }
-        }
-        let mut sources = String::new();
-        for (i, (src, d)) in self.lookahead_sources.iter().enumerate() {
-            if i > 0 {
-                sources.push(',');
-            }
-            sources.push_str(&format!("\"{src}\":{}", d.0));
-        }
-        let (binding, binding_us) = match self.binding_lookahead() {
-            Some((src, d)) => (format!("\"{src}\""), d.0.to_string()),
-            None => ("null".into(), "null".into()),
-        };
         format!(
             concat!(
-                "{{\"schema\":{schema},\"enabled\":{enabled},",
-                "\"par\":{{\"batches\":{pb},\"prepared\":{pp}}},",
-                "\"stalls\":{{\"attempted\":{att},\"empty\":{emp},\"no_horizon\":{hn},",
-                "\"clamped\":{hc},\"extended\":{he}}},",
-                "\"lookahead\":{{\"binding\":{binding},\"binding_us\":{binding_us},",
-                "\"sources\":{{{sources}}}}},",
-                "\"prep_batch_us\":{prep},",
+                "{{\"schema\":{schema},\"enabled\":{enabled},\"events\":{events},",
                 "\"apply_window_us\":{apply},",
-                "\"batch_occupancy\":{occ},",
-                "\"events_per_domain\":{{\"domains\":{nd},\"total\":{tot},",
-                "\"top\":{{{top}}},\"other\":{other}}},",
                 "\"highwater\":{{\"samples\":{hs},\"slab_len\":{slab},",
                 "\"live_spans\":{live},\"coord_backlog\":{cb},\"coord_samples\":{cs}}},",
                 "\"ownership\":{{\"lease_renewals\":{lr},\"fence_rejections\":{fr},",
@@ -372,23 +190,8 @@ impl TelemetrySnapshot {
             ),
             schema = TELEMETRY_SCHEMA_VERSION,
             enabled = self.enabled,
-            pb = self.par_batches,
-            pp = self.par_prepared,
-            att = self.batches_attempted,
-            emp = self.empty_batches,
-            hn = self.horizon_none,
-            hc = self.horizon_clamped,
-            he = self.horizon_extended,
-            binding = binding,
-            binding_us = binding_us,
-            sources = sources,
-            prep = self.prep_batch_us.to_json(),
+            events = self.events,
             apply = self.apply_window_us.to_json(),
-            occ = self.batch_occupancy.to_json(),
-            nd = domains.len(),
-            tot = self.total_events(),
-            top = top,
-            other = other,
             hs = self.highwater_samples,
             slab = self.slab_len_hw,
             live = self.live_spans_hw,
@@ -402,27 +205,12 @@ impl TelemetrySnapshot {
 
     /// One-line human summary for report footers.
     pub fn summary_line(&self) -> String {
-        let binding = match self.binding_lookahead() {
-            Some((src, d)) => format!("{src} ({d})"),
-            None => "none registered".into(),
-        };
         format!(
-            "engine telemetry: {} events over {} domains; par {} batches / {} prepared \
-             (occupancy {}); prep {}; apply/{}ev {}; stalls {}/{} empty \
-             ({} clamped, {} extended); binding lookahead {binding}; \
+            "engine telemetry: {} events; apply/{}ev {}; \
              high-water slab={} live_spans={} coord_backlog={}",
-            self.total_events(),
-            self.events_per_domain.len(),
-            self.par_batches,
-            self.par_prepared,
-            self.batch_occupancy.render_line(),
-            self.prep_batch_us.render_line(),
+            self.events,
             SAMPLE_EVERY,
             self.apply_window_us.render_line(),
-            self.empty_batches,
-            self.batches_attempted,
-            self.horizon_clamped,
-            self.horizon_extended,
             self.slab_len_hw,
             self.live_spans_hw,
             self.coord_backlog_hw,
@@ -437,65 +225,33 @@ mod tests {
     fn sample_snapshot(seed: u64) -> TelemetrySnapshot {
         let mut t = EngineTelemetry::new();
         t.enable();
-        t.note_lookahead_source("link.transfer", SimDuration::from_millis(50 + seed));
-        t.note_lookahead_source("store.write", SimDuration::from_millis(5));
-        t.note_batch_attempt(HorizonOutcome::Extended);
-        t.note_batch_attempt(HorizonOutcome::Clamped);
-        t.note_empty_batch();
-        let timer = t.start_batch_timer();
-        t.finish_batch(timer, 3 + seed);
-        for i in 0..(SAMPLE_EVERY * 2 + 7) {
-            t.on_apply((i % 3) as u32, 10, 2);
+        for _ in 0..(SAMPLE_EVERY * 2 + 7 + seed) {
+            t.on_apply(10, 2);
         }
         t.sample_coord_backlog(4 + seed as usize);
         t.note_lease_renewal();
         t.note_fence_rejection();
         t.note_partition_window();
-        t.snapshot(2, 6)
+        t.snapshot()
     }
 
     #[test]
     fn disabled_recorder_is_inert() {
         let mut t = EngineTelemetry::new();
         assert!(!t.is_enabled());
-        t.on_apply(1, 100, 5);
-        t.note_batch_attempt(HorizonOutcome::Extended);
-        t.note_empty_batch();
+        t.on_apply(100, 5);
         t.sample_coord_backlog(9);
         t.note_lease_renewal();
         t.note_fence_rejection();
         t.note_partition_window();
-        let timer = t.start_batch_timer();
-        t.finish_batch(timer, 5);
-        let snap = t.snapshot(0, 0);
-        assert_eq!(snap.total_events(), 0);
-        assert_eq!(snap.batches_attempted, 0);
-        assert!(snap.prep_batch_us.is_empty());
-        assert!(snap.batch_occupancy.is_empty());
+        let snap = t.snapshot();
+        assert_eq!(snap.events, 0);
+        assert_eq!(snap.highwater_samples, 0);
+        assert!(snap.apply_window_us.is_empty());
         assert_eq!(snap.coord_backlog_samples, 0);
         assert_eq!(snap.lease_renewals, 0);
         assert_eq!(snap.fence_rejections, 0);
         assert_eq!(snap.partition_windows, 0);
-    }
-
-    #[test]
-    fn binding_lookahead_is_min_with_lexicographic_ties() {
-        let mut t = EngineTelemetry::new();
-        t.note_lookahead_source("b.source", SimDuration::from_millis(10));
-        t.note_lookahead_source("a.source", SimDuration::from_millis(10));
-        t.note_lookahead_source("c.source", SimDuration::from_millis(90));
-        let snap = t.snapshot(0, 0);
-        assert_eq!(
-            snap.binding_lookahead(),
-            Some(("a.source", SimDuration::from_millis(10)))
-        );
-        // Re-registering a source keeps the minimum.
-        t.note_lookahead_source("c.source", SimDuration::from_millis(1));
-        let snap = t.snapshot(0, 0);
-        assert_eq!(
-            snap.binding_lookahead(),
-            Some(("c.source", SimDuration::from_millis(1)))
-        );
     }
 
     #[test]
@@ -504,24 +260,18 @@ mod tests {
         let b = sample_snapshot(2);
         let mut m = a.clone();
         m.merge(&b);
-        assert_eq!(m.par_batches, a.par_batches + b.par_batches);
-        assert_eq!(m.total_events(), a.total_events() + b.total_events());
+        assert_eq!(m.events, a.events + b.events);
         assert_eq!(
-            m.batches_attempted,
-            a.batches_attempted + b.batches_attempted
+            m.highwater_samples,
+            a.highwater_samples + b.highwater_samples
         );
         assert_eq!(
             m.coord_backlog_hw,
             a.coord_backlog_hw.max(b.coord_backlog_hw)
         );
         assert_eq!(
-            m.batch_occupancy.count(),
-            a.batch_occupancy.count() + b.batch_occupancy.count()
-        );
-        // Lookahead sources keep the per-label minimum.
-        assert_eq!(
-            m.lookahead_sources["link.transfer"],
-            SimDuration::from_millis(51)
+            m.apply_window_us.count(),
+            a.apply_window_us.count() + b.apply_window_us.count()
         );
         // Merge is commutative.
         let mut m2 = b.clone();
@@ -534,16 +284,11 @@ mod tests {
         let snap = sample_snapshot(1);
         let j = snap.to_json();
         let doc = crate::json::parse(&j).expect("telemetry JSON parses");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_f64()), Some(1.0));
+        assert_eq!(doc.get("schema").and_then(|v| v.as_f64()), Some(2.0));
         for key in [
             "enabled",
-            "par",
-            "stalls",
-            "lookahead",
-            "prep_batch_us",
+            "events",
             "apply_window_us",
-            "batch_occupancy",
-            "events_per_domain",
             "highwater",
             "ownership",
         ] {
@@ -557,28 +302,17 @@ mod tests {
                 "ownership.{key}"
             );
         }
-        let look = doc.get("lookahead").expect("lookahead");
         assert_eq!(
-            look.get("binding").and_then(|v| v.as_str()),
-            Some("store.write")
-        );
-        assert_eq!(
-            look.get("binding_us").and_then(|v| v.as_f64()),
-            Some(5000.0)
-        );
-        let domains = doc.get("events_per_domain").expect("events_per_domain");
-        assert_eq!(domains.get("domains").and_then(|v| v.as_f64()), Some(3.0));
-        assert_eq!(
-            domains.get("total").and_then(|v| v.as_f64()),
-            Some((SAMPLE_EVERY * 2 + 7) as f64)
+            doc.get("events").and_then(|v| v.as_f64()),
+            Some((SAMPLE_EVERY * 2 + 8) as f64)
         );
     }
 
     #[test]
-    fn summary_line_names_binding_constraint() {
+    fn summary_line_counts_events() {
         let snap = sample_snapshot(1);
         let line = snap.summary_line();
-        assert!(line.contains("store.write"), "{line}");
         assert!(line.contains("engine telemetry"), "{line}");
+        assert!(line.contains(&format!("{} events", snap.events)), "{line}");
     }
 }

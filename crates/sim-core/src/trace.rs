@@ -140,35 +140,6 @@ impl Span {
     }
 }
 
-/// A span assembled off the engine thread (it is `Send`; no access to the
-/// intern table is needed to build one). The parallel engine's prepare
-/// closures format span names/attributes into drafts; the apply closure
-/// commits them via [`Trace::begin_draft`], which interns on the owning
-/// thread in the same order the serial path would — so symbol and span
-/// ids stay bit-identical across engine modes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanDraft {
-    pub category: &'static str,
-    pub name: String,
-    pub attrs: Vec<(String, String)>,
-}
-
-impl SpanDraft {
-    pub fn new(category: &'static str, name: impl Into<String>) -> Self {
-        SpanDraft {
-            category,
-            name: name.into(),
-            attrs: Vec::new(),
-        }
-    }
-
-    /// Builder-style attribute append (attributes commit in push order).
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((key.into(), value.into()));
-        self
-    }
-}
-
 /// Append-only trace log with chunked span storage.
 #[derive(Debug, Default)]
 pub struct Trace {
@@ -265,19 +236,6 @@ impl Trace {
             span.end = Some(time);
             self.open -= 1;
         }
-    }
-
-    /// Commit a [`SpanDraft`] assembled off-thread: begins the span and
-    /// attaches its attributes. Interning happens here, on the owning
-    /// thread, in exactly the order the equivalent inline
-    /// `span_begin` + `span_attr` calls would — symbol ids and span ids
-    /// are therefore identical whether a span was drafted or not.
-    pub fn begin_draft(&mut self, time: SimTime, draft: SpanDraft, parent: SpanId) -> SpanId {
-        let id = self.span_begin(time, draft.category, &draft.name, parent);
-        for (key, value) in &draft.attrs {
-            self.span_attr(id, key, value);
-        }
-        id
     }
 
     fn span_mut(&mut self, id: SpanId) -> &mut Span {
@@ -846,36 +804,6 @@ mod tests {
         assert_eq!(t.span(a).unwrap().name, t.span(b).unwrap().name);
         assert_eq!(t.symbol("unit.run"), Some(t.span(a).unwrap().name));
         assert_eq!(t.symbol("never.recorded"), None);
-    }
-
-    #[test]
-    fn drafted_span_is_bit_identical_to_inline_calls() {
-        // Same sequence of spans, one trace via drafts, one inline: the
-        // symbol tables, span ids and attr symbols must match exactly.
-        let mut inline = Trace::enabled();
-        let a = inline.span_begin(SimTime(1), "unit", "unit.compute", SpanId::NONE);
-        inline.span_attr(a, "pilot", "3");
-        inline.span_attr(a, "cores", "8");
-        let b = inline.span_begin(SimTime(2), "unit", "unit.io", a);
-        inline.span_end(SimTime(3), b);
-        inline.span_end(SimTime(4), a);
-
-        let mut drafted = Trace::enabled();
-        let draft = SpanDraft::new("unit", "unit.compute")
-            .attr("pilot", "3")
-            .attr("cores", "8");
-        let a2 = drafted.begin_draft(SimTime(1), draft, SpanId::NONE);
-        let b2 = drafted.begin_draft(SimTime(2), SpanDraft::new("unit", "unit.io"), a2);
-        drafted.span_end(SimTime(3), b2);
-        drafted.span_end(SimTime(4), a2);
-
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
-        assert!(inline.iter_spans().eq(drafted.iter_spans()));
-        assert_eq!(
-            inline.attr(inline.span(a).unwrap(), "pilot"),
-            drafted.attr(drafted.span(a2).unwrap(), "pilot")
-        );
     }
 
     #[test]

@@ -4,28 +4,26 @@
 //! The recorder (`rp_sim::telemetry`) reads the host clock — the one
 //! thing deterministic simulation code must never depend on. This tier is
 //! the proof that it doesn't: the same seeded scenario runs with the
-//! recorder on and off, in `Serial` and `Parallel` mode, and every
-//! virtual observable — unit states, trace events, spans, metrics, the
-//! coordination store's applied-effect log — must be bit-identical.
+//! recorder on and off, and every virtual observable — unit states, trace
+//! events, spans, metrics, the coordination store's applied-effect log —
+//! must be bit-identical.
 //!
-//! The tier also pins the snapshot's JSON shape (schema v1): the bench
+//! The tier also pins the snapshot's JSON shape (schema v2): the bench
 //! artifacts embed it under `host.telemetry`, and `trace_diff` consumers
 //! parse it, so the key set is a contract.
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::json::{self, Value};
 use hadoop_hpc::sim::{
-    Engine, EngineMode, MetricsSnapshot, SimDuration, SimTime, Span, TelemetrySnapshot, TraceEvent,
+    Engine, MetricsSnapshot, SimDuration, SimTime, Span, TelemetrySnapshot, TraceEvent,
     TELEMETRY_SCHEMA_VERSION,
 };
 
-/// Run `f` with the given thread-default engine mode and telemetry
-/// default, restoring the environment-derived defaults afterwards.
-fn with_defaults<T>(mode: EngineMode, telemetry: bool, f: impl FnOnce() -> T) -> T {
-    Engine::set_default_mode(Some(mode));
+/// Run `f` with the given thread-default telemetry setting, restoring the
+/// environment-derived default afterwards.
+fn with_telemetry<T>(telemetry: bool, f: impl FnOnce() -> T) -> T {
     Engine::set_default_telemetry(Some(telemetry));
     let out = f();
-    Engine::set_default_mode(None);
     Engine::set_default_telemetry(None);
     out
 }
@@ -38,12 +36,12 @@ struct Outcome {
     /// Applied coordination effects `(time, seq, label)`.
     effects: Vec<(SimTime, u64, &'static str)>,
     snapshot: TelemetrySnapshot,
+    /// `Engine::events_executed()` at the end of the run.
+    events_executed: u64,
 }
 
 /// Two three-node pilots, RoundRobin UM with failover + gap monitor, 12
-/// sleep units — the same shape as the PDES differential's capture run,
-/// driven by `Engine::run` so the parallel batch loop (and therefore the
-/// recorder's batch/horizon instrumentation) engages.
+/// sleep units, driven to completion by `Engine::run`.
 fn capture_run(seed: u64) -> Outcome {
     let mut e = Engine::with_trace(seed);
     let session = Session::new(SessionConfig::test_profile());
@@ -89,6 +87,7 @@ fn capture_run(seed: u64) -> Outcome {
         metrics: e.metrics.snapshot(),
         effects: store.effect_log(),
         snapshot: e.telemetry_snapshot(),
+        events_executed: e.events_executed(),
     }
 }
 
@@ -106,69 +105,25 @@ fn assert_virtual_identical(label: &str, off: &Outcome, on: &Outcome) {
 #[test]
 fn recorder_is_result_inert_in_serial_mode() {
     for seed in [1u64, 23] {
-        let off = with_defaults(EngineMode::Serial, false, || capture_run(seed));
-        let on = with_defaults(EngineMode::Serial, true, || capture_run(seed));
+        let off = with_telemetry(false, || capture_run(seed));
+        let on = with_telemetry(true, || capture_run(seed));
         assert_virtual_identical(&format!("serial seed {seed}"), &off, &on);
         assert!(!off.snapshot.enabled, "off-run recorder was enabled");
         assert!(on.snapshot.enabled, "on-run recorder was disabled");
-        // The recorder actually saw the run: applied events were counted
-        // per domain, and the off-run recorded nothing at all.
-        assert!(
-            on.snapshot.total_events() > 0,
-            "seed {seed}: no events counted"
-        );
+        // The recorder actually saw the run: it counted every applied
+        // event, and the off-run recorded nothing at all.
         assert_eq!(
-            off.snapshot.total_events(),
-            0,
-            "seed {seed}: off-run counted"
+            on.snapshot.events, on.events_executed,
+            "seed {seed}: recorder event count != Engine::events_executed()"
         );
+        assert!(on.snapshot.events > 0, "seed {seed}: no events counted");
+        assert_eq!(off.snapshot.events, 0, "seed {seed}: off-run counted");
         assert!(!off.effects.is_empty(), "seed {seed}: empty effect log");
     }
 }
 
-#[test]
-fn recorder_is_result_inert_in_parallel_mode() {
-    for seed in [7u64, 23] {
-        let off = with_defaults(EngineMode::parallel(2), false, || capture_run(seed));
-        let on = with_defaults(EngineMode::parallel(2), true, || capture_run(seed));
-        assert_virtual_identical(&format!("parallel seed {seed}"), &off, &on);
-        // And parallel-with-recorder still matches serial-without: the two
-        // switches compose without interacting.
-        let serial_off = with_defaults(EngineMode::Serial, false, || capture_run(seed));
-        assert_virtual_identical(&format!("cross seed {seed}"), &serial_off, &on);
-
-        // The parallel run exercised the instrumented batch path.
-        let snap = &on.snapshot;
-        assert!(snap.par_prepared > 0, "parallel run never prepared a batch");
-        assert!(
-            snap.batch_occupancy.count() > 0,
-            "no batch occupancy recorded"
-        );
-        assert!(snap.batches_attempted > 0, "no horizon outcomes recorded");
-        assert!(
-            snap.total_events() > 0 && !snap.events_per_domain.is_empty(),
-            "no per-domain event counts"
-        );
-        // Lookahead sources are labelled at their call sites; the binding
-        // one must be a label we know about, never "unlabeled".
-        let (source, bound) = snap.binding_lookahead().expect("a binding lookahead");
-        assert!(
-            [
-                "link.transfer",
-                "um.gap_monitor",
-                "agent.heartbeat",
-                "store.heartbeat",
-                "store.write"
-            ]
-            .contains(&source),
-            "unexpected binding lookahead source {source:?}"
-        );
-        assert!(bound.0 > 0, "zero binding lookahead");
-    }
-}
-
 // ---------------------------------------------------------------------
-// Golden schema: the JSON document's key set is a contract (schema v1).
+// Golden schema: the JSON document's key set is a contract (schema v2).
 // ---------------------------------------------------------------------
 
 fn assert_keys(v: &Value, path: &str, keys: &[&str]) {
@@ -179,53 +134,42 @@ fn assert_keys(v: &Value, path: &str, keys: &[&str]) {
 
 #[test]
 fn snapshot_json_matches_golden_schema() {
-    let on = with_defaults(EngineMode::parallel(2), true, || capture_run(23));
+    let on = with_telemetry(true, || capture_run(23));
     let doc = json::parse(&on.snapshot.to_json()).expect("snapshot JSON parses");
     assert_eq!(
         doc.get("schema").and_then(Value::as_f64),
         Some(TELEMETRY_SCHEMA_VERSION as f64),
         "schema version"
     );
+    assert_eq!(TELEMETRY_SCHEMA_VERSION, 2);
     assert_keys(
         &doc,
         "",
         &[
             "schema",
             "enabled",
-            "par",
-            "stalls",
-            "lookahead",
-            "prep_batch_us",
+            "events",
             "apply_window_us",
-            "batch_occupancy",
-            "events_per_domain",
             "highwater",
             "ownership",
         ],
     );
-    let get = |k: &str| doc.get(k).expect("checked above");
-    assert_keys(get("par"), "par", &["batches", "prepared"]);
-    assert_keys(
-        get("stalls"),
-        "stalls",
-        &["attempted", "empty", "no_horizon", "clamped", "extended"],
-    );
-    assert_keys(
-        get("lookahead"),
-        "lookahead",
-        &["binding", "binding_us", "sources"],
-    );
-    for h in ["prep_batch_us", "apply_window_us", "batch_occupancy"] {
-        assert_keys(
-            get(h),
-            h,
-            &["count", "sum", "min", "max", "p50", "p95", "p99", "buckets"],
+    for gone in ["par", "stalls", "lookahead", "events_per_domain"] {
+        assert!(
+            doc.get(gone).is_none(),
+            "schema-v2 telemetry still carries `{gone}`"
         );
     }
+    let get = |k: &str| doc.get(k).expect("checked above");
+    assert_eq!(
+        get("events").as_f64(),
+        Some(on.events_executed as f64),
+        "events"
+    );
     assert_keys(
-        get("events_per_domain"),
-        "events_per_domain",
-        &["domains", "total", "top", "other"],
+        get("apply_window_us"),
+        "apply_window_us",
+        &["count", "sum", "min", "max", "p50", "p95", "p99", "buckets"],
     );
     assert_keys(
         get("highwater"),
@@ -243,11 +187,10 @@ fn snapshot_json_matches_golden_schema() {
         "ownership",
         &["lease_renewals", "fence_rejections", "partition_windows"],
     );
-    // The one-line human summary names the binding constraint.
+    // The one-line human summary carries the applied-event count.
     let line = on.snapshot.summary_line();
-    let (source, _) = on.snapshot.binding_lookahead().expect("binding source");
     assert!(
-        line.contains(source),
-        "summary line {line:?} does not name binding source {source:?}"
+        line.contains(&format!("{} events", on.events_executed)),
+        "summary line {line:?} does not name the event count"
     );
 }
