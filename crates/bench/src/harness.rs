@@ -319,7 +319,11 @@ fn pilot_loss_case(params: PilotLossParams, kill: bool) -> (Engine, f64, u64) {
     for p in &pilots {
         um.add_pilot(p);
     }
-    um.enable_failover(&mut e);
+    um.enable_leases(
+        &mut e,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
     if kill {
         let victim = pilots[0].clone();
         e.schedule_in(SimDuration::from_secs(params.kill_at_s), move |eng| {

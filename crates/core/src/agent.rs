@@ -467,12 +467,12 @@ impl Agent {
             // Lease maintenance piggybacks on the heartbeat: renew under
             // the held epoch, self-fence the moment the local deadline
             // passes unrenewed, re-acquire at a fresh epoch after a
-            // fence. May leave the agent fenced — then the liveness beat
-            // is skipped (a fenced agent must look dead to the monitor).
+            // fence. May leave the agent fenced — then no beat is sent.
             let fenced = this.lease_tick(eng, pilot);
             if !fenced {
-                // Liveness signal for cross-pilot failover: the
-                // Unit-Manager's gap monitor reads this (droppable).
+                // The beat itself carries no liveness (the lease does);
+                // it still crosses the lossy transport, see
+                // `CoordinationStore::report_heartbeat`.
                 let store = this.inner.borrow().store.clone();
                 store.report_heartbeat(eng, pilot);
             }
@@ -638,10 +638,12 @@ impl Agent {
     /// Unlike `stop`, which cancels queued units, this invalidates every
     /// in-flight attempt and reports all unfinished units back through
     /// the coordination store so a Unit-Manager can re-bind them to
-    /// surviving pilots. Without a failover client listening it falls
-    /// back to the legacy `stop` semantics.
+    /// surviving pilots. Without leases (no Unit-Manager listening) it
+    /// falls back to `stop`, cancelling queued units: the fault-free
+    /// walltime scenario (`pilot_walltime_cancels_leftover_units`)
+    /// depends on that.
     pub(crate) fn terminate(&self, engine: &mut Engine, cause: &str) {
-        if !self.inner.borrow().store.has_client() {
+        if !self.inner.borrow().store.leases_enabled() {
             self.stop(engine);
             return;
         }
@@ -716,10 +718,11 @@ impl Agent {
         store.return_units_from(engine, pilot, epoch, unfinished, cause);
     }
 
-    /// Chaos hook: the agent process dies *silently* — heartbeats stop,
-    /// nothing is torn down or returned, and the batch job keeps running.
-    /// Stranded work is only recovered by a Unit-Manager heartbeat-gap
-    /// monitor or, eventually, the allocation's walltime expiry.
+    /// Chaos hook: the agent process dies *silently* — heartbeats and
+    /// lease renewals stop, nothing is torn down or returned, and the
+    /// batch job keeps running. Stranded work is only recovered by the
+    /// Unit-Manager's lease monitor (expiry + grace) or, eventually, the
+    /// allocation's walltime expiry.
     pub fn hang(&self, engine: &mut Engine) {
         let (active, pilot) = {
             let mut inner = self.inner.borrow_mut();
@@ -845,9 +848,10 @@ impl Agent {
                     break;
                 }
                 // Walltime-aware draining only makes sense when someone is
-                // listening for returned units; otherwise a drained unit
-                // would be lost, which is strictly worse than trying it.
-                let drain_deadline = if inner.store.has_client() {
+                // listening for returned units (leases armed); otherwise a
+                // drained unit would be lost, which is strictly worse than
+                // trying it.
+                let drain_deadline = if inner.store.leases_enabled() {
                     inner.deadline
                 } else {
                     None

@@ -175,18 +175,11 @@ struct StoreInner {
     /// flush event is already scheduled at the current instant.
     staged_pushes: BTreeMap<PilotId, Vec<UnitHandle>>,
     /// The Unit-Manager-side client that accepts units an agent hands
-    /// back (pilot loss, walltime draining).
+    /// back (pilot loss, walltime draining); set with the lease duration.
     client: Option<ClientFn>,
-    /// Last heartbeat seen per pilot (heartbeats are droppable and never
-    /// retransmitted — exactly the signal a gap detector must tolerate).
-    heartbeats: BTreeMap<PilotId, SimTime>,
     msgs_dropped: u64,
     msgs_duplicated: u64,
     dup_applies_ignored: u64,
-    /// In-flight (sent, not yet recorded) delayed heartbeats per pilot.
-    /// The gap monitor consults this so a delayed-but-delivered beat is
-    /// never mistaken for silence.
-    hb_in_flight: BTreeMap<PilotId, u32>,
     /// Active partition reachability windows per pilot.
     partitions: BTreeMap<PilotId, PartitionWindow>,
     /// Lease duration; `Some` iff lease-based ownership is enabled.
@@ -202,9 +195,9 @@ struct StoreInner {
     fence_rejections: u64,
     /// Ordered log of applied message effects `(time, seq, label)` —
     /// `Some` only when [`CoordinationStore::enable_effect_log`] was
-    /// called. The differential tier compares this log across engine
-    /// modes: coordination effects must apply at the same virtual times,
-    /// in the same order, exactly once.
+    /// called. The chaos tier checks it for exactly-once applies (no
+    /// sequence number twice), and the telemetry tier compares it with
+    /// the recorder on and off.
     effect_log: Option<Vec<(SimTime, u64, &'static str)>>,
 }
 
@@ -239,15 +232,6 @@ impl StoreInner {
     /// The current fencing epoch of `pilot`'s lease (0 before any grant).
     fn current_epoch(&self, pilot: PilotId) -> u64 {
         self.leases.get(&pilot).map(|l| l.epoch).unwrap_or(0)
-    }
-
-    /// Record a heartbeat observation, keeping the timestamp monotone so
-    /// out-of-order delayed deliveries never regress it.
-    fn record_heartbeat(&mut self, pilot: PilotId, at: SimTime) {
-        let e = self.heartbeats.entry(pilot).or_insert(at);
-        if at > *e {
-            *e = at;
-        }
     }
 
     fn audit(&mut self, op: LeaseOp, pilot: PilotId, at: SimTime) {
@@ -289,11 +273,9 @@ impl CoordinationStore {
                 applied_above: BTreeSet::new(),
                 staged_pushes: BTreeMap::new(),
                 client: None,
-                heartbeats: BTreeMap::new(),
                 msgs_dropped: 0,
                 msgs_duplicated: 0,
                 dup_applies_ignored: 0,
-                hb_in_flight: BTreeMap::new(),
                 partitions: BTreeMap::new(),
                 lease_duration: None,
                 leases: BTreeMap::new(),
@@ -664,22 +646,6 @@ impl CoordinationStore {
         self.send_from(engine, Some((pilot, epoch)), update, "update", cb);
     }
 
-    /// Register the Unit-Manager-side client that accepts units an agent
-    /// hands back (pilot loss, walltime draining). At most one client per
-    /// session; registering is what arms the failover paths — without a
-    /// client, agents keep their legacy cancel-on-teardown behavior.
-    pub fn register_client(
-        &self,
-        on_returned: impl Fn(&mut Engine, PilotId, Vec<UnitHandle>, &str) + 'static,
-    ) {
-        self.inner.borrow_mut().client = Some(Rc::new(on_returned));
-    }
-
-    /// Whether a failover client is listening for returned units.
-    pub fn has_client(&self) -> bool {
-        self.inner.borrow().client.is_some()
-    }
-
     /// Agent → Unit-Manager: report units this pilot can no longer run
     /// (walltime drain) or finish (pilot death). Travels the lossy
     /// transport like any state update; the receiving Unit-Manager's
@@ -732,73 +698,26 @@ impl CoordinationStore {
         });
     }
 
-    /// Record an agent heartbeat. Heartbeats are fire-and-forget: a lossy
-    /// transport may drop them silently (no retransmit), a partition
-    /// window swallows them outright, and delivery jitter delays them —
-    /// exactly the signals a heartbeat-gap detector must tolerate. With a
-    /// lossless profile the record is synchronous and schedules nothing;
-    /// a jittered beat is delivered by an event and counted as in-flight
-    /// until it lands (see [`CoordinationStore::heartbeat_in_flight`]).
+    /// Send an agent heartbeat. Heartbeats are fire-and-forget and
+    /// nothing records them: liveness is the lease, renewed on the same
+    /// tick. A partition window swallows the beat before any RNG draw.
     pub fn report_heartbeat(&self, engine: &mut Engine, pilot: PilotId) {
         let now = engine.now();
-        let (dropped, delay) = {
-            let mut inner = self.inner.borrow_mut();
-            // Partition check precedes any RNG draw: partition-free runs
-            // keep a bit-identical loss stream.
-            if inner.blocked_out(pilot, now) {
-                return;
-            }
-            let loss = inner.config.loss;
-            match inner.rng.as_mut() {
-                Some(rng) => {
-                    let dropped = loss.drop_p > 0.0 && rng.chance(loss.drop_p);
-                    let delay = if !dropped && loss.delay_jitter_ms > 0.0 {
-                        SimDuration::from_secs_f64(rng.uniform(0.0, loss.delay_jitter_ms) / 1e3)
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    (dropped, delay)
-                }
-                None => (false, SimDuration::ZERO),
-            }
-        };
-        if dropped {
+        let mut inner = self.inner.borrow_mut();
+        if inner.blocked_out(pilot, now) {
             return;
         }
-        if delay == SimDuration::ZERO {
-            self.inner.borrow_mut().record_heartbeat(pilot, now);
-            return;
-        }
-        *self
-            .inner
-            .borrow_mut()
-            .hb_in_flight
-            .entry(pilot)
-            .or_insert(0) += 1;
-        let this = self.clone();
-        engine.schedule_in(delay, move |eng| {
-            let mut inner = this.inner.borrow_mut();
-            if let Some(c) = inner.hb_in_flight.get_mut(&pilot) {
-                *c -= 1;
-                if *c == 0 {
-                    inner.hb_in_flight.remove(&pilot);
-                }
+        // The beat's loss and jitter draws are taken although nothing
+        // uses them: each advances the lossy transport's RNG, which
+        // decides every later message's fate, so lossy runs (and the
+        // benchmark fingerprints) depend on them.
+        let loss = inner.config.loss;
+        if let Some(rng) = inner.rng.as_mut() {
+            let dropped = loss.drop_p > 0.0 && rng.chance(loss.drop_p);
+            if !dropped && loss.delay_jitter_ms > 0.0 {
+                rng.uniform(0.0, loss.delay_jitter_ms);
             }
-            let at = eng.now();
-            inner.record_heartbeat(pilot, at);
-        });
-    }
-
-    /// Last heartbeat seen from `pilot`'s agent, if any.
-    pub fn last_heartbeat(&self, pilot: PilotId) -> Option<SimTime> {
-        self.inner.borrow().heartbeats.get(&pilot).copied()
-    }
-
-    /// Whether a delayed heartbeat from `pilot` is still in flight (sent
-    /// but not yet recorded). The gap monitor defers suspicion while one
-    /// is pending — a delayed-but-delivered beat is not silence.
-    pub fn heartbeat_in_flight(&self, pilot: PilotId) -> bool {
-        self.inner.borrow().hb_in_flight.contains_key(&pilot)
+        }
     }
 
     // ---- partitions ----
@@ -857,15 +776,24 @@ impl CoordinationStore {
 
     // ---- leases & fencing ----
 
-    /// Turn on lease-based ownership: grants and renewals last `duration`
-    /// and every fenced message is checked against the lease table's
-    /// fencing epoch at apply time. Off by default — lease-free sessions
-    /// carry no lease state and never reject anything.
-    pub fn enable_leases(&self, duration: SimDuration) {
-        self.inner.borrow_mut().lease_duration = Some(duration);
+    /// Turn on lease-based ownership and register the Unit-Manager-side
+    /// client that accepts units an agent hands back (pilot loss,
+    /// walltime draining). Grants and renewals last `duration`, and every
+    /// fenced message is checked against the lease table's fencing epoch
+    /// at apply time. Off by default: lease-free sessions carry no lease
+    /// state, never reject anything, and their agents cancel queued units
+    /// on teardown instead of returning them.
+    pub fn enable_leases(
+        &self,
+        duration: SimDuration,
+        on_returned: impl Fn(&mut Engine, PilotId, Vec<UnitHandle>, &str) + 'static,
+    ) {
+        let mut inner = self.inner.borrow_mut();
+        inner.lease_duration = Some(duration);
+        inner.client = Some(Rc::new(on_returned));
     }
 
-    /// Whether lease-based ownership is on.
+    /// Whether lease-based ownership (and with it unit return) is on.
     pub fn leases_enabled(&self) -> bool {
         self.inner.borrow().lease_duration.is_some()
     }
@@ -1245,13 +1173,13 @@ mod tests {
     fn returned_units_reach_registered_client() {
         let mut e = Engine::new(1);
         let s = store();
-        assert!(!s.has_client());
+        assert!(!s.leases_enabled());
         let got: Rc<RefCell<Vec<(PilotId, usize, String)>>> = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
-        s.register_client(move |_, pilot, units, cause| {
+        s.enable_leases(SimDuration::from_secs(60), move |_, pilot, units, cause| {
             g.borrow_mut().push((pilot, units.len(), cause.to_string()));
         });
-        assert!(s.has_client());
+        assert!(s.leases_enabled());
         s.return_units(&mut e, PilotId(3), vec![unit(0), unit(1)], "walltime");
         // Empty returns are no-ops.
         s.return_units(&mut e, PilotId(3), vec![], "walltime");
@@ -1262,47 +1190,12 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_recorded_and_droppable() {
-        let mut e = Engine::new(1);
-        let s = store();
-        assert_eq!(s.last_heartbeat(PilotId(0)), None);
-        s.report_heartbeat(&mut e, PilotId(0));
-        assert_eq!(s.last_heartbeat(PilotId(0)), Some(SimTime::ZERO));
-        assert_eq!(e.pending(), 0, "lossless heartbeats schedule nothing");
-        // A fully lossy transport swallows every heartbeat.
-        let lossy = lossy_store(1.0, 0.0, 4);
-        lossy.report_heartbeat(&mut e, PilotId(0));
-        assert_eq!(lossy.last_heartbeat(PilotId(0)), None);
-    }
-
-    #[test]
-    fn jittered_heartbeats_deliver_late_and_track_in_flight() {
-        let mut e = Engine::new(1);
-        // No drops, but 20 ms delivery jitter: the beat arrives by event.
-        let s = lossy_store(0.0, 0.0, 7);
-        s.report_heartbeat(&mut e, PilotId(0));
-        assert!(
-            s.heartbeat_in_flight(PilotId(0)),
-            "beat should be in flight"
-        );
-        assert_eq!(s.last_heartbeat(PilotId(0)), None, "not recorded yet");
-        assert!(e.pending() > 0, "delayed delivery is an event");
-        e.run();
-        assert!(!s.heartbeat_in_flight(PilotId(0)));
-        let at = s.last_heartbeat(PilotId(0)).expect("beat delivered");
-        assert!(at > SimTime::ZERO && at < SimTime::from_secs_f64(0.02));
-    }
-
-    #[test]
-    fn partition_swallows_heartbeats_and_holds_fenced_messages() {
+    fn partition_holds_fenced_messages_until_heal() {
         let mut e = Engine::new(1);
         let s = store();
         s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(5), false);
         assert!(s.is_partitioned(&e, PilotId(0)));
         assert_eq!(s.partition_windows(), 1);
-        // Heartbeats from the partitioned side vanish.
-        s.report_heartbeat(&mut e, PilotId(0));
-        assert_eq!(s.last_heartbeat(PilotId(0)), None);
         // A fenced update is held until the window heals, then applies
         // exactly once.
         let applies: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
@@ -1326,8 +1219,6 @@ mod tests {
         assert!(s.partition_holds() > 0);
         // After heal the window is inert.
         assert!(!s.is_partitioned(&e, PilotId(0)));
-        s.report_heartbeat(&mut e, PilotId(0));
-        assert!(s.last_heartbeat(PilotId(0)).is_some());
     }
 
     #[test]
@@ -1373,7 +1264,7 @@ mod tests {
         // Disabled: every operation is a no-op failure.
         assert!(!s.leases_enabled());
         assert_eq!(s.try_acquire_lease(&mut e, PilotId(0)), None);
-        s.enable_leases(SimDuration::from_secs(60));
+        s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         assert!(s.leases_enabled());
         let (epoch, expires) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         assert_eq!(epoch, 1);
@@ -1401,7 +1292,7 @@ mod tests {
     fn stale_epoch_messages_are_rejected_not_applied() {
         let mut e = Engine::new(1);
         let s = store();
-        s.enable_leases(SimDuration::from_secs(60));
+        s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         s.enable_effect_log();
         let (epoch, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         let applied = Rc::new(RefCell::new(0usize));
@@ -1433,7 +1324,7 @@ mod tests {
     fn partitioned_pilot_cannot_touch_its_lease() {
         let mut e = Engine::new(1);
         let s = store();
-        s.enable_leases(SimDuration::from_secs(60));
+        s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         s.enable_lease_audit();
         let (epoch, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(10), false);

@@ -282,9 +282,9 @@ impl PilotManager {
                     _ => (PilotState::Failed, "pilot lost (batch job failed)"),
                 };
                 if let Some(agent) = h_end.agent() {
-                    // With a failover client listening this reports every
-                    // unfinished unit back through the coordination store;
-                    // otherwise it is the legacy hard stop.
+                    // With leases armed this reports every unfinished unit
+                    // back through the coordination store; otherwise it is
+                    // a hard stop (see `Agent::terminate`).
                     agent.terminate(eng, cause);
                 }
                 h_end.advance(eng, next);
@@ -338,24 +338,19 @@ struct UmInner {
     scheduler: UmScheduler,
     pilots: Vec<PilotHandle>,
     rr_cursor: usize,
-    /// Cross-pilot failover armed (`enable_failover` ran).
-    failover: bool,
     /// Every unit this UM submitted — scanned to rescue the ones bound to
     /// a pilot that was lost.
     tracked: Vec<UnitHandle>,
     /// Pilots declared lost; never picked again.
     dead: std::collections::BTreeSet<PilotId>,
-    /// Declare a pilot dead when it is Active, holds unfinished units and
-    /// has not heartbeated for this long (silent agent death detector).
-    heartbeat_gap: Option<SimDuration>,
-    /// Lease-mode grace: a pilot is declared lost only once its ownership
-    /// lease has been expired for this long (replaces the raw gap
-    /// threshold; the lease is revoked — fencing epoch bumped — before
-    /// any unit is re-bound).
+    /// Lease grace; `Some` iff cross-pilot failover is armed
+    /// (`enable_leases` ran). A pilot is declared lost only once its
+    /// ownership lease has been expired for this long, and the lease is
+    /// revoked (fencing epoch bumped) before any unit is re-bound.
     lease_grace: Option<SimDuration>,
     monitor_armed: bool,
-    /// When units were last pushed to each pilot (grace period for the
-    /// heartbeat-gap monitor: work may not have started heartbeating yet).
+    /// When units were last pushed to each pilot (the monitor's silence
+    /// clock for a pilot that never acquired a lease).
     bound_at: std::collections::BTreeMap<PilotId, SimTime>,
     backfill: Option<BackfillHook>,
     rebinds: u64,
@@ -363,12 +358,8 @@ struct UmInner {
 
 impl UmInner {
     /// Pilots still eligible for placement. Falls back to the full list
-    /// when none is left alive so legacy (no-failover) behaviour — where
-    /// pilot health is never consulted — is preserved bit-for-bit.
+    /// when none is left alive.
     fn candidates(&self) -> Vec<PilotHandle> {
-        if !self.failover {
-            return self.pilots.clone();
-        }
         let alive: Vec<PilotHandle> = self
             .pilots
             .iter()
@@ -417,10 +408,8 @@ impl UnitManager {
                 scheduler,
                 pilots: Vec::new(),
                 rr_cursor: 0,
-                failover: false,
                 tracked: Vec::new(),
                 dead: std::collections::BTreeSet::new(),
-                heartbeat_gap: None,
                 lease_grace: None,
                 monitor_armed: false,
                 bound_at: std::collections::BTreeMap::new(),
@@ -434,7 +423,7 @@ impl UnitManager {
         let failover = {
             let mut inner = self.inner.borrow_mut();
             inner.pilots.push(pilot.clone());
-            inner.failover
+            inner.lease_grace.is_some()
         };
         if failover {
             self.watch_pilot(pilot);
@@ -450,53 +439,39 @@ impl UnitManager {
         self.inner.borrow().rebinds
     }
 
-    /// Arm cross-pilot failover: the UM registers as the coordination
-    /// store's client (receiving units an agent reports back on pilot
-    /// loss or walltime drain) and watches every pilot's terminal state.
-    /// Until this runs, pilot loss keeps the legacy semantics (queued
-    /// units are cancelled, in-flight ones are stranded).
-    pub fn enable_failover(&self, _engine: &mut Engine) {
+    /// Arm cross-pilot failover under lease-based ownership. Every agent
+    /// must hold a `duration`-long lease (renewed on its heartbeat tick)
+    /// to dispatch. The UM registers as the coordination store's client,
+    /// receiving units an agent reports back on pilot loss or walltime
+    /// drain, and watches every pilot's terminal state. Silent agent
+    /// death is detected by lease expiry: the monitor declares a pilot
+    /// lost once its lease has been expired for `grace`, and first
+    /// revokes it, bumping the fencing epoch so a healed zombie's stale
+    /// writes are rejected at the store. Until this runs, pilot loss
+    /// keeps the hard-stop semantics (queued units are cancelled,
+    /// in-flight ones are stranded). Idempotent.
+    ///
+    /// Safety requires `grace` to exceed the agent heartbeat period
+    /// (10 s): the agent self-fences at its first tick past expiry, so it
+    /// is guaranteed fenced before any unit is re-bound.
+    pub fn enable_leases(&self, engine: &mut Engine, duration: SimDuration, grace: SimDuration) {
         {
             let mut inner = self.inner.borrow_mut();
-            if inner.failover {
+            if inner.lease_grace.is_some() {
                 return;
             }
-            inner.failover = true;
+            inner.lease_grace = Some(grace);
         }
         let this = self.clone();
         self.session
             .store()
-            .register_client(move |eng, pilot, units, cause| {
+            .enable_leases(duration, move |eng, pilot, units, cause| {
                 this.on_units_returned(eng, pilot, units, cause);
             });
         let pilots = self.inner.borrow().pilots.clone();
         for p in &pilots {
             self.watch_pilot(p);
         }
-    }
-
-    /// Arm the silent-death detector: a pilot that is Active, holds
-    /// unfinished units and has not heartbeated for `gap` is declared
-    /// lost. Requires `enable_failover`.
-    pub fn set_heartbeat_gap(&self, engine: &mut Engine, gap: SimDuration) {
-        self.inner.borrow_mut().heartbeat_gap = Some(gap);
-        self.ensure_monitor(engine);
-    }
-
-    /// Arm lease-based ownership: every agent must hold a `duration`-long
-    /// lease (renewed on its heartbeat tick) to dispatch; the monitor
-    /// declares a pilot lost only once its lease has been expired for
-    /// `grace` — and first revokes it, bumping the fencing epoch so a
-    /// healed zombie's stale writes are rejected at the store. Replaces
-    /// the raw heartbeat-gap threshold; implies `enable_failover`.
-    ///
-    /// Safety requires `grace` to exceed the agent heartbeat period
-    /// (10 s): the agent self-fences at its first tick past expiry, so it
-    /// is guaranteed fenced before any unit is re-bound.
-    pub fn enable_leases(&self, engine: &mut Engine, duration: SimDuration, grace: SimDuration) {
-        self.enable_failover(engine);
-        self.session.store().enable_leases(duration);
-        self.inner.borrow_mut().lease_grace = Some(grace);
         self.ensure_monitor(engine);
     }
 
@@ -511,8 +486,10 @@ impl UnitManager {
         let id = pilot.id();
         let registered = pilot.watch_final(move |eng, state| {
             if state == PilotState::Canceled {
-                // User-initiated cancel keeps the legacy hard-cancel
-                // semantics: no failover for deliberately dropped work.
+                // A user cancel is deliberate: no failover, and no pilot
+                // loss counted. The `pilot_loss` bench cancels its live
+                // pilots at teardown, and its fault-free case pins
+                // `um.pilots_lost` at 0 through this.
                 return;
             }
             this.handle_pilot_loss(eng, id, "pilot reached a terminal state");
@@ -672,7 +649,7 @@ impl UnitManager {
 
     // ---- cross-pilot failover ----
 
-    /// A pilot is gone (terminal state or heartbeat silence): mark it
+    /// A pilot is gone (terminal state or lease expiry): mark it
     /// dead, give the backfill hook a chance to replace it, then rescue
     /// every unit still bound to it — documents never picked up from the
     /// store plus tracked in-flight units — and re-bind them.
@@ -807,47 +784,35 @@ impl UnitManager {
         self.ensure_monitor(engine);
     }
 
-    /// Arm the next heartbeat-gap check if the detector is configured and
-    /// some unit is still in flight. Quiet on healthy systems: the tick
-    /// emits no trace or metrics unless it declares a pilot dead.
+    /// Arm the next lease check if failover is armed and some unit is
+    /// still in flight. Quiet on healthy systems: the tick emits no trace
+    /// or metrics unless it declares a pilot dead.
     fn ensure_monitor(&self, engine: &mut Engine) {
-        let lease_cadence = match (
-            self.inner.borrow().lease_grace,
-            self.session.store().lease_duration(),
-        ) {
-            (Some(g), Some(d)) => Some(d + g),
-            _ => None,
+        let Some(lease) = self.session.store().lease_duration() else {
+            return;
         };
-        let (gap, tick) = {
+        let (grace, tick) = {
             let mut inner = self.inner.borrow_mut();
-            if !inner.failover || inner.monitor_armed {
-                return;
-            }
-            let Some(gap) = inner.heartbeat_gap.or(lease_cadence) else {
+            let Some(grace) = inner.lease_grace else {
                 return;
             };
-            if !inner.tracked.iter().any(|u| !u.state().is_final()) {
+            if inner.monitor_armed || !inner.tracked.iter().any(|u| !u.state().is_final()) {
                 return;
             }
             inner.monitor_armed = true;
-            let tick = SimDuration(gap.0 / 2).max(SimDuration::from_secs(1));
-            (gap, tick)
+            let tick = SimDuration((lease + grace).0 / 2).max(SimDuration::from_secs(1));
+            (grace, tick)
         };
         let this = self.clone();
         engine.schedule_in(tick, move |eng| {
             this.inner.borrow_mut().monitor_armed = false;
-            this.monitor_tick(eng, gap);
+            this.monitor_tick(eng, lease, grace);
         });
     }
 
-    fn monitor_tick(&self, engine: &mut Engine, gap: SimDuration) {
+    fn monitor_tick(&self, engine: &mut Engine, lease: SimDuration, grace: SimDuration) {
         let now = engine.now();
         let store = self.session.store();
-        let lease_grace = if store.leases_enabled() {
-            self.inner.borrow().lease_grace
-        } else {
-            None
-        };
         let suspects: Vec<PilotId> = {
             let inner = self.inner.borrow();
             inner
@@ -865,54 +830,33 @@ impl UnitManager {
                     if !bound {
                         return false;
                     }
-                    if let Some(grace) = lease_grace {
-                        // Lease mode: ownership moves only once the lease
-                        // the agent last held has been expired for the
-                        // grace window — the agent self-fenced at expiry,
-                        // so re-binding can never double-run a unit.
-                        return match store.lease_expiry(id) {
-                            Some(expires) => now > expires + grace,
-                            // Never acquired (partitioned since bootstrap
-                            // or already revoked): fall back to
-                            // binding-age silence at the same horizon.
-                            None => {
-                                let lease = store.lease_duration().unwrap_or(SimDuration::ZERO);
-                                let mut since = p.times().active.unwrap_or(SimTime::ZERO);
-                                if let Some(&b) = inner.bound_at.get(&id) {
-                                    since = since.max(b);
-                                }
-                                now.since(since) > lease + grace
+                    // Ownership moves only once the lease the agent last
+                    // held has been expired for the grace window — the
+                    // agent self-fenced at expiry, so re-binding can never
+                    // double-run a unit.
+                    match store.lease_expiry(id) {
+                        Some(expires) => now > expires + grace,
+                        // Never acquired (partitioned since bootstrap or
+                        // already revoked): fall back to binding-age
+                        // silence at the same horizon.
+                        None => {
+                            let mut since = p.times().active.unwrap_or(SimTime::ZERO);
+                            if let Some(&b) = inner.bound_at.get(&id) {
+                                since = since.max(b);
                             }
-                        };
+                            now.since(since) > lease + grace
+                        }
                     }
-                    // A heartbeat already sent but still in flight (lossy
-                    // delivery jitter) is proof of life: do not declare a
-                    // delayed-but-delivered pilot dead.
-                    if store.heartbeat_in_flight(id) {
-                        return false;
-                    }
-                    let mut last = p.times().active.unwrap_or(SimTime::ZERO);
-                    if let Some(hb) = store.last_heartbeat(id) {
-                        last = last.max(hb);
-                    }
-                    if let Some(&b) = inner.bound_at.get(&id) {
-                        last = last.max(b);
-                    }
-                    now.since(last) > gap
                 })
                 .map(|p| p.id())
                 .collect()
         };
         for id in suspects {
-            if lease_grace.is_some() {
-                // Revoke first: the epoch bump fences any in-flight or
-                // post-heal writes from the old owner before new
-                // ownership exists.
-                store.revoke_lease(engine, id);
-                self.handle_pilot_loss(engine, id, "pilot lease expired");
-            } else {
-                self.handle_pilot_loss(engine, id, "pilot heartbeat lost");
-            }
+            // Revoke first: the epoch bump fences any in-flight or
+            // post-heal writes from the old owner before new ownership
+            // exists.
+            store.revoke_lease(engine, id);
+            self.handle_pilot_loss(engine, id, "pilot lease expired");
         }
         self.ensure_monitor(engine);
     }
@@ -927,6 +871,12 @@ mod tests {
 
     fn sleep_unit(name: &str, secs: u64) -> ComputeUnitDescription {
         ComputeUnitDescription::new(name, 1, WorkSpec::Sleep(SimDuration::from_secs(secs)))
+    }
+
+    /// Cross-pilot failover as every test here arms it: 60 s leases,
+    /// 30 s grace.
+    fn arm_leases(um: &UnitManager, e: &mut Engine) {
+        um.enable_leases(e, SimDuration::from_secs(60), SimDuration::from_secs(30));
     }
 
     #[test]
@@ -1275,7 +1225,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
         um.add_pilot(&p0);
         um.add_pilot(&p1);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         let units = um.submit_units(
             &mut e,
             (0..8).map(|i| sleep_unit(&format!("u{i}"), 60)).collect(),
@@ -1310,7 +1260,7 @@ mod tests {
             .unwrap();
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&p0);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         let units = um.submit_units(&mut e, vec![sleep_unit("doomed", 120)]);
         let victim = p0.clone();
         e.schedule_in(SimDuration::from_secs(30), move |eng| victim.kill(eng));
@@ -1347,7 +1297,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&p0);
         um.add_pilot(&p1);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         let units = um.submit_units(
             &mut e,
             vec![ComputeUnitDescription::new(
@@ -1396,7 +1346,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
         um.add_pilot(&small);
         um.add_pilot(&big);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         // Full-node units (8 cores): the small pilot runs 1 at a time,
         // the big one 3. Feed waves faster than the small pilot drains so
         // assigned-minus-done steers later waves toward the big pilot.
@@ -1459,7 +1409,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&short);
         um.add_pilot(&long);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         // 300 s of sleep cannot fit in ~85 s of remaining walltime
         // (test-profile drain margin 5 s): the short pilot's scheduler
         // must hand them back instead of letting the walltime kill them.
@@ -1482,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_gap_monitor_detects_silent_agent_death() {
+    fn lease_expiry_detects_silent_agent_death() {
         let mut e = Engine::new(27);
         let session = Session::new(SessionConfig::test_profile());
         let pm = PilotManager::new(&session);
@@ -1501,14 +1451,13 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&p0);
         um.add_pilot(&p1);
-        um.enable_failover(&mut e);
-        um.set_heartbeat_gap(&mut e, SimDuration::from_secs(25));
+        arm_leases(&um, &mut e);
         let units = um.submit_units(
             &mut e,
             (0..4).map(|i| sleep_unit(&format!("u{i}"), 120)).collect(),
         );
         // The agent dies silently: no terminal state, no returned units —
-        // only the missing heartbeats give it away.
+        // only the lease it stops renewing gives it away.
         let victim = p0.clone();
         e.schedule_in(SimDuration::from_secs(40), move |eng| {
             victim.agent().unwrap().hang(eng);
@@ -1524,14 +1473,17 @@ mod tests {
         assert!(units.iter().all(|u| u.pilot() == Some(p1.id())));
         // The batch job is still burning walltime — only the agent died.
         assert_eq!(p0.state(), PilotState::Active);
+        // The monitor revoked the expired lease before re-binding: grant
+        // (epoch 1), then the revoke's bump.
+        assert!(session.store().lease_epoch(p0.id()) >= 2);
     }
 
     #[test]
     fn delayed_heartbeats_do_not_trigger_spurious_rebind() {
-        // Delivery jitter pushes heartbeats right up against the gap
-        // threshold. A delayed-but-delivered beat is proof of life: the
-        // monitor must consult the in-flight counter instead of declaring
-        // the pilot dead and double-scheduling its units.
+        // Delivery jitter of up to 24 s on a 10 s heartbeat. Liveness is
+        // the lease, renewed at the store on every tick whatever the
+        // transport does to the beat, so leases tolerate delayed beats by
+        // construction: no pilot is declared dead and nothing is fenced.
         let mut e = Engine::new(31);
         let mut cfg = SessionConfig::test_profile();
         cfg.coordination.loss = crate::coordination::LossProfile {
@@ -1557,11 +1509,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&p0);
         um.add_pilot(&p1);
-        um.enable_failover(&mut e);
-        // Gap (25 s) barely above the worst-case beat spacing (10 s
-        // period + 24 s jitter): without the in-flight check this setup
-        // produces spurious deaths.
-        um.set_heartbeat_gap(&mut e, SimDuration::from_secs(25));
+        arm_leases(&um, &mut e);
         let units = um.submit_units(
             &mut e,
             (0..4).map(|i| sleep_unit(&format!("u{i}"), 120)).collect(),
@@ -1575,6 +1523,7 @@ mod tests {
             units.iter().map(|u| u.state()).collect::<Vec<_>>()
         );
         assert_eq!(um.rebinds(), 0, "delayed heartbeat mistaken for death");
+        assert_eq!(session.store().fence_rejections(), 0);
         assert!(units.iter().all(|u| u.attempts() <= 1));
     }
 
@@ -1598,11 +1547,7 @@ mod tests {
         let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
         um.add_pilot(&p0);
         um.add_pilot(&p1);
-        um.enable_leases(
-            &mut e,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(30),
-        );
+        arm_leases(&um, &mut e);
         // 60 s units: the first completions land while p0 is partitioned
         // but not yet self-fenced, so their roundtrips are sent at the old
         // epoch and held by the partition window.
@@ -1661,7 +1606,7 @@ mod tests {
             .unwrap();
         let mut um = UnitManager::new(&session, UmScheduler::Direct);
         um.add_pilot(&p0);
-        um.enable_failover(&mut e);
+        arm_leases(&um, &mut e);
         let pm2 = pm.clone();
         um.set_backfill(Rc::new(move |eng: &mut Engine| {
             pm2.submit(

@@ -88,7 +88,11 @@ fn run_pilot_kill(seed: u64, json_out: bool) {
     for p in &pilots {
         um.add_pilot(p);
     }
-    um.enable_failover(&mut engine);
+    um.enable_leases(
+        &mut engine,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
     let plan = FaultPlan {
         events: vec![FaultEvent {
             at: SimTime::from_secs_f64(180.0),

@@ -1,7 +1,7 @@
 //! Chaos soak: the whole failure surface at once.
 //!
-//! Each seeded scenario runs a two-pilot session with cross-pilot
-//! failover enabled, a lossy coordination store (drops, duplicates,
+//! Each seeded scenario runs a two-pilot session with lease-based
+//! cross-pilot failover, a lossy coordination store (drops, duplicates,
 //! delivery jitter) and a mixed fault plan that can crash nodes, slow
 //! them down, kill containers, fail staging and kill entire pilots.
 //! Every scenario must uphold the failure-model contract:
@@ -70,7 +70,7 @@ fn counter(metrics: &MetricsSnapshot, key: &str) -> u64 {
 }
 
 /// One soak scenario: 2 three-node pilots, RoundRobin Unit-Manager with
-/// failover and a heartbeat-gap monitor, `UNITS` sleep units.
+/// lease-based failover (60 s leases, 30 s grace), `UNITS` sleep units.
 fn chaos_run(seed: u64, mode: Mode) -> Outcome {
     let mut e = Engine::with_trace(seed);
     let mut cfg = SessionConfig::test_profile();
@@ -99,11 +99,13 @@ fn chaos_run(seed: u64, mode: Mode) -> Outcome {
     for p in &pilots {
         um.add_pilot(p);
     }
-    um.enable_failover(&mut e);
-    // Heartbeats are droppable: the gap must tolerate a burst of
-    // consecutive drops (12 × 10 s beats at drop_p = 0.15 is ~1e-10)
-    // without declaring a live pilot dead.
-    um.set_heartbeat_gap(&mut e, SimDuration::from_secs(120));
+    // Lease renewals bypass the lossy transport, so dropped heartbeats
+    // never make a live pilot look dead.
+    um.enable_leases(
+        &mut e,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
     let injector = match mode {
         Mode::Baseline => None,
         Mode::ZeroFault => Some(install_faults_multi(&mut e, &FaultPlan::none(), &pilots)),
@@ -577,4 +579,71 @@ fn zero_fault_chaos_config_matches_baseline() {
         assert_eq!(base.msgs_dropped, 0);
         assert_eq!(base.msgs_duplicated, 0);
     }
+}
+
+#[test]
+fn lossy_lease_run_pins_the_transport_rng_stream() {
+    // Heartbeats carry no liveness under leases, but each one still takes
+    // the lossy transport's loss and jitter draws. Those draws decide the
+    // fate of every later message, so removing them (or adding a consumer
+    // of the stream) moves these recorded done times.
+    let mut e = Engine::new(5);
+    let mut cfg = SessionConfig::test_profile();
+    cfg.coordination.loss = LossProfile {
+        drop_p: 0.2,
+        dup_p: 0.1,
+        delay_jitter_ms: 25.0,
+        seed: 5,
+    };
+    let session = Session::new(cfg);
+    let pm = PilotManager::new(&session);
+    let pilots: Vec<PilotHandle> = (0..2)
+        .map(|_| {
+            pm.submit(
+                &mut e,
+                PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(3_600)),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+    for p in &pilots {
+        um.add_pilot(p);
+    }
+    um.enable_leases(
+        &mut e,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
+    let units = um.submit_units(
+        &mut e,
+        (0..6u64)
+            .map(|i| {
+                ComputeUnitDescription::new(
+                    format!("p{i}"),
+                    1,
+                    WorkSpec::Sleep(SimDuration::from_secs(20 + 15 * i)),
+                )
+            })
+            .collect(),
+    );
+    while units.iter().any(|u| !u.state().is_final()) {
+        assert!(e.step(), "sim wedged with live units");
+    }
+    let got: Vec<(UnitState, u64)> = units
+        .iter()
+        .map(|u| (u.state(), u.times().done.map_or(0, |t| t.0)))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (UnitState::Done, 63_744_241),
+            (UnitState::Done, 77_650_713),
+            (UnitState::Done, 93_831_854),
+            (UnitState::Done, 107_855_206),
+            (UnitState::Done, 124_040_626),
+            (UnitState::Done, 138_057_883),
+        ]
+    );
+    assert_eq!(session.store().msgs_dropped(), 4);
 }

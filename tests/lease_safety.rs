@@ -116,7 +116,10 @@ fn random_op_interleavings_uphold_lease_invariants() {
         let session = Session::new(SessionConfig::test_profile());
         let store = session.store();
         let mut rng = SimRng::new(0xA11CE ^ seed);
-        store.enable_leases(SimDuration::from_secs(rng.uniform_u64(20, 90)));
+        store.enable_leases(
+            SimDuration::from_secs(rng.uniform_u64(20, 90)),
+            |_, _, _, _| {},
+        );
         store.enable_lease_audit();
         let pilots = 1 + rng.index(3);
         // Pre-schedule a random interleaving of lease ops and partition

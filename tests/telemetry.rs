@@ -40,8 +40,8 @@ struct Outcome {
     events_executed: u64,
 }
 
-/// Two three-node pilots, RoundRobin UM with failover + gap monitor, 12
-/// sleep units, driven to completion by `Engine::run`.
+/// Two three-node pilots, RoundRobin UM with leases (60 s, 30 s grace),
+/// 12 sleep units, driven to completion by `Engine::run`.
 fn capture_run(seed: u64) -> Outcome {
     let mut e = Engine::with_trace(seed);
     let session = Session::new(SessionConfig::test_profile());
@@ -60,8 +60,11 @@ fn capture_run(seed: u64) -> Outcome {
     for p in &pilots {
         um.add_pilot(p);
     }
-    um.enable_failover(&mut e);
-    um.set_heartbeat_gap(&mut e, SimDuration::from_secs(120));
+    um.enable_leases(
+        &mut e,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
     let units = um.submit_units(
         &mut e,
         (0..12)
