@@ -25,9 +25,9 @@ python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, d["version"]
-# The call-graph-aware rules must actually be wired into the pass — a
-# refactor that drops one would otherwise fail silently forever.
-assert {"effect-origin", "stale-waiver"} <= set(d["rules"]), d["rules"]
+# The waiver-hygiene rule must actually be wired into the pass — a
+# refactor that drops it would otherwise fail silently forever.
+assert {"stale-waiver"} <= set(d["rules"]), d["rules"]
 assert {"rule", "file", "line", "message", "waived", "fatal"} <= set(
     d["findings"][0]) if d["findings"] else True
 assert d["summary"]["fatal"] == 0, (

@@ -29,18 +29,6 @@ impl Tok {
     pub fn is(&self, s: &str) -> bool {
         self.text == s
     }
-
-    /// Content of a plain `"..."` string literal token, `None` for every
-    /// other token. String tokens keep their quoted source text, so they
-    /// can never collide with identifier matches — rules that *want* the
-    /// literal go through this accessor.
-    pub fn str_content(&self) -> Option<&str> {
-        if self.kind == TokKind::Lit && self.text.len() >= 2 && self.text.starts_with('"') {
-            Some(&self.text[1..self.text.len() - 1])
-        } else {
-            None
-        }
-    }
 }
 
 /// Lexed file: tokens plus waiver comments (`line -> waived rule names`)
@@ -138,9 +126,7 @@ pub fn lex(src: &str) -> Lexed {
                 let start_line = line;
                 line += bump_lines(&b[i..j]);
                 // Keep the quoted source text: the quotes guarantee a
-                // string token can never match an identifier pattern, and
-                // rules that need the literal read it back through
-                // `Tok::str_content`.
+                // string token can never match an identifier pattern.
                 toks.push(Tok {
                     kind: TokKind::Lit,
                     text: src[i..j].to_string(),
@@ -417,18 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn string_content_is_readable_but_never_matches_idents() {
+    fn string_literals_never_match_idents() {
         let l = lex(r#"metric_key("store.write", labels)"#);
-        let lit = l
-            .toks
-            .iter()
-            .find(|t| t.kind == TokKind::Lit)
-            .expect("string token");
-        assert_eq!(lit.str_content(), Some("store.write"));
         // The quoted text cannot equal any identifier.
         assert!(!l.toks.iter().any(|t| t.is("store.write")));
-        // Non-string tokens have no content.
-        assert_eq!(l.toks[0].str_content(), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! rp-analyze: offline static-analysis pass over the workspace source.
 //!
-//! Six rule families guard invariants the type system cannot express:
+//! Five rule families guard invariants the type system cannot express:
 //!
 //! 1. **state-machine** — every literal lifecycle transition the workspace
 //!    exercises must be legal per the `can_transition_to` tables, and every
@@ -14,20 +14,16 @@
 //!    (panic budget per file against `lint_baseline.toml`).
 //! 4. **span-balance** — every `span_begin` must be matched by a
 //!    `span_end` or an ownership transfer on all return paths.
-//! 5. **effect-origin** (over the `callgraph` fn index) —
-//!    coordination-store effects must thread a real fencing origin;
-//!    re-bind paths revoke before re-dispatch.
-//! 6. **stale-waiver** — inline waivers that no longer suppress anything
+//! 5. **stale-waiver** — inline waivers that no longer suppress anything
 //!    are reported (info) so the exception inventory stays honest.
 //!
-//! Everything is lexical: a hand-rolled token scanner (`lexer`) plus an
-//! intra-workspace call graph built from the same token stream, no
+//! Everything is lexical: a hand-rolled token scanner (`lexer`), no
 //! external dependencies, no proc macros. Findings can be waived inline
-//! with `// rp-lint: allow(<rule>, ...): <reason>`.
+//! with `// rp-lint: allow(<rule>, ...): <reason>`. Fencing is not a
+//! lint: the coordination store's `Fence` and `Revoked` types make its
+//! misuses compile errors.
 
 pub mod baseline;
-pub mod callgraph;
-pub mod effects;
 pub mod hazards;
 pub mod lexer;
 pub mod locks;
@@ -124,11 +120,7 @@ pub fn run_pass(root: &Path, opts: &Options) -> std::io::Result<Pass> {
     // Family 4: span balance.
     timed!("span-balance", spans::check(&files, &mut report));
 
-    // Family 5: fencing-origin contract over the workspace fn index.
-    let graph = timed!("callgraph", callgraph::CallGraph::build(&files));
-    timed!("effect-origin", effects::check(&files, &graph, &mut report));
-
-    // Family 6: waiver hygiene — after every producing rule has run.
+    // Family 5: waiver hygiene — after every producing rule has run.
     timed!("stale-waiver", waivers::check_stale(&files, &mut report));
 
     report.sort();

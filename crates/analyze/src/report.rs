@@ -138,7 +138,6 @@ pub const RULES: &[&str] = &[
     "par-hazard",
     "unwrap-ratchet",
     "span-balance",
-    "effect-origin",
     "stale-waiver",
 ];
 
@@ -222,23 +221,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              result or a binding only ever fed to span_attr — can never be ended\n\
              and leaks an open span into the trace. Waive intentional leaks with\n\
              `// rp-lint: allow(span-balance): <why>`."
-        }
-        "effect-origin" => {
-            "effect-origin: coordination-store effects must thread a real\n\
-             fencing origin. Fencing (DESIGN.md §13) rejects writes stamped with\n\
-             a stale (PilotId, epoch) — but only when senders thread their\n\
-             origin. In crates/core library code outside the store itself the\n\
-             rule flags: (1) origin-less emission — calling roundtrip(...) or\n\
-             return_units(...) instead of the _from variants (UM authority\n\
-             writes like push_units are exempt: the manager is the fencing\n\
-             authority); (2) fabricated origins — literal Some((PilotId(N), E))\n\
-             tuples or numeric-literal epochs passed to _from calls (epochs\n\
-             come from the lease table, not the call site); (3) re-dispatch\n\
-             before revocation — a manager.rs function that calls both\n\
-             revoke_lease and handle_pilot_loss/rebind must revoke first, so\n\
-             the epoch bump fences the old owner before new ownership exists.\n\
-             Waive with `// rp-lint: allow(effect-origin): <why fencing is not\n\
-             bypassed>`."
         }
         "stale-waiver" => {
             "stale-waiver: inline waivers must keep earning their place.\n\

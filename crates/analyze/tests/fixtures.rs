@@ -515,117 +515,9 @@ fn run(engine: &mut Engine) {
     assert!(report.findings.iter().any(|f| f.waived));
 }
 
-// ---- effect-origin (over the call-graph fn index) and waiver hygiene ----
+// ---- waiver hygiene ----
 
-use rp_analyze::callgraph::CallGraph;
-use rp_analyze::{effects, waivers};
-
-/// Run one of the call-graph rules over a set of (path, source) fixtures.
-fn run_graph_rule(
-    srcs: &[(&str, &str)],
-    rule: fn(&[SourceFile], &CallGraph, &mut Report),
-) -> Report {
-    let files: Vec<SourceFile> = srcs.iter().map(|(rel, s)| lib_file(rel, s)).collect();
-    let graph = CallGraph::build(&files);
-    let mut report = Report::default();
-    rule(&files, &graph, &mut report);
-    report
-}
-
-#[test]
-fn effect_origin_fires_on_origin_less_emission() {
-    let bad = r#"
-fn report(engine: &mut Engine, store: &CoordinationStore) {
-    store.roundtrip(engine, move |eng| done(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/side.rs", bad)], effects::check);
-    assert!(
-        fatal_rules(&report).contains(&"effect-origin"),
-        "origin-less roundtrip must be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn effect_origin_fires_on_literal_epoch_and_fabricated_origin() {
-    let bad = r#"
-fn report(engine: &mut Engine, store: &CoordinationStore, pilot: PilotId) {
-    store.roundtrip_from(engine, pilot, 0, move |eng| done(eng));
-}
-fn fabricate(engine: &mut Engine, store: &CoordinationStore) {
-    let origin = Some((PilotId(3), 0));
-    store.stash(origin);
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/side.rs", bad)], effects::check);
-    let fatals = fatal_rules(&report);
-    assert_eq!(
-        fatals.iter().filter(|r| **r == "effect-origin").count(),
-        2,
-        "literal epoch and fabricated tuple must both be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn effect_origin_fires_on_redispatch_before_revoke() {
-    let bad = r#"
-impl UnitManager {
-    fn monitor_tick(&self, engine: &mut Engine, id: PilotId) {
-        self.handle_pilot_loss(engine, id, "gap");
-        store.revoke_lease(engine, id);
-    }
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/manager.rs", bad)], effects::check);
-    assert!(
-        fatal_rules(&report).contains(&"effect-origin"),
-        "re-dispatch before revoke must be fatal: {}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn effect_origin_silent_on_threaded_origin_and_revoke_first() {
-    let good = r#"
-fn report(engine: &mut Engine, store: &CoordinationStore, pilot: PilotId, epoch: u64) {
-    store.roundtrip_from(engine, pilot, epoch, move |eng| done(eng));
-}
-"#;
-    let good_manager = r#"
-impl UnitManager {
-    fn monitor_tick(&self, engine: &mut Engine, id: PilotId) {
-        store.revoke_lease(engine, id);
-        self.handle_pilot_loss(engine, id, "lease expired");
-    }
-}
-"#;
-    let report = run_graph_rule(
-        &[
-            ("crates/core/src/side.rs", good),
-            ("crates/core/src/manager.rs", good_manager),
-        ],
-        effects::check,
-    );
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-}
-
-#[test]
-fn effect_origin_waiver_downgrades() {
-    let waived = r#"
-fn report(engine: &mut Engine, store: &CoordinationStore) {
-    // rp-lint: allow(effect-origin): bootstrap write before any lease exists
-    store.roundtrip(engine, move |eng| done(eng));
-}
-"#;
-    let report = run_graph_rule(&[("crates/core/src/w.rs", waived)], effects::check);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.waived && f.rule == "effect-origin"));
-}
+use rp_analyze::waivers;
 
 #[test]
 fn stale_waiver_flags_dead_and_unknown_waivers_only() {

@@ -22,7 +22,7 @@ use rp_yarn::{
     bootstrap_mode_i_in_span, connect_mode_ii, AmHandle, HadoopEnv, Resource, ResourceRequest,
 };
 
-use crate::coordination::CoordinationStore;
+use crate::coordination::{CoordinationStore, Fence};
 use crate::description::{AccessMode, StageEndpoint, StagingDirective, UnitIoTarget, WorkSpec};
 use crate::launch::{self, LaunchMethod};
 use crate::session::{MachineHandle, SessionConfig};
@@ -243,9 +243,11 @@ struct AgentInner {
     units_completed: u64,
     heartbeats: u64,
     heartbeat_armed: bool,
-    /// Fencing epoch of the currently/last held ownership lease (0 =
-    /// never acquired). Stamped on every completion/return message.
-    lease_epoch: u64,
+    /// Fence of the currently/last held ownership lease, read from the
+    /// store at construction (epoch 0 = never acquired, which is also
+    /// what a lease-free agent writes under). Stamped on every
+    /// completion/return message.
+    lease_epoch: Fence,
     /// Local expiry of the held lease (the store's expiry from the last
     /// successful grant/renewal — virtual clocks are identical, so the
     /// agent's view is never later than the store's).
@@ -320,7 +322,7 @@ impl Agent {
                         units_completed: 0,
                         heartbeats: 0,
                         heartbeat_armed: false,
-                        lease_epoch: 0,
+                        lease_epoch: store.lease_epoch(pilot),
                         lease_deadline: SimTime::ZERO,
                         fenced: false,
                     })),
@@ -333,9 +335,9 @@ impl Agent {
                 // every heartbeat. A partition at bootstrap just defers
                 // acquisition to the first reachable heartbeat tick.
                 if store.leases_enabled() {
-                    if let Some((epoch, expires)) = store.try_acquire_lease(eng, pilot) {
+                    if let Some((fence, expires)) = store.try_acquire_lease(eng, pilot) {
                         let mut inner = agent.inner.borrow_mut();
-                        inner.lease_epoch = epoch;
+                        inner.lease_epoch = fence;
                         inner.lease_deadline = expires;
                     }
                     // A lease-holding agent heartbeats for its whole
@@ -492,7 +494,7 @@ impl Agent {
         if !store.leases_enabled() {
             return false;
         }
-        let (fenced, epoch, deadline) = {
+        let (fenced, fence, deadline) = {
             let inner = self.inner.borrow();
             (inner.fenced, inner.lease_epoch, inner.lease_deadline)
         };
@@ -500,26 +502,26 @@ impl Agent {
             // Fenced: the only way back is a fresh grant (new fencing
             // epoch). Fails while partitioned or while another owner
             // holds an unexpired lease — both just retry next tick.
-            if let Some((epoch, expires)) = store.try_acquire_lease(engine, pilot) {
+            if let Some((fence, expires)) = store.try_acquire_lease(engine, pilot) {
                 let mut inner = self.inner.borrow_mut();
-                inner.lease_epoch = epoch;
+                inner.lease_epoch = fence;
                 inner.lease_deadline = expires;
                 inner.fenced = false;
                 engine.trace.record(
                     engine.now(),
                     "agent",
-                    format!("{pilot:?} re-acquired lease at epoch {epoch}"),
+                    format!("{pilot:?} re-acquired lease at epoch {}", fence.epoch()),
                 );
                 return false;
             }
             return true;
         }
-        if epoch == 0 {
+        if fence.epoch() == 0 {
             // Acquisition at registration was blocked (partition during
             // bootstrap); keep trying.
-            if let Some((epoch, expires)) = store.try_acquire_lease(engine, pilot) {
+            if let Some((fence, expires)) = store.try_acquire_lease(engine, pilot) {
                 let mut inner = self.inner.borrow_mut();
-                inner.lease_epoch = epoch;
+                inner.lease_epoch = fence;
                 inner.lease_deadline = expires;
             }
             return false;
@@ -528,7 +530,7 @@ impl Agent {
             self.self_fence(engine);
             return true;
         }
-        if let Some(expires) = store.renew_lease(engine, pilot, epoch) {
+        if let Some(expires) = store.renew_lease(engine, pilot, fence) {
             self.inner.borrow_mut().lease_deadline = expires;
         }
         // A failed renewal (partition or stale epoch) keeps the old local
@@ -711,11 +713,11 @@ impl Agent {
                 unfinished.len()
             ),
         );
-        let (store, epoch) = {
+        let (store, fence) = {
             let inner = self.inner.borrow();
             (inner.store.clone(), inner.lease_epoch)
         };
-        store.return_units_from(engine, pilot, epoch, unfinished, cause);
+        store.return_units_from(engine, pilot, fence, unfinished, cause);
     }
 
     /// Chaos hook: the agent process dies *silently* — heartbeats and
@@ -786,6 +788,9 @@ impl Agent {
         let d = unit.descr();
         let spec = inner.machine.cluster.spec();
         match (&d.work, &inner.access) {
+            (WorkSpec::MapReduce(_), RuntimeAccess::Yarn { env, .. }) if env.hdfs.is_none() => {
+                return Err("MapReduce unit requires HDFS on its YARN pilot".into())
+            }
             (WorkSpec::MapReduce(_), RuntimeAccess::Yarn { .. }) => {}
             (WorkSpec::MapReduce(_), _) => {
                 return Err("MapReduce unit requires a YARN pilot (Mode I/II)".into())
@@ -832,7 +837,7 @@ impl Agent {
         {
             let inner = self.inner.borrow();
             let overdue = !inner.fenced
-                && inner.lease_epoch > 0
+                && inner.lease_epoch.epoch() > 0
                 && inner.store.leases_enabled()
                 && engine.now() >= inner.lease_deadline;
             drop(inner);
@@ -864,7 +869,7 @@ impl Agent {
             }
         }
         if !drained.is_empty() {
-            let (pilot, store, epoch) = {
+            let (pilot, store, fence) = {
                 let inner = self.inner.borrow();
                 (inner.pilot, inner.store.clone(), inner.lease_epoch)
             };
@@ -882,7 +887,7 @@ impl Agent {
             store.return_units_from(
                 engine,
                 pilot,
-                epoch,
+                fence,
                 drained,
                 "drained: insufficient walltime left",
             );
@@ -1327,20 +1332,17 @@ impl Agent {
             RuntimeAccess::Yarn { env, .. } => env.clone(),
             _ => unreachable!("yarn placement on non-yarn pilot"),
         };
-        let mr_job = match &unit.descr().work {
-            WorkSpec::MapReduce(spec) => Some(spec.clone()),
+        // `validate` rejected MapReduce units on YARN pilots without HDFS.
+        let mr_job = match (&unit.descr().work, &env.hdfs) {
+            (WorkSpec::MapReduce(spec), Some(hdfs)) => Some((spec.clone(), hdfs.clone())),
             _ => None,
         };
-        if let Some(spec) = mr_job {
+        if let Some((spec, hdfs)) = mr_job {
             // A full MapReduce job: the MR AM drives its own containers.
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
             let u2 = unit.clone();
             let cluster = self.inner.borrow().machine.cluster.clone();
-            let hdfs = env
-                .hdfs
-                .clone()
-                .expect("MapReduce pilot requires HDFS (use with_hdfs: true)");
             rp_mapreduce::run_on_yarn_in_span(
                 engine,
                 &cluster,
@@ -1683,16 +1685,16 @@ impl Agent {
                 }
                 // Output staging is done; the remaining coordination
                 // roundtrip is overhead, not staging. It carries the
-                // lease's fencing epoch: if ownership moves before the
-                // update lands (partition → lease revoked), the store
-                // rejects it instead of double-completing the unit.
+                // lease's fence: if ownership moves before the update
+                // lands (partition → lease revoked), the store rejects it
+                // instead of double-completing the unit.
                 u2.end_open_span(eng);
-                let (store, pilot, epoch) = {
+                let (store, pilot, fence) = {
                     let inner = this.inner.borrow();
                     (inner.store.clone(), inner.pilot, inner.lease_epoch)
                 };
                 let this2 = this.clone();
-                store.roundtrip_from(eng, pilot, epoch, move |eng| {
+                store.roundtrip_from(eng, pilot, fence, move |eng| {
                     if this2
                         .inner
                         .borrow_mut()

@@ -110,9 +110,96 @@ struct AgentRegistration {
 type ClientFn = Rc<dyn Fn(&mut Engine, PilotId, Vec<UnitHandle>, &str)>;
 type ApplyFn = Box<dyn FnOnce(&mut Engine)>;
 
-/// Message origin for fencing and partition routing: the sending pilot
-/// and the fencing epoch its lease carried when the message left.
-type Origin = Option<(PilotId, u64)>;
+/// A fencing token: the epoch of one pilot's lease as the store handed
+/// it out. Only the store mints fences ([`CoordinationStore::try_acquire_lease`]
+/// and [`CoordinationStore::lease_epoch`]), and every pilot-side write
+/// carries one, so a write the store cannot fence does not compile.
+///
+/// An unfenced emission does not compile, because the store has no
+/// public send without a fence:
+///
+/// ```compile_fail
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, PilotId};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let fence = store.lease_epoch(pilot);
+/// store.roundtrip(&mut engine, |_| {});
+/// ```
+///
+/// ```no_run
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, PilotId};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let fence = store.lease_epoch(pilot);
+/// store.roundtrip_from(&mut engine, pilot, fence, |_| {});
+/// ```
+///
+/// Nor does a forged fence, because the epoch field is private:
+///
+/// ```compile_fail
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, Fence, PilotId};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let fence: Fence = store.lease_epoch(pilot);
+/// store.roundtrip_from(&mut engine, pilot, Fence { epoch: 0 }, |_| {});
+/// ```
+///
+/// ```no_run
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, Fence, PilotId};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let fence: Fence = store.lease_epoch(pilot);
+/// store.roundtrip_from(&mut engine, pilot, fence, |_| {});
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fence {
+    epoch: u64,
+}
+
+impl Fence {
+    /// The fencing epoch this token carries (0 before any grant).
+    pub fn epoch(self) -> u64 {
+        self.epoch
+    }
+}
+
+/// Proof that `pilot`'s lease was revoked: only
+/// [`CoordinationStore::revoke_lease`] returns one, so a caller that
+/// needs it (the Unit-Manager's lease-loss path) cannot re-bind a
+/// pilot's units before the epoch bump has fenced the old owner.
+///
+/// A revocation built outside the store does not compile:
+///
+/// ```compile_fail
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, PilotId, Revoked};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let revoked: Revoked = Revoked { pilot };
+/// ```
+///
+/// ```no_run
+/// use rp_pilot::{CoordinationConfig, CoordinationStore, PilotId, Revoked};
+/// let mut engine = rp_sim::Engine::new(1);
+/// let store = CoordinationStore::new(CoordinationConfig::default());
+/// let pilot = PilotId(0);
+/// let revoked: Revoked = store.revoke_lease(&mut engine, pilot);
+/// ```
+#[derive(Debug)]
+pub struct Revoked {
+    pilot: PilotId,
+}
+
+impl Revoked {
+    /// The pilot whose lease was revoked.
+    pub fn pilot(&self) -> PilotId {
+        self.pilot
+    }
+}
 
 /// A topology-aware reachability window: until `until`, the pilot's
 /// agent cannot reach the store (and, when `symmetric`, the store cannot
@@ -355,11 +442,11 @@ impl CoordinationStore {
 
     /// [`CoordinationStore::send`] with a message origin: the sending
     /// pilot (partition windows hold the message until heal) and its
-    /// fencing epoch (a stale epoch at apply time rejects the effect).
+    /// fence (a stale epoch at apply time rejects the effect).
     fn send_from(
         &self,
         engine: &mut Engine,
-        origin: Origin,
+        origin: Option<(PilotId, Fence)>,
         latency: SimDuration,
         label: &'static str,
         apply: impl FnOnce(&mut Engine) + 'static,
@@ -378,7 +465,7 @@ impl CoordinationStore {
         &self,
         engine: &mut Engine,
         seq: u64,
-        origin: Origin,
+        origin: Option<(PilotId, Fence)>,
         latency: SimDuration,
         label: &'static str,
         apply: Rc<RefCell<Option<ApplyFn>>>,
@@ -482,10 +569,10 @@ impl CoordinationStore {
                 // still marked applied above, so a duplicate of a
                 // rejected message counts as a dup, not a second
                 // rejection.
-                if let Some((pilot, epoch)) = origin {
+                if let Some((pilot, fence)) = origin {
                     let stale = {
                         let inner = this.inner.borrow();
-                        inner.lease_duration.is_some() && inner.current_epoch(pilot) != epoch
+                        inner.lease_duration.is_some() && inner.current_epoch(pilot) != fence.epoch
                     };
                     if stale {
                         this.inner.borrow_mut().fence_rejections += 1;
@@ -494,7 +581,10 @@ impl CoordinationStore {
                         eng.trace.record(
                             eng.now(),
                             "store",
-                            format!("{label} #{seq} rejected: stale fencing epoch {epoch}"),
+                            format!(
+                                "{label} #{seq} rejected: stale fencing epoch {}",
+                                fence.epoch
+                            ),
                         );
                         return;
                     }
@@ -625,59 +715,33 @@ impl CoordinationStore {
             .unwrap_or_default()
     }
 
-    /// Pay the state-update round trip, then run `cb` (client visibility).
-    pub fn roundtrip(&self, engine: &mut Engine, cb: impl FnOnce(&mut Engine) + 'static) {
-        let update = SimDuration::from_secs_f64(self.inner.borrow().config.update_ms / 1e3);
-        self.send(engine, update, "update", cb);
-    }
-
-    /// [`CoordinationStore::roundtrip`] stamped with a sending pilot and
-    /// its fencing epoch: the update is held while the pilot is
-    /// partitioned and rejected at apply time if the epoch went stale
-    /// (agents route their completion updates through this).
+    /// Pay the state-update round trip, then run `cb` (client
+    /// visibility). The update is stamped with the sending pilot and its
+    /// fence: it is held while the pilot is partitioned and rejected at
+    /// apply time if the fence went stale (agents route their completion
+    /// updates through this).
     pub fn roundtrip_from(
         &self,
         engine: &mut Engine,
         pilot: PilotId,
-        epoch: u64,
+        fence: Fence,
         cb: impl FnOnce(&mut Engine) + 'static,
     ) {
         let update = SimDuration::from_secs_f64(self.inner.borrow().config.update_ms / 1e3);
-        self.send_from(engine, Some((pilot, epoch)), update, "update", cb);
+        self.send_from(engine, Some((pilot, fence)), update, "update", cb);
     }
 
     /// Agent → Unit-Manager: report units this pilot can no longer run
-    /// (walltime drain) or finish (pilot death). Travels the lossy
-    /// transport like any state update; the receiving Unit-Manager's
-    /// re-bind is idempotent, so duplicates and stale arrivals are safe.
-    pub fn return_units(
-        &self,
-        engine: &mut Engine,
-        pilot: PilotId,
-        units: Vec<UnitHandle>,
-        cause: impl Into<String>,
-    ) {
-        self.return_units_via(engine, None, pilot, units, cause);
-    }
-
-    /// [`CoordinationStore::return_units`] stamped with the sending
-    /// pilot's fencing epoch (held by partitions, fenced when stale).
+    /// (walltime drain) or finish (pilot death), stamped with the
+    /// sending pilot's fence (held by partitions, fenced when stale).
+    /// Travels the lossy transport like any state update; the receiving
+    /// Unit-Manager's re-bind is idempotent, so duplicates and stale
+    /// arrivals are safe.
     pub fn return_units_from(
         &self,
         engine: &mut Engine,
         pilot: PilotId,
-        epoch: u64,
-        units: Vec<UnitHandle>,
-        cause: impl Into<String>,
-    ) {
-        self.return_units_via(engine, Some((pilot, epoch)), pilot, units, cause);
-    }
-
-    fn return_units_via(
-        &self,
-        engine: &mut Engine,
-        origin: Origin,
-        pilot: PilotId,
+        fence: Fence,
         units: Vec<UnitHandle>,
         cause: impl Into<String>,
     ) {
@@ -690,6 +754,7 @@ impl CoordinationStore {
         engine
             .metrics
             .add("coordination.units_returned", units.len() as u64);
+        let origin = Some((pilot, fence));
         self.send_from(engine, origin, update, "return_units", move |eng| {
             let client = this.inner.borrow().client.clone();
             if let Some(cb) = client {
@@ -822,8 +887,12 @@ impl CoordinationStore {
     /// when leases are disabled, the pilot is partitioned from the store,
     /// or an unexpired lease is still held — the two-owner invariant is
     /// enforced right here. On success the fencing epoch increments and
-    /// the new `(epoch, expires)` pair is returned.
-    pub fn try_acquire_lease(&self, engine: &mut Engine, pilot: PilotId) -> Option<(u64, SimTime)> {
+    /// the new `(fence, expires)` pair is returned.
+    pub fn try_acquire_lease(
+        &self,
+        engine: &mut Engine,
+        pilot: PilotId,
+    ) -> Option<(Fence, SimTime)> {
         let now = engine.now();
         let granted = {
             let mut inner = self.inner.borrow_mut();
@@ -838,7 +907,7 @@ impl CoordinationStore {
             lease.epoch += 1;
             lease.expires = now + duration;
             lease.held = true;
-            let granted = (lease.epoch, lease.expires);
+            let granted = (Fence { epoch: lease.epoch }, lease.expires);
             inner.audit(LeaseOp::Grant, pilot, now);
             granted
         };
@@ -848,18 +917,23 @@ impl CoordinationStore {
             "store",
             format!(
                 "{pilot:?} lease granted (epoch {}, expires {:?})",
-                granted.0, granted.1
+                granted.0.epoch, granted.1
             ),
         );
         Some(granted)
     }
 
-    /// Renew `pilot`'s lease under fencing epoch `epoch`. Fails (`None`)
-    /// when leases are disabled, the pilot is partitioned (the renewal —
-    /// or its ack — cannot cross the cut), or the epoch is stale (which
-    /// also counts as a fence rejection: the zombie tried to write).
-    /// On success returns the new expiry.
-    pub fn renew_lease(&self, engine: &mut Engine, pilot: PilotId, epoch: u64) -> Option<SimTime> {
+    /// Renew `pilot`'s lease under `fence`. Fails (`None`) when leases
+    /// are disabled, the pilot is partitioned (the renewal — or its ack —
+    /// cannot cross the cut), or the fence is stale (which also counts as
+    /// a fence rejection: the zombie tried to write). On success returns
+    /// the new expiry.
+    pub fn renew_lease(
+        &self,
+        engine: &mut Engine,
+        pilot: PilotId,
+        fence: Fence,
+    ) -> Option<SimTime> {
         let now = engine.now();
         let stale = {
             let mut inner = self.inner.borrow_mut();
@@ -868,7 +942,7 @@ impl CoordinationStore {
                 return None;
             }
             let lease = inner.leases.entry(pilot).or_default();
-            if lease.held && lease.epoch == epoch {
+            if lease.held && lease.epoch == fence.epoch {
                 lease.expires = now + duration;
                 let expires = lease.expires;
                 inner.lease_renewals += 1;
@@ -887,7 +961,10 @@ impl CoordinationStore {
             engine.trace.record(
                 now,
                 "store",
-                format!("{pilot:?} lease renewal rejected: stale epoch {epoch}"),
+                format!(
+                    "{pilot:?} lease renewal rejected: stale epoch {}",
+                    fence.epoch
+                ),
             );
         }
         None
@@ -896,13 +973,15 @@ impl CoordinationStore {
     /// Revoke `pilot`'s lease (the Unit-Manager calls this at expiry +
     /// grace, before re-binding). Bumps the fencing epoch so every
     /// message still stamped with the old lease is rejected on arrival,
-    /// no matter when the partition heals.
-    pub fn revoke_lease(&self, engine: &mut Engine, pilot: PilotId) {
+    /// no matter when the partition heals. The returned proof is what
+    /// the Unit-Manager's lease-loss path takes; with leases off there is
+    /// no lease to revoke and the proof is vacuous.
+    pub fn revoke_lease(&self, engine: &mut Engine, pilot: PilotId) -> Revoked {
         let now = engine.now();
         {
             let mut inner = self.inner.borrow_mut();
             if inner.lease_duration.is_none() {
-                return;
+                return Revoked { pilot };
             }
             let lease = inner.leases.entry(pilot).or_default();
             lease.held = false;
@@ -913,11 +992,15 @@ impl CoordinationStore {
         engine
             .trace
             .record(now, "store", format!("{pilot:?} lease revoked"));
+        Revoked { pilot }
     }
 
-    /// The current fencing epoch of `pilot` (0 before any grant).
-    pub fn lease_epoch(&self, pilot: PilotId) -> u64 {
-        self.inner.borrow().current_epoch(pilot)
+    /// The fence of `pilot`'s current lease epoch (epoch 0 before any
+    /// grant, which is the fence a lease-free agent writes under).
+    pub fn lease_epoch(&self, pilot: PilotId) -> Fence {
+        Fence {
+            epoch: self.inner.borrow().current_epoch(pilot),
+        }
     }
 
     /// When `pilot`'s currently-held lease expires, if one is held.
@@ -1091,7 +1174,10 @@ mod tests {
         let s = store();
         let at = Rc::new(RefCell::new(SimTime::ZERO));
         let a = at.clone();
-        s.roundtrip(&mut e, move |eng| *a.borrow_mut() = eng.now());
+        let fence = s.lease_epoch(PilotId(0));
+        s.roundtrip_from(&mut e, PilotId(0), fence, move |eng| {
+            *a.borrow_mut() = eng.now()
+        });
         e.run();
         assert_eq!(*at.borrow(), SimTime::from_secs_f64(0.06));
     }
@@ -1140,9 +1226,10 @@ mod tests {
         let mut e = Engine::new(1);
         let s = lossy_store(0.0, 1.0, 3);
         let applies = Rc::new(RefCell::new(0usize));
+        let fence = s.lease_epoch(PilotId(0));
         for _ in 0..5 {
             let a = applies.clone();
-            s.roundtrip(&mut e, move |_| *a.borrow_mut() += 1);
+            s.roundtrip_from(&mut e, PilotId(0), fence, move |_| *a.borrow_mut() += 1);
         }
         e.run();
         assert_eq!(*applies.borrow(), 5, "dup deliveries must not re-apply");
@@ -1180,9 +1267,16 @@ mod tests {
             g.borrow_mut().push((pilot, units.len(), cause.to_string()));
         });
         assert!(s.leases_enabled());
-        s.return_units(&mut e, PilotId(3), vec![unit(0), unit(1)], "walltime");
+        let fence = s.lease_epoch(PilotId(3));
+        s.return_units_from(
+            &mut e,
+            PilotId(3),
+            fence,
+            vec![unit(0), unit(1)],
+            "walltime",
+        );
         // Empty returns are no-ops.
-        s.return_units(&mut e, PilotId(3), vec![], "walltime");
+        s.return_units_from(&mut e, PilotId(3), fence, vec![], "walltime");
         e.run();
         let got = got.borrow();
         assert_eq!(got.len(), 1);
@@ -1200,13 +1294,16 @@ mod tests {
         // exactly once.
         let applies: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
         let a = applies.clone();
-        s.roundtrip_from(&mut e, PilotId(0), 0, move |eng| {
+        let fence = s.lease_epoch(PilotId(0));
+        s.roundtrip_from(&mut e, PilotId(0), fence, move |eng| {
             a.borrow_mut().push(eng.now());
         });
         // An unfenced message (no origin) is unaffected by the window.
         let free_at = Rc::new(RefCell::new(SimTime::ZERO));
         let f = free_at.clone();
-        s.roundtrip(&mut e, move |eng| *f.borrow_mut() = eng.now());
+        s.send(&mut e, SimDuration::from_millis(60), "update", move |eng| {
+            *f.borrow_mut() = eng.now()
+        });
         e.run();
         assert_eq!(*free_at.borrow(), SimTime::from_secs_f64(0.06));
         let applies = applies.borrow();
@@ -1266,26 +1363,27 @@ mod tests {
         assert_eq!(s.try_acquire_lease(&mut e, PilotId(0)), None);
         s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         assert!(s.leases_enabled());
-        let (epoch, expires) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
-        assert_eq!(epoch, 1);
+        let (fence, expires) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
+        assert_eq!(fence.epoch(), 1);
         assert_eq!(expires, SimTime::from_secs_f64(60.0));
-        assert_eq!(s.lease_epoch(PilotId(0)), 1);
+        assert_eq!(s.lease_epoch(PilotId(0)), fence);
         // A second owner cannot acquire while the lease is unexpired.
         assert_eq!(s.try_acquire_lease(&mut e, PilotId(0)), None);
         // Renewal under the held epoch extends; a stale epoch is fenced.
-        let renewed = s.renew_lease(&mut e, PilotId(0), epoch).expect("renew");
+        let renewed = s.renew_lease(&mut e, PilotId(0), fence).expect("renew");
         assert_eq!(renewed, SimTime::from_secs_f64(60.0));
         assert_eq!(s.lease_renewals(), 1);
-        assert_eq!(s.renew_lease(&mut e, PilotId(0), epoch + 5), None);
+        let forged = Fence { epoch: 6 };
+        assert_eq!(s.renew_lease(&mut e, PilotId(0), forged), None);
         assert_eq!(s.fence_rejections(), 1);
         // Revocation frees the lease and bumps the fencing epoch, so the
         // next grant is strictly newer.
-        s.revoke_lease(&mut e, PilotId(0));
-        assert_eq!(s.lease_epoch(PilotId(0)), 2);
+        assert_eq!(s.revoke_lease(&mut e, PilotId(0)).pilot(), PilotId(0));
+        assert_eq!(s.lease_epoch(PilotId(0)).epoch(), 2);
         assert_eq!(s.lease_expiry(PilotId(0)), None);
-        assert_eq!(s.renew_lease(&mut e, PilotId(0), epoch), None);
-        let (epoch2, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("re-grant");
-        assert_eq!(epoch2, 3);
+        assert_eq!(s.renew_lease(&mut e, PilotId(0), fence), None);
+        let (fence2, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("re-grant");
+        assert_eq!(fence2.epoch(), 3);
     }
 
     #[test]
@@ -1294,14 +1392,14 @@ mod tests {
         let s = store();
         s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         s.enable_effect_log();
-        let (epoch, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
+        let (fence, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         let applied = Rc::new(RefCell::new(0usize));
         let a = applied.clone();
-        s.roundtrip_from(&mut e, PilotId(0), epoch, move |_| *a.borrow_mut() += 1);
+        s.roundtrip_from(&mut e, PilotId(0), fence, move |_| *a.borrow_mut() += 1);
         // Ownership moves on before the second message lands.
         s.revoke_lease(&mut e, PilotId(0));
         let a2 = applied.clone();
-        s.roundtrip_from(&mut e, PilotId(0), epoch, move |_| *a2.borrow_mut() += 1);
+        s.roundtrip_from(&mut e, PilotId(0), fence, move |_| *a2.borrow_mut() += 1);
         e.run();
         // First update raced the revoke: it was sent before but lands
         // after, so it is fenced too — both writes are zombie writes.
@@ -1312,9 +1410,9 @@ mod tests {
             "rejected effects must never reach the effect log"
         );
         // A current-epoch write still lands.
-        let (epoch2, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("re-grant");
+        let (fence2, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("re-grant");
         let a3 = applied.clone();
-        s.roundtrip_from(&mut e, PilotId(0), epoch2, move |_| *a3.borrow_mut() += 1);
+        s.roundtrip_from(&mut e, PilotId(0), fence2, move |_| *a3.borrow_mut() += 1);
         e.run();
         assert_eq!(*applied.borrow(), 1);
         assert_eq!(s.effect_log().len(), 1);
@@ -1326,12 +1424,12 @@ mod tests {
         let s = store();
         s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
         s.enable_lease_audit();
-        let (epoch, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
+        let (fence, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(10), false);
-        assert_eq!(s.renew_lease(&mut e, PilotId(0), epoch), None);
+        assert_eq!(s.renew_lease(&mut e, PilotId(0), fence), None);
         assert_eq!(
             s.try_acquire_lease(&mut e, PilotId(1)),
-            Some((1, SimTime::from_secs_f64(60.0)))
+            Some((Fence { epoch: 1 }, SimTime::from_secs_f64(60.0)))
         );
         let audit = s.lease_audit();
         assert_eq!(audit.len(), 2);

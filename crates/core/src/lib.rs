@@ -51,7 +51,7 @@ pub mod unit;
 
 pub use agent::Agent;
 pub use coordination::{
-    CoordinationConfig, CoordinationStore, LeaseAuditEntry, LeaseOp, LossProfile,
+    CoordinationConfig, CoordinationStore, Fence, LeaseAuditEntry, LeaseOp, LossProfile, Revoked,
 };
 pub use data::{
     remote_bytes, DataError, DataPilot, DataPilotBackend, DataPilotDescription, DataUnit,

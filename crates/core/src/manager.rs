@@ -13,10 +13,37 @@ use rp_hpc::JobState;
 use rp_sim::{Engine, SimDuration, SimTime, SpanId};
 
 use crate::agent::Agent;
+use crate::coordination::Revoked;
 use crate::description::{AccessMode, ComputeUnitDescription, PilotDescription};
 use crate::session::{PilotError, Session};
 use crate::states::{Guarded, PilotState};
 use crate::unit::{when_all_done, PilotId, UnitHandle};
+
+/// Why the Unit-Manager lost a pilot. A lease loss can only be reported
+/// with the store's [`Revoked`] proof, so the old owner is fenced before
+/// any of its units are re-bound.
+enum PilotLoss {
+    /// The pilot reached a terminal state other than a user cancel.
+    Final(PilotId),
+    /// The pilot's lease expired past grace and was revoked.
+    LeaseRevoked(Revoked),
+}
+
+impl PilotLoss {
+    fn pilot(&self) -> PilotId {
+        match self {
+            PilotLoss::Final(pilot) => *pilot,
+            PilotLoss::LeaseRevoked(revoked) => revoked.pilot(),
+        }
+    }
+
+    fn cause(&self) -> &'static str {
+        match self {
+            PilotLoss::Final(_) => "pilot reached a terminal state",
+            PilotLoss::LeaseRevoked(_) => "pilot lease expired",
+        }
+    }
+}
 
 /// Pilot lifecycle milestones.
 #[derive(Debug, Clone, Copy, Default)]
@@ -492,7 +519,7 @@ impl UnitManager {
                 // `um.pilots_lost` at 0 through this.
                 return;
             }
-            this.handle_pilot_loss(eng, id, "pilot reached a terminal state");
+            this.handle_pilot_loss(eng, PilotLoss::Final(id));
         });
         if !registered {
             // Added a pilot that is already gone: never pick it.
@@ -653,7 +680,8 @@ impl UnitManager {
     /// dead, give the backfill hook a chance to replace it, then rescue
     /// every unit still bound to it — documents never picked up from the
     /// store plus tracked in-flight units — and re-bind them.
-    fn handle_pilot_loss(&self, engine: &mut Engine, dead: PilotId, cause: &str) {
+    fn handle_pilot_loss(&self, engine: &mut Engine, loss: PilotLoss) {
+        let (dead, cause) = (loss.pilot(), loss.cause());
         if !self.inner.borrow_mut().dead.insert(dead) {
             return;
         }
@@ -854,9 +882,9 @@ impl UnitManager {
         for id in suspects {
             // Revoke first: the epoch bump fences any in-flight or
             // post-heal writes from the old owner before new ownership
-            // exists.
-            store.revoke_lease(engine, id);
-            self.handle_pilot_loss(engine, id, "pilot lease expired");
+            // exists, and the loss cannot be reported without its proof.
+            let revoked = store.revoke_lease(engine, id);
+            self.handle_pilot_loss(engine, PilotLoss::LeaseRevoked(revoked));
         }
         self.ensure_monitor(engine);
     }
@@ -1475,7 +1503,7 @@ mod tests {
         assert_eq!(p0.state(), PilotState::Active);
         // The monitor revoked the expired lease before re-binding: grant
         // (epoch 1), then the revoke's bump.
-        assert!(session.store().lease_epoch(p0.id()) >= 2);
+        assert!(session.store().lease_epoch(p0.id()).epoch() >= 2);
     }
 
     #[test]
@@ -1586,7 +1614,7 @@ mod tests {
         );
         // Grant (1), revoke on loss (2), post-heal re-acquire (3): the
         // fencing epoch is strictly monotone across ownership changes.
-        assert!(store.lease_epoch(p0.id()) >= 2);
+        assert!(store.lease_epoch(p0.id()).epoch() >= 2);
         // Exactly-once: every unit ran to Done exactly once per attempt —
         // no zombie completion double-counted (Done is terminal; a stale
         // apply would panic the state machine or inflate attempts).

@@ -59,6 +59,33 @@ fn mapreduce_unit_rejected_on_plain_pilot() {
 }
 
 #[test]
+fn mapreduce_unit_rejected_on_yarn_pilot_without_hdfs() {
+    let mut e = Engine::new(1);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
+                .with_access(AccessMode::YarnModeI { with_hdfs: false }),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let units = um.submit_units(
+        &mut e,
+        vec![ComputeUnitDescription::new(
+            "mr",
+            1,
+            WorkSpec::MapReduce(mr_spec()),
+        )],
+    );
+    drive(&mut e, &units);
+    assert_eq!(units[0].state(), UnitState::Failed);
+    assert!(units[0].failure().unwrap().contains("requires HDFS"));
+}
+
+#[test]
 fn spark_unit_rejected_on_plain_pilot() {
     let mut e = Engine::new(2);
     let session = Session::new(SessionConfig::test_profile());
