@@ -79,9 +79,6 @@ else
     cp "$BENCH_OUT"/BENCH_*.json .
 fi
 
-echo "==> telemetry differential tier (recorder on == recorder off)"
-cargo test --release -q --test telemetry
-
 echo "==> trace_diff attribution smoke (self-diff clean, perturbation attributed)"
 # A baseline diffed against itself must be clean (exit 0)...
 if [ -f BENCH_fault_matrix.json ]; then
@@ -94,6 +91,10 @@ fi
 cargo test --release -q -p rp-bench --test trace_diff
 
 echo "==> fault-matrix smoke (3 seeds x 3 intensities, JSON-checked)"
+# A mistyped flag must be rejected, not silently run the default case.
+if cargo run --release -q --example fault_injection 5 --jsn > /dev/null 2>&1; then
+    echo "fault_injection accepted the unknown option --jsn"; exit 1
+fi
 for seed in 1 2 3; do
     for intensity in 2 6 12; do
         cargo run --release -q --example fault_injection "$seed" "$intensity" --json \

@@ -20,20 +20,12 @@ use crate::scan::SourceFile;
 /// simulation state).
 const WALLCLOCK_ALLOWED_PREFIXES: &[&str] = &["crates/bench/", "crates/analyze/"];
 
-/// Individual files allowed to read host time outside the allowed crates.
-/// The engine flight recorder is the single sim-core module that may
-/// touch `Instant` — it observes host cost of batches and is proven
-/// result-inert by the telemetry differential test (`tests/telemetry.rs`).
-/// Everything else in sim-core/core must go through it.
-const WALLCLOCK_ALLOWED_FILES: &[&str] = &["crates/sim-core/src/telemetry.rs"];
-
 /// Rule `wallclock`: flag host-time reads in library code.
 pub fn check_wallclock(files: &[SourceFile], report: &mut Report) {
     for f in files {
         if WALLCLOCK_ALLOWED_PREFIXES
             .iter()
             .any(|p| f.rel.starts_with(p))
-            || WALLCLOCK_ALLOWED_FILES.contains(&f.rel.as_str())
         {
             continue;
         }

@@ -282,23 +282,18 @@ fn wallclock_allows_bench_crate_and_string_mentions() {
 }
 
 #[test]
-fn wallclock_allows_only_the_telemetry_module_in_sim_core() {
+fn wallclock_is_fatal_in_every_sim_core_module() {
+    // No sim-core file is exempt: the engine and every module beside it
+    // run on virtual time only.
     let clocky = "fn t() { let t0 = Instant::now(); }\n";
-    let mut report = Report::default();
-    hazards::check_wallclock(
-        &[lib_file("crates/sim-core/src/telemetry.rs", clocky)],
-        &mut report,
-    );
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-
-    // Any other sim-core module reading the host clock is still flagged:
-    // the flight recorder is the single allowed wall-clock site.
-    let mut report = Report::default();
-    hazards::check_wallclock(
-        &[lib_file("crates/sim-core/src/engine.rs", clocky)],
-        &mut report,
-    );
-    assert_eq!(report.fatal_count(), 1, "{}", report.render_text());
+    for path in [
+        "crates/sim-core/src/telemetry.rs",
+        "crates/sim-core/src/engine.rs",
+    ] {
+        let mut report = Report::default();
+        hazards::check_wallclock(&[lib_file(path, clocky)], &mut report);
+        assert_eq!(report.fatal_count(), 1, "{}", report.render_text());
+    }
 }
 
 #[test]

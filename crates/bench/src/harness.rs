@@ -22,7 +22,7 @@ use rp_pilot::{
 use rp_sim::stats::percentile;
 use rp_sim::{
     aggregate_roots, critical_path_run, json, Engine, FaultEvent, FaultKind, FaultPlan,
-    MetricsSnapshot, RunReport, SimDuration, SimTime, TelemetrySnapshot,
+    MetricsSnapshot, RunReport, SimDuration, SimTime,
 };
 
 use crate::Variant;
@@ -58,11 +58,6 @@ pub struct VirtualResult {
     /// Sum of the per-case critical-path makespans (one scalar that moves
     /// whenever any case's end-to-end virtual time moves).
     pub makespan_s: f64,
-    /// Engine flight-recorder snapshots merged across the scenario's
-    /// engines, when the recorder was on. Host-side observation only —
-    /// deliberately **excluded** from [`VirtualResult::to_json`], which
-    /// feeds the exact-diffed `virtual` subtree of the bench artifact.
-    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 impl VirtualResult {
@@ -94,13 +89,6 @@ fn absorb_run(out: &mut VirtualResult, label: &str, e: &Engine, breakdown_root: 
     out.makespan_s += cp.makespan_secs();
     out.report.push_critical(label, &cp);
     merge_counters(&mut out.counters, &e.metrics.snapshot());
-    if e.telemetry.is_enabled() {
-        let snap = e.telemetry_snapshot();
-        match &mut out.telemetry {
-            Some(t) => t.merge(&snap),
-            None => out.telemetry = Some(snap),
-        }
-    }
 }
 
 fn new_result(title: &str) -> VirtualResult {
@@ -108,7 +96,6 @@ fn new_result(title: &str) -> VirtualResult {
         report: RunReport::new(title),
         counters: BTreeMap::new(),
         makespan_s: 0.0,
-        telemetry: None,
     }
 }
 
@@ -674,9 +661,6 @@ pub struct BenchArtifact {
     /// scenario reports a `scale.events_executed` counter. Turns the host
     /// median into an events-per-second throughput figure.
     pub virtual_events: Option<u64>,
-    /// Flight-recorder snapshot of the first repetition (merged over the
-    /// scenario's engines). Host section only.
-    pub telemetry: Option<TelemetrySnapshot>,
     /// Markdown rendering of the report (for PR descriptions).
     pub markdown: String,
 }
@@ -704,12 +688,6 @@ impl BenchArtifact {
         // machines are read against the hardware that produced them.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         throughput.push_str(&format!(",\"cores\":{cores}"));
-        // Engine flight-recorder output, a schema-versioned snapshot.
-        // Everything here is host-side observation — the regression gate
-        // never exact-diffs the `host` section.
-        if let Some(t) = &self.telemetry {
-            throughput.push_str(&format!(",\"telemetry\":{}", t.to_json()));
-        }
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"scenario\":\"{}\",\"virtual\":{},\
              \"host\":{{\"reps\":{},\"median_ms\":{:.3},\"p95_ms\":{:.3},\"min_ms\":{:.3},\"max_ms\":{:.3}{throughput}}}}}",
@@ -732,13 +710,7 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
     let mut host_ms = Vec::with_capacity(reps as usize);
     let mut virtual_json: Option<String> = None;
     let mut virtual_events = None;
-    let mut telemetry: Option<TelemetrySnapshot> = None;
     let mut markdown = String::new();
-    // Benchmarks always fly with the recorder on: its snapshot is what
-    // the artifact's host.telemetry section and trace_diff attribution
-    // are built from, and the telemetry differential tier guarantees it
-    // cannot move the virtual result.
-    Engine::set_default_telemetry(Some(true));
     for _ in 0..reps {
         let t0 = Instant::now();
         let v = run();
@@ -746,13 +718,8 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
         let vj = v.to_json();
         match &virtual_json {
             None => {
-                let mut report = v.report.clone();
-                if let Some(t) = &v.telemetry {
-                    report.push_host_note(t.summary_line());
-                }
-                markdown = report.to_markdown();
+                markdown = v.report.to_markdown();
                 virtual_events = v.counters.get("scale.events_executed").copied();
-                telemetry = v.telemetry;
                 virtual_json = Some(vj);
             }
             Some(prev) => assert_eq!(
@@ -761,14 +728,12 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
             ),
         }
     }
-    Engine::set_default_telemetry(None);
     BenchArtifact {
         scenario: scenario.to_string(),
         reps,
         virtual_json: virtual_json.unwrap(),
         host_ms,
         virtual_events,
-        telemetry,
         markdown,
     }
 }
@@ -931,6 +896,18 @@ mod tests {
             .is_empty());
         let host = v.get("host").expect("host section");
         assert_eq!(host.get("reps").and_then(json::Value::as_f64), Some(2.0));
+        // trace_diff and bench_compare read these keys by name; pin the
+        // exact set so a renamed or added host field is a visible change.
+        let keys: Vec<&str> = host
+            .as_object()
+            .expect("host object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["reps", "median_ms", "p95_ms", "min_ms", "max_ms", "cores"]
+        );
         assert!(host
             .get("median_ms")
             .and_then(json::Value::as_f64)

@@ -283,8 +283,7 @@ struct StoreInner {
     /// Ordered log of applied message effects `(time, seq, label)` —
     /// `Some` only when [`CoordinationStore::enable_effect_log`] was
     /// called. The chaos tier checks it for exactly-once applies (no
-    /// sequence number twice), and the telemetry tier compares it with
-    /// the recorder on and off.
+    /// sequence number twice).
     effect_log: Option<Vec<(SimTime, u64, &'static str)>>,
 }
 
@@ -577,7 +576,6 @@ impl CoordinationStore {
                     if stale {
                         this.inner.borrow_mut().fence_rejections += 1;
                         eng.metrics.incr("coordination.fence_rejections");
-                        eng.telemetry.note_fence_rejection();
                         eng.trace.record(
                             eng.now(),
                             "store",
@@ -588,12 +586,6 @@ impl CoordinationStore {
                         );
                         return;
                     }
-                }
-                if eng.telemetry.is_enabled() {
-                    // Flight-recorder high-water sample of the dedup
-                    // backlog; write-only observation, never read back.
-                    let depth = this.inner.borrow().applied_above.len();
-                    eng.telemetry.sample_coord_backlog(depth);
                 }
                 let now = eng.now();
                 if let Some(log) = this.inner.borrow_mut().effect_log.as_mut() {
@@ -815,7 +807,6 @@ impl CoordinationStore {
             inner.partition_windows += 1;
         }
         engine.metrics.incr("coordination.partition_windows");
-        engine.telemetry.note_partition_window();
         let kind = if symmetric { "symmetric" } else { "asymmetric" };
         engine.trace.record(
             now,
@@ -949,7 +940,6 @@ impl CoordinationStore {
                 inner.audit(LeaseOp::Renew, pilot, now);
                 drop(inner);
                 engine.metrics.incr("coordination.lease_renewals");
-                engine.telemetry.note_lease_renewal();
                 return Some(expires);
             }
             inner.fence_rejections += 1;
@@ -957,7 +947,6 @@ impl CoordinationStore {
         };
         if stale {
             engine.metrics.incr("coordination.fence_rejections");
-            engine.telemetry.note_fence_rejection();
             engine.trace.record(
                 now,
                 "store",

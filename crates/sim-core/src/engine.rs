@@ -22,38 +22,13 @@
 //! * the free list is a `Vec` (LIFO), so slot assignment is a pure
 //!   function of the event sequence — replays are bit-identical.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
-use crate::telemetry::{EngineTelemetry, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
-
-// Whether new engines start with the flight recorder on. Thread-local
-// (not global) so concurrently running tests can flip it independently,
-// and harmless: telemetry is write-only host-side observation, so it
-// cannot affect results (tests/telemetry.rs holds runs bit-identical
-// with the recorder on vs off).
-// rp-lint: allow(par-hazard): telemetry default selection only; on ≡ off is enforced by tests/telemetry.rs
-thread_local! {
-    static DEFAULT_TELEMETRY: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// `RP_TELEMETRY=1|true|on` enables the flight recorder on every engine
-/// created without an explicit thread default. Parsed once per process.
-fn telemetry_from_env() -> bool {
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        matches!(
-            std::env::var("RP_TELEMETRY").ok().as_deref(),
-            Some("1") | Some("true") | Some("on")
-        )
-    })
-}
 
 /// Identifier of a scheduled event, usable for cancellation. Generational:
 /// the `(slot, seq)` pair identifies one scheduling, so cancelling after
@@ -110,22 +85,11 @@ pub struct Engine {
     pub trace: Trace,
     /// Run-wide metrics registry (cheap no-op unless enabled).
     pub metrics: MetricsRegistry,
-    /// Engine flight recorder: host-side-only observation of the engine
-    /// itself (apply timing, high-water marks, ownership counters). Never
-    /// read by the simulation — see `crate::telemetry`.
-    pub telemetry: EngineTelemetry,
 }
 
 impl Engine {
     /// New engine at t=0 with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        let mut telemetry = EngineTelemetry::new();
-        if DEFAULT_TELEMETRY
-            .with(Cell::get)
-            .unwrap_or_else(telemetry_from_env)
-        {
-            telemetry.enable();
-        }
         Engine {
             now: SimTime::ZERO,
             seq: 0,
@@ -136,7 +100,6 @@ impl Engine {
             rng: SimRng::new(seed),
             trace: Trace::disabled(),
             metrics: MetricsRegistry::disabled(),
-            telemetry,
         }
     }
 
@@ -148,24 +111,6 @@ impl Engine {
         e.trace = Trace::enabled();
         e.metrics = MetricsRegistry::enabled();
         e
-    }
-
-    /// Set whether engines subsequently created on *this thread* start
-    /// with the flight recorder enabled (`None` restores the
-    /// `RP_TELEMETRY` environment default). The differential tier proves
-    /// this can never change what a run computes.
-    pub fn set_default_telemetry(on: Option<bool>) {
-        DEFAULT_TELEMETRY.with(|t| t.set(on));
-    }
-
-    /// Enable the flight recorder on this engine (idempotent).
-    pub fn enable_telemetry(&mut self) {
-        self.telemetry.enable();
-    }
-
-    /// Freeze the flight recorder into a mergeable [`TelemetrySnapshot`].
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
     }
 
     /// Current virtual time.
@@ -264,10 +209,6 @@ impl Engine {
             debug_assert!(entry.time >= self.now, "event queue went backwards");
             self.now = entry.time;
             self.executed += 1;
-            if self.telemetry.is_enabled() {
-                let live = self.trace.live_spans();
-                self.telemetry.on_apply(self.slots.len(), live);
-            }
             payload(self);
             return true;
         }

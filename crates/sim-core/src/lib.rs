@@ -21,11 +21,6 @@
 //!   examples and the experiment harness. Disabled observability costs
 //!   nothing: recording is a pure no-op, so runs are bit-identical with
 //!   it on or off.
-//! * [`telemetry::EngineTelemetry`] — the engine *flight recorder*:
-//!   host-side-only histograms/counters over applied events, apply-window
-//!   timing, high-water marks and ownership counters. The only sim-core
-//!   module allowed to read the wall clock; never consulted by the
-//!   simulation.
 //!
 //! Components live in `Rc<RefCell<_>>` handles captured by event closures;
 //! all model *state* stays on one thread (determinism). Threads enter only
@@ -44,7 +39,6 @@ pub mod profile;
 pub mod report;
 pub mod rng;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 pub mod tokens;
 pub mod trace;
@@ -62,7 +56,6 @@ pub use profile::{
 pub use report::RunReport;
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
-pub use telemetry::{EngineTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION};
 pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{

@@ -19,17 +19,12 @@ pub struct CritSummary {
 }
 
 /// A set of labelled [`PhaseBreakdown`] rows (one per experiment case),
-/// plus optional critical-path summaries and host-side footnotes.
+/// plus optional critical-path summaries.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     pub title: String,
     rows: Vec<(String, PhaseBreakdown)>,
     critical: Vec<CritSummary>,
-    /// Host-side observations (engine-telemetry summaries, timing notes).
-    /// Rendered only in the human-facing formats (table, Markdown) —
-    /// never in `to_json`/`to_csv`, which carry exclusively virtual-time
-    /// results and are exact-diffed by the bench regression gate.
-    host_notes: Vec<String>,
 }
 
 impl RunReport {
@@ -38,7 +33,6 @@ impl RunReport {
             title: title.into(),
             rows: Vec::new(),
             critical: Vec::new(),
-            host_notes: Vec::new(),
         }
     }
 
@@ -61,18 +55,6 @@ impl RunReport {
 
     pub fn critical(&self) -> &[CritSummary] {
         &self.critical
-    }
-
-    /// Attach a host-side footnote (e.g. an engine-telemetry summary
-    /// line). Shown in the table and Markdown renderings only; the JSON
-    /// and CSV exports stay purely virtual so the bench gate can diff
-    /// them exactly across hosts.
-    pub fn push_host_note(&mut self, note: impl Into<String>) {
-        self.host_notes.push(note.into());
-    }
-
-    pub fn host_notes(&self) -> &[String] {
-        &self.host_notes
     }
 
     /// Phases that are non-zero in at least one row (the table and CSV
@@ -153,9 +135,6 @@ impl RunReport {
             out.push_str("critical path (s on path / s off path / min slack)\n");
             out.push_str(&render_aligned(&header, &body));
         }
-        for note in &self.host_notes {
-            out.push_str(&format!("[host] {note}\n"));
-        }
         out
     }
 
@@ -183,12 +162,6 @@ impl RunReport {
         if let Some((header, body)) = self.crit_matrix(2) {
             out.push_str("\nCritical path (seconds on / off the path, minimum local slack):\n\n");
             out.push_str(&render_markdown(&header, &body));
-        }
-        if !self.host_notes.is_empty() {
-            out.push('\n');
-            for note in &self.host_notes {
-                out.push_str(&format!("> host: {note}\n"));
-            }
         }
         out
     }
@@ -400,23 +373,6 @@ mod tests {
             .map(|l| l.matches('|').count() - l.matches("\\|").count())
             .collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn host_notes_render_only_in_human_formats() {
-        let mut r = RunReport::new("t");
-        r.push("case", breakdown());
-        let (json_before, csv_before) = (r.to_json(), r.to_csv());
-        r.push_host_note("engine telemetry: 42 events");
-        assert_eq!(r.host_notes().len(), 1);
-        let t = r.render_table();
-        assert!(t.contains("[host] engine telemetry: 42 events"), "{t}");
-        let md = r.to_markdown();
-        assert!(md.contains("> host: engine telemetry: 42 events"), "{md}");
-        // The machine-diffed exports must be byte-identical with or
-        // without host notes — they carry only virtual results.
-        assert_eq!(r.to_json(), json_before);
-        assert_eq!(r.to_csv(), csv_before);
     }
 
     #[test]

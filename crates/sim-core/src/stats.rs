@@ -1,6 +1,6 @@
 //! Small statistics helpers used by benches and experiment harnesses,
-//! plus the mergeable log-bucketed [`Histogram`] the engine flight
-//! recorder ([`crate::telemetry`]) aggregates host-side costs into.
+//! plus the mergeable log-bucketed [`Histogram`], the one distribution
+//! type for host-side costs and virtual-time latencies.
 
 /// Number of buckets in a [`Histogram`]: bucket 0 holds exact zeros,
 /// bucket `b >= 1` holds values in `[2^(b-1), 2^b)` — enough for any

@@ -38,35 +38,47 @@ fn kinds_json() -> String {
     format!("[{}]", quoted.join(","))
 }
 
-fn print_help() {
-    println!("fault_injection — deterministic fault schedules against a pilot workload");
-    println!();
-    println!(
-        "usage: cargo run --example fault_injection [seed] [intensity] [--json] [--pilot-kill] [--partition <dur_s>]"
-    );
-    println!();
-    println!("  seed          RNG seed for engine and fault plan (default 11)");
-    println!("  intensity     number of scheduled faults (default 6)");
-    println!("  --json        one machine-checkable JSON line (CI smoke)");
-    println!("  --pilot-kill  pilot-loss case: 2 pilots with cross-pilot failover,");
-    println!("                pilot 0 killed mid-run, units re-bound to the survivor");
-    println!("  --partition <dur_s>");
-    println!("                split-brain case: 2 pilots with lease-based ownership,");
-    println!("                pilot 0 partitioned from the store for dur_s seconds;");
-    println!("                it self-fences, the lease is revoked (fencing epoch");
-    println!("                bump), units re-bind, and the healed zombie's stale");
-    println!("                writes are rejected at the store");
-    println!("  --help        this text");
-    println!();
-    println!("fault kinds:");
-    println!("  NodeCrash      permanently kill a node; running work requeues elsewhere");
-    println!("  NodeSlowdown   degrade a node's compute speed for a while, then restore");
-    println!("  ContainerKill  kill running executions (preemption-style; work restarts)");
-    println!("  LinkDegrade    scale shared-filesystem capacity down for a while");
-    println!("  StagingError   fail the next staging directive once (retried after backoff)");
-    println!("  PilotKill      kill a whole pilot allocation; unfinished units fail over");
-    println!("  Partition      cut a pilot's agent off from the coordination store for a");
-    println!("                 timed window (symmetric or asymmetric), then heal");
+const HELP: &str = "\
+fault_injection — deterministic fault schedules against a pilot workload
+
+usage: cargo run --example fault_injection [seed] [intensity] [--json] [--pilot-kill] [--partition <dur_s>]
+
+  seed          RNG seed for engine and fault plan (default 11)
+  intensity     number of scheduled faults (default 6)
+  --json        one machine-checkable JSON line (CI smoke)
+  --pilot-kill  pilot-loss case: 2 pilots with cross-pilot failover,
+                pilot 0 killed mid-run, units re-bound to the survivor
+  --partition <dur_s>
+                split-brain case: 2 pilots with lease-based ownership,
+                pilot 0 partitioned from the store for dur_s seconds;
+                it self-fences, the lease is revoked (fencing epoch
+                bump), units re-bind, and the healed zombie's stale
+                writes are rejected at the store
+  --help        this text
+
+fault kinds:
+  NodeCrash      permanently kill a node; running work requeues elsewhere
+  NodeSlowdown   degrade a node's compute speed for a while, then restore
+  ContainerKill  kill running executions (preemption-style; work restarts)
+  LinkDegrade    scale shared-filesystem capacity down for a while
+  StagingError   fail the next staging directive once (retried after backoff)
+  PilotKill      kill a whole pilot allocation; unfinished units fail over
+  Partition      cut a pilot's agent off from the coordination store for a
+                 timed window (symmetric or asymmetric), then heal
+";
+
+/// Reject a bad command line: the reason and the usage go to stderr and
+/// the process exits with status 2, so a typo never runs a default case.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("fault_injection: {msg}\n");
+    eprint!("{HELP}");
+    std::process::exit(2);
+}
+
+/// Parse positional `what` as a number, or reject the command line.
+fn parse_arg<T: std::str::FromStr>(what: &str, arg: &str) -> T {
+    let msg = || format!("{what} must be a non-negative integer, got {arg:?}");
+    arg.parse().unwrap_or_else(|_| usage_error(&msg()))
 }
 
 /// The `--pilot-kill` case: a `PilotKill` fault against a 2-pilot session
@@ -337,33 +349,35 @@ fn run_partition(seed: u64, dur_s: u64, json_out: bool) {
 }
 
 fn main() {
-    let (mut positional, mut json_out, mut pilot_kill) = (Vec::new(), false, false);
+    let (mut seed, mut intensity, mut json_out, mut pilot_kill) = (11u64, 6usize, false, false);
     let mut partition: Option<u64> = None;
-    let mut want_partition_dur = false;
-    for a in std::env::args().skip(1) {
-        if want_partition_dur {
-            partition = Some(a.parse().expect("--partition takes a duration in seconds"));
-            want_partition_dur = false;
-            continue;
-        }
+    let mut positionals = 0;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json_out = true,
             "--pilot-kill" => pilot_kill = true,
-            "--partition" => want_partition_dur = true,
+            "--partition" => {
+                let dur = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--partition takes a duration in seconds"));
+                partition = Some(parse_arg("--partition duration", &dur));
+            }
             "--help" | "-h" => {
-                print_help();
+                print!("{HELP}");
                 return;
             }
-            _ => positional.push(a),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown option {flag:?}")),
+            _ => {
+                match positionals {
+                    0 => seed = parse_arg("seed", &a),
+                    1 => intensity = parse_arg("intensity", &a),
+                    _ => usage_error(&format!("unexpected argument {a:?}")),
+                }
+                positionals += 1;
+            }
         }
     }
-    assert!(
-        !want_partition_dur,
-        "--partition takes a duration in seconds"
-    );
-    let mut args = positional.into_iter();
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(11);
-    let intensity: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(6);
 
     if let Some(dur_s) = partition {
         run_partition(seed, dur_s, json_out);
