@@ -53,6 +53,11 @@ TRACE_OUT="${TRACE_OUT:-target/quickstart_trace.json}"
 cargo run --release -q --example quickstart -- --trace-out "$TRACE_OUT" > /dev/null
 cargo run --release -q -p rp-bench --bin trace_validate -- "$TRACE_OUT"
 
+echo "==> paper rejects an unknown experiment name"
+if cargo run --release -q -p rp-bench --bin paper -- --only nosuch > /dev/null 2>&1; then
+    echo "paper accepted the unknown experiment nosuch"; exit 1
+fi
+
 echo "==> RDD example smoke (word count, K-Means, triangles; cold == warm cache pass)"
 cargo run --release -q --example spark_rdd_analytics > /dev/null
 

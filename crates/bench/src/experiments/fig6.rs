@@ -1,51 +1,38 @@
-//! Fig. 6: K-Means time-to-completion — RADICAL-Pilot vs
-//! RADICAL-Pilot-YARN on Stampede and Wrangler.
-//!
-//! Sweep: 3 scenarios (10k pts/5k clusters, 100k/500, 1M/50; 3-D points,
-//! constant compute) × {8, 16, 32} tasks on {1, 2, 3} nodes × both
-//! machines × both systems; 2 K-Means iterations, several seeds.
-//! RP-YARN runtimes include the YARN cluster download/startup (as in the
-//! paper); plain-RP runtimes start at pilot activation.
-//!
-//! ```text
-//! cargo run -p rp-bench --release --bin fig6_kmeans [--quick] [--csv PATH]
-//! ```
+//! Fig. 6: K-Means time-to-completion, RADICAL-Pilot vs RP-YARN, and the
+//! extension that adds RP-Spark as a third system.
+
+use std::collections::BTreeMap;
 
 use rp_analytics::{
-    fig6_session_config, run_rp_kmeans, run_rp_yarn_kmeans, KMeansCalibration, SCENARIOS,
+    fig6_session_config, nodes_for_tasks, run_rp_kmeans, run_rp_spark_kmeans, run_rp_yarn_kmeans,
+    KMeansCalibration, SCENARIOS,
 };
-use rp_bench::{ShapeChecks, Table};
 use rp_hpc::MachineSpec;
 use rp_pilot::Session;
 use rp_sim::{aggregate_roots, pilot_utilization, Engine, RunReport};
 
-fn main() {
-    // Wall time is dominated by event count, not the cost constants, so
-    // --quick only reduces repetitions (the problem stays full-size).
-    let quick = std::env::args().any(|a| a == "--quick");
-    let csv_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--csv")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let reps: u64 = if quick { 1 } else { 3 };
+use super::Outcome;
+use crate::{ShapeChecks, Table};
+
+/// The full sweep: 3 scenarios (10k pts/5k clusters, 100k/500, 1M/50;
+/// 3-D points, constant compute) × {8, 16, 32} tasks on {1, 2, 3} nodes ×
+/// both machines × both systems; 2 K-Means iterations, 3 seeds. RP-YARN
+/// runtimes include the YARN cluster download/startup (as in the paper);
+/// plain-RP runtimes start at pilot activation.
+pub fn kmeans() -> Outcome {
+    let reps: u64 = 3;
     let cal = KMeansCalibration::default();
 
-    println!("== Fig. 6: K-Means time-to-completion (2 iterations) ==");
-    if quick {
-        println!("   (--quick: 1 repetition per cell)");
-    }
+    let mut out = String::from("== Fig. 6: K-Means time-to-completion (2 iterations) ==\n");
     let machines = ["xsede.stampede", "xsede.wrangler"];
     let task_counts = [8u32, 16, 32];
 
     // results[(machine, scenario, tasks)] = (rp_mean, yarn_mean)
-    let mut results: std::collections::BTreeMap<(usize, usize, u32), (f64, f64)> =
-        std::collections::BTreeMap::new();
+    let mut results: BTreeMap<(usize, usize, u32), (f64, f64)> = BTreeMap::new();
 
     for (mi, machine) in machines.iter().enumerate() {
         for (si, scenario) in SCENARIOS.iter().enumerate() {
-            println!("\n-- {machine} · {} --", scenario.label);
+            out.push_str(&format!("\n-- {machine} · {} --\n", scenario.label));
             let mut table = Table::new(vec![
                 "tasks",
                 "nodes",
@@ -80,14 +67,14 @@ fn main() {
                 results.insert((mi, si, tasks), (rp, yarn));
                 table.row(vec![
                     tasks.to_string(),
-                    rp_analytics::nodes_for_tasks(tasks).to_string(),
+                    nodes_for_tasks(tasks).to_string(),
                     format!("{rp:8.1}"),
                     format!("{yarn:8.1}"),
                     format!("{:5.2}", rp_base / rp),
                     format!("{:5.2}", yarn_base / yarn),
                 ]);
             }
-            table.print();
+            out.push_str(&table.render());
         }
     }
 
@@ -98,12 +85,12 @@ fn main() {
     let mut report = RunReport::new(
         "Fig. 6 unit phase breakdown (1M pts, 32 tasks, aggregated over units, seconds)",
     );
-    println!();
+    out.push('\n');
     for machine in &machines {
         let scenario = SCENARIOS[2];
         let seed = 10_000 + 32u64;
         let spec = MachineSpec::by_name(machine).expect("machine spec");
-        let cores = rp_analytics::nodes_for_tasks(32) * spec.cores_per_node;
+        let cores = nodes_for_tasks(32) * spec.cores_per_node;
         let mut e = Engine::with_trace(seed);
         let session = Session::new(fig6_session_config());
         run_rp_kmeans(&mut e, &session, machine, 32, scenario, &cal);
@@ -116,10 +103,10 @@ fn main() {
             .roots_named("pilot.run")
             .map(|s| format!("{:.0}%", 100.0 * pilot_utilization(&e.trace, s.id, cores)))
             .collect();
-        println!(
-            "{machine} RADICAL-Pilot pilot utilization: {}",
+        out.push_str(&format!(
+            "{machine} RADICAL-Pilot pilot utilization: {}\n",
             util.join(", ")
-        );
+        ));
         let mut e = Engine::with_trace(seed + 1);
         let session = Session::new(fig6_session_config());
         run_rp_yarn_kmeans(&mut e, &session, machine, 32, scenario, &cal);
@@ -128,28 +115,11 @@ fn main() {
             aggregate_roots(&e.trace, "unit.run"),
         );
     }
-    println!();
-    print!("{}", report.render_table());
-
-    if let Some(path) = csv_path {
-        let mut csv =
-            String::from("machine,scenario_points,scenario_clusters,tasks,nodes,rp_s,rp_yarn_s\n");
-        for (&(mi, si, tasks), &(rp, yarn)) in &results {
-            csv.push_str(&format!(
-                "{},{},{},{},{},{rp:.1},{yarn:.1}\n",
-                machines[mi],
-                SCENARIOS[si].points,
-                SCENARIOS[si].clusters,
-                tasks,
-                rp_analytics::nodes_for_tasks(tasks),
-            ));
-        }
-        std::fs::write(&path, csv).expect("write csv");
-        println!("\n(wrote {path})");
-    }
+    out.push('\n');
+    out.push_str(&report.render_table());
 
     // ---- shape checks against the paper's observations ----
-    let checks = ShapeChecks::new();
+    let mut checks = ShapeChecks::new();
 
     // 1. Runtimes decrease with the number of tasks, everywhere.
     let mut monotone = true;
@@ -236,5 +206,68 @@ fn main() {
         stampede_decline,
     );
 
-    std::process::exit(if checks.report() { 0 } else { 1 });
+    Outcome::new(out, checks)
+}
+
+/// K-Means on a third system, RP-Spark (Mode I standalone Spark with
+/// cached RDDs), against RP and RP-YARN. This quantifies the §V
+/// future-work claim that in-memory runtimes are the right substrate "for
+/// iterative algorithms": Spark reads the input once, keeps it cached
+/// across iterations, and map-side-combines the shuffle — while each
+/// MapReduce iteration is a fresh job that re-reads HDFS and pays the AM
+/// path.
+pub fn spark_kmeans() -> Outcome {
+    let cal = KMeansCalibration::default();
+    let scenario = SCENARIOS[2]; // 1M points / 50 clusters
+    let mut out = format!(
+        "== Extension: K-Means on RP vs RP-YARN vs RP-Spark ==\n   \
+         ({}, 2 iterations, Wrangler; bootstraps included)\n\n",
+        scenario.label
+    );
+
+    let mut table = Table::new(vec![
+        "tasks",
+        "RADICAL-Pilot (s)",
+        "RP-YARN (s)",
+        "RP-Spark (s)",
+        "Spark vs YARN",
+    ]);
+    let mut results = Vec::new();
+    for tasks in [8u32, 16, 32] {
+        let seed = 500 + tasks as u64;
+        let mut e = Engine::new(seed);
+        let session = Session::new(fig6_session_config());
+        let rp = run_rp_kmeans(&mut e, &session, "xsede.wrangler", tasks, scenario, &cal)
+            .time_to_completion;
+        let mut e = Engine::new(seed + 1);
+        let session = Session::new(fig6_session_config());
+        let yarn = run_rp_yarn_kmeans(&mut e, &session, "xsede.wrangler", tasks, scenario, &cal)
+            .time_to_completion;
+        let mut e = Engine::new(seed + 2);
+        let session = Session::new(fig6_session_config());
+        let spark = run_rp_spark_kmeans(&mut e, &session, "xsede.wrangler", tasks, scenario, &cal)
+            .time_to_completion;
+        table.row(vec![
+            tasks.to_string(),
+            format!("{rp:8.1}"),
+            format!("{yarn:8.1}"),
+            format!("{spark:8.1}"),
+            format!("{:5.2}x", yarn / spark),
+        ]);
+        results.push((tasks, rp, yarn, spark));
+    }
+    out.push_str(&table.render());
+
+    let mut checks = ShapeChecks::new();
+    let all_spark_wins = results.iter().all(|&(_, _, yarn, spark)| spark < yarn);
+    checks.check(
+        "cached-RDD Spark beats per-iteration MapReduce at every task count",
+        all_spark_wins,
+    );
+    let (_, rp32, _, spark32) = results[2];
+    checks.check(
+        format!("at 32 tasks Spark also beats plain RP ({spark32:.0}s vs {rp32:.0}s)"),
+        spark32 < rp32,
+    );
+    Outcome::new(out, checks)
 }

@@ -25,7 +25,7 @@ use rp_sim::{
     MetricsSnapshot, RunReport, SimDuration, SimTime,
 };
 
-use crate::Variant;
+use crate::{run_pilot_startup, run_unit_startup, Variant};
 
 /// Bumped whenever the artifact layout changes; `bench_compare` refuses to
 /// diff mismatched schemas.
@@ -111,21 +111,7 @@ pub fn run_fig5_startup() -> VirtualResult {
         ("xsede.wrangler", Variant::RpYarnModeII),
     ];
     for (machine, variant) in cases {
-        let mut e = Engine::with_trace(1000);
-        let session = Session::new(SessionConfig::default());
-        let pm = PilotManager::new(&session);
-        let pilot = pm
-            .submit(
-                &mut e,
-                PilotDescription::new(machine, 1, SimDuration::from_secs(3600))
-                    .with_access(variant.access()),
-            )
-            .expect("pilot submits");
-        while pilot.state() != PilotState::Active {
-            assert!(e.step(), "engine drained before pilot became active");
-        }
-        pm.cancel(&mut e, &pilot);
-        e.run();
+        let (e, _) = run_pilot_startup(machine, variant, 1, 1000, SessionConfig::default());
         absorb_run(
             &mut out,
             &format!("{machine} {}", variant.label()),
@@ -140,35 +126,7 @@ pub fn run_fig5_startup() -> VirtualResult {
 pub fn run_fig5_unit_startup() -> VirtualResult {
     let mut out = new_result("fig5_unit_startup: CU startup on stampede, seed 1000");
     for variant in [Variant::Rp, Variant::RpYarnModeI] {
-        let mut e = Engine::with_trace(1000);
-        let session = Session::new(SessionConfig::default());
-        let pm = PilotManager::new(&session);
-        let pilot = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(3600))
-                    .with_access(variant.access()),
-            )
-            .expect("pilot submits");
-        while pilot.state() != PilotState::Active {
-            assert!(e.step(), "engine drained before pilot became active");
-        }
-        let mut um = UnitManager::new(&session, UmScheduler::Direct);
-        um.add_pilot(&pilot);
-        let units = um.submit_units(
-            &mut e,
-            vec![ComputeUnitDescription::new(
-                "probe",
-                1,
-                WorkSpec::Sleep(SimDuration::from_secs(10)),
-            )],
-        );
-        while !units[0].state().is_final() {
-            assert!(e.step(), "engine drained before unit finished");
-        }
-        assert_eq!(units[0].state(), UnitState::Done);
-        pm.cancel(&mut e, &pilot);
-        e.run();
+        let (e, _) = run_unit_startup("xsede.stampede", variant, 1000, SessionConfig::default());
         absorb_run(&mut out, variant.label(), &e, "unit.run");
     }
     out

@@ -1,18 +1,18 @@
-//! Shared harness utilities for the figure-regeneration binaries: startup
-//! measurement runners and a plain-text table formatter that prints the
-//! same rows/series the paper's figures report.
+//! Paper-evaluation harness: the [`experiments`] registry behind the
+//! `paper` binary, the BENCH artifact [`harness`] and its [`diff`], and
+//! the shared pieces they use — traced startup runners, a plain-text
+//! table formatter that renders the same rows/series the paper's figures
+//! report, and the shape-check collector.
 
 pub mod diff;
+pub mod experiments;
 pub mod harness;
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use rp_pilot::{
     AccessMode, ComputeUnitDescription, PilotDescription, PilotManager, PilotState, Session,
     SessionConfig, UmScheduler, UnitManager, UnitState, WorkSpec,
 };
-use rp_sim::{profile_span, Engine, Phase, PhaseBreakdown, SimDuration, Summary};
+use rp_sim::{profile_span, Engine, Phase, PhaseBreakdown, SimDuration, SpanId, Summary};
 
 /// Aligned plain-text table.
 pub struct Table {
@@ -59,10 +59,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -113,14 +109,15 @@ pub struct StartupProfile {
     pub phases: PhaseBreakdown,
 }
 
-/// Run one pilot to Active under tracing and profile its lifecycle span.
-pub fn profile_pilot_startup(
+/// Run one traced pilot to Active, cancel it and drain the engine.
+/// Returns the finished engine and the pilot's `pilot.run` span.
+pub(crate) fn run_pilot_startup(
     resource: &str,
     variant: Variant,
     nodes: u32,
     seed: u64,
     config: SessionConfig,
-) -> StartupProfile {
+) -> (Engine, SpanId) {
     let mut e = Engine::with_trace(seed);
     let session = Session::new(config);
     let pm = PilotManager::new(&session);
@@ -136,7 +133,18 @@ pub fn profile_pilot_startup(
     }
     pm.cancel(&mut e, &pilot);
     e.run();
-    let root = pilot.root_span();
+    (e, pilot.root_span())
+}
+
+/// Run one pilot to Active under tracing and profile its lifecycle span.
+pub fn profile_pilot_startup(
+    resource: &str,
+    variant: Variant,
+    nodes: u32,
+    seed: u64,
+    config: SessionConfig,
+) -> StartupProfile {
+    let (e, root) = run_pilot_startup(resource, variant, nodes, seed, config);
     let root_begin = e.trace.span(root).expect("pilot.run span").begin;
     let phases = profile_span(&e.trace, root);
     let bootstrap = e.trace.symbol("pilot.bootstrap");
@@ -154,20 +162,6 @@ pub fn profile_pilot_startup(
     }
 }
 
-/// Measure pilot startup (submission → Active) for one variant/seed.
-/// Returns (startup_s, framework_bootstrap_s). Profiler-derived; see
-/// [`profile_pilot_startup`] for the full breakdown.
-pub fn measure_pilot_startup(
-    resource: &str,
-    variant: Variant,
-    nodes: u32,
-    seed: u64,
-    config: SessionConfig,
-) -> (f64, f64) {
-    let p = profile_pilot_startup(resource, variant, nodes, seed, config);
-    (p.startup_s, p.framework_bootstrap_s)
-}
-
 /// One profiled Compute-Unit run (submission → Done) on a fresh pilot.
 pub struct UnitProfile {
     /// Submission → Executing (begin of the `unit.exec` span relative to
@@ -177,14 +171,15 @@ pub struct UnitProfile {
     pub phases: PhaseBreakdown,
 }
 
-/// Run one probe unit to completion under tracing and profile its
-/// lifecycle span.
-pub fn profile_unit_startup(
+/// Run one traced 10 s probe unit to Done on a fresh 1-node pilot, cancel
+/// the pilot and drain the engine. Returns the finished engine and the
+/// unit's `unit.run` span.
+pub(crate) fn run_unit_startup(
     resource: &str,
     variant: Variant,
     seed: u64,
     config: SessionConfig,
-) -> UnitProfile {
+) -> (Engine, SpanId) {
     let mut e = Engine::with_trace(seed);
     let session = Session::new(config);
     let pm = PilotManager::new(&session);
@@ -194,7 +189,7 @@ pub fn profile_unit_startup(
             PilotDescription::new(resource, 1, SimDuration::from_secs(3600))
                 .with_access(variant.access()),
         )
-        .unwrap();
+        .unwrap_or_else(|err| panic!("{}: {err}", variant.label()));
     while pilot.state() != PilotState::Active {
         assert!(e.step(), "engine drained before pilot became active");
     }
@@ -219,7 +214,18 @@ pub fn profile_unit_startup(
     );
     pm.cancel(&mut e, &pilot);
     e.run();
-    let root = units[0].root_span();
+    (e, units[0].root_span())
+}
+
+/// Run one probe unit to completion under tracing and profile its
+/// lifecycle span.
+pub fn profile_unit_startup(
+    resource: &str,
+    variant: Variant,
+    seed: u64,
+    config: SessionConfig,
+) -> UnitProfile {
+    let (e, root) = run_unit_startup(resource, variant, seed, config);
     let root_begin = e.trace.span(root).expect("unit.run span").begin;
     let phases = profile_span(&e.trace, root);
     let exec = e.trace.symbol("unit.exec");
@@ -232,27 +238,17 @@ pub fn profile_unit_startup(
     UnitProfile { startup_s, phases }
 }
 
-/// Measure Compute-Unit startup (submission → Executing) on an already
-/// active pilot of the given variant. Profiler-derived.
-pub fn measure_unit_startup(
-    resource: &str,
-    variant: Variant,
-    seed: u64,
-    config: SessionConfig,
-) -> f64 {
-    profile_unit_startup(resource, variant, seed, config).startup_s
-}
-
 /// Run a closure over `reps` seeds and summarise.
 pub fn repeat(reps: u64, mut f: impl FnMut(u64) -> f64) -> Summary {
     let samples: Vec<f64> = (0..reps).map(|i| f(1000 + i * 7919)).collect();
     Summary::of(&samples)
 }
 
-/// Collects pass/fail shape assertions printed at the end of harnesses.
-#[derive(Clone, Default)]
+/// Collects the pass/fail shape assertions an experiment makes against
+/// the paper's claims.
+#[derive(Default)]
 pub struct ShapeChecks {
-    results: Rc<RefCell<Vec<(String, bool)>>>,
+    results: Vec<(String, bool)>,
 }
 
 impl ShapeChecks {
@@ -260,20 +256,29 @@ impl ShapeChecks {
         Self::default()
     }
 
-    pub fn check(&self, label: impl Into<String>, ok: bool) {
-        self.results.borrow_mut().push((label.into(), ok));
+    pub fn check(&mut self, label: impl Into<String>, ok: bool) {
+        self.results.push((label.into(), ok));
     }
 
-    /// Print `[ok]`/`[VIOLATED]` lines; returns whether all held.
-    pub fn report(&self) -> bool {
-        let results = self.results.borrow();
-        println!("\nShape checks (paper-vs-measured):");
-        let mut all = true;
-        for (label, ok) in results.iter() {
-            println!("  [{}] {label}", if *ok { "ok" } else { "VIOLATED" });
-            all &= ok;
+    /// Every `(label, held)` pair, in the order checked.
+    pub fn results(&self) -> &[(String, bool)] {
+        &self.results
+    }
+
+    pub fn all_hold(&self) -> bool {
+        self.results.iter().all(|(_, ok)| *ok)
+    }
+
+    /// `[ok]`/`[VIOLATED]` lines under a blank line and a heading.
+    pub fn render(&self) -> String {
+        let mut out = String::from("\nShape checks (paper-vs-measured):\n");
+        for (label, ok) in &self.results {
+            out.push_str(&format!(
+                "  [{}] {label}\n",
+                if *ok { "ok" } else { "VIOLATED" }
+            ));
         }
-        all
+        out
     }
 }
 
@@ -302,20 +307,21 @@ mod tests {
 
     #[test]
     fn startup_measurement_works_on_localhost() {
-        let (startup, boot) = measure_pilot_startup(
+        let p = profile_pilot_startup(
             "localhost",
             Variant::Rp,
             1,
             1,
             SessionConfig::test_profile(),
         );
-        assert!(startup > 0.0 && startup < 10.0);
-        assert_eq!(boot, 0.0);
+        assert!(p.startup_s > 0.0 && p.startup_s < 10.0);
+        assert_eq!(p.framework_bootstrap_s, 0.0);
     }
 
     #[test]
     fn unit_startup_measurement_works() {
-        let t = measure_unit_startup("localhost", Variant::Rp, 2, SessionConfig::test_profile());
+        let t = profile_unit_startup("localhost", Variant::Rp, 2, SessionConfig::test_profile())
+            .startup_s;
         assert!(t > 0.0 && t < 5.0, "{t}");
     }
 
@@ -327,10 +333,14 @@ mod tests {
 
     #[test]
     fn shape_checks_track_failures() {
-        let c = ShapeChecks::new();
+        let mut c = ShapeChecks::new();
         c.check("good", true);
-        assert!(c.report());
+        assert!(c.all_hold());
         c.check("bad", false);
-        assert!(!c.report());
+        assert!(!c.all_hold());
+        assert_eq!(
+            c.render(),
+            "\nShape checks (paper-vs-measured):\n  [ok] good\n  [VIOLATED] bad\n"
+        );
     }
 }

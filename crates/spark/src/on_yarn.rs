@@ -2,10 +2,10 @@
 //! rejected (§III-D: "While it is possible to support Spark on top of
 //! YARN, this approach is associated with significant complexity and
 //! overhead as two instead of one framework need to be configured and
-//! run"). Implemented so the trade-off can be measured (see the
-//! `ablation_spark_deploy` bench): the driver runs as a YARN AM and every
-//! executor is a YARN container, so each one pays heartbeat-gated
-//! allocation plus container launch.
+//! run"). Implemented so the trade-off can be measured (see
+//! `paper --only ablation_spark_deploy`): the driver runs as a YARN AM
+//! and every executor is a YARN container, so each one pays
+//! heartbeat-gated allocation plus container launch.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -1,0 +1,45 @@
+//! Every paper and ablation claim, asserted: runs each experiment of the
+//! `rp_bench::experiments` registry (the same code the `paper` binary
+//! prints) and fails naming the experiment and the check that broke.
+
+use std::collections::BTreeSet;
+
+use rp_bench::experiments::REGISTRY;
+
+/// Checks registered across all experiments. A check that disappears
+/// from an experiment fails this pin instead of passing silently.
+const TOTAL_CHECKS: usize = 27;
+
+#[test]
+fn registry_names_are_unique() {
+    let names: BTreeSet<&str> = REGISTRY.iter().map(|x| x.name).collect();
+    assert_eq!(names.len(), 11, "{names:?}");
+}
+
+#[test]
+fn every_paper_and_ablation_check_holds() {
+    let mut total = 0;
+    let mut violated = Vec::new();
+    for x in &REGISTRY {
+        let outcome = (x.run)();
+        assert!(
+            outcome.text.ends_with(&outcome.checks.render()),
+            "{}: the check report must close the rendered text",
+            x.name
+        );
+        let results = outcome.checks.results();
+        assert!(!results.is_empty(), "{} checks nothing", x.name);
+        total += results.len();
+        for (label, ok) in results {
+            if !ok {
+                violated.push(format!("{} ({}): {label}", x.name, x.section));
+            }
+        }
+    }
+    assert!(
+        violated.is_empty(),
+        "violated paper checks:\n  {}",
+        violated.join("\n  ")
+    );
+    assert_eq!(total, TOTAL_CHECKS, "registered check count changed");
+}
