@@ -15,6 +15,11 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> e2e benchmark package (public rp_pilot API + pinned fingerprints)"
+# Its own package, outside the workspace: it builds against the public
+# rp_pilot API and checks the virtual fingerprints at the smoke sizes.
+cargo test --offline -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+
 echo "==> cargo clippy -D warnings (+ todo/dbg_macro)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::todo -W clippy::dbg_macro
 

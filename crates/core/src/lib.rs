@@ -10,10 +10,12 @@
 //!   and Unit-Manager (workload scheduling across pilots, U.1–U.2).
 //! * [`coordination`] — the shared store (the paper's MongoDB) with its
 //!   write/poll/update latency model (U.2–U.3).
-//! * [`agent`] — the RADICAL-Pilot-Agent: LRM (framework bootstrap),
-//!   agent scheduler (cores, plus memory for YARN), Task Spawner, Launch
-//!   Methods, staging workers (U.4–U.7), and the RADICAL-Pilot YARN
-//!   application with optional AM reuse (Fig. 4).
+//! * [`agent`] — the RADICAL-Pilot-Agent, one module per paper component:
+//!   the LRM (framework bootstrap, and every access-mode decision behind
+//!   its `Runtime`), the agent scheduler (cores, plus memory for YARN),
+//!   the Task Spawner with the RADICAL-Pilot YARN application and
+//!   optional AM reuse (Fig. 4), the staging workers (U.4–U.7), and the
+//!   heartbeat/lease monitor.
 //! * [`states`], [`unit` module](crate::unit), [`session`], [`launch`] — supporting vocabulary.
 //!
 //! ```no_run

@@ -36,16 +36,16 @@ impl Resource {
         Resource { vcores, mem_mb }
     }
 
-    fn fits_in(&self, other: &Resource) -> bool {
+    pub fn fits_in(&self, other: &Resource) -> bool {
         self.vcores <= other.vcores && self.mem_mb <= other.mem_mb
     }
 
-    fn sub(&mut self, other: &Resource) {
+    pub fn sub(&mut self, other: &Resource) {
         self.vcores -= other.vcores;
         self.mem_mb -= other.mem_mb;
     }
 
-    fn add(&mut self, other: &Resource) {
+    pub fn add(&mut self, other: &Resource) {
         self.vcores += other.vcores;
         self.mem_mb += other.mem_mb;
     }

@@ -169,10 +169,59 @@ fn mpi_unit_cannot_span_yarn_containers() {
     );
     drive(&mut e, &units);
     assert_eq!(units[0].state(), UnitState::Failed);
-    assert!(units[0]
-        .failure()
-        .unwrap()
-        .contains("cannot span YARN containers"));
+    assert_eq!(
+        units[0].failure().unwrap(),
+        "gang-scheduled MPI unit (24 cores) cannot span YARN containers \
+         (max 16 vcores per NodeManager)"
+    );
+}
+
+#[test]
+fn compute_and_native_units_rejected_on_spark_pilot() {
+    let mut e = Engine::new(5);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
+                .with_access(AccessMode::SparkModeI),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let ran = std::rc::Rc::new(std::cell::Cell::new(false));
+    let ran2 = ran.clone();
+    let units = um.submit_units(
+        &mut e,
+        vec![
+            ComputeUnitDescription::new(
+                "compute",
+                4,
+                WorkSpec::Compute {
+                    core_seconds: 40.0,
+                    read_mb: 10.0,
+                    write_mb: 10.0,
+                    io: UnitIoTarget::Lustre,
+                },
+            ),
+            ComputeUnitDescription::new(
+                "native",
+                1,
+                WorkSpec::Native(std::rc::Rc::new(move || ran2.set(true))),
+            ),
+        ],
+    );
+    drive(&mut e, &units);
+    for u in &units {
+        assert_eq!(u.state(), UnitState::Failed);
+        assert_eq!(
+            u.failure().unwrap(),
+            "Compute and Native units cannot run on a Spark pilot \
+             (it runs SparkApp, SparkJob and Sleep units)"
+        );
+    }
+    assert!(!ran.get(), "a rejected Native closure must never run");
 }
 
 // ---- scheduler skip behaviour ----
