@@ -23,16 +23,17 @@ cargo test --offline -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 echo "==> cargo clippy -D warnings (+ todo/dbg_macro)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::todo -W clippy::dbg_macro
 
-echo "==> rp_lint static-analysis pass (state machines, lock order, determinism)"
+echo "==> rp_lint static-analysis pass (state machines, determinism)"
 RP_LINT_OUT="${RP_LINT_OUT:-target/rp_lint.json}"
 cargo run --release -q -p rp-analyze --bin rp_lint -- --json > "$RP_LINT_OUT"
 python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, d["version"]
-# The waiver-hygiene rule must actually be wired into the pass — a
-# refactor that drops it would otherwise fail silently forever.
-assert {"stale-waiver"} <= set(d["rules"]), d["rules"]
+# Exactly these rules run: one dropped (or added) without updating
+# this list fails here instead of silently.
+assert set(d["rules"]) == {"state-machine", "hash-iter", "wallclock",
+                           "unwrap-ratchet", "stale-waiver"}, d["rules"]
 assert {"rule", "file", "line", "message", "waived", "fatal"} <= set(
     d["findings"][0]) if d["findings"] else True
 assert d["summary"]["fatal"] == 0, (

@@ -1,14 +1,12 @@
-//! Checked-in baselines: `lockorder.toml` (blessed lock-ordering edges) and
-//! `lint_baseline.toml` (per-file unwrap/expect budget).
+//! The checked-in baseline `lint_baseline.toml` (per-file unwrap/expect
+//! budget).
 //!
 //! Hand-rolled reader/writer for the tiny TOML subset we emit — the crate
-//! is deliberately dependency-free. Both files are regenerated by
+//! is deliberately dependency-free. The file is regenerated by
 //! `rp_lint --bless`, so the writer is the source of truth for the format.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
-
-use crate::locks::EdgeMap;
 
 /// Strip a trailing line comment that is outside any quoted string.
 fn strip_comment(line: &str) -> &str {
@@ -23,8 +21,8 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// All double-quoted strings on a line (no escape handling — paths and lock
-/// names never contain quotes).
+/// All double-quoted strings on a line (no escape handling — paths never
+/// contain quotes).
 fn quoted_strings(line: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = line;
@@ -35,48 +33,6 @@ fn quoted_strings(line: &str) -> Vec<String> {
         rest = &after[end + 1..];
     }
     out
-}
-
-/// Read `lockorder.toml`: `edges = ["a -> b", ...]`. A missing file means
-/// an empty blessed set (every observed edge then fails as unblessed).
-pub fn read_lock_order(path: &Path) -> std::io::Result<BTreeSet<(String, String)>> {
-    let mut out = BTreeSet::new();
-    let Ok(src) = std::fs::read_to_string(path) else {
-        return Ok(out);
-    };
-    for line in src.lines() {
-        for s in quoted_strings(strip_comment(line)) {
-            if let Some((a, b)) = s.split_once("->") {
-                out.insert((a.trim().to_string(), b.trim().to_string()));
-            }
-        }
-    }
-    Ok(out)
-}
-
-pub fn write_lock_order(path: &Path, edges: &EdgeMap) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str(
-        "# Blessed lock-acquisition orderings, maintained by `rp_lint --bless`.\n\
-         # Edge \"a -> b\" means: lock `b` may be acquired while `a` is held.\n\
-         # A nesting not listed here fails CI (rule: lock-order); review the\n\
-         # ordering for deadlock safety before re-blessing.\n",
-    );
-    if edges.is_empty() {
-        out.push_str(
-            "# The workspace currently has no nested lock acquisitions at all —\n\
-             # the simulator core is single-threaded and the scoped-thread helpers\n\
-             # take one lock at a time.\n",
-        );
-        out.push_str("edges = []\n");
-    } else {
-        out.push_str("edges = [\n");
-        for ((a, b), (file, line)) in edges {
-            out.push_str(&format!("    \"{a} -> {b}\", # {file}:{line}\n"));
-        }
-        out.push_str("]\n");
-    }
-    std::fs::write(path, out)
 }
 
 /// Read `lint_baseline.toml`: lines of `"<path>" = <count>` under
@@ -125,33 +81,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lock_order_roundtrip() {
-        let dir = std::env::temp_dir().join("rp_analyze_baseline_test_lock");
-        let _ = std::fs::create_dir_all(&dir);
-        let p = dir.join("lockorder.toml");
-        let mut edges = EdgeMap::new();
-        edges.insert(
-            ("a::x".into(), "b::y".into()),
-            ("crates/a/src/lib.rs".into(), 12),
-        );
-        write_lock_order(&p, &edges).expect("write lockorder");
-        let read = read_lock_order(&p).expect("read lockorder");
-        assert!(read.contains(&("a::x".to_string(), "b::y".to_string())));
-        assert_eq!(read.len(), 1);
-    }
-
-    #[test]
-    fn lock_order_empty_roundtrip() {
-        let dir = std::env::temp_dir().join("rp_analyze_baseline_test_lock_empty");
-        let _ = std::fs::create_dir_all(&dir);
-        let p = dir.join("lockorder.toml");
-        write_lock_order(&p, &EdgeMap::new()).expect("write empty lockorder");
-        assert!(read_lock_order(&p)
-            .expect("read empty lockorder")
-            .is_empty());
-    }
-
-    #[test]
     fn unwrap_baseline_roundtrip_and_comments() {
         let dir = std::env::temp_dir().join("rp_analyze_baseline_test_unwrap");
         let _ = std::fs::create_dir_all(&dir);
@@ -168,7 +97,6 @@ mod tests {
     #[test]
     fn missing_files_read_as_empty() {
         let p = Path::new("/nonexistent/rp-analyze/never.toml");
-        assert!(read_lock_order(p).expect("missing lockorder ok").is_empty());
         assert!(read_unwrap_baseline(p)
             .expect("missing baseline ok")
             .is_empty());

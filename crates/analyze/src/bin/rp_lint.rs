@@ -21,8 +21,8 @@ USAGE:
 OPTIONS:
     --json            Emit findings as JSON on stdout
     --root DIR        Workspace root (default: nearest [workspace] Cargo.toml)
-    --bless           Rewrite lockorder.toml and lint_baseline.toml from the
-                      current tree instead of checking against them
+    --bless           Rewrite lint_baseline.toml from the current tree
+                      instead of checking against it
     --emit-dot DIR    Write lifecycle DOT graphs into DIR
     --explain RULE    Print the long description of one rule and exit
                       (or list all rules when RULE is omitted)
@@ -119,7 +119,7 @@ fn main() -> ExitCode {
     };
 
     if opts.bless {
-        eprintln!("rp_lint: blessed lockorder.toml and lint_baseline.toml");
+        eprintln!("rp_lint: blessed lint_baseline.toml");
     }
     if json {
         print!("{}", pass.report.render_json());

@@ -66,59 +66,6 @@ pub fn check_wallclock(files: &[SourceFile], report: &mut Report) {
     }
 }
 
-/// Crates whose library code is result-affecting simulation code: the
-/// `par` helpers run closures on worker threads, so thread identity and
-/// relaxed atomics there can leak scheduling nondeterminism into
-/// replayed results.
-const PAR_HAZARD_PREFIXES: &[&str] = &["crates/sim-core/", "crates/core/"];
-
-/// Rule `par-hazard`: relaxed atomics and thread-identity reads in
-/// result-affecting simulation code.
-pub fn check_par_hazard(files: &[SourceFile], report: &mut Report) {
-    for f in files {
-        if !PAR_HAZARD_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
-            continue;
-        }
-        let t = &f.lexed.toks;
-        for i in 0..t.len() {
-            let hit =
-                if t[i].is("Relaxed") && i >= 2 && t[i - 1].is("::") && t[i - 2].is("Ordering") {
-                    Some("Ordering::Relaxed")
-                } else if t[i].is("thread_local") && t.get(i + 1).is_some_and(|x| x.is("!")) {
-                    Some("thread_local!")
-                } else if t[i].is("current") && i >= 2 && t[i - 1].is("::") && t[i - 2].is("thread")
-                {
-                    Some("thread::current()")
-                } else if t[i].is("ThreadId") && t[i].kind == TokKind::Ident {
-                    Some("ThreadId")
-                } else {
-                    None
-                };
-            let Some(what) = hit else { continue };
-            let line = t[i].line;
-            if f.is_test_code(line) {
-                continue;
-            }
-            let finding = Finding::new(
-                "par-hazard",
-                &f.rel,
-                line,
-                format!(
-                    "{what} in result-affecting simulation code; relaxed \
-                     orderings and thread-identity reads can leak scheduling \
-                     nondeterminism into results. Use acquire/release or engine state, or \
-                     waive with a proof the value cannot reach an output"
-                ),
-            );
-            report.push(if f.is_waived(line, "par-hazard") {
-                finding.waived()
-            } else {
-                finding
-            });
-        }
-    }
-}
-
 /// Iteration methods whose order leaks from a hash container.
 const ITER_METHODS: &[&str] = &[
     "iter",

@@ -1,35 +1,30 @@
 //! rp-analyze: offline static-analysis pass over the workspace source.
 //!
-//! Five rule families guard invariants the type system cannot express:
+//! Three rule families guard invariants the type system cannot express:
 //!
 //! 1. **state-machine** — every literal lifecycle transition the workspace
 //!    exercises must be legal per the `can_transition_to` tables, and every
 //!    table edge must be exercised somewhere (no dead contract).
-//! 2. **lock-order** — nested Mutex acquisitions must be acyclic and match
-//!    the blessed ordering in `lockorder.toml`.
-//! 3. **determinism hazards** — `hash-iter` (HashMap/HashSet iteration
+//! 2. **determinism hazards** — `hash-iter` (HashMap/HashSet iteration
 //!    order leaking into traces), `wallclock` (host-time reads in
-//!    virtual-time code), `par-hazard` (relaxed atomics and thread-identity
-//!    reads in result-affecting simulation code), `unwrap-ratchet`
-//!    (panic budget per file against `lint_baseline.toml`).
-//! 4. **span-balance** — every `span_begin` must be matched by a
-//!    `span_end` or an ownership transfer on all return paths.
-//! 5. **stale-waiver** — inline waivers that no longer suppress anything
+//!    virtual-time code), `unwrap-ratchet` (panic budget per file against
+//!    `lint_baseline.toml`).
+//! 3. **stale-waiver** — inline waivers that no longer suppress anything
 //!    are reported (info) so the exception inventory stays honest.
 //!
 //! Everything is lexical: a hand-rolled token scanner (`lexer`), no
 //! external dependencies, no proc macros. Findings can be waived inline
-//! with `// rp-lint: allow(<rule>, ...): <reason>`. Fencing is not a
-//! lint: the coordination store's `Fence` and `Revoked` types make its
-//! misuses compile errors.
+//! with `// rp-lint: allow(<rule>, ...): <reason>`. What a type can state
+//! is not a lint: the coordination store's `Fence` and `Revoked` make
+//! fencing misuse a compile error, the trace's `OpenSpan` makes a
+//! discarded or twice-ended span one, and `Engine` is `!Send`, so
+//! simulation state cannot reach the `par` worker threads.
 
 pub mod baseline;
 pub mod hazards;
 pub mod lexer;
-pub mod locks;
 pub mod report;
 pub mod scan;
-pub mod spans;
 pub mod states;
 pub mod waivers;
 
@@ -48,8 +43,8 @@ pub const EXPECTED_MACHINES: usize = 2;
 
 #[derive(Debug, Default, Clone)]
 pub struct Options {
-    /// Rewrite `lockorder.toml` and `lint_baseline.toml` from the current
-    /// tree instead of checking against them.
+    /// Rewrite `lint_baseline.toml` from the current tree instead of
+    /// checking against it.
     pub bless: bool,
     /// Write lifecycle DOT graphs into this directory.
     pub emit_dot: Option<PathBuf>,
@@ -102,25 +97,15 @@ pub fn run_pass(root: &Path, opts: &Options) -> std::io::Result<Pass> {
         machines
     });
 
-    // Family 2: lock-order.
-    timed!(
-        "lock-order",
-        locks::check(&files, root, opts.bless, &mut report)?
-    );
-
-    // Family 3: determinism hazards.
+    // Family 2: determinism hazards.
     timed!("wallclock", hazards::check_wallclock(&files, &mut report));
     timed!("hash-iter", hazards::check_hash_iter(&files, &mut report));
-    timed!("par-hazard", hazards::check_par_hazard(&files, &mut report));
     timed!(
         "unwrap-ratchet",
         hazards::check_unwrap_ratchet(&files, root, opts.bless, &mut report)?
     );
 
-    // Family 4: span balance.
-    timed!("span-balance", spans::check(&files, &mut report));
-
-    // Family 5: waiver hygiene — after every producing rule has run.
+    // Family 3: waiver hygiene — after every producing rule has run.
     timed!("stale-waiver", waivers::check_stale(&files, &mut report));
 
     report.sort();

@@ -132,12 +132,9 @@ fn escape(s: &str) -> String {
 /// All rule names, for `--explain` listing and waiver validation.
 pub const RULES: &[&str] = &[
     "state-machine",
-    "lock-order",
     "hash-iter",
     "wallclock",
-    "par-hazard",
     "unwrap-ratchet",
-    "span-balance",
     "stale-waiver",
 ];
 
@@ -160,16 +157,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              exception with `// rp-lint: allow(state-machine)`.\n\
              `--emit-dot <dir>` renders both lifecycles as Graphviz."
         }
-        "lock-order" => {
-            "lock-order: static deadlock detection over Mutex acquisitions.\n\
-             Within each function, a `.lock()` call made while an earlier guard is\n\
-             still live (let-bound: until its block closes; temporary: until the\n\
-             end of the statement) records an ordering edge `held -> acquired`,\n\
-             qualified by file stem. A cycle in the resulting graph is a potential\n\
-             deadlock and always fails. Every edge must also appear in the blessed\n\
-             set in lockorder.toml — a new nesting fails CI until a human reviews\n\
-             it and re-blesses with `rp_lint --bless`."
-        }
         "hash-iter" => {
             "hash-iter: trace-order nondeterminism from hash iteration.\n\
              HashMap/HashSet iteration order varies run to run; anything it feeds\n\
@@ -190,18 +177,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              job), examples, tests and benches. Waive an intentional use with\n\
              `// rp-lint: allow(wallclock): <justification>`."
         }
-        "par-hazard" => {
-            "par-hazard: scheduling nondeterminism from threads.\n\
-             Results must not depend on which thread ran what: the `par`\n\
-             helpers run closures on worker threads, so code in\n\
-             crates/sim-core and crates/core must not let thread identity or\n\
-             weakly-ordered atomics influence results. The rule flags `Ordering::Relaxed`, `thread_local!`,\n\
-             `thread::current()` and `ThreadId` in library code there.\n\
-             Fix by using acquire/release (or stronger) orderings and engine\n\
-             state instead of thread identity; waive a provably\n\
-             order-insensitive use with\n\
-             `// rp-lint: allow(par-hazard): <why results cannot differ>`."
-        }
         "unwrap-ratchet" => {
             "unwrap-ratchet: panic-prone `.unwrap()`/`.expect()` budget.\n\
              Counts unwrap/expect calls in non-test library code per file and\n\
@@ -210,17 +185,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              as a note — run `rp_lint --bless` to tighten the baseline after a\n\
              cleanup. Prefer expectful messages that state the violated\n\
              invariant, or real error paths where a fault can reach the call."
-        }
-        "span-balance" => {
-            "span-balance: every span opened must be closed or owned.\n\
-             For each `let x = ...span_begin(...)` in library code the rule\n\
-             requires, within the same function, either a `span_end(..., x)`\n\
-             (including inside closures) or an escape that transfers ownership\n\
-             (assignment into a field/struct, passing x to a non-span_attr call,\n\
-             returning it). A span id that is dropped on the floor — discarded\n\
-             result or a binding only ever fed to span_attr — can never be ended\n\
-             and leaks an open span into the trace. Waive intentional leaks with\n\
-             `// rp-lint: allow(span-balance): <why>`."
         }
         "stale-waiver" => {
             "stale-waiver: inline waivers must keep earning their place.\n\

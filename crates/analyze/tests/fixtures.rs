@@ -5,7 +5,7 @@
 
 use rp_analyze::report::Report;
 use rp_analyze::scan::{FileKind, SourceFile};
-use rp_analyze::{baseline, hazards, locks, spans, states};
+use rp_analyze::{baseline, hazards, states};
 
 fn lib_file(rel: &str, src: &str) -> SourceFile {
     SourceFile::from_source(rel, FileKind::Lib, src)
@@ -174,80 +174,6 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn lock_order_fires_on_unblessed_nesting_and_inversion_cycle() {
-    let bad = r#"
-fn ab(a: &Mutex<u32>, b: &Mutex<u32>) {
-    let ga = a.lock().expect("a");
-    let gb = b.lock().expect("b");
-}
-fn ba(a: &Mutex<u32>, b: &Mutex<u32>) {
-    let gb = b.lock().expect("b");
-    let ga = a.lock().expect("a");
-}
-"#;
-    let files = vec![lib_file("crates/x/src/pair.rs", bad)];
-    let root = temp_root("lock_bad");
-    let mut report = Report::default();
-    let edges = locks::check(&files, &root, false, &mut report).expect("lock check");
-    assert_eq!(edges.len(), 2, "both orderings observed");
-    // Both edges unblessed (no lockorder.toml in temp root) => fatal, and
-    // the a->b->a cycle is reported as a potential deadlock.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.fatal && f.message.contains("not blessed")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.fatal && f.message.contains("cycle")));
-}
-
-#[test]
-fn lock_order_silent_on_blessed_acyclic_nesting() {
-    let nested = r#"
-fn ab(a: &Mutex<u32>, b: &Mutex<u32>) {
-    let ga = a.lock().expect("a");
-    let gb = b.lock().expect("b");
-}
-"#;
-    let files = vec![lib_file("crates/x/src/pair.rs", nested)];
-    let root = temp_root("lock_good");
-    let mut report = Report::default();
-    // Bless first, then check: the same edge must now pass.
-    locks::check(&files, &root, true, &mut report).expect("bless");
-    locks::check(&files, &root, false, &mut report).expect("recheck");
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-}
-
-#[test]
-fn lock_order_sequential_locks_record_no_edge() {
-    // Guards dropped before the next acquisition: no nesting.
-    let seq = r#"
-fn one_at_a_time(a: &Mutex<u32>, b: &Mutex<u32>) {
-    {
-        let ga = a.lock().expect("a");
-    }
-    let gb = b.lock().expect("b");
-}
-fn temporaries(a: &Mutex<u32>, b: &Mutex<u32>) {
-    *a.lock().expect("a") += 1;
-    *b.lock().expect("b") += 1;
-}
-fn explicit_drop(a: &Mutex<u32>, b: &Mutex<u32>) {
-    let ga = a.lock().expect("a");
-    drop(ga);
-    let gb = b.lock().expect("b");
-}
-"#;
-    let files = vec![lib_file("crates/x/src/seq.rs", seq)];
-    let root = temp_root("lock_seq");
-    let mut report = Report::default();
-    let edges = locks::check(&files, &root, false, &mut report).expect("lock check");
-    assert!(edges.is_empty(), "edges: {edges:?}");
-    assert_eq!(report.fatal_count(), 0);
-}
-
-#[test]
 fn wallclock_fires_in_lib_and_not_in_tests_or_waivers() {
     let bad = "fn t() -> u64 { let t0 = Instant::now(); 0 }\n";
     let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { let t0 = Instant::now(); }\n}\n";
@@ -347,55 +273,6 @@ fn collect_all() -> Vec<u64> {
 }
 
 #[test]
-fn par_hazard_fires_on_relaxed_atomics_and_thread_identity() {
-    let relaxed = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    let tls = "thread_local! {\n    static SCRATCH: Cell<u64> = const { Cell::new(0) };\n}\n";
-    let tid = "fn tag() -> ThreadId { std::thread::current().id() }\n";
-    let mut report = Report::default();
-    hazards::check_par_hazard(
-        &[
-            lib_file("crates/sim-core/src/a.rs", relaxed),
-            lib_file("crates/core/src/b.rs", tls),
-            lib_file("crates/sim-core/src/c.rs", tid),
-        ],
-        &mut report,
-    );
-    // `tid` hits twice (ThreadId + thread::current); the others once each.
-    assert_eq!(report.fatal_count(), 4, "{}", report.render_text());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("Relaxed")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("thread_local!")));
-}
-
-#[test]
-fn par_hazard_scoped_to_sim_crates_and_honors_waivers_and_tests() {
-    // Same hazards outside the simulation crates: out of scope.
-    let elsewhere = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    // Acquire/release ordering in scope: fine.
-    let acq = "fn read(c: &AtomicU64) -> u64 { c.load(Ordering::Acquire) }\n";
-    // Waived and test-only uses: reported but not fatal / skipped.
-    let waived = "fn bump(c: &AtomicU64) {\n    // rp-lint: allow(par-hazard): order-insensitive counter\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
-    let test_only = "#[cfg(test)]\nmod tests {\n    fn t(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n}\n";
-    let mut report = Report::default();
-    hazards::check_par_hazard(
-        &[
-            lib_file("crates/analyze/src/elsewhere.rs", elsewhere),
-            lib_file("crates/sim-core/src/acq.rs", acq),
-            lib_file("crates/sim-core/src/waived.rs", waived),
-            lib_file("crates/core/src/test_only.rs", test_only),
-        ],
-        &mut report,
-    );
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-    assert!(report.findings.iter().any(|f| f.waived));
-}
-
-#[test]
 fn unwrap_ratchet_fails_above_baseline_and_notes_below() {
     let two = "fn a(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"set\") }\n";
     let files = vec![lib_file("crates/x/src/two.rs", two)];
@@ -438,76 +315,6 @@ fn unwrap_ratchet_ignores_test_code() {
     hazards::check_unwrap_ratchet(&[lib_file("t.rs", test_only)], &root, false, &mut report)
         .expect("check");
     assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-}
-
-#[test]
-fn span_balance_fires_on_leaked_and_discarded_spans() {
-    let leaked = r#"
-fn run(engine: &mut Engine) {
-    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
-    engine.trace.span_attr(engine.now(), span, "k", "v");
-}
-"#;
-    let discarded = r#"
-fn run(engine: &mut Engine) {
-    engine.trace.span_begin(engine.now(), "cat", "name", None);
-}
-"#;
-    let mut report = Report::default();
-    spans::check(&[lib_file("leak.rs", leaked)], &mut report);
-    assert_eq!(report.fatal_count(), 1, "{}", report.render_text());
-    assert!(report.findings[0]
-        .message
-        .contains("never passed to span_end"));
-
-    let mut report = Report::default();
-    spans::check(&[lib_file("drop.rs", discarded)], &mut report);
-    assert_eq!(report.fatal_count(), 1, "{}", report.render_text());
-    assert!(report.findings[0].message.contains("discarded"));
-}
-
-#[test]
-fn span_balance_silent_on_ended_stored_or_escaping_spans() {
-    let good = r#"
-fn ended(engine: &mut Engine) {
-    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
-    engine.trace.span_end(engine.now(), span);
-}
-fn ended_in_closure(engine: &mut Engine) {
-    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
-    engine.schedule_now(move |eng| {
-        eng.trace.span_end(eng.now(), span);
-    });
-}
-fn stored(engine: &mut Engine, rec: &mut Record) {
-    rec.span_open = engine.trace.span_begin(engine.now(), "cat", "name", None);
-}
-fn stored_via_let(engine: &mut Engine, rec: &mut Record) {
-    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
-    rec.span_open = Some(span);
-}
-fn returned(engine: &mut Engine) -> SpanId {
-    engine.trace.span_begin(engine.now(), "cat", "name", None)
-}
-"#;
-    let mut report = Report::default();
-    spans::check(&[lib_file("good.rs", good)], &mut report);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-}
-
-#[test]
-fn span_balance_waiver_downgrades() {
-    let waived = r#"
-fn run(engine: &mut Engine) {
-    // rp-lint: allow(span-balance): root span intentionally outlives the run
-    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
-    engine.trace.span_attr(engine.now(), span, "k", "v");
-}
-"#;
-    let mut report = Report::default();
-    spans::check(&[lib_file("w.rs", waived)], &mut report);
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-    assert!(report.findings.iter().any(|f| f.waived));
 }
 
 // ---- waiver hygiene ----

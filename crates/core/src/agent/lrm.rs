@@ -75,7 +75,7 @@ impl Runtime {
                     engine
                         .trace
                         .span_begin(engine.now(), "yarn", "yarn.startup", bootstrap_span);
-                engine.trace.span_attr(span, "mode", "II");
+                engine.trace.span_attr(span.id(), "mode", "II");
                 connect_mode_ii(engine, env, &cfg.yarn, move |eng, env| {
                     eng.trace.span_end(eng.now(), span);
                     let boot = eng.now().since(t0);

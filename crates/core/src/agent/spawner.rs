@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use rp_hpc::{IoKind, NodeId, StorageTarget};
-use rp_sim::{Engine, SimDuration, SpanId};
+use rp_sim::{Engine, OpenSpan, SimDuration};
 use rp_spark::SparkCluster;
 use rp_yarn::{AmHandle, HadoopEnv, ResourceRequest};
 
@@ -21,12 +21,21 @@ use crate::unit::{PilotId, UnitHandle};
 /// Open a unit's compute span under its exec span. The profiler's
 /// utilization pass keys on the pilot/cores attributes. Attempts killed
 /// mid-run abandon the span open, which excludes it.
-fn open_compute_span(engine: &mut Engine, unit: &UnitHandle, pilot: PilotId, cores: u32) -> SpanId {
+fn open_compute_span(
+    engine: &mut Engine,
+    unit: &UnitHandle,
+    pilot: PilotId,
+    cores: u32,
+) -> OpenSpan {
     let span = engine
         .trace
         .span_begin(engine.now(), "unit", "unit.compute", unit.open_span());
-    engine.trace.span_attr(span, "pilot", pilot.0.to_string());
-    engine.trace.span_attr(span, "cores", cores.to_string());
+    engine
+        .trace
+        .span_attr(span.id(), "pilot", pilot.0.to_string());
+    engine
+        .trace
+        .span_attr(span.id(), "cores", cores.to_string());
     span
 }
 

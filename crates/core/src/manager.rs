@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rp_hpc::JobState;
-use rp_sim::{Engine, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, Trace};
 
 use crate::agent::Agent;
 use crate::coordination::Revoked;
@@ -78,13 +78,26 @@ struct PilotRecord {
     agent: Option<Agent>,
     saga_job: Option<rp_saga::SagaJob>,
     assigned_units: u64,
-    /// Root lifecycle span ("pilot.run") and the currently open child
-    /// phase span — both `NONE` when tracing is disabled.
+    /// Root lifecycle span ("pilot.run"): its id, kept after the run for
+    /// the profilers, and the open span until the final state. Then the
+    /// currently open child phase span. All `NONE` when tracing is
+    /// disabled.
     span_root: SpanId,
-    span_open: SpanId,
+    span_run: OpenSpan,
+    span_open: OpenSpan,
     /// Callbacks fired once when the pilot reaches a final state (the
     /// Unit-Manager's failover monitor registers here).
     waiters: Vec<FinalWaiter>,
+}
+
+impl PilotRecord {
+    /// Close the open phase span and open `next` (if any) under the root.
+    fn next_phase(&mut self, trace: &mut Trace, now: SimTime, next: Option<&str>) {
+        trace.span_end(now, std::mem::take(&mut self.span_open));
+        if let Some(name) = next {
+            self.span_open = trace.span_begin(now, "pilot", name, self.span_root);
+        }
+    }
 }
 
 /// Shared handle to a pilot. Cheap to clone.
@@ -127,7 +140,7 @@ impl PilotHandle {
     /// Currently open phase span (e.g. "pilot.bootstrap" while Launching);
     /// framework startup spans nest under it.
     pub(crate) fn open_span(&self) -> SpanId {
-        self.rec.borrow().span_open
+        self.rec.borrow().span_open.id()
     }
 
     /// Run `cb` once the pilot reaches a final state. Returns `false` if
@@ -169,36 +182,33 @@ impl PilotHandle {
                     let root = engine
                         .trace
                         .span_begin(now, "pilot", "pilot.run", SpanId::NONE);
-                    engine.trace.span_attr(root, "pilot", rec.id.0.to_string());
+                    rec.span_root = root.id();
+                    rec.span_run = root;
                     engine
                         .trace
-                        .span_attr(root, "resource", rec.descr.resource.clone());
+                        .span_attr(rec.span_root, "pilot", rec.id.0.to_string());
                     engine
                         .trace
-                        .span_attr(root, "nodes", rec.descr.nodes.to_string());
-                    rec.span_root = root;
-                    rec.span_open = engine
+                        .span_attr(rec.span_root, "resource", rec.descr.resource.clone());
+                    engine
                         .trace
-                        .span_begin(now, "pilot", "pilot.queue_wait", root);
+                        .span_attr(rec.span_root, "nodes", rec.descr.nodes.to_string());
+                    rec.next_phase(&mut engine.trace, now, Some("pilot.queue_wait"));
                 }
                 PilotState::Launching => {
                     rec.times.launched = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open =
-                        engine
-                            .trace
-                            .span_begin(now, "pilot", "pilot.bootstrap", rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, Some("pilot.bootstrap"));
                 }
                 PilotState::Active => {
                     rec.times.active = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open = SpanId::NONE;
+                    rec.next_phase(&mut engine.trace, now, None);
                 }
                 s if s.is_final() => {
                     rec.times.finished = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open = SpanId::NONE;
-                    engine.trace.span_end(now, rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, None);
+                    engine
+                        .trace
+                        .span_end(now, std::mem::take(&mut rec.span_run));
                 }
                 _ => {}
             }
@@ -252,7 +262,8 @@ impl PilotManager {
                 saga_job: None,
                 assigned_units: 0,
                 span_root: SpanId::NONE,
-                span_open: SpanId::NONE,
+                span_run: OpenSpan::NONE,
+                span_open: OpenSpan::NONE,
                 waiters: Vec::new(),
             })),
         };

@@ -4,7 +4,7 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use rp_hpc::NodeId;
-use rp_sim::{Engine, Message, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, Message, OpenSpan, SimDuration, SimTime, SpanId, Trace};
 
 use crate::description::ComputeUnitDescription;
 use crate::states::{Guarded, PilotState, UnitState};
@@ -87,11 +87,23 @@ pub(crate) struct UnitRecord {
     /// Cross-pilot re-binds so far (0 for units that never left their
     /// first pilot); capped by `descr.max_rebinds`.
     pub rebinds: u32,
-    /// Root lifecycle span ("unit.run") and the currently open phase span
-    /// — both `NONE` when tracing is disabled.
+    /// Root lifecycle span ("unit.run"): its id, kept after the run for
+    /// the profilers, and the open span until the final state. Then the
+    /// currently open phase span. All `NONE` when tracing is disabled.
     pub span_root: SpanId,
-    pub span_open: SpanId,
+    pub span_run: OpenSpan,
+    pub span_open: OpenSpan,
     waiters: Vec<DoneFn>,
+}
+
+impl UnitRecord {
+    /// Close the open phase span and open `next` (if any) under the root.
+    fn next_phase(&mut self, trace: &mut Trace, now: SimTime, next: Option<&str>) {
+        trace.span_end(now, std::mem::take(&mut self.span_open));
+        if let Some(name) = next {
+            self.span_open = trace.span_begin(now, "unit", name, self.span_root);
+        }
+    }
 }
 
 /// Shared handle to a Compute-Unit. Cheap to clone.
@@ -115,7 +127,8 @@ impl UnitHandle {
                 attempts: 0,
                 rebinds: 0,
                 span_root: SpanId::NONE,
-                span_open: SpanId::NONE,
+                span_run: OpenSpan::NONE,
+                span_open: OpenSpan::NONE,
                 waiters: Vec::new(),
             })),
         }
@@ -186,17 +199,14 @@ impl UnitHandle {
 
     /// Currently open phase span (e.g. "unit.exec" while Executing).
     pub(crate) fn open_span(&self) -> SpanId {
-        self.rec.borrow().span_open
+        self.rec.borrow().span_open.id()
     }
 
     /// Close the open phase span early (e.g. when input staging finishes
     /// before the execution slot is granted — the gap shows up as
     /// allocation or overhead, not staging).
     pub(crate) fn end_open_span(&self, engine: &mut Engine) {
-        let open = {
-            let mut rec = self.rec.borrow_mut();
-            std::mem::replace(&mut rec.span_open, SpanId::NONE)
-        };
+        let open = std::mem::take(&mut self.rec.borrow_mut().span_open);
         engine.trace.span_end(engine.now(), open);
     }
 
@@ -229,66 +239,47 @@ impl UnitHandle {
                         let root = engine
                             .trace
                             .span_begin(now, "unit", "unit.run", SpanId::NONE);
-                        engine.trace.span_attr(root, "unit", rec.id.0.to_string());
-                        engine.trace.span_attr(root, "name", &rec.descr.name);
-                        rec.span_root = root;
-                        rec.span_open =
-                            engine
-                                .trace
-                                .span_begin(now, "unit", "unit.scheduling", root);
-                    } else {
-                        // Cross-pilot re-bind: the root span stays open; the
-                        // interrupted phase closes and a fresh scheduling
-                        // phase begins on the surviving pilot.
-                        engine.trace.span_end(now, rec.span_open);
-                        rec.span_open =
-                            engine
-                                .trace
-                                .span_begin(now, "unit", "unit.scheduling", rec.span_root);
+                        rec.span_root = root.id();
+                        rec.span_run = root;
+                        engine
+                            .trace
+                            .span_attr(rec.span_root, "unit", rec.id.0.to_string());
+                        engine
+                            .trace
+                            .span_attr(rec.span_root, "name", &rec.descr.name);
                     }
+                    // On a cross-pilot re-bind the root span stays open; the
+                    // interrupted phase closes and a fresh scheduling phase
+                    // begins on the surviving pilot.
+                    rec.next_phase(&mut engine.trace, now, Some("unit.scheduling"));
                 }
                 UnitState::AgentScheduling => {
                     rec.times.agent_pickup = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open =
-                        engine
-                            .trace
-                            .span_begin(now, "unit", "unit.scheduling", rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, Some("unit.scheduling"));
                 }
                 UnitState::StagingInput => {
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open =
-                        engine
-                            .trace
-                            .span_begin(now, "unit", "unit.stage_in", rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, Some("unit.stage_in"));
                 }
                 UnitState::Executing => {
                     rec.times.exec_start = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open =
-                        engine
-                            .trace
-                            .span_begin(now, "unit", "unit.exec", rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, Some("unit.exec"));
                 }
                 UnitState::StagingOutput => {
                     rec.times.exec_end = Some(now);
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open =
-                        engine
-                            .trace
-                            .span_begin(now, "unit", "unit.stage_out", rec.span_root);
+                    rec.next_phase(&mut engine.trace, now, Some("unit.stage_out"));
                 }
                 UnitState::Done | UnitState::Canceled | UnitState::Failed => {
                     rec.times.done = Some(now);
                     if rec.times.exec_end.is_none() {
                         rec.times.exec_end = rec.times.done;
                     }
-                    engine.trace.span_end(now, rec.span_open);
-                    rec.span_open = SpanId::NONE;
+                    rec.next_phase(&mut engine.trace, now, None);
                     if next == UnitState::Failed {
                         engine.trace.span_attr(rec.span_root, "failed", "true");
                     }
-                    engine.trace.span_end(now, rec.span_root);
+                    engine
+                        .trace
+                        .span_end(now, std::mem::take(&mut rec.span_run));
                 }
                 _ => {}
             }

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use rp_hdfs::Hdfs;
 use rp_hpc::{Cluster, IoKind, IoPattern, NodeId, StorageTarget};
-use rp_sim::{Engine, SimDuration, SimTime, SpanId, MB};
+use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, MB};
 use rp_yarn::{Resource, ResourceRequest, YarnCluster};
 
 /// Where map outputs spill and reducers fetch from.
@@ -120,7 +120,7 @@ struct JobState {
     /// Span parent for the job's phase spans (NONE when untraced).
     span_parent: SpanId,
     /// The currently open phase span (am alloc → map → shuffle → reduce).
-    span_open: SpanId,
+    span_open: OpenSpan,
 }
 
 /// Close the open phase span and open the next one under the job's parent.
@@ -131,8 +131,8 @@ fn advance_phase_span(
     name: &str,
 ) {
     let (open, parent) = {
-        let st = state.borrow();
-        (st.span_open, st.span_parent)
+        let mut st = state.borrow_mut();
+        (std::mem::take(&mut st.span_open), st.span_parent)
     };
     engine.trace.span_end(engine.now(), open);
     let next = engine
@@ -450,7 +450,7 @@ fn run_reduce_task(
                         if finished {
                             am2.finish(eng);
                             eng.metrics.incr("mr.jobs_finished");
-                            let open = state2.borrow().span_open;
+                            let open = std::mem::take(&mut state2.borrow_mut().span_open);
                             eng.trace.span_end(eng.now(), open);
                             let stats = {
                                 let st = state2.borrow();

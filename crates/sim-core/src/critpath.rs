@@ -498,25 +498,26 @@ mod tests {
     fn serial_chain_partitions_makespan() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        let s = tr.span_begin(t(0), "unit", "unit.scheduling", root);
+        let root_id = root.id();
+        let s = tr.span_begin(t(0), "unit", "unit.scheduling", root_id);
         tr.span_end(t(5), s);
-        let si = tr.span_begin(t(5), "unit", "unit.stage_in", root);
+        let si = tr.span_begin(t(5), "unit", "unit.stage_in", root_id);
         tr.span_end(t(8), si);
-        let ex = tr.span_begin(t(8), "unit", "unit.exec", root);
-        let c = tr.span_begin(t(8), "unit", "unit.compute", ex);
+        let ex = tr.span_begin(t(8), "unit", "unit.exec", root_id);
+        let c = tr.span_begin(t(8), "unit", "unit.compute", ex.id());
         tr.span_end(t(20), c);
         tr.span_end(t(20), ex);
-        let so = tr.span_begin(t(20), "unit", "unit.stage_out", root);
+        let so = tr.span_begin(t(20), "unit", "unit.stage_out", root_id);
         tr.span_end(t(23), so);
         tr.span_end(t(23), root);
-        let cp = critical_path(&tr, root).unwrap();
+        let cp = critical_path(&tr, root_id).unwrap();
         assert_eq!(cp.makespan_secs(), 23.0);
         assert_eq!(cp.phases.total_secs(), 23.0);
         assert_eq!(cp.phases.secs(Phase::QueueWait), 5.0);
         assert_eq!(cp.phases.secs(Phase::StageIn), 3.0);
         assert_eq!(cp.phases.secs(Phase::Compute), 12.0);
         assert_eq!(cp.phases.secs(Phase::StageOut), 3.0);
-        let p = crate::profile::profile_span(&tr, root);
+        let p = crate::profile::profile_span(&tr, root_id);
         for ph in Phase::ALL {
             assert_eq!(cp.phases.secs(ph), p.secs(ph), "{ph:?}");
         }
@@ -536,23 +537,27 @@ mod tests {
     fn barrier_picks_last_finisher_and_assigns_slack() {
         let mut tr = Trace::enabled();
         let job = tr.span_begin(t(0), "mr", "job", SpanId::NONE);
-        let m1 = tr.span_begin(t(10), "mr", "mr.map", job);
-        let m2 = tr.span_begin(t(10), "mr", "mr.map", job);
-        let m3 = tr.span_begin(t(10), "mr", "mr.map", job);
+        let job_id = job.id();
+        let m1 = tr.span_begin(t(10), "mr", "mr.map", job_id);
+        let m1_id = m1.id();
+        let m2 = tr.span_begin(t(10), "mr", "mr.map", job_id);
+        let m2_id = m2.id();
+        let m3 = tr.span_begin(t(10), "mr", "mr.map", job_id);
+        let m3_id = m3.id();
         tr.span_end(t(50), m1);
         tr.span_end(t(40), m2);
         tr.span_end(t(20), m3);
-        let sh = tr.span_begin(t(50), "mr", "mr.shuffle", job);
+        let sh = tr.span_begin(t(50), "mr", "mr.shuffle", job_id);
         tr.span_end(t(80), sh);
-        let r = tr.span_begin(t(80), "mr", "mr.reduce", job);
+        let r = tr.span_begin(t(80), "mr", "mr.reduce", job_id);
         tr.span_end(t(100), r);
         tr.span_end(t(100), job);
-        let cp = critical_path(&tr, job).unwrap();
+        let cp = critical_path(&tr, job_id).unwrap();
         assert_eq!(cp.makespan_secs(), 100.0);
         // Path: job-self [0,10], m1 [10,50], shuffle [50,80], reduce [80,100].
-        assert!(cp.on_path(m1));
-        assert!(!cp.on_path(m2));
-        assert!(!cp.on_path(m3));
+        assert!(cp.on_path(m1_id));
+        assert!(!cp.on_path(m2_id));
+        assert!(!cp.on_path(m3_id));
         assert_eq!(cp.phases.secs(Phase::Compute), 60.0); // m1 + reduce
         assert_eq!(cp.phases.secs(Phase::Shuffle), 30.0);
         assert_eq!(cp.phases.secs(Phase::Overhead), 10.0);
@@ -562,8 +567,8 @@ mod tests {
             .iter()
             .map(|&(id, d)| (id, d.0 / 1_000_000))
             .collect();
-        assert_eq!(slack[&m2], 10);
-        assert_eq!(slack[&m3], 30);
+        assert_eq!(slack[&m2_id], 10);
+        assert_eq!(slack[&m3_id], 30);
         let rows = cp.phase_rows();
         let compute = rows.iter().find(|r| r.phase == Phase::Compute).unwrap();
         assert_eq!(compute.off_path_s, 40.0); // m2 (30) + m3 (10)
@@ -577,20 +582,20 @@ mod tests {
     fn adoption_attributes_startup_phases_across_roots() {
         let mut tr = Trace::enabled();
         let pr = tr.span_begin(t(0), "pilot", "pilot.run", SpanId::NONE);
-        tr.span_attr(pr, "pilot", "0");
-        let q = tr.span_begin(t(0), "pilot", "pilot.queue_wait", pr);
+        tr.span_attr(pr.id(), "pilot", "0");
+        let q = tr.span_begin(t(0), "pilot", "pilot.queue_wait", pr.id());
         tr.span_end(t(10), q);
-        let b = tr.span_begin(t(10), "pilot", "pilot.bootstrap", pr);
-        let y = tr.span_begin(t(12), "yarn", "yarn.startup", b);
+        let b = tr.span_begin(t(10), "pilot", "pilot.bootstrap", pr.id());
+        let y = tr.span_begin(t(12), "yarn", "yarn.startup", b.id());
         tr.span_end(t(40), y);
         tr.span_end(t(40), b);
         // Unit submitted at t=0, picked up once the pilot is active.
         let ur = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        tr.span_attr(ur, "pilot", "0");
-        let s = tr.span_begin(t(0), "unit", "unit.scheduling", ur);
+        tr.span_attr(ur.id(), "pilot", "0");
+        let s = tr.span_begin(t(0), "unit", "unit.scheduling", ur.id());
         tr.span_end(t(41), s);
-        let ex = tr.span_begin(t(41), "unit", "unit.exec", ur);
-        let c = tr.span_begin(t(41), "unit", "unit.compute", ex);
+        let ex = tr.span_begin(t(41), "unit", "unit.exec", ur.id());
+        let c = tr.span_begin(t(41), "unit", "unit.compute", ex.id());
         tr.span_end(t(90), c);
         tr.span_end(t(90), ex);
         tr.span_end(t(90), ur);
@@ -613,15 +618,16 @@ mod tests {
         let mut tr = Trace::enabled();
         assert!(critical_path_run(&tr).is_none());
         let open = tr.span_begin(t(0), "x", "pilot.run", SpanId::NONE);
-        assert!(critical_path(&tr, open).is_none());
+        assert!(critical_path(&tr, open.id()).is_none());
         assert!(critical_path(&tr, SpanId(99)).is_none());
         // A root whose only child is zero-length: the whole interval is the
         // root's own time.
         let root = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        let z = tr.span_begin(t(5), "unit", "unit.stage_in", root);
+        let root_id = root.id();
+        let z = tr.span_begin(t(5), "unit", "unit.stage_in", root_id);
         tr.span_end(t(5), z);
         tr.span_end(t(10), root);
-        let cp = critical_path(&tr, root).unwrap();
+        let cp = critical_path(&tr, root_id).unwrap();
         assert_eq!(cp.segments.len(), 1);
         assert_eq!(cp.phases.total_secs(), 10.0);
     }
@@ -633,7 +639,7 @@ mod tests {
         let mut tr = Trace::enabled();
         for (b, e) in [(0u64, 30u64), (5, 60), (10, 45)] {
             let r = tr.span_begin(t(b), "unit", "unit.run", SpanId::NONE);
-            let c = tr.span_begin(t(b), "unit", "unit.compute", r);
+            let c = tr.span_begin(t(b), "unit", "unit.compute", r.id());
             tr.span_end(t(e), c);
             tr.span_end(t(e), r);
         }

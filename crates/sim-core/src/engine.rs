@@ -72,6 +72,20 @@ impl Ord for Entry {
 ///
 /// Also carries the run-wide seeded RNG and the event trace so that
 /// components only ever need an `&mut Engine` to advance the world.
+///
+/// `Engine` is not `Send` (its events are non-`Send` closures), so no
+/// simulation state can reach a worker thread of the [`crate::par`]
+/// helpers and results cannot depend on thread scheduling:
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<rp_sim::Engine>();
+/// ```
+///
+/// ```no_run
+/// fn send<T: Send>() {}
+/// send::<rp_sim::SimTime>();
+/// ```
 pub struct Engine {
     now: SimTime,
     seq: u64,

@@ -59,8 +59,8 @@ pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{
-    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, Span,
-    SpanId, SpanIndex, Trace, TraceEvent,
+    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, OpenSpan,
+    Span, SpanId, SpanIndex, Trace, TraceEvent,
 };
 
 /// Convenience: megabytes → bytes (storage models are specified in MB/s).

@@ -52,7 +52,9 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
             scope.spawn(|| loop {
-                // rp-lint: allow(par-hazard): work-stealing index only; every index is claimed exactly once and results land by position
+                // Relaxed is enough: the counter is a work-stealing index
+                // only; every index is claimed exactly once and results
+                // land by position.
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;

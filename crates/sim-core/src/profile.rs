@@ -357,16 +357,17 @@ mod tests {
     fn flat_pilot_tree_sums_exactly() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "pilot", "pilot.run", SpanId::NONE);
-        let q = tr.span_begin(t(0), "pilot", "pilot.queue_wait", root);
+        let root_id = root.id();
+        let q = tr.span_begin(t(0), "pilot", "pilot.queue_wait", root_id);
         tr.span_end(t(10), q);
-        let b = tr.span_begin(t(10), "pilot", "pilot.bootstrap", root);
-        let y = tr.span_begin(t(15), "yarn", "yarn.startup", b);
-        let h = tr.span_begin(t(30), "hdfs", "hdfs.startup", y);
+        let b = tr.span_begin(t(10), "pilot", "pilot.bootstrap", root_id);
+        let y = tr.span_begin(t(15), "yarn", "yarn.startup", b.id());
+        let h = tr.span_begin(t(30), "hdfs", "hdfs.startup", y.id());
         tr.span_end(t(50), h);
         tr.span_end(t(70), y);
         tr.span_end(t(70), b);
         tr.span_end(t(100), root);
-        let p = profile_span(&tr, root);
+        let p = profile_span(&tr, root_id);
         assert_eq!(p.secs(Phase::QueueWait), 10.0);
         assert_eq!(p.secs(Phase::PilotBootstrap), 5.0); // 10..15
         assert_eq!(p.secs(Phase::YarnStartup), 35.0); // 15..30 + 50..70
@@ -381,18 +382,19 @@ mod tests {
     fn overlapping_children_attribute_to_deepest_then_latest() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
+        let root_id = root.id();
         // stage_in stays open past the start of a sibling allocation span:
         // the later-started sibling wins the overlap.
-        let si = tr.span_begin(t(0), "unit", "unit.stage_in", root);
-        let am = tr.span_begin(t(4), "yarn", "yarn.am_allocation", root);
+        let si = tr.span_begin(t(0), "unit", "unit.stage_in", root_id);
+        let am = tr.span_begin(t(4), "yarn", "yarn.am_allocation", root_id);
         tr.span_end(t(8), am);
         tr.span_end(t(8), si);
-        let ex = tr.span_begin(t(8), "unit", "unit.exec", root);
-        let c = tr.span_begin(t(9), "unit", "unit.compute", ex);
+        let ex = tr.span_begin(t(8), "unit", "unit.exec", root_id);
+        let c = tr.span_begin(t(9), "unit", "unit.compute", ex.id());
         tr.span_end(t(19), c);
         tr.span_end(t(20), ex);
         tr.span_end(t(20), root);
-        let p = profile_span(&tr, root);
+        let p = profile_span(&tr, root_id);
         assert_eq!(p.secs(Phase::StageIn), 4.0); // 0..4
         assert_eq!(p.secs(Phase::AmAllocation), 4.0); // 4..8 (later begin wins)
         assert_eq!(p.secs(Phase::Compute), 10.0); // 9..19 (deepest wins)
@@ -406,20 +408,21 @@ mod tests {
     fn requeued_attempts_charge_queue_wait_per_attempt() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        let s1 = tr.span_begin(t(0), "unit", "unit.scheduling", root);
+        let root_id = root.id();
+        let s1 = tr.span_begin(t(0), "unit", "unit.scheduling", root_id);
         tr.span_end(t(2), s1);
-        let e1 = tr.span_begin(t(2), "unit", "unit.exec", root);
+        let e1 = tr.span_begin(t(2), "unit", "unit.exec", root_id);
         // Crash: the attempt's exec span is abandoned open and the unit is
         // requeued.
-        let _abandoned = e1;
-        let s2 = tr.span_begin(t(5), "unit", "unit.scheduling", root);
+        let _abandoned = e1.id();
+        let s2 = tr.span_begin(t(5), "unit", "unit.scheduling", root_id);
         tr.span_end(t(7), s2);
-        let e2 = tr.span_begin(t(7), "unit", "unit.exec", root);
-        let c = tr.span_begin(t(7), "unit", "unit.compute", e2);
+        let e2 = tr.span_begin(t(7), "unit", "unit.exec", root_id);
+        let c = tr.span_begin(t(7), "unit", "unit.compute", e2.id());
         tr.span_end(t(12), c);
         tr.span_end(t(12), e2);
         tr.span_end(t(12), root);
-        let p = profile_span(&tr, root);
+        let p = profile_span(&tr, root_id);
         // Both scheduling spans count; the abandoned open exec span does not.
         assert_eq!(p.secs(Phase::QueueWait), 4.0); // 0..2 + 5..7
         assert_eq!(p.secs(Phase::Compute), 5.0); // 7..12
@@ -433,14 +436,15 @@ mod tests {
     fn unmapped_span_inherits_ancestor_phase() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        let si = tr.span_begin(t(0), "unit", "unit.stage_in", root);
+        let root_id = root.id();
+        let si = tr.span_begin(t(0), "unit", "unit.stage_in", root_id);
         // An unmapped child of stage_in (e.g. a single transfer) inherits
         // StageIn rather than flipping to Overhead.
-        let xfer = tr.span_begin(t(1), "saga", "saga.transfer", si);
+        let xfer = tr.span_begin(t(1), "saga", "saga.transfer", si.id());
         tr.span_end(t(3), xfer);
         tr.span_end(t(4), si);
         tr.span_end(t(4), root);
-        let p = profile_span(&tr, root);
+        let p = profile_span(&tr, root_id);
         assert_eq!(p.secs(Phase::StageIn), 4.0);
         assert_eq!(p.secs(Phase::Overhead), 0.0);
     }
@@ -449,7 +453,7 @@ mod tests {
     fn open_or_missing_root_is_empty() {
         let mut tr = Trace::enabled();
         let open = tr.span_begin(t(0), "x", "pilot.run", SpanId::NONE);
-        assert_eq!(profile_span(&tr, open), PhaseBreakdown::default());
+        assert_eq!(profile_span(&tr, open.id()), PhaseBreakdown::default());
         assert_eq!(profile_span(&tr, SpanId::NONE), PhaseBreakdown::default());
         assert_eq!(profile_span(&tr, SpanId(99)), PhaseBreakdown::default());
     }
@@ -459,7 +463,7 @@ mod tests {
         let mut tr = Trace::enabled();
         for i in 0..3u64 {
             let root = tr.span_begin(t(i * 10), "unit", "unit.run", SpanId::NONE);
-            let c = tr.span_begin(t(i * 10 + 1), "unit", "unit.compute", root);
+            let c = tr.span_begin(t(i * 10 + 1), "unit", "unit.compute", root.id());
             tr.span_end(t(i * 10 + 5), c);
             tr.span_end(t(i * 10 + 6), root);
         }
@@ -473,23 +477,24 @@ mod tests {
     fn utilization_counts_compute_core_seconds_in_window() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "pilot", "pilot.run", SpanId::NONE);
-        tr.span_attr(root, "pilot", "0");
-        let b = tr.span_begin(t(0), "pilot", "pilot.bootstrap", root);
+        let root_id = root.id();
+        tr.span_attr(root_id, "pilot", "0");
+        let b = tr.span_begin(t(0), "pilot", "pilot.bootstrap", root_id);
         tr.span_end(t(10), b);
         // Two 2-core compute spans of 20 s each inside a 4-core, 100 s
         // active window -> 80 core-s / 400 core-s = 0.2.
         for start in [20u64, 60] {
             let u = tr.span_begin(t(start), "unit", "unit.compute", SpanId::NONE);
-            tr.span_attr(u, "pilot", "0");
-            tr.span_attr(u, "cores", "2");
+            tr.span_attr(u.id(), "pilot", "0");
+            tr.span_attr(u.id(), "cores", "2");
             tr.span_end(t(start + 20), u);
         }
         // A compute span of a different pilot is ignored.
         let other = tr.span_begin(t(20), "unit", "unit.compute", SpanId::NONE);
-        tr.span_attr(other, "pilot", "1");
+        tr.span_attr(other.id(), "pilot", "1");
         tr.span_end(t(40), other);
         tr.span_end(t(110), root);
-        let util = pilot_utilization(&tr, root, 4);
+        let util = pilot_utilization(&tr, root_id, 4);
         assert!((util - 0.2).abs() < 1e-9, "util = {util}");
     }
 }

@@ -299,23 +299,25 @@ mod tests {
     fn breakdown() -> PhaseBreakdown {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(SimTime(0), "pilot", "pilot.run", SpanId::NONE);
-        let q = tr.span_begin(SimTime(0), "pilot", "pilot.queue_wait", root);
+        let root_id = root.id();
+        let q = tr.span_begin(SimTime(0), "pilot", "pilot.queue_wait", root_id);
         tr.span_end(SimTime(10_000_000), q);
         tr.span_end(SimTime(25_000_000), root);
-        crate::profile::profile_span(&tr, root)
+        crate::profile::profile_span(&tr, root_id)
     }
 
     fn crit_trace() -> (Trace, SpanId) {
         let mut tr = Trace::enabled();
         let job = tr.span_begin(SimTime(0), "mr", "job", SpanId::NONE);
-        let m1 = tr.span_begin(SimTime(0), "mr", "mr.map", job);
-        let m2 = tr.span_begin(SimTime(0), "mr", "mr.map", job);
+        let job_id = job.id();
+        let m1 = tr.span_begin(SimTime(0), "mr", "mr.map", job_id);
+        let m2 = tr.span_begin(SimTime(0), "mr", "mr.map", job_id);
         tr.span_end(SimTime(50_000_000), m1);
         tr.span_end(SimTime(20_000_000), m2);
-        let r = tr.span_begin(SimTime(50_000_000), "mr", "mr.reduce", job);
+        let r = tr.span_begin(SimTime(50_000_000), "mr", "mr.reduce", job_id);
         tr.span_end(SimTime(80_000_000), r);
         tr.span_end(SimTime(80_000_000), job);
-        (tr, job)
+        (tr, job_id)
     }
 
     #[test]

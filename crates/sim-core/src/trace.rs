@@ -102,9 +102,9 @@ impl From<&str> for Message {
 }
 
 /// Identifier of a span. Ids are assigned sequentially from 1 in begin
-/// order; `SpanId::NONE` (0) is the sentinel returned when tracing is
-/// disabled — every span operation on it is a no-op, so call sites never
-/// need to branch on whether observability is on.
+/// order. `SpanId::NONE` (0) names no span: pass it as the parent of a
+/// root span. An id is a plain name (parents, attributes, lookups after
+/// the run); the right to end a span is its [`OpenSpan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(pub u64);
 
@@ -113,6 +113,45 @@ impl SpanId {
 
     pub fn is_none(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// An open span: [`Trace::span_begin`] returns one and
+/// [`Trace::span_end`] consumes it, so a span is ended at most once and
+/// a discarded begin is a `must_use` warning. `OpenSpan::NONE` (also the
+/// `Default`) is the sentinel a disabled trace returns — every span
+/// operation on it is a no-op, so call sites never branch on whether
+/// observability is on, and `std::mem::take` empties a stored slot.
+///
+/// Dropping an `OpenSpan` abandons the span: it stays open in the trace
+/// and exports skip it. Fault-killed attempts do this on purpose.
+///
+/// Only the trace mints one; building it from an id does not compile,
+/// because the field is private:
+///
+/// ```compile_fail
+/// use rp_sim::{OpenSpan, SimTime, SpanId, Trace};
+/// let mut trace = Trace::enabled();
+/// let span = trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+/// trace.span_end(SimTime(1), OpenSpan(span.id()));
+/// ```
+///
+/// ```no_run
+/// use rp_sim::{OpenSpan, SimTime, SpanId, Trace};
+/// let mut trace = Trace::enabled();
+/// let span = trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+/// trace.span_end(SimTime(1), span);
+/// ```
+#[must_use = "an open span must be ended with `Trace::span_end` or stored"]
+#[derive(Debug, Default)]
+pub struct OpenSpan(SpanId);
+
+impl OpenSpan {
+    pub const NONE: OpenSpan = OpenSpan(SpanId::NONE);
+
+    /// The span's id, for parents and [`Trace::span_attr`].
+    pub fn id(&self) -> SpanId {
+        self.0
     }
 }
 
@@ -181,17 +220,33 @@ impl Trace {
         }
     }
 
-    /// Open a span. Returns `SpanId::NONE` when disabled; pass
+    /// Open a span. Returns `OpenSpan::NONE` when disabled; pass
     /// `SpanId::NONE` as `parent` for a root span.
+    ///
+    /// Discarding the result is an error under `deny(unused_must_use)`:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// use rp_sim::{SimTime, SpanId, Trace};
+    /// let mut trace = Trace::enabled();
+    /// trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+    /// ```
+    ///
+    /// ```no_run
+    /// #![deny(unused_must_use)]
+    /// use rp_sim::{SimTime, SpanId, Trace};
+    /// let mut trace = Trace::enabled();
+    /// let _span = trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+    /// ```
     pub fn span_begin(
         &mut self,
         time: SimTime,
         category: &'static str,
         name: &str,
         parent: SpanId,
-    ) -> SpanId {
+    ) -> OpenSpan {
         if !self.enabled {
-            return SpanId::NONE;
+            return OpenSpan::NONE;
         }
         let id = SpanId(self.count as u64 + 1);
         let name = self.syms.intern(name);
@@ -211,10 +266,10 @@ impl Trace {
         self.count += 1;
         self.open += 1;
         self.peak_open = self.peak_open.max(self.open);
-        id
+        OpenSpan(id)
     }
 
-    /// Attach a key/value attribute to an open span (no-op on `NONE`).
+    /// Attach a key/value attribute to a span (no-op on `NONE`).
     pub fn span_attr(&mut self, id: SpanId, key: &str, value: impl AsRef<str>) {
         if id.is_none() {
             return;
@@ -225,17 +280,32 @@ impl Trace {
         span.attrs.push((key, value));
     }
 
-    /// Close a span (no-op on `NONE` or if already closed).
-    pub fn span_end(&mut self, time: SimTime, id: SpanId) {
-        if id.is_none() {
+    /// Close a span (no-op on `OpenSpan::NONE`). Taking the `OpenSpan` by
+    /// value means a span is ended at most once:
+    ///
+    /// ```compile_fail
+    /// use rp_sim::{SimTime, SpanId, Trace};
+    /// let mut trace = Trace::enabled();
+    /// let span = trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+    /// trace.span_end(SimTime(1), span);
+    /// trace.span_end(SimTime(2), span);
+    /// ```
+    ///
+    /// ```no_run
+    /// use rp_sim::{SimTime, SpanId, Trace};
+    /// let mut trace = Trace::enabled();
+    /// let span = trace.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+    /// trace.span_end(SimTime(1), span);
+    /// ```
+    pub fn span_end(&mut self, time: SimTime, span: OpenSpan) {
+        if span.0.is_none() {
             return;
         }
-        let span = self.span_mut(id);
-        if span.end.is_none() {
-            debug_assert!(time >= span.begin, "span ends before it begins");
-            span.end = Some(time);
-            self.open -= 1;
-        }
+        let span = self.span_mut(span.0);
+        debug_assert!(span.end.is_none(), "span ended twice");
+        debug_assert!(time >= span.begin, "span ends before it begins");
+        span.end = Some(time);
+        self.open -= 1;
     }
 
     fn span_mut(&mut self, id: SpanId) -> &mut Span {
@@ -755,10 +825,10 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
         t.record(SimTime(5), "x", "hello");
-        let id = t.span_begin(SimTime(5), "x", "s", SpanId::NONE);
-        assert!(id.is_none());
-        t.span_attr(id, "k", "v");
-        t.span_end(SimTime(9), id);
+        let span = t.span_begin(SimTime(5), "x", "s", SpanId::NONE);
+        assert!(span.id().is_none());
+        t.span_attr(span.id(), "k", "v");
+        t.span_end(SimTime(9), span);
         assert!(t.events().is_empty());
         assert_eq!(t.span_count(), 0);
         assert_eq!(t.iter_spans().count(), 0);
@@ -780,14 +850,15 @@ mod tests {
     fn spans_nest_and_complete() {
         let mut t = Trace::enabled();
         let root = t.span_begin(SimTime(0), "pilot", "pilot.run", SpanId::NONE);
-        let child = t.span_begin(SimTime(10), "pilot", "pilot.bootstrap", root);
-        t.span_attr(child, "mode", "I");
+        let child = t.span_begin(SimTime(10), "pilot", "pilot.bootstrap", root.id());
+        let (root_id, child_id) = (root.id(), child.id());
+        t.span_attr(child_id, "mode", "I");
         t.span_end(SimTime(50), child);
         t.span_end(SimTime(90), root);
-        assert_eq!(root, SpanId(1));
-        assert_eq!(child, SpanId(2));
-        let c = t.span(child).unwrap();
-        assert_eq!(c.parent, Some(root));
+        assert_eq!(root_id, SpanId(1));
+        assert_eq!(child_id, SpanId(2));
+        let c = t.span(child_id).unwrap();
+        assert_eq!(c.parent, Some(root_id));
         assert_eq!(c.duration().unwrap().0, 40);
         assert_eq!(t.span_name(c), "pilot.bootstrap");
         assert_eq!(t.attr(c, "mode"), Some("I"));
@@ -801,6 +872,7 @@ mod tests {
         let mut t = Trace::enabled();
         let a = t.span_begin(SimTime(1), "x", "unit.run", SpanId::NONE);
         let b = t.span_begin(SimTime(2), "x", "unit.run", SpanId::NONE);
+        let (a, b) = (a.id(), b.id());
         assert_eq!(t.span(a).unwrap().name, t.span(b).unwrap().name);
         assert_eq!(t.symbol("unit.run"), Some(t.span(a).unwrap().name));
         assert_eq!(t.symbol("never.recorded"), None);
@@ -809,17 +881,17 @@ mod tests {
     #[test]
     fn live_span_accounting_tracks_peak() {
         let mut t = Trace::enabled();
-        let a = t.span_begin(SimTime(1), "x", "a", SpanId::NONE);
-        let b = t.span_begin(SimTime(2), "x", "b", a);
+        let mut a = t.span_begin(SimTime(1), "x", "a", SpanId::NONE);
+        let b = t.span_begin(SimTime(2), "x", "b", a.id());
         assert_eq!(t.live_spans(), 2);
         t.span_end(SimTime(3), b);
-        let c = t.span_begin(SimTime(4), "x", "c", a);
+        let c = t.span_begin(SimTime(4), "x", "c", a.id());
         t.span_end(SimTime(5), c);
-        t.span_end(SimTime(6), a);
+        t.span_end(SimTime(6), std::mem::take(&mut a));
         assert_eq!(t.live_spans(), 0);
         assert_eq!(t.peak_live_spans(), 2);
-        // Idempotent re-end must not underflow the live counter.
-        t.span_end(SimTime(7), a);
+        // Ending the emptied slot again must not underflow the live counter.
+        t.span_end(SimTime(7), std::mem::take(&mut a));
         assert_eq!(t.live_spans(), 0);
     }
 
@@ -842,11 +914,16 @@ mod tests {
 
     #[test]
     fn span_end_is_idempotent() {
+        // Ending a stored span through `mem::take` is idempotent: the slot
+        // holds `OpenSpan::NONE` after the first end, and ending NONE is a
+        // no-op. (Ending the same `OpenSpan` twice does not compile.)
         let mut t = Trace::enabled();
-        let s = t.span_begin(SimTime(1), "x", "s", SpanId::NONE);
-        t.span_end(SimTime(5), s);
-        t.span_end(SimTime(9), s);
-        assert_eq!(t.span(s).unwrap().end, Some(SimTime(5)));
+        let mut slot = t.span_begin(SimTime(1), "x", "s", SpanId::NONE);
+        let id = slot.id();
+        t.span_end(SimTime(5), std::mem::take(&mut slot));
+        t.span_end(SimTime(9), std::mem::take(&mut slot));
+        assert_eq!(t.span(id).unwrap().end, Some(SimTime(5)));
+        assert_eq!(t.live_spans(), 0);
     }
 
     #[test]
@@ -878,12 +955,12 @@ mod tests {
     fn chrome_json_emits_balanced_span_pairs() {
         let mut t = Trace::enabled();
         let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
-        let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root);
-        t.span_attr(child, "bytes", "1024");
+        let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root.id());
+        t.span_attr(child.id(), "bytes", "1024");
         t.span_end(SimTime(9), child);
         t.span_end(SimTime(20), root);
         let open = t.span_begin(SimTime(21), "unit", "abandoned", SpanId::NONE);
-        assert!(!open.is_none());
+        assert!(!open.id().is_none());
         let j = t.to_chrome_json();
         let stats = validate_chrome_json(&j).unwrap();
         // Only completed spans are exported; the open one is skipped.
@@ -898,8 +975,8 @@ mod tests {
         let mut t = Trace::enabled();
         t.record(SimTime(1), "pilot", "launch \"x\"\nnext");
         let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
-        let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root);
-        t.span_attr(child, "bytes", "1024");
+        let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root.id());
+        t.span_attr(child.id(), "bytes", "1024");
         t.span_end(SimTime(9), child);
         t.span_end(SimTime(20), root);
         let j = t.to_chrome_json();
@@ -950,10 +1027,10 @@ mod tests {
     #[test]
     fn span_index_matches_naive_children_scan() {
         let mut t = Trace::enabled();
-        let root = t.span_begin(SimTime(0), "x", "root", SpanId::NONE);
-        let a = t.span_begin(SimTime(1), "x", "a", root);
+        let root = t.span_begin(SimTime(0), "x", "root", SpanId::NONE).id();
+        let a = t.span_begin(SimTime(1), "x", "a", root).id();
         let _b = t.span_begin(SimTime(2), "x", "b", root);
-        let c = t.span_begin(SimTime(3), "x", "c", a);
+        let c = t.span_begin(SimTime(3), "x", "c", a).id();
         let idx = SpanIndex::build(&t);
         assert_eq!(idx.children(root).len(), 2);
         assert_eq!(idx.children(a), &[c]);
@@ -1010,7 +1087,7 @@ mod tests {
     fn render_spans_shows_open_and_closed() {
         let mut t = Trace::enabled();
         let a = t.span_begin(SimTime(1), "x", "a", SpanId::NONE);
-        t.span_begin(SimTime(2), "x", "b", a);
+        let _b = t.span_begin(SimTime(2), "x", "b", a.id());
         t.span_end(SimTime(7), a);
         let s = t.render_spans();
         assert_eq!(s.lines().count(), 2);

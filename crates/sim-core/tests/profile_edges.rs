@@ -53,19 +53,20 @@ fn open_root_is_excluded_completed_sibling_still_profiles() {
     let mut tr = Trace::enabled();
     // This root never ends; its completed child must not leak time.
     let open_root = tr.span_begin(secs(0), "pilot", "pilot.run", SpanId::NONE);
-    let q = tr.span_begin(secs(0), "pilot", "pilot.queue_wait", open_root);
+    let q = tr.span_begin(secs(0), "pilot", "pilot.queue_wait", open_root.id());
     tr.span_end(secs(4), q);
     // A sibling root that did complete.
     let done = tr.span_begin(secs(0), "pilot", "pilot.run", SpanId::NONE);
-    let b = tr.span_begin(secs(0), "pilot", "pilot.bootstrap", done);
+    let done_id = done.id();
+    let b = tr.span_begin(secs(0), "pilot", "pilot.bootstrap", done_id);
     tr.span_end(secs(3), b);
     tr.span_end(secs(5), done);
 
-    assert_eq!(profile_span(&tr, open_root).total_secs(), 0.0);
+    assert_eq!(profile_span(&tr, open_root.id()).total_secs(), 0.0);
     // roots_named only yields completed roots, so the open one is skipped.
     let profiles = profile_roots(&tr, "pilot.run");
     assert_eq!(profiles.len(), 1);
-    assert_eq!(profiles[0].0, done);
+    assert_eq!(profiles[0].0, done_id);
     assert_eq!(profiles[0].1.secs(Phase::PilotBootstrap), 3.0);
     assert_eq!(profiles[0].1.secs(Phase::Overhead), 2.0);
     let agg = aggregate_roots(&tr, "pilot.run");
@@ -82,9 +83,10 @@ fn forced_shutdown_leaves_roots_open_and_unprofiled() {
     let root = eng
         .trace
         .span_begin(SimTime(0), "pilot", "pilot.run", SpanId::NONE);
+    let root_id = root.id();
     let q = eng
         .trace
-        .span_begin(SimTime(0), "pilot", "pilot.queue_wait", root);
+        .span_begin(SimTime(0), "pilot", "pilot.queue_wait", root_id);
     eng.schedule_at(secs(2), move |e| {
         e.trace.span_end(e.now(), q);
     });
@@ -94,12 +96,12 @@ fn forced_shutdown_leaves_roots_open_and_unprofiled() {
     eng.run_until(secs(10));
     assert_eq!(eng.now(), secs(10));
 
-    let root_span = eng.trace.span(root).unwrap();
+    let root_span = eng.trace.span(root_id).unwrap();
     assert!(root_span.end.is_none(), "root must still be open");
-    assert_eq!(profile_span(&eng.trace, root).total_secs(), 0.0);
+    assert_eq!(profile_span(&eng.trace, root_id).total_secs(), 0.0);
     assert!(profile_roots(&eng.trace, "pilot.run").is_empty());
     assert_eq!(aggregate_roots(&eng.trace, "pilot.run").total_secs(), 0.0);
-    assert_eq!(pilot_utilization(&eng.trace, root, 16), 0.0);
+    assert_eq!(pilot_utilization(&eng.trace, root_id, 16), 0.0);
     assert!(critical_path_run(&eng.trace).is_none());
 }
 
@@ -109,10 +111,11 @@ fn mean_breakdown_truncates_submicrosecond_remainders() {
     // truncates to 1 µs — integer virtual time never rounds up.
     let mut tr = Trace::enabled();
     let r = tr.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
-    let c = tr.span_begin(SimTime(0), "unit", "unit.compute", r);
+    let r_id = r.id();
+    let c = tr.span_begin(SimTime(0), "unit", "unit.compute", r_id);
     tr.span_end(SimTime(3), c);
     tr.span_end(SimTime(3), r);
-    let a = profile_span(&tr, r);
+    let a = profile_span(&tr, r_id);
     let b = PhaseBreakdown::default();
     let m = mean_breakdown(&[a, b]);
     assert_eq!(m.get(Phase::Compute), SimDuration(1));

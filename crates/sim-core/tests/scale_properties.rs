@@ -164,7 +164,7 @@ fn streaming_validator_handles_10mb_trace() {
     let mut open = Vec::new();
     // ~90k spans with longish names: comfortably past 10 MB of JSON.
     for i in 0..90_000u64 {
-        let id = tr.span_begin(
+        let span = tr.span_begin(
             SimTime(i),
             "unit",
             if i % 2 == 0 {
@@ -174,15 +174,15 @@ fn streaming_validator_handles_10mb_trace() {
             },
             SpanId::NONE,
         );
-        open.push(id);
+        open.push(span);
         if open.len() > 8 {
             let done = open.remove(0);
             tr.span_end(SimTime(i + 1), done);
         }
     }
     let t_end = SimTime(200_000);
-    for id in open {
-        tr.span_end(t_end, id);
+    for span in open {
+        tr.span_end(t_end, span);
     }
     let doc = tr.to_chrome_json();
     assert!(

@@ -61,10 +61,11 @@ pub fn bootstrap_mode_i_in_span(
     assert!(!nodes.is_empty());
     let t0 = engine.now();
     let yarn_span = engine.trace.span_begin(t0, "yarn", "yarn.startup", parent);
-    engine.trace.span_attr(yarn_span, "mode", "I");
+    let yarn_id = yarn_span.id();
+    engine.trace.span_attr(yarn_id, "mode", "I");
     engine
         .trace
-        .span_attr(yarn_span, "nodes", nodes.len().to_string());
+        .span_attr(yarn_id, "nodes", nodes.len().to_string());
 
     // Stage 1: fetch the distribution (skipped when a shared install or
     // staged tarball exists).
@@ -130,7 +131,7 @@ pub fn bootstrap_mode_i_in_span(
             let daemons2 = daemons;
             let hdfs_span = eng
                 .trace
-                .span_begin(eng.now(), "hdfs", "hdfs.startup", yarn_span);
+                .span_begin(eng.now(), "hdfs", "hdfs.startup", yarn_id);
             Hdfs::deploy(eng, cluster2, nodes2, hdfs_cfg, move |eng, hdfs| {
                 eng.trace.span_end(eng.now(), hdfs_span);
                 // Residual: YARN daemons may outlast HDFS's.

@@ -9,7 +9,9 @@
 //!      Mode II mixed runs;
 //!   3. a 3×3 seed/intensity fault matrix proving the invariants survive
 //!      crash-requeue (retried attempts append `unit.scheduling` spans,
-//!      abandoned open spans never reach the Chrome export).
+//!      abandoned open spans never reach the Chrome export);
+//!   4. span balance on clean Spark, MapReduce and pooled-AM runs, which
+//!      reach the `span_begin` sites the mixed runs do not.
 
 use std::collections::BTreeMap;
 
@@ -320,4 +322,156 @@ fn fault_matrix_span_invariants_survive_crash_requeue() {
         saw_abandoned,
         "matrix must exercise at least one abandoned span"
     );
+}
+
+/// A traced clean run on a 2-node pilot: once the pilot is active,
+/// `prepare` sees it (to stage input), each wave of units runs to
+/// completion before the next is submitted, and the pilot is then
+/// canceled so every lifecycle span closes.
+fn traced_waves(
+    seed: u64,
+    cfg: SessionConfig,
+    access: AccessMode,
+    prepare: impl FnOnce(&PilotHandle),
+    waves: Vec<Vec<ComputeUnitDescription>>,
+) -> (Engine, Vec<UnitHandle>) {
+    let mut e = Engine::with_trace(seed);
+    let session = Session::new(cfg);
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
+                .with_access(access),
+        )
+        .unwrap();
+    while pilot.state() != PilotState::Active {
+        assert!(
+            e.step(),
+            "simulation stalled before the pilot became active"
+        );
+    }
+    prepare(&pilot);
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let mut all = Vec::new();
+    for wave in waves {
+        let units = um.submit_units(&mut e, wave);
+        while units.iter().any(|u| !u.state().is_final()) {
+            assert!(e.step(), "simulation stalled with live units");
+        }
+        all.extend(units);
+    }
+    pm.cancel(&mut e, &pilot);
+    e.run();
+    (e, all)
+}
+
+/// `OpenSpan` makes a discarded or twice-ended span a compile error; what
+/// the type cannot see is a span that is bound, given attributes and
+/// dropped. Each row drives `span_begin` sites the mixed runs miss (the
+/// Spark compute span, the MapReduce phase spans, the pooled-AM path) and
+/// checks that a clean run leaves no span open.
+#[test]
+fn clean_framework_runs_close_every_span() {
+    let sleep = |name: String| {
+        ComputeUnitDescription::new(name, 1, WorkSpec::Sleep(SimDuration::from_secs(30)))
+    };
+    let spark_units = (0..4)
+        .map(|i| {
+            ComputeUnitDescription::new(
+                format!("spark{i}"),
+                2,
+                WorkSpec::SparkApp {
+                    cores: 2,
+                    core_seconds: 20.0 + i as f64,
+                },
+            )
+        })
+        .collect();
+    let mr_unit = ComputeUnitDescription::new(
+        "analysis",
+        1,
+        WorkSpec::MapReduce(hadoop_hpc::mapreduce::MrJobSpec {
+            name: "span-balance".into(),
+            input_path: "/data/in".into(),
+            num_reducers: 2,
+            container: hadoop_hpc::yarn::Resource::new(1, 1024),
+            shuffle: hadoop_hpc::mapreduce::ShuffleBackend::LocalDisk,
+            cost: hadoop_hpc::mapreduce::MrCostModel::default(),
+        }),
+    );
+    let stage_input = |pilot: &PilotHandle| {
+        let env = pilot.agent().unwrap().hadoop_env().unwrap();
+        env.hdfs
+            .clone()
+            .unwrap()
+            .create_synthetic(
+                "/data/in",
+                256 * 1024 * 1024,
+                hadoop_hpc::hdfs::StoragePolicy::Default,
+            )
+            .unwrap();
+    };
+    let mut reuse = SessionConfig::test_profile();
+    reuse.am_reuse = true;
+
+    let (e, units) = traced_waves(
+        51,
+        SessionConfig::test_profile(),
+        AccessMode::SparkModeI,
+        |_| {},
+        vec![spark_units],
+    );
+    assert_closes_every_span("spark", &e, &units, &["unit.compute"]);
+
+    let (e, units) = traced_waves(
+        52,
+        SessionConfig::test_profile(),
+        AccessMode::YarnModeI { with_hdfs: true },
+        stage_input,
+        vec![vec![mr_unit]],
+    );
+    assert_closes_every_span(
+        "mapreduce",
+        &e,
+        &units,
+        &["yarn.am_allocation", "mr.map", "mr.shuffle", "mr.reduce"],
+    );
+
+    let (e, units) = traced_waves(
+        53,
+        reuse,
+        AccessMode::YarnModeI { with_hdfs: false },
+        |_| {},
+        vec![
+            (0..3).map(|i| sleep(format!("a{i}"))).collect(),
+            (0..3).map(|i| sleep(format!("b{i}"))).collect(),
+        ],
+    );
+    assert!(e.metrics.counter("agent.am_reused") > 0, "no AM was reused");
+    assert_closes_every_span(
+        "am_reuse",
+        &e,
+        &units,
+        &["yarn.am_allocation", "yarn.container_allocation"],
+    );
+}
+
+/// Every unit finished, every `names` span was recorded, and none is left
+/// open: the Chrome export carries them all.
+fn assert_closes_every_span(row: &str, e: &Engine, units: &[UnitHandle], names: &[&str]) {
+    for u in units {
+        assert_eq!(u.state(), UnitState::Done, "{row}: {:?}", u.failure());
+    }
+    let tr = &e.trace;
+    assert_span_invariants(tr);
+    let counts = name_counts(tr);
+    for name in names {
+        assert!(counts.contains_key(name), "{row}: no {name} span");
+    }
+    assert_eq!(tr.live_spans(), 0, "{row}: spans left open");
+    let stats = validate_chrome_json(&tr.to_chrome_json()).unwrap();
+    assert_eq!(stats.begins, tr.span_count(), "{row}");
+    assert_eq!(stats.ends, tr.span_count(), "{row}");
 }
