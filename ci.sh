@@ -127,9 +127,6 @@ print("--- seed=%d intensity=%d: %d/%d done, %d retried, %d faults, makespan %.0
     done
 done
 
-echo "==> chaos soak (quick: 8 seeds over the mixed fault + lossy-store grid)"
-CHAOS_SEEDS=8 cargo test --release -q --test chaos
-
 echo "==> scale smoke (1k units: bounded working set + bit-identical replay)"
 SCALE_UNITS=1000 cargo test --release -q --test scale
 

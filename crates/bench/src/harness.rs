@@ -223,32 +223,18 @@ pub fn run_fault_matrix(params: FaultMatrixParams) -> VirtualResult {
     out
 }
 
-/// Parameters of the pilot-loss scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct PilotLossParams {
-    pub seed: u64,
-    pub units: usize,
-    pub sleep_s: u64,
-    /// When the first pilot's batch job is killed (kill variant only).
-    pub kill_at_s: u64,
-}
-
-impl Default for PilotLossParams {
-    fn default() -> Self {
-        PilotLossParams {
-            seed: 1,
-            units: 16,
-            sleep_s: 300,
-            kill_at_s: 180,
-        }
-    }
-}
+// The pilot-loss scenario: seed, unit count, per-unit sleep, and when
+// the first pilot's batch job is killed (kill variant only).
+const PILOT_LOSS_SEED: u64 = 1;
+const PILOT_LOSS_UNITS: usize = 16;
+const PILOT_LOSS_SLEEP_S: u64 = 300;
+const PILOT_LOSS_KILL_AT_S: u64 = 180;
 
 /// One pilot-loss case: 2 three-node pilots with cross-pilot failover,
 /// optionally killing the first pilot mid-run. Returns the traced engine
 /// and the workload makespan.
-fn pilot_loss_case(params: PilotLossParams, kill: bool) -> (Engine, f64, u64) {
-    let mut e = Engine::with_trace(params.seed);
+fn pilot_loss_case(kill: bool) -> (Engine, f64, u64) {
+    let mut e = Engine::with_trace(PILOT_LOSS_SEED);
     let session = Session::new(SessionConfig::test_profile());
     let pm = PilotManager::new(&session);
     let pilots: Vec<_> = (0..2)
@@ -271,18 +257,18 @@ fn pilot_loss_case(params: PilotLossParams, kill: bool) -> (Engine, f64, u64) {
     );
     if kill {
         let victim = pilots[0].clone();
-        e.schedule_in(SimDuration::from_secs(params.kill_at_s), move |eng| {
+        e.schedule_in(SimDuration::from_secs(PILOT_LOSS_KILL_AT_S), move |eng| {
             victim.kill(eng)
         });
     }
     let units = um.submit_units(
         &mut e,
-        (0..params.units)
+        (0..PILOT_LOSS_UNITS)
             .map(|i| {
                 ComputeUnitDescription::new(
                     format!("u{i}"),
                     1,
-                    WorkSpec::Sleep(SimDuration::from_secs(params.sleep_s)),
+                    WorkSpec::Sleep(SimDuration::from_secs(PILOT_LOSS_SLEEP_S)),
                 )
             })
             .collect(),
@@ -320,14 +306,14 @@ fn pilot_loss_case(params: PilotLossParams, kill: bool) -> (Engine, f64, u64) {
 /// Pilot loss: the same 2-pilot workload with and without a mid-run
 /// pilot kill. The kill variant must still complete every unit (on the
 /// survivor) and its makespan overhead is the price of failover.
-pub fn run_pilot_loss(params: PilotLossParams) -> VirtualResult {
+pub fn run_pilot_loss() -> VirtualResult {
     let mut out = new_result(&format!(
-        "pilot_loss: {} sleep units on 2 pilots, kill at {}s, seed {}",
-        params.units, params.kill_at_s, params.seed
+        "pilot_loss: {PILOT_LOSS_UNITS} sleep units on 2 pilots, \
+         kill at {PILOT_LOSS_KILL_AT_S}s, seed {PILOT_LOSS_SEED}"
     ));
-    let (e, baseline_s, _) = pilot_loss_case(params, false);
+    let (e, baseline_s, _) = pilot_loss_case(false);
     absorb_run(&mut out, "2 pilots, no loss", &e, "unit.run");
-    let (e, kill_s, rebinds) = pilot_loss_case(params, true);
+    let (e, kill_s, rebinds) = pilot_loss_case(true);
     absorb_run(&mut out, "pilot 0 killed mid-run", &e, "unit.run");
     assert!(
         kill_s > baseline_s,
@@ -342,41 +328,24 @@ pub fn run_pilot_loss(params: PilotLossParams) -> VirtualResult {
     out
 }
 
-/// Parameters of the partition-heal scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionHealParams {
-    pub seed: u64,
-    pub units: usize,
-    /// When pilot 0 is partitioned from the coordination store.
-    pub partition_at_s: u64,
-    /// How long the partition lasts before it heals.
-    pub partition_s: u64,
-    /// Lease duration granted to agents.
-    pub lease_s: u64,
-    /// Re-bind grace on top of lease expiry (must exceed the heartbeat
-    /// period so a live agent always self-fences before re-binding).
-    pub grace_s: u64,
-}
-
-impl Default for PartitionHealParams {
-    fn default() -> Self {
-        PartitionHealParams {
-            seed: 1,
-            units: 16,
-            partition_at_s: 50,
-            partition_s: 300,
-            lease_s: 60,
-            grace_s: 30,
-        }
-    }
-}
+// The partition-heal scenario: seed, unit count, when pilot 0 is
+// partitioned from the coordination store and for how long, the lease
+// duration granted to agents, and the re-bind grace on top of lease
+// expiry (it must exceed the heartbeat period so a live agent always
+// self-fences before re-binding).
+const PARTITION_HEAL_SEED: u64 = 1;
+const PARTITION_HEAL_UNITS: usize = 16;
+const PARTITION_AT_S: u64 = 50;
+const PARTITION_S: u64 = 300;
+const PARTITION_LEASE_S: u64 = 60;
+const PARTITION_GRACE_S: u64 = 30;
 
 /// One partition-heal case: 2 three-node pilots under lease-based
 /// ownership, optionally partitioning pilot 0 from the coordination store
 /// mid-run. Returns the traced engine, the workload makespan, the re-bind
 /// count and the stale-epoch rejection count.
-fn partition_heal_case(params: PartitionHealParams, partition: bool) -> (Engine, f64, u64, u64) {
-    let mut e = Engine::with_trace(params.seed);
+fn partition_heal_case(partition: bool) -> (Engine, f64, u64, u64) {
+    let mut e = Engine::with_trace(PARTITION_HEAL_SEED);
     let session = Session::new(SessionConfig::test_profile());
     let pm = PilotManager::new(&session);
     let pilots: Vec<_> = (0..2)
@@ -394,22 +363,22 @@ fn partition_heal_case(params: PartitionHealParams, partition: bool) -> (Engine,
     }
     um.enable_leases(
         &mut e,
-        SimDuration::from_secs(params.lease_s),
-        SimDuration::from_secs(params.grace_s),
+        SimDuration::from_secs(PARTITION_LEASE_S),
+        SimDuration::from_secs(PARTITION_GRACE_S),
     );
     let injector = if partition {
         // Asymmetric split-brain: the agent keeps receiving batches but
         // its renewals and completions are held, so its lease lapses, it
         // self-fences, and its held writes are rejected post-heal at a
-        // stale fencing epoch. `partition_at_s` must be past agent
+        // stale fencing epoch. `PARTITION_AT_S` must be past agent
         // bootstrap (Active by ~47 s on the test profile) or the event is
         // dropped.
         let plan = FaultPlan {
             events: vec![FaultEvent {
-                at: SimTime::from_secs_f64(params.partition_at_s as f64),
+                at: SimTime::from_secs_f64(PARTITION_AT_S as f64),
                 kind: FaultKind::Partition {
                     pilot: 0,
-                    duration: SimDuration::from_secs(params.partition_s),
+                    duration: SimDuration::from_secs(PARTITION_S),
                     symmetric: false,
                 },
             }],
@@ -422,7 +391,7 @@ fn partition_heal_case(params: PartitionHealParams, partition: bool) -> (Engine,
     // partition-to-fence window so its completions are held.
     let units = um.submit_units(
         &mut e,
-        (0..params.units)
+        (0..PARTITION_HEAL_UNITS)
             .map(|i| {
                 ComputeUnitDescription::new(
                     format!("u{i}"),
@@ -465,16 +434,16 @@ fn partition_heal_case(params: PartitionHealParams, partition: bool) -> (Engine,
 /// must re-bind the victim's units, reject every stale-epoch write from
 /// the healed zombie, and still complete every unit; its makespan
 /// overhead is the price of split-brain recovery.
-pub fn run_partition_heal(params: PartitionHealParams) -> VirtualResult {
+pub fn run_partition_heal() -> VirtualResult {
     let mut out = new_result(&format!(
-        "partition_heal: {} sleep units on 2 lease-owned pilots, partition at {}s for {}s, seed {}",
-        params.units, params.partition_at_s, params.partition_s, params.seed
+        "partition_heal: {PARTITION_HEAL_UNITS} sleep units on 2 lease-owned pilots, \
+         partition at {PARTITION_AT_S}s for {PARTITION_S}s, seed {PARTITION_HEAL_SEED}"
     ));
-    let (e, baseline_s, baseline_rebinds, baseline_fences) = partition_heal_case(params, false);
+    let (e, baseline_s, baseline_rebinds, baseline_fences) = partition_heal_case(false);
     absorb_run(&mut out, "2 pilots, no partition", &e, "unit.run");
     assert_eq!(baseline_rebinds, 0, "quiet leases must not re-bind");
     assert_eq!(baseline_fences, 0, "quiet leases must not fence");
-    let (e, healed_s, rebinds, fence_rejections) = partition_heal_case(params, true);
+    let (e, healed_s, rebinds, fence_rejections) = partition_heal_case(true);
     absorb_run(&mut out, "pilot 0 partitioned mid-run", &e, "unit.run");
     assert!(rebinds > 0, "the partition must force re-binds");
     assert!(
@@ -599,8 +568,8 @@ pub fn run_scenario(name: &str) -> VirtualResult {
         "fig5_unit_startup" => run_fig5_unit_startup(),
         "fig6_kmeans" => run_fig6_kmeans(),
         "fault_matrix" => run_fault_matrix(FaultMatrixParams::default()),
-        "pilot_loss" => run_pilot_loss(PilotLossParams::default()),
-        "partition_heal" => run_partition_heal(PartitionHealParams::default()),
+        "pilot_loss" => run_pilot_loss(),
+        "partition_heal" => run_partition_heal(),
         "scale_1k" => run_scale(ScaleParams::scale_1k()),
         "scale_10k" => run_scale(ScaleParams::scale_10k()),
         other => panic!("unknown scenario {other:?} (expected one of {SCENARIO_NAMES:?})"),

@@ -247,14 +247,6 @@ impl Agent {
         self.inner.borrow().slots.dead_nodes()
     }
 
-    pub fn queued_units(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    pub fn running_units(&self) -> usize {
-        self.inner.borrow().running
-    }
-
     /// Mark the agent stopping and deregister it from the store. `None`
     /// if it already stopped.
     fn begin_stop(&self) -> Option<PilotId> {

@@ -222,27 +222,6 @@ struct LeaseState {
     held: bool,
 }
 
-/// What happened to a lease (audit log; see
-/// [`CoordinationStore::enable_lease_audit`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseOp {
-    Grant,
-    Renew,
-    Revoke,
-}
-
-/// One entry of the lease audit log: the operation, which pilot's lease,
-/// the fencing epoch after the operation, when it happened and (for
-/// grants/renewals) when the lease expires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaseAuditEntry {
-    pub op: LeaseOp,
-    pub pilot: PilotId,
-    pub epoch: u64,
-    pub at: SimTime,
-    pub expires: SimTime,
-}
-
 struct StoreInner {
     config: CoordinationConfig,
     queues: BTreeMap<PilotId, PilotQueue>,
@@ -273,18 +252,10 @@ struct StoreInner {
     lease_duration: Option<SimDuration>,
     /// Lease table keyed by pilot.
     leases: BTreeMap<PilotId, LeaseState>,
-    /// Lease audit log — `Some` only when
-    /// [`CoordinationStore::enable_lease_audit`] was called.
-    lease_audit: Option<Vec<LeaseAuditEntry>>,
     partition_windows: u64,
     partition_holds: u64,
     lease_renewals: u64,
     fence_rejections: u64,
-    /// Ordered log of applied message effects `(time, seq, label)` —
-    /// `Some` only when [`CoordinationStore::enable_effect_log`] was
-    /// called. The chaos tier checks it for exactly-once applies (no
-    /// sequence number twice).
-    effect_log: Option<Vec<(SimTime, u64, &'static str)>>,
 }
 
 impl StoreInner {
@@ -319,19 +290,6 @@ impl StoreInner {
     fn current_epoch(&self, pilot: PilotId) -> u64 {
         self.leases.get(&pilot).map(|l| l.epoch).unwrap_or(0)
     }
-
-    fn audit(&mut self, op: LeaseOp, pilot: PilotId, at: SimTime) {
-        if let Some(log) = self.lease_audit.as_mut() {
-            let l = self.leases.get(&pilot).copied().unwrap_or_default();
-            log.push(LeaseAuditEntry {
-                op,
-                pilot,
-                epoch: l.epoch,
-                at,
-                expires: l.expires,
-            });
-        }
-    }
 }
 
 /// Shared handle to the session's coordination store.
@@ -365,12 +323,10 @@ impl CoordinationStore {
                 partitions: BTreeMap::new(),
                 lease_duration: None,
                 leases: BTreeMap::new(),
-                lease_audit: None,
                 partition_windows: 0,
                 partition_holds: 0,
                 lease_renewals: 0,
                 fence_rejections: 0,
-                effect_log: None,
             })),
         }
     }
@@ -402,21 +358,6 @@ impl CoordinationStore {
     /// Duplicate applies suppressed by sequence-number dedup.
     pub fn dup_applies_ignored(&self) -> u64 {
         self.inner.borrow().dup_applies_ignored
-    }
-
-    /// Start recording applied message effects (idempotent). Recording is
-    /// pure observation; it cannot change delivery behavior.
-    pub fn enable_effect_log(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.effect_log.is_none() {
-            inner.effect_log = Some(Vec::new());
-        }
-    }
-
-    /// The applied-effect log `(time, seq, label)` recorded since
-    /// [`CoordinationStore::enable_effect_log`]; empty when disabled.
-    pub fn effect_log(&self) -> Vec<(SimTime, u64, &'static str)> {
-        self.inner.borrow().effect_log.clone().unwrap_or_default()
     }
 
     /// Out-of-order dedup entries currently held above the applied
@@ -564,7 +505,7 @@ impl CoordinationStore {
                 }
                 // Fencing: a message stamped under an epoch the lease
                 // table has moved past is a zombie's write — reject it
-                // (it never reaches the effect log). The sequence was
+                // (its callback never runs). The sequence was
                 // still marked applied above, so a duplicate of a
                 // rejected message counts as a dup, not a second
                 // rejection.
@@ -586,10 +527,6 @@ impl CoordinationStore {
                         );
                         return;
                     }
-                }
-                let now = eng.now();
-                if let Some(log) = this.inner.borrow_mut().effect_log.as_mut() {
-                    log.push((now, seq, label));
                 }
                 if let Some(f) = apply.borrow_mut().take() {
                     f(eng);
@@ -815,11 +752,6 @@ impl CoordinationStore {
         );
     }
 
-    /// Whether `pilot` is inside an active partition window right now.
-    pub fn is_partitioned(&self, engine: &Engine, pilot: PilotId) -> bool {
-        self.inner.borrow().blocked_out(pilot, engine.now())
-    }
-
     /// Partition windows opened so far.
     pub fn partition_windows(&self) -> u64 {
         self.inner.borrow().partition_windows
@@ -859,21 +791,6 @@ impl CoordinationStore {
         self.inner.borrow().lease_duration
     }
 
-    /// Start recording lease grants/renewals/revocations (idempotent).
-    /// Pure observation, like the effect log.
-    pub fn enable_lease_audit(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.lease_audit.is_none() {
-            inner.lease_audit = Some(Vec::new());
-        }
-    }
-
-    /// The lease audit log recorded since
-    /// [`CoordinationStore::enable_lease_audit`]; empty when disabled.
-    pub fn lease_audit(&self) -> Vec<LeaseAuditEntry> {
-        self.inner.borrow().lease_audit.clone().unwrap_or_default()
-    }
-
     /// Try to acquire the ownership lease for `pilot`. Fails (`None`)
     /// when leases are disabled, the pilot is partitioned from the store,
     /// or an unexpired lease is still held — the two-owner invariant is
@@ -898,9 +815,7 @@ impl CoordinationStore {
             lease.epoch += 1;
             lease.expires = now + duration;
             lease.held = true;
-            let granted = (Fence { epoch: lease.epoch }, lease.expires);
-            inner.audit(LeaseOp::Grant, pilot, now);
-            granted
+            (Fence { epoch: lease.epoch }, lease.expires)
         };
         engine.metrics.incr("coordination.lease_grants");
         engine.trace.record(
@@ -937,7 +852,6 @@ impl CoordinationStore {
                 lease.expires = now + duration;
                 let expires = lease.expires;
                 inner.lease_renewals += 1;
-                inner.audit(LeaseOp::Renew, pilot, now);
                 drop(inner);
                 engine.metrics.incr("coordination.lease_renewals");
                 return Some(expires);
@@ -975,7 +889,6 @@ impl CoordinationStore {
             let lease = inner.leases.entry(pilot).or_default();
             lease.held = false;
             lease.epoch += 1;
-            inner.audit(LeaseOp::Revoke, pilot, now);
         }
         engine.metrics.incr("coordination.lease_revocations");
         engine
@@ -1277,7 +1190,7 @@ mod tests {
         let mut e = Engine::new(1);
         let s = store();
         s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(5), false);
-        assert!(s.is_partitioned(&e, PilotId(0)));
+        assert!(s.inner.borrow().blocked_out(PilotId(0), e.now()));
         assert_eq!(s.partition_windows(), 1);
         // A fenced update is held until the window heals, then applies
         // exactly once.
@@ -1304,7 +1217,7 @@ mod tests {
         );
         assert!(s.partition_holds() > 0);
         // After heal the window is inert.
-        assert!(!s.is_partitioned(&e, PilotId(0)));
+        assert!(!s.inner.borrow().blocked_out(PilotId(0), e.now()));
     }
 
     #[test]
@@ -1380,7 +1293,6 @@ mod tests {
         let mut e = Engine::new(1);
         let s = store();
         s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
-        s.enable_effect_log();
         let (fence, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         let applied = Rc::new(RefCell::new(0usize));
         let a = applied.clone();
@@ -1392,19 +1304,14 @@ mod tests {
         e.run();
         // First update raced the revoke: it was sent before but lands
         // after, so it is fenced too — both writes are zombie writes.
-        assert_eq!(*applied.borrow(), 0);
+        assert_eq!(*applied.borrow(), 0, "rejected effects must never apply");
         assert_eq!(s.fence_rejections(), 2);
-        assert!(
-            s.effect_log().is_empty(),
-            "rejected effects must never reach the effect log"
-        );
         // A current-epoch write still lands.
         let (fence2, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("re-grant");
         let a3 = applied.clone();
         s.roundtrip_from(&mut e, PilotId(0), fence2, move |_| *a3.borrow_mut() += 1);
         e.run();
         assert_eq!(*applied.borrow(), 1);
-        assert_eq!(s.effect_log().len(), 1);
     }
 
     #[test]
@@ -1412,18 +1319,22 @@ mod tests {
         let mut e = Engine::new(1);
         let s = store();
         s.enable_leases(SimDuration::from_secs(60), |_, _, _, _| {});
-        s.enable_lease_audit();
         let (fence, _) = s.try_acquire_lease(&mut e, PilotId(0)).expect("grant");
         s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(10), false);
+        // The cut renewal neither extends nor counts, and is no fence
+        // rejection: the write never reached the store.
         assert_eq!(s.renew_lease(&mut e, PilotId(0), fence), None);
+        assert_eq!(s.lease_renewals(), 0);
+        assert_eq!(s.fence_rejections(), 0);
+        assert_eq!(s.lease_epoch(PilotId(0)), fence);
+        assert_eq!(
+            s.lease_expiry(PilotId(0)),
+            Some(SimTime::from_secs_f64(60.0))
+        );
+        // Another pilot's lease is unaffected by the window.
         assert_eq!(
             s.try_acquire_lease(&mut e, PilotId(1)),
             Some((Fence { epoch: 1 }, SimTime::from_secs_f64(60.0)))
         );
-        let audit = s.lease_audit();
-        assert_eq!(audit.len(), 2);
-        assert_eq!(audit[0].op, LeaseOp::Grant);
-        assert_eq!(audit[0].pilot, PilotId(0));
-        assert_eq!(audit[1].pilot, PilotId(1));
     }
 }

@@ -52,9 +52,7 @@ pub mod states;
 pub mod unit;
 
 pub use agent::Agent;
-pub use coordination::{
-    CoordinationConfig, CoordinationStore, Fence, LeaseAuditEntry, LeaseOp, LossProfile, Revoked,
-};
+pub use coordination::{CoordinationConfig, CoordinationStore, Fence, LossProfile, Revoked};
 pub use data::{
     remote_bytes, DataError, DataPilot, DataPilotBackend, DataPilotDescription, DataUnit,
     DataUnitDescription, DataUnitId, DataUnitState, LogicalFile,
@@ -65,9 +63,7 @@ pub use description::{
 };
 pub use fault::{install_faults, install_faults_multi};
 pub use launch::LaunchMethod;
-pub use manager::{
-    BackfillHook, PilotHandle, PilotManager, PilotTimestamps, UmScheduler, UnitManager,
-};
+pub use manager::{PilotHandle, PilotManager, PilotTimestamps, UmScheduler, UnitManager};
 pub use session::{MachineHandle, PilotError, Session, SessionConfig};
 pub use states::{PilotState, UnitState};
 pub use unit::{when_all_done, PilotId, UnitHandle, UnitId, UnitTimestamps};

@@ -367,11 +367,6 @@ pub enum UmScheduler {
     DataAware,
 }
 
-/// Hook invoked on pilot loss to resubmit a replacement pilot. Returning
-/// `Some` registers the new pilot with the Unit-Manager before re-binding
-/// starts, so rescued units can land on it.
-pub type BackfillHook = Rc<dyn Fn(&mut Engine) -> Option<PilotHandle>>;
-
 struct UmInner {
     scheduler: UmScheduler,
     pilots: Vec<PilotHandle>,
@@ -390,7 +385,6 @@ struct UmInner {
     /// When units were last pushed to each pilot (the monitor's silence
     /// clock for a pilot that never acquired a lease).
     bound_at: std::collections::BTreeMap<PilotId, SimTime>,
-    backfill: Option<BackfillHook>,
     rebinds: u64,
 }
 
@@ -451,7 +445,6 @@ impl UnitManager {
                 lease_grace: None,
                 monitor_armed: false,
                 bound_at: std::collections::BTreeMap::new(),
-                backfill: None,
                 rebinds: 0,
             })),
         }
@@ -511,12 +504,6 @@ impl UnitManager {
             self.watch_pilot(p);
         }
         self.ensure_monitor(engine);
-    }
-
-    /// Install a backfill hook: on pilot loss it may resubmit a
-    /// replacement pilot, which joins the UM before re-binding starts.
-    pub fn set_backfill(&self, hook: BackfillHook) {
-        self.inner.borrow_mut().backfill = Some(hook);
     }
 
     fn watch_pilot(&self, pilot: &PilotHandle) {
@@ -655,16 +642,6 @@ impl UnitManager {
         unit.advance(engine, UnitState::Canceled);
     }
 
-    /// Convenience: fire `cb` when all `units` are final.
-    pub fn when_done(
-        &self,
-        engine: &mut Engine,
-        units: &[UnitHandle],
-        cb: impl FnOnce(&mut Engine) + 'static,
-    ) {
-        when_all_done(engine, units, cb);
-    }
-
     fn pick_pilot_for(&self, unit: &UnitHandle) -> PilotHandle {
         let mut inner = self.inner.borrow_mut();
         let cands = inner.candidates();
@@ -688,8 +665,7 @@ impl UnitManager {
     // ---- cross-pilot failover ----
 
     /// A pilot is gone (terminal state or lease expiry): mark it
-    /// dead, give the backfill hook a chance to replace it, then rescue
-    /// every unit still bound to it — documents never picked up from the
+    /// dead, then rescue every unit still bound to it — documents never picked up from the
     /// store plus tracked in-flight units — and re-bind them.
     fn handle_pilot_loss(&self, engine: &mut Engine, loss: PilotLoss) {
         let (dead, cause) = (loss.pilot(), loss.cause());
@@ -700,18 +676,6 @@ impl UnitManager {
         engine
             .trace
             .record(engine.now(), "um", format!("{dead:?} lost ({cause})"));
-        let backfill = self.inner.borrow().backfill.clone();
-        if let Some(hook) = backfill {
-            if let Some(p) = hook(engine) {
-                engine.trace.record(
-                    engine.now(),
-                    "um",
-                    format!("backfilled replacement {:?} for {dead:?}", p.id()),
-                );
-                self.inner.borrow_mut().pilots.push(p.clone());
-                self.watch_pilot(&p);
-            }
-        }
         let pending = self.session.store().take_pending(dead);
         let stranded: Vec<UnitHandle> = {
             let inner = self.inner.borrow();
@@ -1630,46 +1594,6 @@ mod tests {
         // no zombie completion double-counted (Done is terminal; a stale
         // apply would panic the state machine or inflate attempts).
         assert!(units.iter().all(|u| u.attempts() >= 1));
-    }
-
-    #[test]
-    fn backfill_hook_replaces_a_lost_pilot() {
-        let mut e = Engine::new(28);
-        let session = Session::new(SessionConfig::test_profile());
-        let pm = Rc::new(PilotManager::new(&session));
-        let p0 = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 2, SimDuration::from_secs(7200)),
-            )
-            .unwrap();
-        let mut um = UnitManager::new(&session, UmScheduler::Direct);
-        um.add_pilot(&p0);
-        arm_leases(&um, &mut e);
-        let pm2 = pm.clone();
-        um.set_backfill(Rc::new(move |eng: &mut Engine| {
-            pm2.submit(
-                eng,
-                PilotDescription::new("localhost", 2, SimDuration::from_secs(7200)),
-            )
-            .ok()
-        }));
-        let units = um.submit_units(
-            &mut e,
-            (0..4).map(|i| sleep_unit(&format!("u{i}"), 60)).collect(),
-        );
-        let victim = p0.clone();
-        e.schedule_in(SimDuration::from_secs(20), move |eng| victim.kill(eng));
-        while units.iter().any(|u| !u.state().is_final()) {
-            assert!(e.step(), "stalled with live units");
-        }
-        assert!(
-            units.iter().all(|u| u.state() == UnitState::Done),
-            "{:?}",
-            units.iter().map(|u| u.state()).collect::<Vec<_>>()
-        );
-        assert_eq!(um.pilots().len(), 2, "backfill registered a replacement");
-        assert!(units.iter().all(|u| u.pilot() != Some(p0.id())));
     }
 
     #[test]

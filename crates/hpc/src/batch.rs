@@ -78,7 +78,6 @@ struct Inner {
     queue: Vec<JobId>,
     free_nodes: BTreeSet<u32>,
     next_id: u64,
-    backfill: bool,
 }
 
 /// The batch system of one machine. Cheap to clone (shared handle).
@@ -98,14 +97,8 @@ impl BatchSystem {
                 queue: Vec::new(),
                 free_nodes,
                 next_id: 0,
-                backfill: true,
             })),
         }
-    }
-
-    /// Disable EASY backfilling (strict FCFS) — used by tests/ablations.
-    pub fn set_backfill(&self, enabled: bool) {
-        self.inner.borrow_mut().backfill = enabled;
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -342,7 +335,7 @@ impl BatchSystem {
         // Head (if any) is blocked: try EASY backfill.
         let candidates: Vec<JobId> = {
             let inner = self.inner.borrow();
-            if !inner.backfill || inner.queue.len() < 2 {
+            if inner.queue.len() < 2 {
                 return;
             }
             let head = inner.queue[0];
@@ -635,23 +628,6 @@ mod tests {
         e.run();
         let t = head_started.borrow().unwrap();
         assert!((t.as_secs_f64() - 100.0).abs() < 0.5, "{t}");
-    }
-
-    #[test]
-    fn strict_fcfs_when_backfill_disabled() {
-        let mut e = Engine::new(1);
-        let b = quiet_localhost();
-        b.set_backfill(false);
-        b.submit(&mut e, req("base", 3, 100), |_, _| {});
-        e.run_until(SimTime::from_secs_f64(1.0));
-        b.submit(&mut e, req("head", 2, 50), |_, _| {});
-        let bf_started = Rc::new(RefCell::new(false));
-        let bs = bf_started.clone();
-        b.submit(&mut e, req("small", 1, 50), move |_, _| {
-            *bs.borrow_mut() = true;
-        });
-        e.run_until(SimTime::from_secs_f64(99.0));
-        assert!(!*bf_started.borrow());
     }
 
     #[test]

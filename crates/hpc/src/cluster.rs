@@ -124,11 +124,6 @@ impl Cluster {
         &self.inner.lustre
     }
 
-    /// A node's local-disk link, if the machine has local disks.
-    pub fn local_disk_link(&self, node: NodeId) -> Option<&FairLink> {
-        self.inner.nodes[node.0 as usize].local_disk.as_ref()
-    }
-
     pub fn fabric_link(&self) -> &FairLink {
         &self.inner.fabric
     }

@@ -69,6 +69,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// A generator's extra fault kind: how many slots of the kind draw it
+/// takes, and how to draw one.
+type ExtraKind<'a> = (usize, &'a dyn Fn(&mut SimRng) -> FaultKind);
+
 /// A deterministic schedule of faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -87,33 +91,7 @@ impl FaultPlan {
     /// seed and intensity are identical). Uses a private RNG stream: the
     /// engine's RNG is never touched.
     pub fn generate(seed: u64, horizon: SimDuration, nodes: usize, intensity: usize) -> Self {
-        let mut rng = SimRng::new(seed ^ 0xFA_u64.rotate_left(56));
-        let mut events: Vec<FaultEvent> = (0..intensity)
-            .map(|_| {
-                let at = SimTime(rng.uniform_u64(0, horizon.0.saturating_sub(1).max(1)));
-                let kind = match rng.index(5) {
-                    0 => FaultKind::NodeCrash {
-                        node: rng.index(nodes.max(1)),
-                    },
-                    1 => FaultKind::NodeSlowdown {
-                        node: rng.index(nodes.max(1)),
-                        factor: rng.uniform(1.5, 4.0),
-                        duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
-                    },
-                    2 => FaultKind::ContainerKill {
-                        count: rng.uniform_u64(1, 3) as usize,
-                    },
-                    3 => FaultKind::LinkDegrade {
-                        factor: rng.uniform(0.1, 0.6),
-                        duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
-                    },
-                    _ => FaultKind::StagingError,
-                };
-                FaultEvent { at, kind }
-            })
-            .collect();
-        events.sort_by_key(|e| e.at);
-        FaultPlan { events }
+        Self::draw(0xFA, None, seed, horizon, nodes, intensity)
     }
 
     /// Generate a mixed plan that may also kill whole pilots. Same
@@ -129,36 +107,10 @@ impl FaultPlan {
         pilots: usize,
         intensity: usize,
     ) -> Self {
-        let mut rng = SimRng::new(seed ^ 0xFB_u64.rotate_left(56));
-        let mut events: Vec<FaultEvent> = (0..intensity)
-            .map(|_| {
-                let at = SimTime(rng.uniform_u64(0, horizon.0.saturating_sub(1).max(1)));
-                let kind = match rng.index(6) {
-                    0 => FaultKind::NodeCrash {
-                        node: rng.index(nodes.max(1)),
-                    },
-                    1 => FaultKind::NodeSlowdown {
-                        node: rng.index(nodes.max(1)),
-                        factor: rng.uniform(1.5, 4.0),
-                        duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
-                    },
-                    2 => FaultKind::ContainerKill {
-                        count: rng.uniform_u64(1, 3) as usize,
-                    },
-                    3 => FaultKind::LinkDegrade {
-                        factor: rng.uniform(0.1, 0.6),
-                        duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
-                    },
-                    4 => FaultKind::StagingError,
-                    _ => FaultKind::PilotKill {
-                        pilot: rng.index(pilots.max(1)),
-                    },
-                };
-                FaultEvent { at, kind }
-            })
-            .collect();
-        events.sort_by_key(|e| e.at);
-        FaultPlan { events }
+        let kill = |rng: &mut SimRng| FaultKind::PilotKill {
+            pilot: rng.index(pilots.max(1)),
+        };
+        Self::draw(0xFB, Some((1, &kill)), seed, horizon, nodes, intensity)
     }
 
     /// Generate a plan that additionally partitions agents from the
@@ -176,32 +128,50 @@ impl FaultPlan {
         pilots: usize,
         intensity: usize,
     ) -> Self {
-        let mut rng = SimRng::new(seed ^ 0xFC_u64.rotate_left(56));
+        let partition = |rng: &mut SimRng| FaultKind::Partition {
+            pilot: rng.index(pilots.max(1)),
+            duration: SimDuration::from_secs(rng.uniform_u64(60, 240)),
+            symmetric: rng.chance(0.5),
+        };
+        Self::draw(0xFC, Some((2, &partition)), seed, horizon, nodes, intensity)
+    }
+
+    /// The one generator body. Each event draws its time, then a kind:
+    /// one of the five node, link and staging kinds, or the optional
+    /// extra kind, which takes `slots` of the draw. The salt and the slot
+    /// count fix a generator's schedules; `tests/fault_plan_golden.rs`
+    /// pins them.
+    fn draw(
+        salt: u64,
+        extra: Option<ExtraKind>,
+        seed: u64,
+        horizon: SimDuration,
+        nodes: usize,
+        intensity: usize,
+    ) -> Self {
+        let mut rng = SimRng::new(seed ^ salt.rotate_left(56));
+        let kinds = 5 + extra.map_or(0, |(slots, _)| slots);
         let mut events: Vec<FaultEvent> = (0..intensity)
             .map(|_| {
                 let at = SimTime(rng.uniform_u64(0, horizon.0.saturating_sub(1).max(1)));
-                let kind = match rng.index(7) {
-                    0 => FaultKind::NodeCrash {
+                let kind = match (rng.index(kinds), extra) {
+                    (0, _) => FaultKind::NodeCrash {
                         node: rng.index(nodes.max(1)),
                     },
-                    1 => FaultKind::NodeSlowdown {
+                    (1, _) => FaultKind::NodeSlowdown {
                         node: rng.index(nodes.max(1)),
                         factor: rng.uniform(1.5, 4.0),
                         duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
                     },
-                    2 => FaultKind::ContainerKill {
+                    (2, _) => FaultKind::ContainerKill {
                         count: rng.uniform_u64(1, 3) as usize,
                     },
-                    3 => FaultKind::LinkDegrade {
+                    (3, _) => FaultKind::LinkDegrade {
                         factor: rng.uniform(0.1, 0.6),
                         duration: SimDuration::from_secs(rng.uniform_u64(30, 300)),
                     },
-                    4 => FaultKind::StagingError,
-                    _ => FaultKind::Partition {
-                        pilot: rng.index(pilots.max(1)),
-                        duration: SimDuration::from_secs(rng.uniform_u64(60, 240)),
-                        symmetric: rng.chance(0.5),
-                    },
+                    (4, _) | (_, None) => FaultKind::StagingError,
+                    (_, Some((_, extra))) => extra(&mut rng),
                 };
                 FaultEvent { at, kind }
             })
@@ -217,14 +187,6 @@ impl FaultPlan {
 
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Number of node crashes in the plan (drives makespan expectations).
-    pub fn crash_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::NodeCrash { .. }))
-            .count()
     }
 
     /// Number of pilot kills in the plan.

@@ -227,15 +227,6 @@ impl Summary {
             median: percentile_sorted(&sorted, 50.0),
         }
     }
-
-    /// Relative standard deviation (coefficient of variation).
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std / self.mean
-        }
-    }
 }
 
 /// Percentile (0..=100) of an already-sorted slice, linear interpolation.

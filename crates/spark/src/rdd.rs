@@ -67,11 +67,6 @@ impl SparkContext {
             }),
         }
     }
-
-    /// `parallelize` with the context's default parallelism.
-    pub fn parallelize_default<T: Clone + Send + Sync + 'static>(&self, data: Vec<T>) -> Rdd<T> {
-        self.parallelize(data, self.default_parallelism)
-    }
 }
 
 struct Parallelize<T> {

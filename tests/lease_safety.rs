@@ -1,8 +1,7 @@
 //! Lease-safety property tier.
 //!
 //! Seeded property tests over the coordination store's lease table. Two
-//! invariants carry the whole split-brain design and are checked here
-//! from the store's own audit log:
+//! invariants carry the whole split-brain design:
 //!
 //! * **Two-owner invariant** — a pilot is never granted a lease while an
 //!   unexpired one is still held; ownership holds are disjoint in time.
@@ -12,9 +11,10 @@
 //!
 //! The first tier fuzzes 128 raw grant/renew/revoke/partition
 //! interleavings directly against the store (including deliberately
-//! stale renewals under real, superseded fences); the second replays the
-//! same checks over full split-brain simulations with lease-owned
-//! Unit-Managers.
+//! stale renewals under real, superseded fences) and audits what each
+//! lease call returned; the second steps full split-brain simulations
+//! with lease-owned Unit-Managers by hand and watches every pilot's
+//! lease epoch and expiry after each event.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,10 +23,31 @@ use std::rc::Rc;
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimRng, SimTime};
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LeaseOp {
+    Grant,
+    Renew,
+    Revoke,
+}
+
+/// One successful lease call as the caller saw it: the operation, which
+/// pilot's lease, the fencing epoch after the operation, when it
+/// happened and (for grants/renewals) when the lease expires.
+#[derive(Debug, Clone, Copy)]
+struct AuditEntry {
+    op: LeaseOp,
+    pilot: PilotId,
+    epoch: u64,
+    at: SimTime,
+    expires: SimTime,
+}
+
+type Audit = Rc<RefCell<Vec<AuditEntry>>>;
+
 /// Replay the audit log through a per-pilot lease state machine,
 /// asserting both invariants on every entry; returns each pilot's final
 /// fencing epoch for cross-checking against the live table.
-fn check_audit(label: &str, entries: &[LeaseAuditEntry]) -> HashMap<PilotId, u64> {
+fn check_audit(label: &str, entries: &[AuditEntry]) -> HashMap<PilotId, u64> {
     let mut state: HashMap<PilotId, (bool, SimTime, u64)> = HashMap::new();
     let mut last_at = SimTime::ZERO;
     for a in entries {
@@ -94,7 +115,7 @@ fn check_audit(label: &str, entries: &[LeaseAuditEntry]) -> HashMap<PilotId, u64
 /// Cross-check the replayed final state against the live store: the
 /// table's epoch must equal the audit replay's, and the renewal counter
 /// must equal the number of successful renewals recorded.
-fn check_store_agrees(label: &str, store: &CoordinationStore, audit: &[LeaseAuditEntry]) {
+fn check_store_agrees(label: &str, store: &CoordinationStore, audit: &[AuditEntry]) {
     for (pilot, epoch) in check_audit(label, audit) {
         assert_eq!(
             store.lease_epoch(pilot).epoch(),
@@ -106,8 +127,27 @@ fn check_store_agrees(label: &str, store: &CoordinationStore, audit: &[LeaseAudi
     assert_eq!(
         store.lease_renewals(),
         renews,
-        "{label}: renewal counter disagrees with the audit log"
+        "{label}: renewal counter disagrees with the successful renewals"
     );
+}
+
+/// Record a successful lease call in the test-side audit.
+fn log(audit: &Audit, op: LeaseOp, pilot: PilotId, epoch: u64, at: SimTime, expires: SimTime) {
+    audit.borrow_mut().push(AuditEntry {
+        op,
+        pilot,
+        epoch,
+        at,
+        expires,
+    });
+}
+
+/// Renew under `fence`, recording the renewal if the store granted it.
+fn renew(s: &CoordinationStore, audit: &Audit, eng: &mut Engine, pilot: PilotId, fence: Fence) {
+    if let Some(expires) = s.renew_lease(eng, pilot, fence) {
+        let epoch = fence.epoch();
+        log(audit, LeaseOp::Renew, pilot, epoch, eng.now(), expires);
+    }
 }
 
 #[test]
@@ -123,7 +163,7 @@ fn random_op_interleavings_uphold_lease_invariants() {
             SimDuration::from_secs(rng.uniform_u64(20, 90)),
             |_, _, _, _| {},
         );
-        store.enable_lease_audit();
+        let audit: Audit = Rc::default();
         let pilots = 1 + rng.index(3);
         // Pre-schedule a random interleaving of lease ops and partition
         // windows at strictly increasing times; the engine executes them
@@ -141,37 +181,43 @@ fn random_op_interleavings_uphold_lease_invariants() {
             let pilot = PilotId(rng.index(pilots) as u64);
             let s = store.clone();
             let prev = previous.clone();
+            let audit = audit.clone();
             match rng.index(9) {
                 0..=2 => {
                     e.schedule_in(delay, move |eng| {
                         let before = s.lease_epoch(pilot);
-                        if s.try_acquire_lease(eng, pilot).is_some() {
+                        if let Some((fence, expires)) = s.try_acquire_lease(eng, pilot) {
                             prev.borrow_mut().insert(pilot, before);
+                            let epoch = fence.epoch();
+                            log(&audit, LeaseOp::Grant, pilot, epoch, eng.now(), expires);
                         }
                     });
                 }
                 3 | 4 => {
                     e.schedule_in(delay, move |eng| {
                         let fence = s.lease_epoch(pilot);
-                        s.renew_lease(eng, pilot, fence);
+                        renew(&s, &audit, eng, pilot, fence);
                     });
                 }
                 5 => {
                     e.schedule_in(delay, move |eng| {
                         let stale = prev.borrow().get(&pilot).copied();
-                        s.renew_lease(eng, pilot, stale.unwrap_or(never_granted));
+                        renew(&s, &audit, eng, pilot, stale.unwrap_or(never_granted));
                     });
                 }
                 6 => {
                     e.schedule_in(delay, move |eng| {
-                        s.renew_lease(eng, pilot, never_granted);
+                        renew(&s, &audit, eng, pilot, never_granted);
                     });
                 }
                 7 => {
                     e.schedule_in(delay, move |eng| {
                         let before = s.lease_epoch(pilot);
-                        s.revoke_lease(eng, pilot);
+                        let revoked = s.revoke_lease(eng, pilot);
+                        assert_eq!(revoked.pilot(), pilot);
                         prev.borrow_mut().insert(pilot, before);
+                        let epoch = s.lease_epoch(pilot).epoch();
+                        log(&audit, LeaseOp::Revoke, pilot, epoch, eng.now(), eng.now());
                     });
                 }
                 _ => {
@@ -184,7 +230,7 @@ fn random_op_interleavings_uphold_lease_invariants() {
             }
         }
         e.run();
-        let audit = store.lease_audit();
+        let audit = audit.borrow();
         check_store_agrees(&format!("seed {seed}"), &store, &audit);
         total_grants += audit.iter().filter(|a| a.op == LeaseOp::Grant).count() as u64;
         total_rejections += store.fence_rejections();
@@ -199,6 +245,57 @@ fn random_op_interleavings_uphold_lease_invariants() {
     );
 }
 
+/// What the sim tier last saw of one pilot's lease.
+#[derive(Clone, Copy, Default)]
+struct Seen {
+    epoch: u64,
+    expiry: Option<SimTime>,
+}
+
+/// Compare every pilot's lease after one engine event with what was
+/// seen before it. Returns the number of revocations the event made.
+fn watch_leases(label: &str, store: &CoordinationStore, seen: &mut [Seen], now: SimTime) -> u64 {
+    let mut revokes = 0;
+    for (i, last) in seen.iter_mut().enumerate() {
+        let pilot = PilotId(i as u64);
+        let epoch = store.lease_epoch(pilot).epoch();
+        let expiry = store.lease_expiry(pilot);
+        assert!(
+            epoch >= last.epoch,
+            "{label}: {pilot:?} fencing epoch went down ({} -> {epoch}) at {now:?}",
+            last.epoch
+        );
+        let moved = epoch - last.epoch;
+        // Two grants in one event are impossible (the first is unexpired),
+        // so a move by two or more, or a move that leaves no lease held,
+        // includes a revocation.
+        if moved >= 2 || (moved == 1 && expiry.is_none()) {
+            revokes += 1;
+        }
+        if moved == 1 {
+            if let Some(expires) = expiry {
+                assert!(
+                    last.expiry.is_none_or(|held| now >= held),
+                    "{label}: {pilot:?} re-granted at {now:?} while an unexpired lease \
+                     (expires {:?}) was held — two owners",
+                    last.expiry
+                );
+                assert!(expires > now, "{label}: {pilot:?} granted an expired lease");
+            }
+        }
+        if moved == 0 {
+            if let (Some(before), Some(after)) = (last.expiry, expiry) {
+                assert!(
+                    after >= before,
+                    "{label}: {pilot:?} renewal shortened the lease ({before:?} -> {after:?})"
+                );
+            }
+        }
+        *last = Seen { epoch, expiry };
+    }
+    revokes
+}
+
 #[test]
 fn split_brain_runs_uphold_lease_invariants() {
     let mut total_revokes = 0u64;
@@ -206,7 +303,6 @@ fn split_brain_runs_uphold_lease_invariants() {
         let mut e = Engine::new(seed);
         let session = Session::new(SessionConfig::test_profile());
         let store = session.store();
-        store.enable_lease_audit();
         let pm = PilotManager::new(&session);
         let pilots: Vec<PilotHandle> = (0..2)
             .map(|_| {
@@ -217,6 +313,10 @@ fn split_brain_runs_uphold_lease_invariants() {
                 .unwrap()
             })
             .collect();
+        assert_eq!(
+            pilots.iter().map(|p| p.id()).collect::<Vec<_>>(),
+            [PilotId(0), PilotId(1)]
+        );
         let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
         for p in &pilots {
             um.add_pilot(p);
@@ -256,16 +356,25 @@ fn split_brain_runs_uphold_lease_invariants() {
                 })
                 .collect(),
         );
+        let label = format!("sim seed {seed}");
         let horizon = SimTime::from_secs_f64(20_000.0);
-        while units.iter().any(|u| !u.state().is_final()) {
-            assert!(e.step(), "seed {seed}: sim wedged with live units");
-            assert!(e.now() < horizon, "seed {seed}: past the walltime backstop");
+        let mut seen = [Seen::default(); 2];
+        loop {
+            let live = units.iter().any(|u| !u.state().is_final());
+            if !e.step() {
+                assert!(!live, "seed {seed}: sim wedged with live units");
+                break;
+            }
+            assert!(
+                !live || e.now() < horizon,
+                "seed {seed}: past the walltime backstop"
+            );
+            total_revokes += watch_leases(&label, &store, &mut seen, e.now());
         }
-        e.run();
-        let audit = store.lease_audit();
-        assert!(!audit.is_empty(), "seed {seed}: empty lease audit log");
-        check_store_agrees(&format!("sim seed {seed}"), &store, &audit);
-        total_revokes += audit.iter().filter(|a| a.op == LeaseOp::Revoke).count() as u64;
+        assert!(
+            seen.iter().any(|s| s.epoch > 0),
+            "seed {seed}: no lease was ever granted"
+        );
     }
     assert!(
         total_revokes > 0,
