@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: formatting, release build, full test suite, lints, trace
+# Local CI: formatting, release build, full test suite, lints, docs, trace
 # artifact validation, the benchmark suite + regression gate against the
 # checked-in BENCH_*.json baselines, and a machine-checkable fixed-seed
 # fault-matrix smoke run. Everything runs offline.
@@ -22,6 +22,9 @@ cargo test --offline -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 
 echo "==> cargo clippy -D warnings (+ todo/dbg_macro)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::todo -W clippy::dbg_macro
+
+echo "==> cargo doc -D warnings (broken intra-doc links fail here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> rp_lint static-analysis pass (state machines, determinism)"
 RP_LINT_OUT="${RP_LINT_OUT:-target/rp_lint.json}"

@@ -15,7 +15,7 @@ use rp_pilot::{
     SessionConfig, UmScheduler, UnitManager, UnitState, WorkSpec,
 };
 use rp_saga::{stream, transfer, Endpoint};
-use rp_sim::{Engine, SimDuration, MB};
+use rp_sim::{Engine, SimDuration, SpanId, MB};
 use rp_spark::{submit_spark_on_yarn, SparkCluster, SparkConfig};
 use rp_yarn::{bootstrap_mode_i, ContainerRuntime, Resource, YarnCluster, YarnConfig};
 
@@ -291,9 +291,17 @@ fn run_mr_job(
     };
     let out = Rc::new(RefCell::new(None));
     let o = out.clone();
-    run_on_yarn(&mut e, &cluster, &yarn, &hdfs, spec, move |_, stats| {
-        *o.borrow_mut() = Some(stats);
-    });
+    run_on_yarn(
+        &mut e,
+        &cluster,
+        &yarn,
+        &hdfs,
+        spec,
+        SpanId::NONE,
+        move |_, stats| {
+            *o.borrow_mut() = Some(stats);
+        },
+    );
     e.run();
     let stats = out.borrow_mut().take().expect("job finished");
     stats
@@ -446,6 +454,7 @@ pub fn spark_deploy() -> Outcome {
                 nodes,
                 YarnConfig::default(),
                 false,
+                SpanId::NONE,
                 move |eng, env| {
                     submit_spark_on_yarn(
                         eng,

@@ -9,7 +9,7 @@
 use rp_hpc::{MachineSpec, NodeId};
 use rp_sim::{Engine, SimDuration, SpanId};
 use rp_spark::SparkCluster;
-use rp_yarn::{bootstrap_mode_i_in_span, connect_mode_ii, HadoopEnv, Resource};
+use rp_yarn::{bootstrap_mode_i, connect_mode_ii, HadoopEnv, Resource};
 
 use crate::description::{AccessMode, ComputeUnitDescription, WorkSpec};
 use crate::launch::{self, LaunchMethod};
@@ -53,7 +53,7 @@ impl Runtime {
         match access {
             AccessMode::Plain => on_ready(engine, Runtime::Plain, SimDuration::ZERO),
             AccessMode::YarnModeI { with_hdfs } => {
-                bootstrap_mode_i_in_span(
+                bootstrap_mode_i(
                     engine,
                     machine.cluster.clone(),
                     nodes,

@@ -267,7 +267,7 @@ impl Agent {
             let this = self.clone();
             let cluster = self.inner.borrow().machine.cluster.clone();
             let parent = run.unit.open_span();
-            rp_mapreduce::run_on_yarn_in_span(
+            rp_mapreduce::run_on_yarn(
                 engine,
                 &cluster,
                 &env.yarn,

@@ -722,8 +722,10 @@ impl CoordinationStore {
     /// are held for retransmit after heal. When `symmetric`, the store's
     /// polls to the agent are cut too; otherwise the agent keeps
     /// receiving batches while its own writes are silenced (the richest
-    /// split-brain: a zombie that keeps taking work). Overlapping windows
-    /// merge conservatively (latest heal time, symmetric if either was).
+    /// split-brain: a zombie that keeps taking work). A window opened
+    /// while another is live merges with it conservatively (latest heal
+    /// time, symmetric if either was); one opened after the earlier
+    /// window healed replaces it.
     pub fn partition_pilot(
         &self,
         engine: &mut Engine,
@@ -735,12 +737,15 @@ impl CoordinationStore {
         let until = now + duration;
         {
             let mut inner = self.inner.borrow_mut();
-            let w = inner
-                .partitions
-                .entry(pilot)
-                .or_insert(PartitionWindow { until, symmetric });
-            w.until = w.until.max(until);
-            w.symmetric |= symmetric;
+            let window = PartitionWindow { until, symmetric };
+            let w = inner.partitions.entry(pilot).or_insert(window);
+            if now >= w.until {
+                // The earlier window has healed: this one replaces it.
+                *w = window;
+            } else {
+                w.until = w.until.max(until);
+                w.symmetric |= symmetric;
+            }
             inner.partition_windows += 1;
         }
         engine.metrics.incr("coordination.partition_windows");
@@ -1254,6 +1259,29 @@ mod tests {
         s.push_units(&mut e, PilotId(0), vec![unit(0)]);
         e.run();
         assert_eq!(*got.borrow(), vec![SimTime::from_secs_f64(1.0)]);
+    }
+
+    #[test]
+    fn healed_symmetric_window_does_not_cut_a_later_asymmetric_one() {
+        let mut e = Engine::new(1);
+        let s = store();
+        let got: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        s.register_agent(&mut e, PilotId(0), move |eng, _| {
+            g.borrow_mut().push(eng.now());
+        });
+        s.partition_pilot(&mut e, PilotId(0), SimDuration::from_secs(1), true);
+        let s2 = s.clone();
+        e.schedule_at(SimTime::from_secs_f64(10.0), move |eng| {
+            s2.partition_pilot(eng, PilotId(0), SimDuration::from_secs(4), false);
+            s2.push_units(eng, PilotId(0), vec![unit(0)]);
+        });
+        e.run();
+        // The symmetric window healed at t=1, so the asymmetric one
+        // leaves polls open: the push lands at the next boundary, not at
+        // the asymmetric heal (t=14).
+        assert_eq!(*got.borrow(), vec![SimTime::from_secs_f64(11.0)]);
+        assert_eq!(s.partition_windows(), 2);
     }
 
     #[test]

@@ -222,11 +222,6 @@ impl DataPilot {
         self.inner.borrow().descr.backend
     }
 
-    pub fn free_bytes(&self) -> u64 {
-        let inner = self.inner.borrow();
-        inner.descr.capacity_bytes - inner.used_bytes
-    }
-
     pub fn units(&self) -> Vec<DataUnit> {
         self.inner.borrow().units.clone()
     }
@@ -413,7 +408,6 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, DataError::CapacityExceeded { free: 20, .. }));
-        assert_eq!(dp.free_bytes(), 20);
     }
 
     #[test]

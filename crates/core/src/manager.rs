@@ -61,11 +61,6 @@ impl PilotTimestamps {
     pub fn startup_time(&self) -> Option<SimDuration> {
         Some(self.active?.since(self.submitted?))
     }
-
-    /// Batch-grant → Active: agent (+framework) bootstrap only.
-    pub fn agent_startup_time(&self) -> Option<SimDuration> {
-        Some(self.active?.since(self.launched?))
-    }
 }
 
 type FinalWaiter = Box<dyn FnOnce(&mut Engine, PilotState)>;
@@ -925,7 +920,6 @@ mod tests {
         e.run_until(SimTime::from_secs_f64(60.0));
         let t = pilot.times();
         assert!(t.startup_time().is_some());
-        assert!(t.agent_startup_time().unwrap() <= t.startup_time().unwrap());
     }
 
     #[test]

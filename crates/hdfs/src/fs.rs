@@ -178,12 +178,7 @@ impl Hdfs {
         let mut inner = self.inner.borrow_mut();
         match inner.files.remove(path) {
             Some(f) => {
-                let replicas = f
-                    .blocks
-                    .iter()
-                    .map(|b| b.size_bytes * b.replicas.len() as u64)
-                    .sum::<u64>();
-                inner.used_bytes -= replicas;
+                inner.used_bytes -= replica_bytes(&f);
                 Ok(())
             }
             None => Err(HdfsError::NotFound(path.into())),
@@ -191,16 +186,15 @@ impl Hdfs {
     }
 
     /// Register a file without simulating the ingest (pre-loaded input data
-    /// for experiments). Placement is round-robin with the writer-local
-    /// first-replica rule applied from a rotating "client".
+    /// for experiments), split at the configured block size.
     pub fn create_synthetic(
         &self,
         path: &str,
         size_bytes: u64,
         policy: StoragePolicy,
     ) -> Result<FileMeta, HdfsError> {
-        let block_mb = self.inner.borrow().config.block_size_mb;
-        self.create_synthetic_with_block(path, size_bytes, policy, block_mb)
+        let block_size = self.block_size_bytes();
+        self.create_preloaded(path, size_bytes, policy, block_size)
     }
 
     /// Create a synthetic file pre-split into exactly `blocks` blocks
@@ -213,45 +207,25 @@ impl Hdfs {
         blocks: u32,
     ) -> Result<FileMeta, HdfsError> {
         assert!(blocks >= 1);
-        let mut inner = self.inner.borrow_mut();
-        if inner.files.contains_key(path) {
-            return Err(HdfsError::AlreadyExists(path.into()));
-        }
         let per = (size_bytes as f64 / blocks as f64).ceil().max(1.0) as u64;
-        let meta = inner.make_meta_exact(path, size_bytes, policy, per);
-        let replicas = meta
-            .blocks
-            .iter()
-            .map(|b| b.size_bytes * b.replicas.len() as u64)
-            .sum::<u64>();
-        inner.used_bytes += replicas;
-        inner.files.insert(path.into(), meta.clone());
-        Ok(meta)
+        self.create_preloaded(path, size_bytes, policy, per)
     }
 
-    /// Like [`Hdfs::create_synthetic`] with a per-file block size (HDFS
-    /// block size is a per-file client-side property — MapReduce jobs use
-    /// it to control their map-task count).
-    pub fn create_synthetic_with_block(
+    /// The synthetic create path: check the namespace, place every block
+    /// with no writer, and account the replicas.
+    fn create_preloaded(
         &self,
         path: &str,
         size_bytes: u64,
         policy: StoragePolicy,
-        block_size_mb: u64,
+        block_size_bytes: u64,
     ) -> Result<FileMeta, HdfsError> {
-        assert!(block_size_mb >= 1);
         let mut inner = self.inner.borrow_mut();
         if inner.files.contains_key(path) {
             return Err(HdfsError::AlreadyExists(path.into()));
         }
-        let meta = inner.make_meta(path, size_bytes, policy, block_size_mb);
-        let replicas = meta
-            .blocks
-            .iter()
-            .map(|b| b.size_bytes * b.replicas.len() as u64)
-            .sum::<u64>();
-        inner.used_bytes += replicas;
-        inner.files.insert(path.into(), meta.clone());
+        let meta = inner.place(path, size_bytes, policy, block_size_bytes, None);
+        inner.insert(meta.clone());
         Ok(meta)
     }
 
@@ -268,6 +242,7 @@ impl Hdfs {
         policy: StoragePolicy,
         done: impl FnOnce(&mut Engine, Result<FileMeta, HdfsError>) + 'static,
     ) {
+        let block_size = self.block_size_bytes();
         let meta = {
             let mut inner = self.inner.borrow_mut();
             if inner.files.contains_key(path) {
@@ -275,21 +250,11 @@ impl Hdfs {
                 engine.schedule_now(move |eng| done(eng, Err(HdfsError::AlreadyExists(p))));
                 return;
             }
-            inner.make_meta_local_first(path, size_bytes, policy, client)
+            inner.place(path, size_bytes, policy, block_size, Some(client))
         };
         let this = self.clone();
-        let path = path.to_string();
         self.write_block_chain(engine, client, meta.clone(), 0, move |eng| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                let replicas = meta
-                    .blocks
-                    .iter()
-                    .map(|b| b.size_bytes * b.replicas.len() as u64)
-                    .sum::<u64>();
-                inner.used_bytes += replicas;
-                inner.files.insert(path.clone(), meta.clone());
-            }
+            this.inner.borrow_mut().insert(meta.clone());
             done(eng, Ok(meta));
         });
     }
@@ -548,36 +513,38 @@ impl Hdfs {
     }
 }
 
-impl Inner {
-    /// Placement for pre-loaded (synthetic) files: no writer, so the first
-    /// replica rotates per block — input data spreads over the datanodes
-    /// the way a distributed ingest would leave it.
-    fn make_meta(
-        &mut self,
-        path: &str,
-        size_bytes: u64,
-        policy: StoragePolicy,
-        block_size_mb: u64,
-    ) -> FileMeta {
-        self.make_meta_exact(path, size_bytes, policy, block_size_mb * 1024 * 1024)
-    }
+/// Bytes a file occupies across all its replicas.
+fn replica_bytes(meta: &FileMeta) -> u64 {
+    meta.blocks
+        .iter()
+        .map(|b| b.size_bytes * b.replicas.len() as u64)
+        .sum()
+}
 
-    fn make_meta_exact(
+impl Inner {
+    /// Split a new file into blocks of `block_size_bytes` and place their
+    /// replicas. HDFS puts the first replica on the writer's node when the
+    /// writer is a datanode; the rest (all of them for pre-loaded files
+    /// with no writer) spread round-robin from the shared cursor, so input
+    /// data spreads over the datanodes the way a distributed ingest would
+    /// leave it.
+    fn place(
         &mut self,
         path: &str,
         size_bytes: u64,
         policy: StoragePolicy,
         block_size_bytes: u64,
+        writer: Option<NodeId>,
     ) -> FileMeta {
-        let block_size = block_size_bytes;
         let replication = self.config.replication as usize;
-        let sizes = split_blocks(size_bytes, block_size);
-        let blocks = sizes
+        let first = writer.filter(|w| self.datanodes.contains(w));
+        let blocks = split_blocks(size_bytes, block_size_bytes)
             .into_iter()
             .map(|size| {
                 let id = self.next_block_id;
                 self.next_block_id += 1;
                 let mut replicas = Vec::with_capacity(replication);
+                replicas.extend(first);
                 while replicas.len() < replication {
                     let cand = self.datanodes[self.placement_cursor % self.datanodes.len()];
                     self.placement_cursor += 1;
@@ -600,48 +567,10 @@ impl Inner {
         }
     }
 
-    /// HDFS placement: first replica on the writer's node (if it is a
-    /// datanode), remaining replicas spread round-robin over other nodes.
-    fn make_meta_local_first(
-        &mut self,
-        path: &str,
-        size_bytes: u64,
-        policy: StoragePolicy,
-        client: NodeId,
-    ) -> FileMeta {
-        let block_size = self.config.block_size_mb * 1024 * 1024;
-        let replication = self.config.replication as usize;
-        let sizes = split_blocks(size_bytes, block_size);
-        let client_is_dn = self.datanodes.contains(&client);
-        let blocks = sizes
-            .into_iter()
-            .map(|size| {
-                let id = self.next_block_id;
-                self.next_block_id += 1;
-                let mut replicas = Vec::with_capacity(replication);
-                if client_is_dn {
-                    replicas.push(client);
-                }
-                while replicas.len() < replication {
-                    let cand = self.datanodes[self.placement_cursor % self.datanodes.len()];
-                    self.placement_cursor += 1;
-                    if !replicas.contains(&cand) {
-                        replicas.push(cand);
-                    }
-                }
-                BlockMeta {
-                    id,
-                    size_bytes: size,
-                    replicas,
-                }
-            })
-            .collect();
-        FileMeta {
-            path: path.into(),
-            size_bytes,
-            policy,
-            blocks,
-        }
+    /// Enter a placed file into the namespace and account its replicas.
+    fn insert(&mut self, meta: FileMeta) {
+        self.used_bytes += replica_bytes(&meta);
+        self.files.insert(meta.path.clone(), meta);
     }
 }
 

@@ -44,20 +44,6 @@ pub struct FileMeta {
     pub blocks: Vec<BlockMeta>,
 }
 
-impl FileMeta {
-    /// Nodes that hold at least one replica of any block.
-    pub fn holder_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .blocks
-            .iter()
-            .flat_map(|b| b.replicas.iter().copied())
-            .collect();
-        nodes.sort();
-        nodes.dedup();
-        nodes
-    }
-}
-
 /// Split a file size into block sizes.
 pub fn split_blocks(size_bytes: u64, block_size_bytes: u64) -> Vec<u64> {
     assert!(block_size_bytes > 0);
@@ -101,27 +87,5 @@ mod tests {
         assert!(
             StoragePolicy::Archive.bandwidth_factor() < StoragePolicy::Default.bandwidth_factor()
         );
-    }
-
-    #[test]
-    fn holder_nodes_dedups() {
-        let f = FileMeta {
-            path: "/x".into(),
-            size_bytes: 10,
-            policy: StoragePolicy::Default,
-            blocks: vec![
-                BlockMeta {
-                    id: 0,
-                    size_bytes: 5,
-                    replicas: vec![NodeId(1), NodeId(2)],
-                },
-                BlockMeta {
-                    id: 1,
-                    size_bytes: 5,
-                    replicas: vec![NodeId(2), NodeId(0)],
-                },
-            ],
-        };
-        assert_eq!(f.holder_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 }

@@ -12,7 +12,6 @@ use std::rc::Rc;
 use rp_sim::{Engine, EventId, SimDuration, SimTime};
 
 use crate::cluster::{Cluster, NodeId};
-use crate::machine::QueueWaitModel;
 
 /// Identifier of a batch job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -20,7 +19,7 @@ pub struct JobId(pub u64);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Submitted; not yet eligible (submit latency / queue-wait model).
+    /// Submitted; not yet eligible (submit latency).
     Submitted,
     /// In the scheduler queue, waiting for nodes.
     Queued,
@@ -134,11 +133,7 @@ impl BatchSystem {
         let spec = self.cluster.spec();
         let (sub_mean, sub_std) = spec.submit_latency_s;
         let submit_latency = engine.rng.normal_min(sub_mean, sub_std, 0.01);
-        let queue_wait = match spec.queue_wait {
-            QueueWaitModel::None => 0.0,
-            QueueWaitModel::LogNormal { mu, sigma } => engine.rng.lognormal(mu, sigma),
-        };
-        let eligible_in = SimDuration::from_secs_f64(submit_latency + queue_wait);
+        let eligible_in = SimDuration::from_secs_f64(submit_latency);
 
         let id;
         {
@@ -226,54 +221,6 @@ impl BatchSystem {
     /// Failure injection: kill a job as a node/hardware fault would.
     pub fn fail_job(&self, engine: &mut Engine, id: JobId) {
         self.finish(engine, id, JobState::Failed);
-    }
-
-    /// Reserve `count` currently-idle nodes for `duration` (the mechanism
-    /// behind Wrangler's dedicated Hadoop environment). The nodes leave
-    /// the batch pool immediately and return when the reservation ends.
-    /// Returns `None` if fewer than `count` nodes are idle right now
-    /// (static reservations only — no drain-ahead).
-    pub fn reserve_nodes(
-        &self,
-        engine: &mut Engine,
-        count: u32,
-        duration: SimDuration,
-    ) -> Option<Vec<NodeId>> {
-        let picked: Vec<u32> = {
-            let mut inner = self.inner.borrow_mut();
-            if (inner.free_nodes.len() as u32) < count {
-                return None;
-            }
-            let picked: Vec<u32> = inner
-                .free_nodes
-                .iter()
-                .take(count as usize)
-                .copied()
-                .collect();
-            for p in &picked {
-                inner.free_nodes.remove(p);
-            }
-            picked
-        };
-        engine.trace.record(
-            engine.now(),
-            "batch",
-            format!("reserved {count} nodes for {duration}"),
-        );
-        let this = self.clone();
-        let nodes: Vec<NodeId> = picked.iter().map(|&p| NodeId(p)).collect();
-        let picked2 = picked.clone();
-        engine.schedule_in(duration, move |eng| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                for p in &picked2 {
-                    inner.free_nodes.insert(*p);
-                }
-            }
-            eng.trace.record(eng.now(), "batch", "reservation expired");
-            this.schedule_pass(eng);
-        });
-        Some(nodes)
     }
 
     fn finish(&self, engine: &mut Engine, id: JobId, state: JobState) {
@@ -649,32 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn reservation_blocks_jobs_until_expiry() {
-        let mut e = Engine::new(1);
-        let b = quiet_localhost();
-        let reserved = b
-            .reserve_nodes(&mut e, 3, SimDuration::from_secs(100))
-            .expect("idle machine");
-        assert_eq!(reserved.len(), 3);
-        assert_eq!(b.free_node_count(), 1);
-        // A 2-node job must wait for the reservation to expire.
-        let started = Rc::new(RefCell::new(None));
-        let s = started.clone();
-        b.submit(&mut e, req("waits", 2, 50), move |eng, _| {
-            *s.borrow_mut() = Some(eng.now());
-        });
-        e.run_until(SimTime::from_secs_f64(99.0));
-        assert!(started.borrow().is_none());
-        e.run();
-        let t = started.borrow().unwrap().as_secs_f64();
-        assert!((t - 100.0).abs() < 0.5, "{t}");
-        // Over-reservation is rejected.
-        assert!(b
-            .reserve_nodes(&mut e, 5, SimDuration::from_secs(1))
-            .is_none());
-    }
-
-    #[test]
     fn injected_failure_frees_nodes_and_reports() {
         let mut e = Engine::new(1);
         let b = quiet_localhost();
@@ -691,25 +612,6 @@ mod tests {
         e.run_until(SimTime::from_secs_f64(6.0));
         assert_eq!(ended.borrow().unwrap(), JobState::Failed);
         assert_eq!(b.free_node_count(), 4);
-    }
-
-    #[test]
-    fn lognormal_queue_wait_delays_start() {
-        let mut spec = MachineSpec::localhost();
-        spec.submit_latency_s = (0.0, 0.0);
-        // Median wait e^4 ≈ 55 s.
-        spec.queue_wait = crate::machine::QueueWaitModel::LogNormal {
-            mu: 4.0,
-            sigma: 0.3,
-        };
-        let b = BatchSystem::new(Cluster::new(spec));
-        let mut e = Engine::new(7);
-        let id = b.submit(&mut e, req("waits", 1, 100), |_, _| {});
-        e.run_until(SimTime::from_secs_f64(20.0));
-        assert_eq!(b.state(id), JobState::Submitted, "still in queue-wait");
-        e.run_until(SimTime::from_secs_f64(200.0));
-        let w = b.wait_time(id).unwrap().as_secs_f64();
-        assert!(w > 20.0, "queue wait applied: {w}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Runtime cluster: nodes with core/memory tokens, storage and network
-//! links instantiated from a [`MachineSpec`].
+//! Runtime cluster: per-node local disks, the shared Lustre link and the
+//! fabric, instantiated from a [`MachineSpec`].
 //!
 //! All I/O in the workspace funnels through [`Cluster::storage_io`] and
 //! [`Cluster::net_transfer`], so Lustre contention, local-disk bandwidth and
@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use rp_sim::{Engine, FairLink, SimDuration, Tokens, MB};
+use rp_sim::{Engine, FairLink, SimDuration, MB};
 
 use crate::machine::MachineSpec;
 
@@ -46,15 +46,10 @@ pub enum IoPattern {
     Random,
 }
 
-struct NodeHandles {
-    cores: Tokens,
-    mem_mb: Tokens,
-    local_disk: Option<FairLink>,
-}
-
 struct ClusterInner {
     spec: MachineSpec,
-    nodes: Vec<NodeHandles>,
+    /// One link per node; empty on machines without local disks.
+    local_disks: Vec<FairLink>,
     lustre: FairLink,
     fabric: FairLink,
 }
@@ -70,18 +65,17 @@ const LOOPBACK_MBPS: f64 = 4_000.0;
 
 impl Cluster {
     pub fn new(spec: MachineSpec) -> Cluster {
-        let nodes = (0..spec.nodes)
-            .map(|i| NodeHandles {
-                cores: Tokens::new(spec.cores_per_node as u64),
-                mem_mb: Tokens::new(spec.mem_per_node_mb),
-                local_disk: spec.local_disk.map(|fs| {
+        let local_disks = match spec.local_disk {
+            Some(fs) => (0..spec.nodes)
+                .map(|i| {
                     FairLink::new(
                         format!("{}:n{:03}:disk", spec.name, i),
                         fs.aggregate_mbps * MB,
                     )
-                }),
-            })
-            .collect();
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         let lustre = FairLink::new(
             format!("{}:lustre", spec.name),
             spec.lustre.aggregate_mbps * MB,
@@ -90,7 +84,7 @@ impl Cluster {
         Cluster {
             inner: Rc::new(ClusterInner {
                 spec,
-                nodes,
+                local_disks,
                 lustre,
                 fabric,
             }),
@@ -109,23 +103,9 @@ impl Cluster {
         (0..self.inner.spec.nodes).map(NodeId)
     }
 
-    /// Core tokens of one node (capacity = cores per node).
-    pub fn cores(&self, node: NodeId) -> &Tokens {
-        &self.inner.nodes[node.0 as usize].cores
-    }
-
-    /// Memory tokens of one node, in MB.
-    pub fn memory(&self, node: NodeId) -> &Tokens {
-        &self.inner.nodes[node.0 as usize].mem_mb
-    }
-
     /// The shared Lustre link (exposed for metrics/tests).
     pub fn lustre_link(&self) -> &FairLink {
         &self.inner.lustre
-    }
-
-    pub fn fabric_link(&self) -> &FairLink {
-        &self.inner.fabric
     }
 
     pub fn has_local_disk(&self) -> bool {
@@ -165,15 +145,12 @@ impl Cluster {
     ) {
         let (link, fs) = match target {
             StorageTarget::Lustre => (self.inner.lustre.clone(), self.inner.spec.lustre),
-            StorageTarget::LocalDisk(node) => (
-                self.inner.nodes[node.0 as usize]
-                    .local_disk
-                    .clone()
-                    .unwrap_or_else(|| {
-                        panic!("machine {} has no local disk", self.inner.spec.name)
-                    }),
-                self.inner.spec.local_disk.unwrap(),
-            ),
+            StorageTarget::LocalDisk(node) => {
+                let fs = self.inner.spec.local_disk.unwrap_or_else(|| {
+                    panic!("machine {} has no local disk", self.inner.spec.name)
+                });
+                (self.inner.local_disks[node.0 as usize].clone(), fs)
+            }
         };
         let latency = SimDuration::from_secs_f64(fs.latency_ms / 1e3);
         let cap = fs.per_stream_mbps * MB;
@@ -227,8 +204,8 @@ mod tests {
     fn topology_matches_spec() {
         let c = localhost();
         assert_eq!(c.node_count(), 4);
-        assert_eq!(c.cores(NodeId(0)).capacity(), 8);
-        assert_eq!(c.memory(NodeId(3)).capacity(), 16 * 1024);
+        assert_eq!(c.spec().cores_per_node, 8);
+        assert_eq!(c.spec().mem_per_node_mb, 16 * 1024);
         assert!(c.has_local_disk());
     }
 
@@ -310,7 +287,6 @@ mod tests {
         });
         e.run();
         assert!((*hit.borrow() - 1.0).abs() < 0.05);
-        assert_eq!(c.fabric_link().total_bytes(), 0.0);
     }
 
     #[test]

@@ -18,4 +18,4 @@ pub mod machine;
 
 pub use batch::{Allocation, BatchSystem, JobId, JobRequest, JobState};
 pub use cluster::{Cluster, IoKind, IoPattern, NodeId, StorageTarget};
-pub use machine::{FsSpec, MachineSpec, QueueWaitModel, SchedulerKind};
+pub use machine::{FsSpec, MachineSpec, SchedulerKind};

@@ -49,17 +49,6 @@ pub struct FsSpec {
     pub random_factor: f64,
 }
 
-/// Queue-wait model applied before a batch job becomes eligible to run
-/// (captures contention from other users of the production machine).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueueWaitModel {
-    /// Dedicated/idle system: no extra wait.
-    None,
-    /// Lognormal wait, parameterised by the underlying normal's mu/sigma
-    /// (seconds). `exp(mu)` is the median wait.
-    LogNormal { mu: f64, sigma: f64 },
-}
-
 /// Static description of an HPC machine.
 #[derive(Debug, Clone)]
 pub struct MachineSpec {
@@ -82,7 +71,6 @@ pub struct MachineSpec {
     pub scheduler: SchedulerKind,
     /// Mean/std of the batch submit round-trip (qsub/sbatch + poll), seconds.
     pub submit_latency_s: (f64, f64),
-    pub queue_wait: QueueWaitModel,
     /// Mean/std of the Pilot-Agent bootstrap (environment setup, agent
     /// process start, coordination handshake), seconds. Dominates the plain
     /// RADICAL-Pilot startup bar of Fig. 5.
@@ -120,7 +108,6 @@ impl MachineSpec {
             fabric_mbps: 12_000.0,
             scheduler: SchedulerKind::Slurm,
             submit_latency_s: (2.0, 0.5),
-            queue_wait: QueueWaitModel::None,
             // RP agent bootstrap on Stampede (venv activation, agent spawn,
             // MongoDB handshake): ~40 s in the paper's Fig. 5 bar.
             agent_bootstrap_s: (40.0, 4.0),
@@ -154,7 +141,6 @@ impl MachineSpec {
             fabric_mbps: 40_000.0,
             scheduler: SchedulerKind::Slurm,
             submit_latency_s: (2.0, 0.5),
-            queue_wait: QueueWaitModel::None,
             // Slightly slower agent bootstrap than Stampede (shared data
             // subsystem mounts), matching the taller Wrangler RP bar.
             agent_bootstrap_s: (52.0, 5.0),
@@ -188,7 +174,6 @@ impl MachineSpec {
             fabric_mbps: 20_000.0,
             scheduler: SchedulerKind::Slurm,
             submit_latency_s: (2.0, 0.5),
-            queue_wait: QueueWaitModel::None,
             agent_bootstrap_s: (42.0, 4.0),
             has_dedicated_hadoop: false,
         }
@@ -218,7 +203,6 @@ impl MachineSpec {
             fabric_mbps: 4_800.0,
             scheduler: SchedulerKind::Fork,
             submit_latency_s: (0.05, 0.01),
-            queue_wait: QueueWaitModel::None,
             agent_bootstrap_s: (1.0, 0.1),
             has_dedicated_hadoop: false,
         }

@@ -14,7 +14,4 @@ pub mod simjob;
 
 pub use api::{partition_of, Combiner, Emitter, Mapper, Reducer};
 pub use local::run_local;
-pub use simjob::{
-    run_iterative_on_yarn, run_on_yarn, run_on_yarn_in_span, MrCostModel, MrJobSpec, MrJobStats,
-    ShuffleBackend,
-};
+pub use simjob::{run_on_yarn, MrCostModel, MrJobSpec, MrJobStats, ShuffleBackend};

@@ -142,25 +142,13 @@ fn advance_phase_span(
 }
 
 /// Run `spec` on a YARN cluster against `hdfs`. `done` receives the stats.
+/// The job's phases are recorded as spans under `parent`:
+/// `yarn.am_allocation` (submit → AM running), then `mr.map`, `mr.shuffle`
+/// and `mr.reduce` back to back. Pass [`SpanId::NONE`] for an untraced job.
 ///
 /// Panics if the input path does not exist (experiment setup bug) or if the
 /// shuffle backend is `LocalDisk` on a machine without local disks.
 pub fn run_on_yarn(
-    engine: &mut Engine,
-    cluster: &Cluster,
-    yarn: &YarnCluster,
-    hdfs: &Hdfs,
-    spec: MrJobSpec,
-    done: impl FnOnce(&mut Engine, MrJobStats) + 'static,
-) {
-    run_on_yarn_in_span(engine, cluster, yarn, hdfs, spec, SpanId::NONE, done);
-}
-
-/// [`run_on_yarn`] with the job's phases recorded as spans under `parent`:
-/// `yarn.am_allocation` (submit → AM running), then `mr.map`, `mr.shuffle`
-/// and `mr.reduce` back to back. With tracing disabled this is
-/// byte-identical to `run_on_yarn`.
-pub fn run_on_yarn_in_span(
     engine: &mut Engine,
     cluster: &Cluster,
     yarn: &YarnCluster,
@@ -500,72 +488,6 @@ fn run_reduce_task(
     }
 }
 
-/// Run `iterations` chained jobs (iterative algorithms like K-Means: the
-/// output of iteration *i* feeds iteration *i+1*; each iteration re-reads
-/// the same input and pays the full job overhead — the "persistence to
-/// HDFS after each iteration" cost the paper cites as MapReduce's
-/// expressiveness limit, §II). `done` receives per-iteration stats.
-pub fn run_iterative_on_yarn(
-    engine: &mut Engine,
-    cluster: &Cluster,
-    yarn: &YarnCluster,
-    hdfs: &Hdfs,
-    spec: MrJobSpec,
-    iterations: u32,
-    done: impl FnOnce(&mut Engine, Vec<MrJobStats>) + 'static,
-) {
-    assert!(iterations >= 1);
-    let acc: Rc<RefCell<Vec<MrJobStats>>> = Rc::new(RefCell::new(Vec::new()));
-    chain_iteration(
-        engine,
-        cluster.clone(),
-        yarn.clone(),
-        hdfs.clone(),
-        spec,
-        iterations,
-        acc,
-        Box::new(done),
-    );
-}
-
-type IterDoneFn = Box<dyn FnOnce(&mut Engine, Vec<MrJobStats>)>;
-
-#[allow(clippy::too_many_arguments)]
-fn chain_iteration(
-    engine: &mut Engine,
-    cluster: Cluster,
-    yarn: YarnCluster,
-    hdfs: Hdfs,
-    spec: MrJobSpec,
-    remaining: u32,
-    acc: Rc<RefCell<Vec<MrJobStats>>>,
-    done: IterDoneFn,
-) {
-    let iter_spec = MrJobSpec {
-        name: format!("{}-it{}", spec.name, acc.borrow().len()),
-        ..spec.clone()
-    };
-    let cluster2 = cluster.clone();
-    let yarn2 = yarn.clone();
-    let hdfs2 = hdfs.clone();
-    run_on_yarn(
-        engine,
-        &cluster,
-        &yarn,
-        &hdfs,
-        iter_spec,
-        move |eng, stats| {
-            acc.borrow_mut().push(stats);
-            if remaining <= 1 {
-                let out = std::mem::take(&mut *acc.borrow_mut());
-                done(eng, out);
-            } else {
-                chain_iteration(eng, cluster2, yarn2, hdfs2, spec, remaining - 1, acc, done);
-            }
-        },
-    );
-}
-
 fn jitter(engine: &mut Engine, sigma: f64) -> f64 {
     if sigma <= 0.0 {
         1.0
@@ -611,9 +533,17 @@ mod tests {
             .unwrap();
         let out = Rc::new(RefCell::new(None));
         let o = out.clone();
-        run_on_yarn(engine, &cluster, &yarn, &hdfs, spec, move |_, stats| {
-            *o.borrow_mut() = Some(stats);
-        });
+        run_on_yarn(
+            engine,
+            &cluster,
+            &yarn,
+            &hdfs,
+            spec,
+            SpanId::NONE,
+            move |_, stats| {
+                *o.borrow_mut() = Some(stats);
+            },
+        );
         engine.run();
         let got = out.borrow_mut().take().expect("job finished");
         got
@@ -719,35 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_jobs_chain_sequentially() {
-        let mut e = Engine::new(5);
-        let (cluster, yarn, hdfs) = setup(&mut e);
-        hdfs.create_synthetic("/in", 256 * 1024 * 1024, StoragePolicy::Default)
-            .unwrap();
-        let out = Rc::new(RefCell::new(None));
-        let o = out.clone();
-        run_iterative_on_yarn(
-            &mut e,
-            &cluster,
-            &yarn,
-            &hdfs,
-            spec("kmeans", ShuffleBackend::LocalDisk),
-            3,
-            move |_, stats| *o.borrow_mut() = Some(stats),
-        );
-        e.run();
-        let stats = out.borrow_mut().take().expect("iterations finished");
-        assert_eq!(stats.len(), 3);
-        // Each iteration pays its own AM startup (no overlap).
-        for s in &stats {
-            assert!(s.am_startup.as_secs_f64() > 0.0);
-        }
-        let total: f64 = stats.iter().map(|s| s.total.as_secs_f64()).sum();
-        let single = stats[0].total.as_secs_f64();
-        assert!(total > 2.5 * single * 0.8, "iterations are sequential");
-    }
-
-    #[test]
     #[should_panic]
     fn missing_input_panics() {
         let mut e = Engine::new(1);
@@ -758,6 +659,7 @@ mod tests {
             &yarn,
             &hdfs,
             spec("nope", ShuffleBackend::LocalDisk),
+            SpanId::NONE,
             |_, _| {},
         );
     }

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rp_hpc::{Allocation, JobState};
-use rp_sim::{Engine, SimDuration};
+use rp_sim::{Engine, SimDuration, SpanId};
 use rp_spark::{SparkCluster, SparkConfig};
 use rp_yarn::{bootstrap_mode_i, HadoopEnv, YarnConfig};
 
@@ -126,6 +126,7 @@ pub fn start_cluster(
                         alloc.nodes.clone(),
                         config,
                         with_hdfs,
+                        SpanId::NONE,
                         move |eng, env| {
                             let cb = on_ready.borrow_mut().take().expect("ready fired twice");
                             cb(

@@ -9,7 +9,6 @@
 //!   virtual time.
 //! * [`link::FairLink`] — a max–min fair-shared bandwidth resource used to
 //!   model Lustre, local disks, NICs and the cluster fabric.
-//! * [`tokens::Tokens`] — a FIFO counted resource for cores/slots/memory.
 //! * [`rng::SimRng`] — seeded randomness with the handful of distributions
 //!   latency models need.
 //! * [`fault::FaultPlan`] / [`fault::FaultInjector`] — deterministic fault
@@ -40,7 +39,6 @@ pub mod report;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod tokens;
 pub mod trace;
 
 pub use critpath::{critical_path, critical_path_run, CritPhaseRow, CriticalPath, PathSegment};
@@ -57,7 +55,6 @@ pub use report::RunReport;
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
-pub use tokens::Tokens;
 pub use trace::{
     escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, OpenSpan,
     Span, SpanId, SpanIndex, Trace, TraceEvent,

@@ -83,11 +83,6 @@ impl FairLink {
         self.inner.borrow().capacity
     }
 
-    /// Number of flows currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inner.borrow().flows.len()
-    }
-
     /// Total bytes fully delivered so far.
     pub fn total_bytes(&self) -> f64 {
         self.inner.borrow().total_bytes
@@ -485,6 +480,5 @@ mod tests {
             link.total_bytes(),
             expected
         );
-        assert_eq!(link.in_flight(), 0);
     }
 }

@@ -70,10 +70,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -144,7 +140,6 @@ mod tests {
         assert_eq!(t.0, 1_500_000);
         let t2 = t + SimDuration::from_millis(250);
         assert_eq!(t2.as_secs_f64(), 1.75);
-        assert_eq!((t2 - t).as_millis(), 250);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rp_sim::{Engine, FairLink, SimDuration, SimRng, SimTime, Tokens};
+use rp_sim::{Engine, FairLink, SimRng, SimTime};
 
 /// Cancelled events never fire; everything else fires exactly once.
 #[test]
@@ -92,51 +92,6 @@ fn fair_sharing_wastes_no_bandwidth() {
             (end - ideal).abs() < ideal * 1e-3 + 1e-5,
             "case {case}: end {end} ideal {ideal}"
         );
-    }
-}
-
-/// Tokens: grants never exceed capacity at any instant, even under random
-/// hold durations.
-#[test]
-fn token_grants_never_exceed_capacity() {
-    let mut rng = SimRng::new(0x70CE25);
-    for case in 0..64 {
-        let n_req = rng.uniform_u64(1, 39) as usize;
-        let requests: Vec<(u64, u64)> = (0..n_req)
-            .map(|_| (rng.uniform_u64(1, 5), rng.uniform_u64(1, 49)))
-            .collect();
-        let mut e = Engine::new(1);
-        let cap = 6u64;
-        let t = Tokens::new(cap);
-        let outstanding = Rc::new(RefCell::new(0u64));
-        let peak = Rc::new(RefCell::new(0u64));
-        for (n, hold_ms) in requests {
-            let t2 = t.clone();
-            let outstanding = outstanding.clone();
-            let peak = peak.clone();
-            t.acquire(&mut e, n, move |eng| {
-                {
-                    let mut o = outstanding.borrow_mut();
-                    *o += n;
-                    let mut p = peak.borrow_mut();
-                    *p = (*p).max(*o);
-                }
-                let t3 = t2.clone();
-                let outstanding = outstanding.clone();
-                eng.schedule_in(SimDuration::from_millis(hold_ms), move |eng| {
-                    *outstanding.borrow_mut() -= n;
-                    t3.release(eng, n);
-                });
-            });
-        }
-        e.run();
-        assert!(
-            *peak.borrow() <= cap,
-            "case {case}: peak {} > {cap}",
-            peak.borrow()
-        );
-        assert_eq!(*outstanding.borrow(), 0, "case {case}");
-        assert_eq!(t.available(), cap, "case {case}");
     }
 }
 

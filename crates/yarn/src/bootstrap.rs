@@ -25,31 +25,11 @@ pub struct HadoopEnv {
 }
 
 /// Mode I: spawn YARN (and HDFS when `with_hdfs`) on `nodes` of an HPC
-/// allocation. `on_ready` fires once every daemon is up.
+/// allocation. `on_ready` fires once every daemon is up. The startup is
+/// recorded as a `yarn.startup` span (child of `parent`); the overlapped
+/// HDFS deploy gets its own nested `hdfs.startup` span. Pass
+/// [`SpanId::NONE`] for an untraced bootstrap.
 pub fn bootstrap_mode_i(
-    engine: &mut Engine,
-    cluster: Cluster,
-    nodes: Vec<NodeId>,
-    config: YarnConfig,
-    with_hdfs: bool,
-    on_ready: impl FnOnce(&mut Engine, HadoopEnv) + 'static,
-) {
-    bootstrap_mode_i_in_span(
-        engine,
-        cluster,
-        nodes,
-        config,
-        with_hdfs,
-        SpanId::NONE,
-        on_ready,
-    );
-}
-
-/// [`bootstrap_mode_i`] with the startup recorded as a `yarn.startup` span
-/// (child of `parent`); the overlapped HDFS deploy gets its own nested
-/// `hdfs.startup` span. With tracing disabled (or `parent == NONE` on an
-/// untraced engine) this is byte-identical to `bootstrap_mode_i`.
-pub fn bootstrap_mode_i_in_span(
     engine: &mut Engine,
     cluster: Cluster,
     nodes: Vec<NodeId>,
@@ -218,6 +198,7 @@ mod tests {
             nodes,
             YarnConfig::default(),
             true,
+            SpanId::NONE,
             move |_, env| {
                 *g.borrow_mut() = Some(env.bootstrap_time.as_secs_f64());
             },
@@ -246,6 +227,7 @@ mod tests {
                 vec![NodeId(0)],
                 cfg,
                 false,
+                SpanId::NONE,
                 move |_, env| {
                     *g.borrow_mut() = Some(env.bootstrap_time.as_secs_f64());
                 },
@@ -293,6 +275,7 @@ mod tests {
             nodes,
             YarnConfig::test_profile(),
             false,
+            SpanId::NONE,
             move |eng, env| {
                 let d = d.clone();
                 env.yarn.submit_app(

@@ -20,21 +20,6 @@ pub enum ContainerRuntime {
     },
 }
 
-/// Scheduling policy of the ResourceManager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Strict submission-order FIFO (yarn FifoScheduler).
-    #[default]
-    Fifo,
-    /// Capacity-style: FIFO per queue with an app-concurrency cap — enough
-    /// to study AM-per-CU head-of-line effects without full queue trees.
-    Capacity { max_concurrent_apps: u32 },
-    /// Fair scheduler: on each heartbeat, grant to the running app with
-    /// the fewest task containers (instantaneous fairness), instead of
-    /// request-arrival order.
-    Fair,
-}
-
 /// All tunables of a simulated YARN cluster.
 #[derive(Debug, Clone)]
 pub struct YarnConfig {
@@ -57,7 +42,6 @@ pub struct YarnConfig {
     /// How many scheduler ticks a node-local request waits before relaxing
     /// to any node (delay scheduling).
     pub locality_delay_ticks: u32,
-    pub scheduler: SchedulerPolicy,
     pub container_runtime: ContainerRuntime,
     /// Maximum fraction of cluster vcores ApplicationMasters may hold
     /// (Fair scheduler's `maxAMShare` / Capacity's
@@ -99,7 +83,6 @@ impl Default for YarnConfig {
             am_launch_s: (26.0, 3.0),
             container_launch_s: (7.0, 1.2),
             locality_delay_ticks: 2,
-            scheduler: SchedulerPolicy::Fifo,
             container_runtime: ContainerRuntime::Process,
             max_am_share: 0.5,
             dist_size_mb: 280.0,

@@ -2,7 +2,7 @@
 //!
 //! ResourceManager + NodeManagers with heartbeat-driven container
 //! allocation, the ApplicationMaster protocol (two-stage allocation of
-//! Fig. 4), locality-aware delay scheduling, FIFO/Capacity policies, a
+//! Fig. 4), locality-aware delay scheduling, a FIFO scheduler, a
 //! REST-equivalent cluster-state API, and Mode I / Mode II provisioning:
 //!
 //! * [`bootstrap::bootstrap_mode_i`] — spawn YARN (+HDFS) inside an HPC
@@ -14,10 +14,8 @@ pub mod bootstrap;
 pub mod config;
 pub mod rm;
 
-pub use bootstrap::{
-    bootstrap_mode_i, bootstrap_mode_i_in_span, connect_mode_ii, dedicated_cluster, HadoopEnv,
-};
-pub use config::{ContainerRuntime, SchedulerPolicy, YarnConfig};
+pub use bootstrap::{bootstrap_mode_i, connect_mode_ii, dedicated_cluster, HadoopEnv};
+pub use config::{ContainerRuntime, YarnConfig};
 pub use rm::{
     AmHandle, AppId, AppReport, AppState, ClusterState, Container, ContainerId, Resource,
     ResourceRequest, YarnCluster,

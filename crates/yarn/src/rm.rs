@@ -14,7 +14,7 @@ use std::rc::Rc;
 use rp_hpc::{Cluster, NodeId};
 use rp_sim::{Engine, SimDuration, SimTime};
 
-use crate::config::{ContainerRuntime, SchedulerPolicy, YarnConfig};
+use crate::config::{ContainerRuntime, YarnConfig};
 
 /// YARN application id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -652,29 +652,6 @@ impl RmInner {
     /// Find and reserve a placement for the first satisfiable pending
     /// request (FIFO with locality delay). Returns the request + container.
     fn place_one(&mut self) -> Option<(Pending, Container)> {
-        let cap_ok = |inner: &RmInner, p: &Pending| match inner.config.scheduler {
-            SchedulerPolicy::Fifo | SchedulerPolicy::Fair => true,
-            SchedulerPolicy::Capacity {
-                max_concurrent_apps,
-            } => {
-                // AM requests gate app concurrency; task requests belong to
-                // already-running apps.
-                if matches!(p.kind, ReqKind::Am(_)) {
-                    // Gate on AM *allocation*, not AM launch completion —
-                    // otherwise two AMs could be placed within one launch
-                    // window.
-                    let admitted = inner
-                        .apps
-                        .values()
-                        .filter(|a| !a.state.is_final() && a.am_container.is_some())
-                        .count() as u32;
-                    admitted < max_concurrent_apps
-                } else {
-                    true
-                }
-            }
-        };
-
         // maxAMShare: refuse AM placements that would let AMs starve task
         // containers of every vcore (the AM-deadlock guard).
         let total_vcores: u32 = self.nms.iter().map(|nm| nm.total.vcores).sum();
@@ -696,29 +673,9 @@ impl RmInner {
 
         let locality_delay = self.config.locality_delay_ticks;
         let n = self.nms.len();
-        // Scan order: FIFO by default; the Fair policy walks requests of
-        // container-poor apps first (AM requests keep FIFO priority).
-        let order: Vec<usize> = match self.config.scheduler {
-            SchedulerPolicy::Fair => {
-                let mut idx: Vec<usize> = (0..self.pending.len()).collect();
-                idx.sort_by_key(|&i| {
-                    let p = &self.pending[i];
-                    let held = self
-                        .apps
-                        .get(&p.app)
-                        .map(|a| a.containers.len())
-                        .unwrap_or(0);
-                    let is_am = matches!(p.kind, ReqKind::Am(_));
-                    (!is_am as usize, held, i)
-                });
-                idx
-            }
-            _ => (0..self.pending.len()).collect(),
-        };
         let mut chosen: Option<(usize, usize)> = None; // (pending idx, nm idx)
-        for pi in order {
-            let p = &self.pending[pi];
-            if !cap_ok(self, p) || !am_share_ok(p) {
+        'scan: for (pi, p) in self.pending.iter().enumerate() {
+            if !am_share_ok(p) {
                 continue;
             }
             // Preferred node first.
@@ -738,11 +695,8 @@ impl RmInner {
                 let ni = (self.rr_cursor + k) % n;
                 if p.resource.fits_in(&self.nms[ni].free) {
                     chosen = Some((pi, ni));
-                    break;
+                    break 'scan;
                 }
-            }
-            if chosen.is_some() {
-                break;
             }
         }
         let (pi, ni) = chosen?;
@@ -1109,38 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_policy_limits_concurrent_apps() {
-        let mut e = Engine::new(1);
-        let cluster = Cluster::new(MachineSpec::localhost());
-        let nodes: Vec<NodeId> = cluster.node_ids().collect();
-        let mut cfg = YarnConfig::test_profile();
-        cfg.scheduler = SchedulerPolicy::Capacity {
-            max_concurrent_apps: 1,
-        };
-        let yarn = YarnCluster::start(&mut e, &cluster, &nodes, cfg);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..3 {
-            let o = order.clone();
-            yarn.submit_app(
-                &mut e,
-                format!("app{i}"),
-                ResourceRequest::new(1, 1024),
-                move |eng, am| {
-                    o.borrow_mut().push((i, eng.now()));
-                    let am2 = am.clone();
-                    eng.schedule_in(SimDuration::from_secs(2), move |eng| am2.finish(eng));
-                },
-            );
-        }
-        e.run();
-        let order = order.borrow();
-        assert_eq!(order.len(), 3);
-        // Serialised: each next AM starts ≥2 s after the previous.
-        assert!(order[1].1.since(order[0].1).as_secs_f64() >= 2.0);
-        assert!(order[2].1.since(order[1].1).as_secs_f64() >= 2.0);
-    }
-
-    #[test]
     fn cluster_state_reflects_usage() {
         let mut e = Engine::new(1);
         let (_c, yarn) = test_cluster(&mut e);
@@ -1343,51 +1265,34 @@ mod tests {
     }
 
     #[test]
-    fn fair_policy_interleaves_apps() {
-        let run = |policy: SchedulerPolicy| -> Vec<u64> {
-            let mut e = Engine::new(1);
-            let cluster = Cluster::new(MachineSpec::localhost());
-            let nodes: Vec<NodeId> = cluster.node_ids().take(1).collect(); // 8 vcores
-            let mut cfg = YarnConfig::test_profile();
-            cfg.scheduler = policy;
-            let yarn = YarnCluster::start(&mut e, &cluster, &nodes, cfg);
-            // Two apps, each wanting 6 containers on an 8-vcore node
-            // (2 vcores go to the AMs): grants reveal the policy.
-            let grants: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-            for app in 0..2u64 {
-                let g = grants.clone();
-                yarn.submit_app(
-                    &mut e,
-                    format!("a{app}"),
-                    ResourceRequest::new(1, 1024),
-                    move |eng, am| {
-                        for _ in 0..6 {
-                            let g = g.clone();
-                            am.request_container(
-                                eng,
-                                ResourceRequest::new(1, 1024),
-                                move |_, _| {
-                                    g.borrow_mut().push(app);
-                                },
-                            );
-                        }
-                    },
-                );
-            }
-            e.run_until(rp_sim::SimTime::from_secs_f64(30.0));
-            let out = grants.borrow().clone();
-            out
-        };
-        let fifo = run(SchedulerPolicy::Fifo);
-        let fair = run(SchedulerPolicy::Fair);
-        // Only 6 task containers fit (8 - 2 AMs). FIFO gives them all to
-        // the first app; Fair splits 3/3.
-        let count = |v: &[u64], app: u64| v.iter().filter(|&&x| x == app).count();
-        assert_eq!(fifo.len(), 6);
-        assert_eq!(count(&fifo, 0), 6, "FIFO starves the second app: {fifo:?}");
-        assert_eq!(fair.len(), 6);
-        assert_eq!(count(&fair, 0), 3, "Fair splits evenly: {fair:?}");
-        assert_eq!(count(&fair, 1), 3);
+    fn fifo_gives_free_containers_to_the_first_app() {
+        let mut e = Engine::new(1);
+        let cluster = Cluster::new(MachineSpec::localhost());
+        let nodes: Vec<NodeId> = cluster.node_ids().take(1).collect(); // 8 vcores
+        let yarn = YarnCluster::start(&mut e, &cluster, &nodes, YarnConfig::test_profile());
+        // Two apps, each wanting 6 containers on an 8-vcore node
+        // (2 vcores go to the AMs): grants follow request order.
+        let grants: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        for app in 0..2u64 {
+            let g = grants.clone();
+            yarn.submit_app(
+                &mut e,
+                format!("a{app}"),
+                ResourceRequest::new(1, 1024),
+                move |eng, am| {
+                    for _ in 0..6 {
+                        let g = g.clone();
+                        am.request_container(eng, ResourceRequest::new(1, 1024), move |_, _| {
+                            g.borrow_mut().push(app);
+                        });
+                    }
+                },
+            );
+        }
+        e.run_until(rp_sim::SimTime::from_secs_f64(30.0));
+        // Only 6 task containers fit (8 - 2 AMs); FIFO gives them all to
+        // the first app.
+        assert_eq!(*grants.borrow(), vec![0; 6], "FIFO starves the second app");
     }
 
     #[test]

@@ -323,35 +323,6 @@ fn kmeans_cost_monotone() {
     }
 }
 
-// ---- counted resources ----
-
-/// Tokens never go negative or above capacity under arbitrary
-/// acquire/release interleavings driven through the engine.
-#[test]
-fn tokens_stay_in_bounds() {
-    use hadoop_hpc::sim::Tokens;
-    let mut rng = SimRng::new(0x70CE);
-    for case in 0..64 {
-        let n_ops = rng.uniform_u64(1, 49) as usize;
-        let mut e = Engine::new(1);
-        let t = Tokens::new(8);
-        for _ in 0..n_ops {
-            let n = rng.uniform_u64(1, 4).min(8);
-            let delay = rng.uniform_u64(1, 99);
-            let t2 = t.clone();
-            t.acquire(&mut e, n, move |eng| {
-                let t3 = t2.clone();
-                eng.schedule_in(SimDuration::from_millis(delay), move |eng| {
-                    t3.release(eng, n);
-                });
-            });
-        }
-        e.run();
-        assert_eq!(t.available(), 8, "case {case}");
-        assert_eq!(t.waiting(), 0, "case {case}");
-    }
-}
-
 // ---- batch scheduler: no oversubscription under random job streams ----
 
 #[test]
