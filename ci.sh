@@ -20,42 +20,17 @@ echo "==> e2e benchmark package (public rp_pilot API + pinned fingerprints)"
 # rp_pilot API and checks the virtual fingerprints at the smoke sizes.
 cargo test --offline -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 
-echo "==> cargo clippy -D warnings (+ todo/dbg_macro)"
+echo "==> cargo clippy -D warnings (+ todo/dbg_macro; clippy.toml denies host clocks and hash containers)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::todo -W clippy::dbg_macro
+
+echo "==> cargo clippy, library code: no unwrap, no loop over a hash container"
+# Clippy caches results per lint set; its own target dir keeps this pass
+# and the one above from invalidating each other on every run.
+cargo clippy --workspace --lib --target-dir target/clippy-lib -- \
+    -D warnings -D clippy::unwrap_used -D clippy::iter_over_hash_type
 
 echo "==> cargo doc -D warnings (broken intra-doc links fail here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
-
-echo "==> rp_lint static-analysis pass (state machines, determinism)"
-RP_LINT_OUT="${RP_LINT_OUT:-target/rp_lint.json}"
-cargo run --release -q -p rp-analyze --bin rp_lint -- --json > "$RP_LINT_OUT"
-python3 -c '
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["version"] == 1, d["version"]
-# Exactly these rules run: one dropped (or added) without updating
-# this list fails here instead of silently.
-assert set(d["rules"]) == {"state-machine", "hash-iter", "wallclock",
-                           "unwrap-ratchet", "stale-waiver"}, d["rules"]
-assert {"rule", "file", "line", "message", "waived", "fatal"} <= set(
-    d["findings"][0]) if d["findings"] else True
-assert d["summary"]["fatal"] == 0, (
-    "rp_lint reported fatal findings:\n" + "\n".join(
-        "  %(rule)s %(file)s:%(line)d %(message)s" % f
-        for f in d["findings"] if f["fatal"]))
-print("--- rp_lint: %(total)d finding(s), %(fatal)d fatal, %(waived)d waived"
-      % d["summary"])
-' "$RP_LINT_OUT"
-
-echo "==> lifecycle DOT artifacts are fresh"
-cargo run --release -q -p rp-analyze --bin rp_lint -- --emit-dot target/lifecycles > /dev/null
-for dot in pilot_states unit_states; do
-    cmp -s "target/lifecycles/$dot.dot" "docs/lifecycles/$dot.dot" || {
-        echo "docs/lifecycles/$dot.dot is stale; regenerate with:"
-        echo "  cargo run -p rp-analyze --bin rp_lint -- --emit-dot docs/lifecycles"
-        exit 1
-    }
-done
 
 echo "==> traced quickstart + Perfetto artifact validation"
 TRACE_OUT="${TRACE_OUT:-target/quickstart_trace.json}"

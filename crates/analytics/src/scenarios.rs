@@ -259,7 +259,7 @@ pub fn run_rp_yarn_kmeans(
     let input_bytes = scenario.input_bytes(cal).ceil() as u64;
     // Pre-split into exactly `tasks` blocks → `tasks` map tasks.
     hdfs.create_synthetic_with_blocks("/kmeans/input", input_bytes, StoragePolicy::Default, tasks)
-        .unwrap();
+        .expect("a fresh pilot's HDFS has no /kmeans/input yet");
 
     let points_per_mb = MB / cal.input_bytes_per_point;
     let cost = MrCostModel {

@@ -193,6 +193,10 @@ pub fn leaflet_finder(frame: &Frame, cutoff: f64) -> Vec<Vec<usize>> {
         return Vec::new();
     }
     // Uniform grid with cell size = cutoff.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by cell; its one loop is visit-order independent"
+    )]
     let mut grid: std::collections::HashMap<(i64, i64, i64), Vec<usize>> =
         std::collections::HashMap::new();
     let cell = |p: &Point3| {
@@ -207,7 +211,10 @@ pub fn leaflet_finder(frame: &Frame, cutoff: f64) -> Vec<Vec<usize>> {
     }
     let mut uf = UnionFind::new(n);
     let c2 = cutoff * cutoff;
-    // rp-lint: allow(hash-iter): union-find components are visit-order independent
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "union-find components are visit-order independent"
+    )]
     for (&(cx, cy, cz), members) in &grid {
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -226,15 +233,12 @@ pub fn leaflet_finder(frame: &Frame, cutoff: f64) -> Vec<Vec<usize>> {
             }
         }
     }
-    let mut groups: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
+    // Group by root: each group fills in ascending atom order.
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
-        groups.entry(uf.find(i)).or_default().push(i);
+        groups[uf.find(i)].push(i);
     }
-    // rp-lint: allow(hash-iter): every group and the outer list are sorted below
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    for g in out.iter_mut() {
-        g.sort_unstable();
-    }
+    let mut out: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
     out.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
     out
 }

@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn word_count_is_case_insensitive_and_complete() {
         let out = word_count(lines(), 2, 3);
-        let m: std::collections::HashMap<_, _> = out.into_iter().collect();
+        let m: std::collections::BTreeMap<_, _> = out.into_iter().collect();
         assert_eq!(m["the"], 3);
         assert_eq!(m["fox"], 2);
         assert_eq!(m["dog"], 1);
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn inverted_index_unique_sorted_docs() {
         let idx = inverted_index(lines(), 2);
-        let m: std::collections::HashMap<_, _> = idx.into_iter().collect();
+        let m: std::collections::BTreeMap<_, _> = idx.into_iter().collect();
         assert_eq!(m["the"], vec![0, 1, 2]);
         assert_eq!(m["fox"], vec![0, 2]);
         assert_eq!(m["dog"], vec![1]);

@@ -15,6 +15,10 @@ use rp_spark::SparkContext;
 use rp_yarn::{ResourceRequest, YarnCluster, YarnConfig};
 
 /// Run `f` a few times after warmup and report the median wall time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a micro-benchmark measures host time"
+)]
 fn bench(name: &str, mut f: impl FnMut()) {
     const WARMUP: usize = 2;
     const SAMPLES: usize = 9;

@@ -298,7 +298,7 @@ fn pilot_loss_case(kill: bool) -> (Engine, f64, u64) {
         .iter()
         .map(|u| u.times().done.expect("unit finished"))
         .max()
-        .unwrap()
+        .expect("the scenario submits units")
         .as_secs_f64();
     (e, makespan, um.rebinds())
 }
@@ -423,7 +423,7 @@ fn partition_heal_case(partition: bool) -> (Engine, f64, u64, u64) {
         .iter()
         .map(|u| u.times().done.expect("unit finished"))
         .max()
-        .unwrap()
+        .expect("the scenario submits units")
         .as_secs_f64();
     let fence_rejections = session.store().fence_rejections();
     (e, makespan, um.rebinds(), fence_rejections)
@@ -632,6 +632,10 @@ impl BenchArtifact {
 /// Time `run` over `reps` repetitions. The virtual result must be
 /// bit-identical across repetitions (the sim is deterministic); the host
 /// clock is the only thing allowed to vary.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness measures host time per repetition"
+)]
 pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) -> BenchArtifact {
     assert!(reps >= 1);
     let mut host_ms = Vec::with_capacity(reps as usize);
@@ -658,7 +662,7 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
     BenchArtifact {
         scenario: scenario.to_string(),
         reps,
-        virtual_json: virtual_json.unwrap(),
+        virtual_json: virtual_json.expect("reps >= 1, so one repetition ran"),
         host_ms,
         virtual_events,
         markdown,

@@ -199,7 +199,10 @@ impl Agent {
                 // runtime as sim time by design — this variant explicitly
                 // trades determinism for realism (see WorkSpec::Native docs);
                 // all other variants stay virtual.
-                // rp-lint: allow(wallclock): host timing is the point of Native work
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "host timing is the point of Native work"
+                )]
                 let t0 = std::time::Instant::now();
                 f();
                 let dur = SimDuration::from_secs_f64(t0.elapsed().as_secs_f64());

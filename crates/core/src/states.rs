@@ -285,7 +285,6 @@ mod tests {
     #[should_panic]
     fn skipping_states_panics() {
         let mut g = Guarded::<UnitState>::new();
-        // rp-lint: allow(state-machine): deliberately illegal, proves the guard panics
         g.advance(UnitState::Executing);
     }
 
@@ -294,7 +293,6 @@ mod tests {
     fn leaving_final_state_panics() {
         let mut g = Guarded::<PilotState>::new();
         g.advance(PilotState::Canceled);
-        // rp-lint: allow(state-machine): deliberately illegal, proves finals are terminal
         g.advance(PilotState::PendingLaunch);
     }
 }

@@ -362,7 +362,10 @@ impl BatchSystem {
             for p in &picked {
                 inner.free_nodes.remove(p);
             }
-            let job = inner.jobs.get_mut(&id).unwrap();
+            let job = inner
+                .jobs
+                .get_mut(&id)
+                .expect("queued job is in the job table");
             job.state = JobState::Running;
             job.start_time = Some(engine.now());
             job.assigned = picked.iter().map(|&p| NodeId(p)).collect();
@@ -389,7 +392,7 @@ impl BatchSystem {
             .borrow_mut()
             .jobs
             .get_mut(&id)
-            .unwrap()
+            .expect("running job is in the job table")
             .walltime_event = Some(ev);
         start_cb(engine, alloc);
     }

@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn word_count_without_combiner() {
         let out = run_local(wc_input(), &WordCountMapper, None, &SumReducer, 3);
-        let all: std::collections::HashMap<String, u64> = out.into_iter().flatten().collect();
+        let all: std::collections::BTreeMap<String, u64> = out.into_iter().flatten().collect();
         assert_eq!(all["the"], 3);
         assert_eq!(all["quick"], 1);
         assert_eq!(all.len(), 7);
@@ -193,7 +193,7 @@ mod tests {
             &|k: u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| out.push((k, vs.into_iter().sum())),
             2,
         );
-        let m: std::collections::HashMap<u64, u64> = out.into_iter().flatten().collect();
+        let m: std::collections::BTreeMap<u64, u64> = out.into_iter().flatten().collect();
         assert_eq!(m[&0], 6);
         assert_eq!(m[&1], 12);
     }

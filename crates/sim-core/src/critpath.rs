@@ -258,7 +258,7 @@ pub fn critical_path_run(trace: &Trace) -> Option<CriticalPath> {
         .filter(|s| s.parent.is_none() && s.end.is_some() && !adopted_units.contains(&s.id))
         .collect();
     let begin = tops.iter().map(|s| s.begin).min()?;
-    let end = tops.iter().map(|s| s.end.unwrap()).max()?;
+    let end = tops.iter().filter_map(|s| s.end).max()?;
     // Virtual root: walk the top-level roots as the children of an
     // unnamed containing activity charged to Overhead. `Symbol::NONE`
     // marks it; rendering special-cases it to "run".
@@ -363,17 +363,13 @@ impl<'p, 'a> WalkState<'p, 'a> {
             // later begin then higher id, matching the profiler sweep.
             let gate = kids
                 .iter()
-                .filter(|c| {
-                    let ce = c.end.unwrap();
-                    ce <= t && ce > c.begin && ce > span_begin
-                })
-                .max_by_key(|c| (c.end.unwrap().0, c.begin.0, c.id.0))
-                .copied();
-            let Some(gate) = gate else {
+                .filter_map(|&c| Some((c, c.end?)))
+                .filter(|&(c, ce)| ce <= t && ce > c.begin && ce > span_begin)
+                .max_by_key(|&(c, ce)| (ce.0, c.begin.0, c.id.0));
+            let Some((gate, gate_end)) = gate else {
                 self.push(span, span_begin, t);
                 break;
             };
-            let gate_end = gate.end.unwrap();
             if gate_end < t {
                 // Gap between the gating child's end and the cursor is the
                 // parent's own time.
@@ -456,7 +452,7 @@ impl<'p, 'a> WalkState<'p, 'a> {
                 }
                 off_path[idx].0 += d;
             }
-            let idx = Phase::ALL.iter().position(|&p| p == phase).unwrap();
+            let idx = phase.index();
             // Local slack: distance from this span's end to the end of the
             // critical-path segment its end falls inside.
             let gate_end = clipped

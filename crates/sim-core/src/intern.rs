@@ -19,8 +19,6 @@
 //! into ids or output: the index is only probed, never iterated, and the
 //! id-ordered `names` vector is the table's only ordered view.
 
-use std::collections::HashMap;
-
 /// Interned string id. `Symbol::NONE` (0) is the empty string, reserved so
 /// synthetic nodes (e.g. the critical-path virtual root) have a stable id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,7 +40,8 @@ impl Symbol {
 pub struct SymbolTable {
     names: Vec<String>,
     /// Probed only, never iterated: its order is the random hash order.
-    index: HashMap<String, u32>,
+    #[expect(clippy::disallowed_types, reason = "lookup-only index, never iterated")]
+    index: std::collections::HashMap<String, u32>,
 }
 
 impl Default for SymbolTable {

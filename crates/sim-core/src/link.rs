@@ -235,7 +235,7 @@ impl Inner {
         ids.sort_by(|a, b| {
             let ca = self.flows[a].cap;
             let cb = self.flows[b].cap;
-            ca.partial_cmp(&cb).unwrap().then(a.cmp(b))
+            ca.total_cmp(&cb).then(a.cmp(b))
         });
         let mut remaining_cap = self.capacity;
         let mut remaining_flows = n;
@@ -245,7 +245,10 @@ impl Inner {
             } else {
                 f64::INFINITY
             };
-            let flow = self.flows.get_mut(&id).unwrap();
+            let flow = self
+                .flows
+                .get_mut(&id)
+                .expect("id was read from the flow table");
             let rate = flow.cap.min(share);
             flow.rate = rate;
             if remaining_cap.is_finite() {

@@ -24,7 +24,7 @@
 //! walk rescanned the whole materialized span list per frontier node,
 //! which was quadratic on scale runs.
 
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{Span, SpanId, SpanIndex, Trace};
 
 /// The paper's timing phases (Fig. 5 / Fig. 5 inset / Fig. 6 stages).
@@ -104,8 +104,10 @@ impl Phase {
         })
     }
 
-    fn index(self) -> usize {
-        Phase::ALL.iter().position(|&p| p == self).unwrap()
+    /// Position in [`Phase::ALL`], which lists the variants in
+    /// declaration order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -212,13 +214,13 @@ impl<'a> Profiler<'a> {
             return out;
         };
         // Collect the completed spans of the subtree, with their depth.
-        let mut subtree: Vec<(&Span, u32)> = Vec::new();
+        let mut subtree: Vec<(&Span, SimTime, u32)> = Vec::new();
         let mut frontier = vec![(root, 0u32)];
         while let Some((id, depth)) = frontier.pop() {
             for &cid in self.index.children(id) {
                 let s = self.trace.span(cid).expect("indexed span exists");
-                if s.end.is_some() {
-                    subtree.push((s, depth + 1));
+                if let Some(end) = s.end {
+                    subtree.push((s, end, depth + 1));
                 }
                 // Children of open spans still count (the parent link is
                 // what places them in the subtree), so recurse regardless.
@@ -229,9 +231,9 @@ impl<'a> Profiler<'a> {
         let lo = root_span.begin;
         let hi = root_end;
         let mut bounds: Vec<u64> = vec![lo.0, hi.0];
-        for (s, _) in &subtree {
+        for (s, end, _) in &subtree {
             let b = s.begin.0.clamp(lo.0, hi.0);
-            let e = s.end.unwrap().0.clamp(lo.0, hi.0);
+            let e = end.0.clamp(lo.0, hi.0);
             bounds.push(b);
             bounds.push(e);
         }
@@ -245,10 +247,10 @@ impl<'a> Profiler<'a> {
             // Deepest span active over [a, b); ties: later begin, higher id.
             let active = subtree
                 .iter()
-                .filter(|(s, _)| s.begin.0 <= a && s.end.unwrap().0 >= b)
-                .max_by_key(|(s, depth)| (*depth, s.begin.0, s.id.0));
+                .filter(|(s, end, _)| s.begin.0 <= a && end.0 >= b)
+                .max_by_key(|(s, _, depth)| (*depth, s.begin.0, s.id.0));
             let phase = match active {
-                Some((s, _)) => self.effective_phase(s),
+                Some((s, _, _)) => self.effective_phase(s),
                 None => Phase::Overhead,
             };
             out.charge(phase, b - a);
@@ -347,7 +349,14 @@ pub fn pilot_utilization(trace: &Trace, pilot_root: SpanId, cores: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+
+    #[test]
+    fn phase_index_is_its_position_in_all() {
+        for (i, &p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i);
+            assert_eq!(Phase::ALL[p as usize], p);
+        }
+    }
 
     fn t(secs: u64) -> SimTime {
         SimTime(secs * 1_000_000)

@@ -17,7 +17,7 @@
 //! merges those in partition order, so each key's values fold in the same
 //! order on every run.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -140,11 +140,20 @@ fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
     (h.finish() % buckets as u64) as usize
 }
 
+/// The shuffle's per-key accumulator. Its hash order never reaches the
+/// output: partitions merge in partition order, and each output bucket is
+/// sorted by key.
+#[expect(
+    clippy::disallowed_types,
+    reason = "hash-combining is the shuffle's hot path; no output depends on its order"
+)]
+type Combiner<K, V> = std::collections::HashMap<K, Option<V>>;
+
 /// Fold `v` into `k`'s accumulator: one probe when `k` is already present.
 /// Values sit in an `Option` only so the reducer can take the accumulator
 /// by value; every stored slot is `Some`.
 fn combine_into<K: Hash + Eq, V>(
-    acc: &mut HashMap<K, Option<V>>,
+    acc: &mut Combiner<K, V>,
     k: K,
     v: V,
     reducer: &dyn Fn(V, V) -> V,
@@ -168,8 +177,8 @@ where
             let threads = default_threads(n_in);
             // Map side: stream each parent partition into one combiner
             // map, folding each key's values in arrival order.
-            let per_part: Vec<HashMap<K, Option<V>>> = parallel_map_indexed(n_in, threads, |p| {
-                let mut combined = HashMap::new();
+            let per_part: Vec<Combiner<K, V>> = parallel_map_indexed(n_in, threads, |p| {
+                let mut combined = Combiner::default();
                 self.parent.for_each(p, &mut |(k, v)| {
                     combine_into(&mut combined, k, v, &*self.reducer)
                 });
@@ -178,8 +187,12 @@ where
             // Reduce side: merge the partitions' partials in partition
             // order. Each key occurs once per partition, so the hash order
             // within one partition cannot change any key's fold order.
-            let mut merged: HashMap<K, Option<V>> = HashMap::new();
+            let mut merged: Combiner<K, V> = Combiner::default();
             for part in per_part {
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "each key occurs once per partition"
+                )]
                 for (k, v) in part {
                     if let Some(v) = v {
                         combine_into(&mut merged, k, v, &*self.reducer);
@@ -187,7 +200,10 @@ where
                 }
             }
             let mut out: Vec<Vec<(K, V)>> = (0..self.num_out).map(|_| Vec::new()).collect();
-            // rp-lint: allow(hash-iter): drained into buckets, each sorted by key below
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "drained into buckets, each sorted by key below"
+            )]
             for (k, v) in merged {
                 if let Some(v) = v {
                     out[bucket_of(&k, self.num_out)].push((k, v));
@@ -415,8 +431,8 @@ where
         self.reduce_by_key_with_partitions(self.node.num_partitions(), f)
     }
 
-    /// Action: collect into a `HashMap` (keys must be unique post-reduce).
-    pub fn collect_as_map(&self) -> HashMap<K, V> {
+    /// Action: collect into a map (keys must be unique post-reduce).
+    pub fn collect_as_map(&self) -> BTreeMap<K, V> {
         self.collect().into_iter().collect()
     }
 }

@@ -11,6 +11,17 @@ use hadoop_hpc::analytics::graph::count_triangles_rdd;
 use hadoop_hpc::analytics::kmeans::kmeans_rdd;
 use hadoop_hpc::spark::SparkContext;
 
+/// Run `f` and return its result with the host time it took.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reports host wall time"
+)]
+fn timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed())
+}
+
 fn main() {
     let sc = SparkContext::new(8);
 
@@ -36,23 +47,19 @@ fn main() {
 
     // ---- K-Means on the RDD engine ----
     let points = gaussian_blobs(50_000, 8, 1.5, 42);
-    let t0 = std::time::Instant::now();
-    let result = kmeans_rdd(points, 8, 5, 8);
+    let (result, took) = timed(|| kmeans_rdd(points, 8, 5, 8));
     println!(
-        "\nK-Means (50k pts, k=8, 5 iters on 8 partitions): cost {:.1} in {:?}",
-        result.cost,
-        t0.elapsed()
+        "\nK-Means (50k pts, k=8, 5 iters on 8 partitions): cost {:.1} in {took:?}",
+        result.cost
     );
 
     // ---- triangle counting ----
     let g = random_graph(20_000, 12.0, 7);
-    let t0 = std::time::Instant::now();
-    let triangles = count_triangles_rdd(&g, 8);
+    let (triangles, took) = timed(|| count_triangles_rdd(&g, 8));
     println!(
-        "\ntriangles in G(n={}, avg deg 12): {} in {:?}",
+        "\ntriangles in G(n={}, avg deg 12): {} in {took:?}",
         g.nodes(),
-        triangles,
-        t0.elapsed()
+        triangles
     );
 
     // ---- caching effect ----
@@ -70,12 +77,9 @@ fn main() {
             h
         })
         .cache();
-    let t0 = std::time::Instant::now();
-    let s1: u64 = rdd.fold(0u64, |a, x| a.wrapping_add(x), |a, b| a.wrapping_add(b));
-    let cold = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let s2: u64 = rdd.fold(0u64, |a, x| a.wrapping_add(x), |a, b| a.wrapping_add(b));
-    let warm = t0.elapsed();
+    let sum = || rdd.fold(0u64, |a, x| a.wrapping_add(x), |a, b| a.wrapping_add(b));
+    let (s1, cold) = timed(sum);
+    let (s2, warm) = timed(sum);
     assert_eq!(s1, s2);
     println!("\ncache(): cold pass {cold:?}, warm pass {warm:?}");
 }

@@ -17,7 +17,7 @@
 //! lease epoch and expiry after each event.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hadoop_hpc::pilot::*;
@@ -47,8 +47,8 @@ type Audit = Rc<RefCell<Vec<AuditEntry>>>;
 /// Replay the audit log through a per-pilot lease state machine,
 /// asserting both invariants on every entry; returns each pilot's final
 /// fencing epoch for cross-checking against the live table.
-fn check_audit(label: &str, entries: &[AuditEntry]) -> HashMap<PilotId, u64> {
-    let mut state: HashMap<PilotId, (bool, SimTime, u64)> = HashMap::new();
+fn check_audit(label: &str, entries: &[AuditEntry]) -> BTreeMap<PilotId, u64> {
+    let mut state: BTreeMap<PilotId, (bool, SimTime, u64)> = BTreeMap::new();
     let mut last_at = SimTime::ZERO;
     for a in entries {
         assert!(a.at >= last_at, "{label}: audit log runs backwards in time");
@@ -173,7 +173,7 @@ fn random_op_interleavings_uphold_lease_invariants() {
         // the fence read before any grant (never granted). Grants and
         // revokes record the superseded fence whenever the epoch moves.
         let never_granted = store.lease_epoch(PilotId(0));
-        let previous: Rc<RefCell<HashMap<PilotId, Fence>>> = Rc::default();
+        let previous: Rc<RefCell<BTreeMap<PilotId, Fence>>> = Rc::default();
         let mut at = 0u64;
         for _ in 0..60 {
             at += rng.uniform_u64(1, 40);

@@ -108,7 +108,7 @@ fn partitioner_in_range() {
     }
 }
 
-/// Native MapReduce word count == sequential HashMap reference, for
+/// Native MapReduce word count == sequential BTreeMap reference, for
 /// arbitrary inputs, split counts and reducer counts.
 #[test]
 fn mapreduce_matches_sequential_reference() {
@@ -126,7 +126,7 @@ fn mapreduce_matches_sequential_reference() {
         let splits = rng.uniform_u64(1, 7) as usize;
         let reducers = rng.uniform_u64(1, 5) as usize;
         // Reference.
-        let mut expect = std::collections::HashMap::<String, u64>::new();
+        let mut expect = std::collections::BTreeMap::<String, u64>::new();
         for w in &words {
             *expect.entry(w.clone()).or_default() += 1;
         }
@@ -151,7 +151,7 @@ fn mapreduce_matches_sequential_reference() {
             },
             reducers,
         );
-        let got: std::collections::HashMap<String, u64> = out.into_iter().flatten().collect();
+        let got: std::collections::BTreeMap<String, u64> = out.into_iter().flatten().collect();
         assert_eq!(got, expect, "case {case}");
     }
 }
@@ -219,7 +219,7 @@ fn rdd_matches_iterator_semantics() {
     }
 }
 
-/// reduce_by_key sums match a HashMap fold for arbitrary pairs.
+/// reduce_by_key sums match a BTreeMap fold for arbitrary pairs.
 #[test]
 fn rdd_reduce_by_key_matches_reference() {
     let mut rng = SimRng::new(0x12DD + 1);
@@ -234,7 +234,7 @@ fn rdd_reduce_by_key_matches_reference() {
             .parallelize(pairs.clone(), parts)
             .reduce_by_key(|a, b| a + b)
             .collect_as_map();
-        let mut want = std::collections::HashMap::<u8, u64>::new();
+        let mut want = std::collections::BTreeMap::<u8, u64>::new();
         for (k, v) in &pairs {
             *want.entry(*k).or_default() += v;
         }
