@@ -1,47 +1,36 @@
-//! Regression gate: diff freshly produced `BENCH_<scenario>.json` artifacts
-//! against checked-in baselines. Virtual time is compared *exactly* — the
-//! simulation is deterministic, so any drift in a phase total, critical-path
-//! length, counter, or makespan is a real behavior change. Host wall-clock
-//! is hardware-dependent and only bounded: the candidate median may not
-//! exceed `baseline × factor + slack`.
+//! Host gate: check freshly produced `BENCH_<scenario>.json` artifacts
+//! against checked-in baselines. Each candidate must have the baseline's
+//! schema and scenario, and its host median may not exceed
+//! `baseline × HOST_FACTOR + HOST_SLACK_MS` (4× plus 250 ms). The
+//! `virtual` subtrees are pinned exactly by `tests/fixed_point.rs`, not
+//! here.
 //!
 //! ```text
 //! cargo run -p rp-bench --release --bin bench_compare -- \
-//!     --baseline DIR --candidate DIR [--host-factor F] [--scenario NAME]...
+//!     --baseline DIR --candidate DIR [--scenario NAME]...
 //! ```
 //!
-//! Exits non-zero on any drift, listing every moved field. To accept an
-//! intentional change, re-baseline: `bench_suite --out-dir .` at the repo
-//! root and commit the updated artifacts (see EXPERIMENTS.md).
+//! Exits non-zero on any failure, listing each one.
 
 use std::path::{Path, PathBuf};
 
-use rp_bench::diff::{diff_documents, DEFAULT_EPS};
 use rp_bench::harness::{artifact_file_name, compare_artifacts, SCENARIO_NAMES};
 
-fn dir_arg(args: &[String], flag: &str) -> Option<PathBuf> {
+fn dir_arg(args: &[String], flag: &str) -> PathBuf {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--scenario NAME]...");
+            std::process::exit(2);
+        })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_dir = dir_arg(&args, "--baseline").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--host-factor F]");
-        std::process::exit(2);
-    });
-    let candidate_dir = dir_arg(&args, "--candidate").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--host-factor F]");
-        std::process::exit(2);
-    });
-    let host_factor: f64 = args
-        .iter()
-        .position(|a| a == "--host-factor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
+    let baseline_dir = dir_arg(&args, "--baseline");
+    let candidate_dir = dir_arg(&args, "--candidate");
     let mut scenarios: Vec<String> = args
         .iter()
         .enumerate()
@@ -57,53 +46,25 @@ fn main() {
         std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
     };
 
-    let mut drifted: Vec<String> = Vec::new();
     let mut failed = false;
     for name in &scenarios {
-        match (read(&baseline_dir, name), read(&candidate_dir, name)) {
-            (Ok(b), Ok(c)) => match compare_artifacts(&b, &c, host_factor) {
-                Ok(()) => println!("  {name:<18} OK"),
-                Err(errs) => {
-                    failed = true;
-                    drifted.push(name.clone());
-                    println!("  {name:<18} DRIFT ({} difference(s))", errs.len());
-                    for e in errs {
-                        println!("      {e}");
-                    }
-                    // Attribute the drift: which phase / critical-path
-                    // segment / counter moved, and by how much.
-                    match diff_documents(&b, &c) {
-                        Ok(d) => {
-                            for line in d.render_table(DEFAULT_EPS).lines() {
-                                println!("      {line}");
-                            }
-                        }
-                        Err(e) => println!("      (trace_diff attribution unavailable: {e})"),
-                    }
-                }
-            },
-            (b, c) => {
-                failed = true;
-                for r in [b, c] {
-                    if let Err(e) = r {
-                        println!("  {name:<18} ERROR: {e}");
-                    }
-                }
-            }
+        let errs = match (read(&baseline_dir, name), read(&candidate_dir, name)) {
+            (Ok(b), Ok(c)) => compare_artifacts(&b, &c).err().unwrap_or_default(),
+            (b, c) => [b, c].into_iter().filter_map(Result::err).collect(),
+        };
+        if errs.is_empty() {
+            println!("  {name:<18} OK");
+            continue;
+        }
+        failed = true;
+        println!("  {name:<18} FAILED");
+        for e in errs {
+            println!("      {e}");
         }
     }
     if failed {
-        if drifted.is_empty() {
-            println!("bench_compare: FAILED — artifacts missing or unreadable (see above)");
-        } else {
-            println!(
-                "bench_compare: FAILED — virtual drift in [{}]; the attribution above names \
-                 the moved fields (expected vs got) and phases. If the change is intentional, \
-                 re-baseline per EXPERIMENTS.md",
-                drifted.join(", ")
-            );
-        }
+        println!("bench_compare: FAILED (see above)");
         std::process::exit(1);
     }
-    println!("bench_compare: all scenarios match the baselines");
+    println!("bench_compare: every scenario is within the host bound");
 }

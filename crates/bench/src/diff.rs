@@ -1,10 +1,15 @@
 //! Regression attribution between two bench artifacts or Chrome traces.
 //!
-//! The `trace_diff` binary and `bench_compare` (on a gate failure) both
-//! call [`diff_documents`]: parse two JSON documents, sniff whether they
-//! are `BENCH_*.json` artifacts or Chrome trace-event arrays, reduce each
-//! side to comparable per-phase totals, and attribute the makespan /
+//! The `trace_diff` binary and the fixed-point tests (on a mismatch) call
+//! [`diff_documents`]: parse two JSON documents, sniff whether they are
+//! `BENCH_*.json` artifacts or Chrome trace-event arrays, reduce each side
+//! to comparable per-phase totals, and attribute the makespan /
 //! throughput delta to the phases and critical-path segments that moved.
+//! Two Chrome traces are also walked record by record, so the report
+//! names the first span record where the runs part
+//! ([`DiffReport::divergence`]);
+//! [`diff_values`] lists every dotted path at which two JSON values
+//! differ.
 //!
 //! Attribution is direction-aware: every compared quantity is classified
 //! as regressed (candidate larger), improved (candidate smaller), new
@@ -115,6 +120,13 @@ pub struct DiffReport {
     /// Host-side observations (medians, throughput): never part of
     /// [`DiffReport::is_clean`], rendered for context only.
     pub host: Section,
+    /// Chrome traces only: the first span record (`ph` `b` or `e`) at
+    /// which the runs part, with both traces in `(ts, export position)`
+    /// order. Both runs are deterministic, so every record before it is
+    /// identical. Each side is rendered with its ancestor span chain and
+    /// the `unit` and `pilot` attributes of the nearest span that carries
+    /// them, or as `end of trace`.
+    pub divergence: Option<String>,
 }
 
 impl DiffReport {
@@ -161,6 +173,7 @@ impl DiffReport {
     /// movers sorted by |delta|, then host context.
     pub fn render_table(&self, eps: f64) -> String {
         let mut out = format!("trace_diff ({}): {}\n", self.kind, self.headline(eps));
+        out.push_str(self.divergence.as_deref().unwrap_or(""));
         for s in &self.sections {
             let moved = s.changed(eps);
             if moved.is_empty() {
@@ -269,6 +282,52 @@ impl Pairs {
     }
 }
 
+/// Recursive exact diff of two JSON values: appends to `out` one line per
+/// dotted path at which `b` (the candidate) differs from `a`.
+pub fn diff_values(path: &str, a: &Value, b: &Value, out: &mut Vec<String>) {
+    match (a, b) {
+        (Value::Object(fa), Value::Object(fb)) => {
+            for (k, va) in fa {
+                match b.get(k) {
+                    Some(vb) => diff_values(&format!("{path}.{k}"), va, vb, out),
+                    None => out.push(format!("{path}.{k}: missing in candidate")),
+                }
+            }
+            for (k, _) in fb {
+                if a.get(k).is_none() {
+                    out.push(format!("{path}.{k}: unexpected in candidate"));
+                }
+            }
+        }
+        (Value::Array(xa), Value::Array(xb)) => {
+            if xa.len() != xb.len() {
+                out.push(format!(
+                    "{path}: length {} != {} in candidate",
+                    xa.len(),
+                    xb.len()
+                ));
+            }
+            for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
+                diff_values(&format!("{path}[{i}]"), va, vb, out);
+            }
+        }
+        _ if a == b => {}
+        _ => out.push(format!("{path}: expected {}, got {}", brief(a), brief(b))),
+    }
+}
+
+/// A value in a few characters: scalars as written, containers by size.
+pub fn brief(v: &Value) -> String {
+    match v {
+        Value::Null => "null".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(n) => format!("{n}"),
+        Value::String(s) => format!("{s:?}"),
+        Value::Array(items) => format!("[{} items]", items.len()),
+        Value::Object(fields) => format!("{{{} fields}}", fields.len()),
+    }
+}
+
 /// Parse both documents, sniff their kind, and diff. Errors on malformed
 /// JSON or mismatched kinds (an artifact cannot be diffed against a
 /// Chrome trace — the reductions are not comparable).
@@ -372,6 +431,7 @@ pub fn diff_artifacts(base: &Value, cand: &Value) -> Result<DiffReport, String> 
             counters.into_section("counters", ""),
         ],
         host: host.into_section("host timings", "ms"),
+        divergence: None,
     })
 }
 
@@ -379,44 +439,37 @@ pub fn diff_artifacts(base: &Value, cand: &Value) -> Result<DiffReport, String> 
 /// `ph:"b"` / `ph:"e"` events on their `id` (the export writes the pair
 /// adjacently, but pairing by id tolerates any interleaving) and reduced
 /// to per-name event counts and total duration — the same aggregation
-/// [`rp_sim::trace::Trace::name_totals`] computes engine-side.
+/// [`rp_sim::trace::Trace::name_totals`] computes engine-side. The span
+/// records are then compared one by one for [`DiffReport::divergence`].
 pub fn diff_chrome(base: &Value, cand: &Value) -> Result<DiffReport, String> {
     let mut spans = Pairs::default();
     let mut counts = Pairs::default();
     let mut makespan = Pairs::default();
+    let mut sides = Vec::with_capacity(2);
     for (side, doc) in [base, cand].into_iter().enumerate() {
-        let events = doc.as_array().unwrap_or(&[]);
-        let mut open: BTreeMap<String, (String, f64)> = BTreeMap::new();
+        let mut records = SpanRecords::default();
+        let mut open: BTreeMap<&str, (&str, f64)> = BTreeMap::new();
         let mut last_ts: f64 = 0.0;
-        for ev in events {
-            let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
+        for (pos, ev) in doc.as_array().unwrap_or(&[]).iter().enumerate() {
             let ts = ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
+            let ph = field(ev, "ph");
             if matches!(ph, "b" | "e" | "i") {
                 last_ts = last_ts.max(ts);
             }
             match ph {
                 "b" => {
-                    let id = ev
-                        .get("id")
-                        .and_then(Value::as_str)
-                        .unwrap_or("")
-                        .to_string();
-                    let name = ev
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    open.insert(id, (name, ts));
+                    open.insert(field(ev, "id"), (field(ev, "name"), ts));
+                    records.begins.insert(field(ev, "id"), ev);
                 }
                 "e" => {
-                    let id = ev.get("id").and_then(Value::as_str).unwrap_or("");
-                    if let Some((name, begin)) = open.remove(id) {
-                        spans.add(side, name.clone(), (ts - begin) / 1e6);
+                    if let Some((name, begin)) = open.remove(field(ev, "id")) {
+                        spans.add(side, name, (ts - begin) / 1e6);
                         counts.add(side, name, 1.0);
                     }
                 }
-                _ => {}
+                _ => continue,
             }
+            records.order.push((ts, pos, ev));
         }
         if !open.is_empty() {
             return Err(format!(
@@ -425,7 +478,20 @@ pub fn diff_chrome(base: &Value, cand: &Value) -> Result<DiffReport, String> {
             ));
         }
         makespan.add(side, "last_event", last_ts / 1e6);
+        records
+            .order
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sides.push(records);
     }
+    let (b, c) = (&sides[0], &sides[1]);
+    let len = b.order.len().max(c.order.len());
+    let divergence = (0..len).find(|&i| b.record(i) != c.record(i)).map(|i| {
+        format!(
+            "first divergent span record (#{i} in ts order):\n  baseline:  {}\n  candidate: {}\n",
+            b.describe(i),
+            c.describe(i)
+        )
+    });
     Ok(DiffReport {
         kind: "chrome",
         sections: vec![
@@ -438,7 +504,74 @@ pub fn diff_chrome(base: &Value, cand: &Value) -> Result<DiffReport, String> {
             unit: "ms",
             entries: Vec::new(),
         },
+        divergence,
     })
+}
+
+/// One Chrome trace's span records in `(ts, export position)` order, and
+/// its begin records by span id for walking ancestor chains.
+#[derive(Default)]
+struct SpanRecords<'a> {
+    order: Vec<(f64, usize, &'a Value)>,
+    begins: BTreeMap<&'a str, &'a Value>,
+}
+
+impl SpanRecords<'_> {
+    fn record(&self, i: usize) -> Option<&Value> {
+        self.order.get(i).map(|r| r.2)
+    }
+
+    /// `e unit.exec 0x46 at 52.854137s; ancestors: unit.run 0xd; unit=5; pilot=0`.
+    fn describe(&self, i: usize) -> String {
+        let Some(&(ts, _, rec)) = self.order.get(i) else {
+            return "end of trace".to_string();
+        };
+        let id = field(rec, "id");
+        let mut tags = [("unit", ""), ("pilot", "")];
+        let mut chain = Vec::new();
+        let mut span = self.begins.get(id).copied();
+        while let Some(begin) = span {
+            let args = begin.get("args").unwrap_or(&Value::Null);
+            for (key, tag) in &mut tags {
+                if tag.is_empty() {
+                    *tag = field(args, key);
+                }
+            }
+            let parent = field(args, "parent");
+            // The length bound stops a malformed parent cycle.
+            if parent.is_empty() || chain.len() > self.begins.len() {
+                break;
+            }
+            span = self.begins.get(parent).copied();
+            chain.push(format!(
+                "{} {parent}",
+                span.map_or("?", |s| field(s, "name"))
+            ));
+        }
+        let mut out = format!(
+            "{} {} {id} at {:.6}s; ancestors: {}",
+            field(rec, "ph"),
+            field(rec, "name"),
+            ts / 1e6,
+            if chain.is_empty() {
+                "none".to_string()
+            } else {
+                chain.join(" < ")
+            }
+        );
+        for (key, tag) in tags {
+            out.push_str(&format!(
+                "; {key}={}",
+                if tag.is_empty() { "-" } else { tag }
+            ));
+        }
+        out
+    }
+}
+
+/// The string field `key` of `v`, or `""`.
+fn field<'v>(v: &'v Value, key: &str) -> &'v str {
+    v.get(key).and_then(Value::as_str).unwrap_or("")
 }
 
 #[cfg(test)]
@@ -516,6 +649,57 @@ mod tests {
         let spans = &d.sections[0];
         let v = spans.entries.iter().find(|e| e.label == "v").expect("v");
         assert_eq!(v.change(DEFAULT_EPS), Change::New);
+    }
+
+    #[test]
+    fn diff_values_names_every_moved_path() {
+        let (a, b) = (
+            json::parse(ART).unwrap(),
+            json::parse(&perturbed()).unwrap(),
+        );
+        let mut moved = Vec::new();
+        diff_values("doc", &a, &a, &mut moved);
+        assert!(moved.is_empty(), "{moved:?}");
+        diff_values(
+            "doc",
+            a.get("virtual").unwrap(),
+            b.get("virtual").unwrap(),
+            &mut moved,
+        );
+        assert_eq!(
+            moved,
+            [
+                "doc.makespan_s: expected 10, got 12.5",
+                "doc.report.rows[0].compute: expected 6, got 8.5",
+                "doc.report.rows[0].total: expected 10, got 12.5",
+                "doc.report.critical[0].makespan: expected 10, got 12.5",
+                "doc.report.critical[0].phases[0].path: expected 6, got 8.5",
+            ]
+        );
+    }
+
+    #[test]
+    fn chrome_diff_names_the_first_divergent_record_and_its_ancestors() {
+        let trace = |exec_end: u64| {
+            format!(
+                r#"[{{"name":"pilot.run","ph":"b","ts":0,"id":"0x1","args":{{"pilot":"0"}}}},
+                   {{"name":"pilot.run","ph":"e","ts":9000000,"id":"0x1"}},
+                   {{"name":"unit.run","ph":"b","ts":0,"id":"0x2","args":{{"unit":"7","pilot":"0"}}}},
+                   {{"name":"unit.run","ph":"e","ts":{},"id":"0x2"}},
+                   {{"name":"unit.exec","ph":"b","ts":1000000,"id":"0x3","args":{{"parent":"0x2"}}}},
+                   {{"name":"unit.exec","ph":"e","ts":{exec_end},"id":"0x3"}}]"#,
+                exec_end + 1_000_000
+            )
+        };
+        let same = diff_documents(&trace(4_000_000), &trace(4_000_000)).expect("diff");
+        assert_eq!(same.divergence, None);
+        let d = diff_documents(&trace(4_000_000), &trace(4_500_000)).expect("diff");
+        // Record #3: the pilot and unit begins before it still match.
+        let div = "first divergent span record (#3 in ts order):\n  \
+            baseline:  e unit.exec 0x3 at 4.000000s; ancestors: unit.run 0x2; unit=7; pilot=0\n  \
+            candidate: e unit.exec 0x3 at 4.500000s; ancestors: unit.run 0x2; unit=7; pilot=0\n";
+        assert_eq!(d.divergence.as_deref(), Some(div));
+        assert!(d.render_table(DEFAULT_EPS).contains(div));
     }
 
     #[test]

@@ -397,6 +397,10 @@ impl Agent {
             return;
         }
         for unit in batch {
+            if unit.state().is_final() {
+                // Cancelled while its document waited in the store.
+                continue;
+            }
             unit.advance(engine, UnitState::AgentScheduling);
             // Ties the unit's root span to its pilot so the critical-path
             // analyzer can adopt it as a causal child of `pilot.run`.

@@ -1121,6 +1121,39 @@ mod tests {
     }
 
     #[test]
+    fn cancel_straight_after_submit_skips_the_unit_at_intake() {
+        // The unit is still in UmScheduling, its document in the store:
+        // the agent must drop it on delivery, not advance it.
+        let mut e = Engine::new(7);
+        let session = Session::new(SessionConfig::test_profile());
+        let pm = PilotManager::new(&session);
+        let pilot = pm
+            .submit(
+                &mut e,
+                PilotDescription::new("localhost", 1, SimDuration::from_secs(600)),
+            )
+            .unwrap();
+        let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
+        um.add_pilot(&pilot);
+        let units = um.submit_units(
+            &mut e,
+            (0..4).map(|i| sleep_unit(&format!("u{i}"), 30)).collect(),
+        );
+        um.cancel_unit(&mut e, &units[1]);
+        e.run();
+        assert_eq!(units[1].state(), UnitState::Canceled);
+        assert_eq!(units[1].attempts(), 0);
+        for i in [0, 2, 3] {
+            assert_eq!(units[i].state(), UnitState::Done, "{}", units[i].name());
+        }
+        // LoadBalanced ranks pilots by assigned minus completed. The
+        // cancelled unit stays assigned and never completes, so it counts
+        // as outstanding for good, as a failed unit does.
+        let done = pilot.agent().unwrap().units_completed();
+        assert_eq!((pilot.assigned_units(), done), (4, 3));
+    }
+
+    #[test]
     fn agent_heartbeats_while_busy() {
         let mut e = Engine::new(8);
         let session = Session::new(SessionConfig::test_profile());

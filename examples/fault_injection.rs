@@ -5,12 +5,10 @@
 //! completion.
 //!
 //! ```text
-//! cargo run --example fault_injection [seed] [intensity] [--json] [--pilot-kill] [--partition <dur_s>]
+//! cargo run --example fault_injection [seed] [intensity] [--pilot-kill] [--partition <dur_s>]
 //! ```
 //!
-//! With `--json`, emits one machine-checkable JSON line instead of the
-//! human-readable report (used by the CI fault-matrix smoke). With
-//! `--pilot-kill`, runs the pilot-loss case instead: two pilots with
+//! With `--pilot-kill`, runs the pilot-loss case instead: two pilots with
 //! failover enabled, the first killed mid-run, every unit re-bound to
 //! the survivor. With `--partition <dur_s>`, runs the split-brain case:
 //! lease-based ownership, pilot 0 partitioned from the coordination
@@ -18,34 +16,15 @@
 //! zombie's stale writes.
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{
-    escape_json, Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime,
-};
-
-/// Every injectable fault kind, in `FaultKind` declaration order.
-const KINDS: [&str; 7] = [
-    "NodeCrash",
-    "NodeSlowdown",
-    "ContainerKill",
-    "LinkDegrade",
-    "StagingError",
-    "PilotKill",
-    "Partition",
-];
-
-fn kinds_json() -> String {
-    let quoted: Vec<String> = KINDS.iter().map(|k| format!("\"{k}\"")).collect();
-    format!("[{}]", quoted.join(","))
-}
+use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
 
 const HELP: &str = "\
 fault_injection — deterministic fault schedules against a pilot workload
 
-usage: cargo run --example fault_injection [seed] [intensity] [--json] [--pilot-kill] [--partition <dur_s>]
+usage: cargo run --example fault_injection [seed] [intensity] [--pilot-kill] [--partition <dur_s>]
 
   seed          RNG seed for engine and fault plan (default 11)
   intensity     number of scheduled faults (default 6)
-  --json        one machine-checkable JSON line (CI smoke)
   --pilot-kill  pilot-loss case: 2 pilots with cross-pilot failover,
                 pilot 0 killed mid-run, units re-bound to the survivor
   --partition <dur_s>
@@ -83,7 +62,7 @@ fn parse_arg<T: std::str::FromStr>(what: &str, arg: &str) -> T {
 
 /// The `--pilot-kill` case: a `PilotKill` fault against a 2-pilot session
 /// with failover enabled. The workload must finish on the survivor.
-fn run_pilot_kill(seed: u64, json_out: bool) {
+fn run_pilot_kill(seed: u64) {
     let mut engine = Engine::with_trace(seed);
     let session = Session::new(SessionConfig::default());
     let pm = PilotManager::new(&session);
@@ -111,13 +90,11 @@ fn run_pilot_kill(seed: u64, json_out: bool) {
             kind: FaultKind::PilotKill { pilot: 0 },
         }],
     };
-    if !json_out {
-        println!("pilot-kill plan (seed {seed}):");
-        for ev in &plan.events {
-            println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
-        }
+    println!("pilot-kill plan (seed {seed}):");
+    for ev in &plan.events {
+        println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
     }
-    let injector = install_faults_multi(&mut engine, &plan, &pilots);
+    install_faults_multi(&mut engine, &plan, &pilots);
     let units = um.submit_units(
         &mut engine,
         (0..12)
@@ -143,41 +120,6 @@ fn run_pilot_kill(seed: u64, json_out: bool) {
         .iter()
         .filter(|u| u.state() == UnitState::Done)
         .count();
-    let failed = units
-        .iter()
-        .filter(|u| u.state() == UnitState::Failed)
-        .count();
-    let makespan_s = units
-        .iter()
-        .filter_map(|u| u.times().done)
-        .map(|t| t.as_secs_f64())
-        .fold(0.0_f64, f64::max);
-    if json_out {
-        let unit_fields: Vec<String> = units
-            .iter()
-            .map(|u| {
-                format!(
-                    "{{\"name\":\"{}\",\"state\":\"{:?}\",\"attempts\":{}}}",
-                    escape_json(&u.name()),
-                    u.state(),
-                    u.attempts()
-                )
-            })
-            .collect();
-        println!(
-            "{{\"seed\":{seed},\"mode\":\"pilot_kill\",\"planned\":{},\
-             \"injected\":{},\"units\":{},\"done\":{done},\"failed\":{failed},\
-             \"rebound\":{},\"kinds\":{},\"makespan_s\":{makespan_s:.6},\
-             \"unit_states\":[{}]}}",
-            plan.events.len(),
-            injector.injected(),
-            units.len(),
-            um.rebinds(),
-            kinds_json(),
-            unit_fields.join(",")
-        );
-        return;
-    }
     println!(
         "\npilot 0 {:?}; {done}/{} units Done on the survivor, {} re-bound",
         pilots[0].state(),
@@ -202,7 +144,7 @@ fn run_pilot_kill(seed: u64, json_out: bool) {
 /// epoch) and re-binds to the survivor. When the window heals, the
 /// zombie's held writes arrive under the stale epoch and are rejected, so
 /// every unit completes exactly once.
-fn run_partition(seed: u64, dur_s: u64, json_out: bool) {
+fn run_partition(seed: u64, dur_s: u64) {
     let mut engine = Engine::with_trace(seed);
     let session = Session::new(SessionConfig::default());
     let pm = PilotManager::new(&session);
@@ -234,13 +176,11 @@ fn run_partition(seed: u64, dur_s: u64, json_out: bool) {
             },
         }],
     };
-    if !json_out {
-        println!("partition plan (seed {seed}, window {dur_s} s):");
-        for ev in &plan.events {
-            println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
-        }
+    println!("partition plan (seed {seed}, window {dur_s} s):");
+    for ev in &plan.events {
+        println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
     }
-    let injector = install_faults_multi(&mut engine, &plan, &pilots);
+    install_faults_multi(&mut engine, &plan, &pilots);
     // Staggered sleeps: the first wave completes inside the
     // partition-to-fence window, so those completions are sent under the
     // soon-to-be-stale epoch and held by the partition.
@@ -272,47 +212,6 @@ fn run_partition(seed: u64, dur_s: u64, json_out: bool) {
         .iter()
         .filter(|u| u.state() == UnitState::Done)
         .count();
-    let failed = units
-        .iter()
-        .filter(|u| u.state() == UnitState::Failed)
-        .count();
-    let makespan_s = units
-        .iter()
-        .filter_map(|u| u.times().done)
-        .map(|t| t.as_secs_f64())
-        .fold(0.0_f64, f64::max);
-    if json_out {
-        let unit_fields: Vec<String> = units
-            .iter()
-            .map(|u| {
-                format!(
-                    "{{\"name\":\"{}\",\"state\":\"{:?}\",\"attempts\":{}}}",
-                    escape_json(&u.name()),
-                    u.state(),
-                    u.attempts()
-                )
-            })
-            .collect();
-        println!(
-            "{{\"seed\":{seed},\"mode\":\"partition\",\"window_s\":{dur_s},\
-             \"planned\":{},\"injected\":{},\"units\":{},\"done\":{done},\
-             \"failed\":{failed},\"rebound\":{},\"partition_windows\":{},\
-             \"partition_holds\":{},\"fence_rejections\":{},\
-             \"lease_renewals\":{},\"kinds\":{},\"makespan_s\":{makespan_s:.6},\
-             \"unit_states\":[{}]}}",
-            plan.events.len(),
-            injector.injected(),
-            units.len(),
-            um.rebinds(),
-            store.partition_windows(),
-            store.partition_holds(),
-            store.fence_rejections(),
-            store.lease_renewals(),
-            kinds_json(),
-            unit_fields.join(",")
-        );
-        return;
-    }
     println!(
         "\npartition healed; {done}/{} units Done, {} re-bound, \
          {} stale-epoch writes fenced, {} lease renewals",
@@ -349,13 +248,12 @@ fn run_partition(seed: u64, dur_s: u64, json_out: bool) {
 }
 
 fn main() {
-    let (mut seed, mut intensity, mut json_out, mut pilot_kill) = (11u64, 6usize, false, false);
+    let (mut seed, mut intensity, mut pilot_kill) = (11u64, 6usize, false);
     let mut partition: Option<u64> = None;
     let mut positionals = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => json_out = true,
             "--pilot-kill" => pilot_kill = true,
             "--partition" => {
                 let dur = args
@@ -380,11 +278,11 @@ fn main() {
     }
 
     if let Some(dur_s) = partition {
-        run_partition(seed, dur_s, json_out);
+        run_partition(seed, dur_s);
         return;
     }
     if pilot_kill {
-        run_pilot_kill(seed, json_out);
+        run_pilot_kill(seed);
         return;
     }
 
@@ -403,11 +301,9 @@ fn main() {
     // intensity) pair always yields the same schedule, and the engine's
     // randomness is untouched.
     let plan = FaultPlan::generate(seed, SimDuration::from_secs(1800), 4, intensity);
-    if !json_out {
-        println!("fault plan (seed {seed}, intensity {intensity}):");
-        for ev in &plan.events {
-            println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
-        }
+    println!("fault plan (seed {seed}, intensity {intensity}):");
+    for ev in &plan.events {
+        println!("  {:>10}  {:?}", format!("{}", ev.at), ev.kind);
     }
     let injector = install_faults(&mut engine, &plan, &pilot);
 
@@ -446,49 +342,7 @@ fn main() {
         .iter()
         .filter(|u| u.state() == UnitState::Done)
         .count();
-    let failed = units
-        .iter()
-        .filter(|u| u.state() == UnitState::Failed)
-        .count();
     let retried = units.iter().filter(|u| u.attempts() > 1).count();
-
-    if json_out {
-        let makespan_s = units
-            .iter()
-            .filter_map(|u| u.times().done)
-            .map(|t| t.as_secs_f64())
-            .fold(0.0_f64, f64::max);
-        let unit_fields: Vec<String> = units
-            .iter()
-            .map(|u| {
-                format!(
-                    "{{\"name\":\"{}\",\"state\":\"{:?}\",\"attempts\":{}}}",
-                    escape_json(&u.name()),
-                    u.state(),
-                    u.attempts()
-                )
-            })
-            .collect();
-        let dead: Vec<String> = agent
-            .dead_nodes()
-            .iter()
-            .map(|n| format!("\"{}\"", escape_json(&n.to_string())))
-            .collect();
-        println!(
-            "{{\"seed\":{seed},\"intensity\":{intensity},\"planned\":{},\
-             \"injected\":{},\"units\":{},\"done\":{done},\"failed\":{failed},\
-             \"retried\":{retried},\"degraded\":{},\"dead_nodes\":[{}],\
-             \"kinds\":{},\"makespan_s\":{makespan_s:.6},\"unit_states\":[{}]}}",
-            plan.events.len(),
-            injector.injected(),
-            units.len(),
-            agent.is_degraded(),
-            dead.join(","),
-            kinds_json(),
-            unit_fields.join(",")
-        );
-        return;
-    }
 
     println!(
         "\n{} faults injected; {done}/{} units Done, {retried} retried",

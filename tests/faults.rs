@@ -7,17 +7,16 @@
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, TraceEvent};
 
-/// A plain 4-node pilot running `n` one-core sleep units of `sleep_s`,
-/// with `plan` installed. Returns the unit handles, the pilot and the
-/// full trace.
-fn sleep_run(
+/// A plain 4-node pilot running `descrs` under `config`, with `plan`
+/// installed. Returns the unit handles, the pilot and the full trace.
+fn faulted_run(
     seed: u64,
-    n: usize,
-    sleep_s: u64,
+    config: SessionConfig,
+    descrs: Vec<ComputeUnitDescription>,
     plan: Option<&FaultPlan>,
 ) -> (Vec<UnitHandle>, PilotHandle, Vec<TraceEvent>) {
     let mut e = Engine::with_trace(seed);
-    let session = Session::new(SessionConfig::test_profile());
+    let session = Session::new(config);
     let pm = PilotManager::new(&session);
     let pilot = pm
         .submit(
@@ -30,23 +29,31 @@ fn sleep_run(
     }
     let mut um = UnitManager::new(&session, UmScheduler::Direct);
     um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..n)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(sleep_s)),
-                )
-            })
-            .collect(),
-    );
+    let units = um.submit_units(&mut e, descrs);
     while units.iter().any(|u| !u.state().is_final()) {
         assert!(e.step(), "simulation stalled with live units");
     }
     e.run();
     (units, pilot, e.trace.events().to_vec())
+}
+
+/// `n` one-core sleep units of `sleep_s` on the test profile.
+fn sleep_run(
+    seed: u64,
+    n: usize,
+    sleep_s: u64,
+    plan: Option<&FaultPlan>,
+) -> (Vec<UnitHandle>, PilotHandle, Vec<TraceEvent>) {
+    let descrs = (0..n)
+        .map(|i| {
+            ComputeUnitDescription::new(
+                format!("u{i}"),
+                1,
+                WorkSpec::Sleep(SimDuration::from_secs(sleep_s)),
+            )
+        })
+        .collect();
+    faulted_run(seed, SessionConfig::test_profile(), descrs, plan)
 }
 
 fn makespan(units: &[UnitHandle]) -> SimTime {
@@ -268,22 +275,65 @@ fn yarn_pilot_survives_container_kills() {
     assert!(units.iter().any(|u| u.attempts() > 1));
 }
 
-/// 3 seeds × 3 intensities: every run must terminate with every unit in a
-/// final state (the smoke matrix `ci.sh` exercises).
+/// The `fault_injection` example's workload: 12 eight-core `Compute`
+/// units of 3,200 core-s, each staging 32 MiB in from Lustre.
+fn staged_compute_units() -> Vec<ComputeUnitDescription> {
+    (0..12)
+        .map(|i| {
+            ComputeUnitDescription::new(
+                format!("work-{i}"),
+                8,
+                WorkSpec::Compute {
+                    core_seconds: 3200.0,
+                    read_mb: 64.0,
+                    write_mb: 16.0,
+                    io: UnitIoTarget::Lustre,
+                },
+            )
+            .stage_in(StagingDirective {
+                bytes: 32.0 * 1024.0 * 1024.0,
+                from: StageEndpoint::Lustre,
+                to: StageEndpoint::ExecNode,
+            })
+        })
+        .collect()
+}
+
+/// 3 seeds × 3 intensities: every sleep-bag run must terminate with every
+/// unit in a final state. On the `fault_injection` example's workload
+/// (default session), every planned fault fires, every unit ends Done or
+/// Failed within 4 attempts, and intensities up to 6 lose no unit.
 #[test]
 fn fault_matrix_always_terminates() {
     for seed in [1u64, 2, 3] {
         for intensity in [2usize, 6, 12] {
+            let case = format!("seed={seed} intensity={intensity}");
             let plan = FaultPlan::generate(seed, SimDuration::from_secs(1800), 4, intensity);
             let (units, _, _) = sleep_run(seed, 8, 150, Some(&plan));
+            let stuck: Vec<_> = units
+                .iter()
+                .filter(|u| !u.state().is_final())
+                .map(|u| u.id())
+                .collect();
+            assert!(stuck.is_empty(), "{case}: {stuck:?} stuck");
+            let (units, _, trace) = faulted_run(
+                seed,
+                SessionConfig::default(),
+                staged_compute_units(),
+                Some(&plan),
+            );
+            let injected = trace.iter().filter(|ev| ev.category == "fault").count();
+            assert_eq!(injected, plan.len(), "{case}");
             for u in &units {
+                let (name, state, attempts) = (u.name(), u.state(), u.attempts());
+                let ended =
+                    state == UnitState::Done || (intensity > 6 && state == UnitState::Failed);
                 assert!(
-                    u.state().is_final(),
-                    "seed={seed} intensity={intensity}: {:?} stuck in {:?}",
-                    u.id(),
-                    u.state()
+                    ended && attempts <= 4,
+                    "{case}: {name} {state:?} after {attempts}"
                 );
             }
+            assert!(makespan(&units) > SimTime::ZERO, "{case}");
         }
     }
 }

@@ -1,8 +1,16 @@
 //! Every paper and ablation claim, asserted: runs each experiment of the
 //! `rp_bench::experiments` registry (the same code the `paper` binary
-//! prints) and fails naming the experiment and the check that broke.
+//! prints) and fails naming the experiment and the check that broke. The
+//! concatenated output, which is what `paper` prints, is pinned
+//! byte-for-byte in `tests/golden/paper.txt`; after an intended change,
+//! regenerate it with
+//!
+//! ```text
+//! REGEN_GOLDEN=1 cargo test --test paper_experiments
+//! ```
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use rp_bench::experiments::REGISTRY;
 
@@ -20,8 +28,10 @@ fn registry_names_are_unique() {
 fn every_paper_and_ablation_check_holds() {
     let mut total = 0;
     let mut violated = Vec::new();
+    let mut text = String::new();
     for x in &REGISTRY {
         let outcome = (x.run)();
+        text.push_str(&outcome.text);
         assert!(
             outcome.text.ends_with(&outcome.checks.render()),
             "{}: the check report must close the rendered text",
@@ -42,4 +52,23 @@ fn every_paper_and_ablation_check_holds() {
         violated.join("\n  ")
     );
     assert_eq!(total, TOTAL_CHECKS, "registered check count changed");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/paper.txt");
+    if std::env::var("REGEN_GOLDEN").is_ok() {
+        std::fs::write(&golden, &text).unwrap();
+        return;
+    }
+    let expect = std::fs::read_to_string(&golden).unwrap();
+    if text != expect {
+        let line = expect
+            .lines()
+            .zip(text.lines())
+            .take_while(|(a, b)| a == b)
+            .count();
+        panic!(
+            "paper output moved off tests/golden/paper.txt at line {}:\n  golden: {}\n  now:    {}",
+            line + 1,
+            expect.lines().nth(line).unwrap_or("<end>"),
+            text.lines().nth(line).unwrap_or("<end>")
+        );
+    }
 }

@@ -5,6 +5,11 @@
 //! `tests/golden/`). Any divergence — a phase total, a path segment, a
 //! slack figure — fails here before it can drift a bench baseline.
 //!
+//! The Chrome exports of the same runs, and of a plain pilot running the
+//! same units, are pinned byte-for-byte too. A mismatch prints the
+//! `trace_diff` report, which names the first divergent span record with
+//! its ancestor chain, its unit and its pilot.
+//!
 //! Regenerate the goldens (only for an *intended* behavior change) with:
 //!
 //! ```text
@@ -12,52 +17,11 @@
 //! ```
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{
-    aggregate_roots, critical_path_run, profile_span, Engine, RunReport, SimDuration,
-};
+use hadoop_hpc::sim::{aggregate_roots, critical_path_run, profile_span, Engine, RunReport};
+use rp_bench::diff::{diff_documents, DEFAULT_EPS};
 
-/// The observability.rs golden workload: a 2-node pilot with the given
-/// access mode running 12 heterogeneous Compute units to completion.
-fn traced_mixed(seed: u64, machine: &str, access: AccessMode) -> Engine {
-    let mut e = Engine::with_trace(seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new(machine, 2, SimDuration::from_secs(7200)).with_access(access),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..12)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1 + (i % 4),
-                    WorkSpec::Compute {
-                        core_seconds: 30.0 + i as f64,
-                        read_mb: 5.0 * i as f64,
-                        write_mb: 2.0 * i as f64,
-                        io: if i % 2 == 0 {
-                            UnitIoTarget::Lustre
-                        } else {
-                            UnitIoTarget::LocalDisk
-                        },
-                    },
-                )
-            })
-            .collect(),
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
-    }
-    pm.cancel(&mut e, &pilot);
-    e.run();
-    e
-}
+mod common;
+use common::traced_mixed;
 
 /// Render everything the bench artifacts derive from a trace: the phase
 /// report (pilot root + unit aggregate), its JSON form, and the full
@@ -87,7 +51,6 @@ fn check(golden_path: &str, actual: &str) {
         .join("tests/golden")
         .join(golden_path);
     if std::env::var("REGEN_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
         return;
     }
@@ -97,6 +60,11 @@ fn check(golden_path: &str, actual: &str) {
             path.display()
         )
     });
+    if golden_path.ends_with(".json") && actual != expect {
+        let report =
+            diff_documents(&expect, actual).map_or_else(|err| err, |d| d.render_table(DEFAULT_EPS));
+        panic!("{golden_path}: the Chrome export moved off the golden\n{report}");
+    }
     assert_eq!(
         actual, expect,
         "streamed walk diverged from the legacy in-memory walk ({golden_path})"
@@ -110,6 +78,7 @@ fn mode_i_profiler_and_critpath_match_legacy_walk() {
         "xsede.stampede",
         AccessMode::YarnModeI { with_hdfs: true },
     );
+    check("chrome_mode_i.json", &e.trace.to_chrome_json());
     check(
         "equiv_mode_i.txt",
         &render_all(&e, "mode I (legacy-pinned)"),
@@ -119,8 +88,15 @@ fn mode_i_profiler_and_critpath_match_legacy_walk() {
 #[test]
 fn mode_ii_profiler_and_critpath_match_legacy_walk() {
     let e = traced_mixed(42, "xsede.wrangler", AccessMode::YarnModeII);
+    check("chrome_mode_ii.json", &e.trace.to_chrome_json());
     check(
         "equiv_mode_ii.txt",
         &render_all(&e, "mode II (legacy-pinned)"),
     );
+}
+
+#[test]
+fn plain_chrome_export_matches_golden() {
+    let e = traced_mixed(42, "xsede.stampede", AccessMode::Plain);
+    check("chrome_plain.json", &e.trace.to_chrome_json());
 }
