@@ -4,9 +4,15 @@
 //! scoped threads) plus MapReduce and RDD formulations; the simulated
 //! pilot-orchestrated variants used for Fig. 6 live in
 //! [`crate::scenarios`].
+//!
+//! Every formulation assigns a point with [`nearest`]. Its tie rule: a
+//! point equidistant from several centroids goes to the lowest-indexed
+//! one, so all four shapes agree on every assignment.
+
+use std::sync::Arc;
 
 use rp_mapreduce::{run_local, Emitter, Mapper, Reducer};
-use rp_sim::par::{default_threads, parallel_map, split_even};
+use rp_sim::par::{default_threads, even_ranges, parallel_map};
 use rp_spark::SparkContext;
 
 use crate::dataset::Point3;
@@ -17,16 +23,46 @@ pub fn dist2(a: &Point3, b: &Point3) -> f64 {
     (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)
 }
 
-/// Index of the nearest centroid.
+/// Independent running minima in [`nearest`].
+const LANES: usize = 4;
+
+/// Index of the nearest centroid: the lowest index among those at the
+/// minimum distance, and 0 when no distance is below infinity (an empty
+/// slice, or only infinite or NaN distances).
+///
+/// Centroid `i` goes to lane `i % LANES`, and each lane keeps its own
+/// minimum, so the compares do not form one serial chain. A lane keeps the
+/// first index that reaches its minimum, and the merge breaks equal
+/// distances by the lower index. The result is the one a single
+/// `if d < best` scan from index 0 returns.
 #[inline]
 pub fn nearest(p: &Point3, centroids: &[Point3]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
+    let mut best_d = [f64::INFINITY; LANES];
+    let mut best_i = [0usize; LANES];
+    let blocks = centroids.chunks_exact(LANES);
+    let tail = blocks.remainder();
+    for (b, block) in blocks.enumerate() {
+        for lane in 0..LANES {
+            let d = dist2(p, &block[lane]);
+            let lt = d < best_d[lane];
+            best_d[lane] = if lt { d } else { best_d[lane] };
+            best_i[lane] = if lt { b * LANES + lane } else { best_i[lane] };
+        }
+    }
+    let base = centroids.len() - tail.len();
+    for (lane, c) in tail.iter().enumerate() {
         let d = dist2(p, c);
-        if d < best_d {
-            best_d = d;
+        if d < best_d[lane] {
+            best_d[lane] = d;
+            best_i[lane] = base + lane;
+        }
+    }
+    let (mut best, mut min) = (best_i[0], best_d[0]);
+    for lane in 1..LANES {
+        let (d, i) = (best_d[lane], best_i[lane]);
+        if d < min || (d == min && i < best) {
             best = i;
+            min = d;
         }
     }
     best
@@ -152,15 +188,10 @@ pub fn kmeans_mapreduce(
 ) -> KMeansResult {
     let mut centroids = init_centroids(points, k);
     for _ in 0..iterations {
-        let splits: Vec<Vec<(u64, Point3)>> = split_even(
-            points
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, p)| (i as u64, p))
-                .collect(),
-            map_tasks,
-        );
+        let splits: Vec<Vec<(u64, Point3)>> = even_ranges(points.len(), map_tasks)
+            .into_iter()
+            .map(|r| r.map(|i| (i as u64, points[i])).collect())
+            .collect();
         let mapper = KMeansMapper {
             centroids: centroids.clone(),
         };
@@ -186,8 +217,11 @@ pub fn kmeans_rdd(
     iterations: u32,
     partitions: usize,
 ) -> KMeansResult {
+    // The RDD shares `points` rather than copying them: the cost at the
+    // end reads the same buffer.
+    let points = Arc::new(points);
     let sc = SparkContext::new(partitions);
-    let rdd = sc.parallelize(points.clone(), partitions).cache();
+    let rdd = sc.parallelize_shared(points.clone(), partitions).cache();
     let mut centroids = init_centroids(&points, k);
     for _ in 0..iterations {
         let cents = centroids.clone();
@@ -245,22 +279,104 @@ pub fn lloyd_sequential(points: &[Point3], k: usize, iterations: u32) -> KMeansR
 mod tests {
     use super::*;
     use crate::dataset::gaussian_blobs;
+    use rp_sim::SimRng;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let pts = gaussian_blobs(5_000, 8, 2.0, 42);
-        let seq = lloyd_sequential(&pts, 8, 4);
-        let par = lloyd(&pts, 8, 4);
-        assert!(close(seq.cost, par.cost), "{} vs {}", seq.cost, par.cost);
-        for (a, b) in seq.centroids.iter().zip(&par.centroids) {
+    /// Equal within 1e-9 relative, coordinate by coordinate: the bound
+    /// the end-to-end benchmark checks every formulation against.
+    fn assert_centroids_match(got: &[Point3], want: &[Point3]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
             for d in 0..3 {
-                assert!(close(a[d], b[d]));
+                let (x, y) = (a[d], b[d]);
+                assert!(
+                    (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+                    "centroid {i}: {a:?} vs {b:?}"
+                );
             }
         }
+    }
+
+    /// The scan `nearest` must agree with: one serial chain from index 0.
+    fn scalar_argmin(p: &Point3, centroids: &[Point3]) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (i, c) in centroids.iter().enumerate() {
+            let d = dist2(p, c);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn nearest_matches_scalar_argmin() {
+        // Small integer coordinates make exact ties common: equidistant
+        // points, and (by the copy below) duplicate centroids. Half-integer
+        // points sit midway between grid centroids.
+        let mut rng = SimRng::new(0x4EA7);
+        let grid = |rng: &mut SimRng, step: f64| -> Point3 {
+            [0, 1, 2].map(|_| (rng.uniform_u64(0, 8) as f64 - 4.0) * step)
+        };
+        for k in [1, 2, 3, 4, 5, 31, 32, 33] {
+            for case in 0..64 {
+                let mut cs: Vec<Point3> = (0..k).map(|_| grid(&mut rng, 1.0)).collect();
+                if k > 1 {
+                    let from = rng.uniform_u64(0, k as u64 - 1) as usize;
+                    let to = rng.uniform_u64(0, k as u64 - 1) as usize;
+                    cs[to] = cs[from];
+                }
+                for _ in 0..32 {
+                    let p = grid(&mut rng, 0.5);
+                    assert_eq!(
+                        nearest(&p, &cs),
+                        scalar_argmin(&p, &cs),
+                        "k {k} case {case} p {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_breaks_ties_by_the_lowest_index() {
+        let far = [100.0, 100.0, 100.0];
+        let near = [1.0, 0.0, 0.0];
+        let origin = [0.0, 0.0, 0.0];
+        // Index 5 (lane 1) and index 8 (lane 0) tie: the merge must pick
+        // 5 although lane 0 is merged first.
+        let mut cs = vec![far; 33];
+        cs[5] = near;
+        cs[8] = [0.0, -1.0, 0.0];
+        assert_eq!(nearest(&origin, &cs), 5);
+        // A tie inside one lane keeps the lane's first index; the tail
+        // (index 32) ties too and loses.
+        let mut cs = vec![far; 33];
+        for i in [6, 10, 32] {
+            cs[i] = near;
+        }
+        assert_eq!(nearest(&origin, &cs), 6);
+        // All duplicates: index 0.
+        assert_eq!(nearest(&origin, &[near; 7]), 0);
+        // No distance below infinity: index 0, as the serial scan gives.
+        assert_eq!(nearest(&origin, &[]), 0);
+        let nan = [f64::NAN, 0.0, 0.0];
+        assert_eq!(nearest(&nan, &[near; 5]), 0);
+        assert_eq!(nearest(&origin, &[[f64::INFINITY, 0.0, 0.0]; 6]), 0);
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let pts = gaussian_blobs(5_000, 7, 2.0, 42);
+        let seq = lloyd_sequential(&pts, 7, 4);
+        let par = lloyd(&pts, 7, 4);
+        assert!(close(seq.cost, par.cost), "{} vs {}", seq.cost, par.cost);
+        assert_centroids_match(&par.centroids, &seq.centroids);
     }
 
     #[test]
@@ -269,6 +385,7 @@ mod tests {
         let seq = lloyd_sequential(&pts, 5, 3);
         let mr = kmeans_mapreduce(&pts, 5, 3, 6, 3);
         assert!(close(seq.cost, mr.cost), "{} vs {}", seq.cost, mr.cost);
+        assert_centroids_match(&mr.centroids, &seq.centroids);
     }
 
     #[test]
@@ -277,6 +394,7 @@ mod tests {
         let seq = lloyd_sequential(&pts, 5, 3);
         let rdd = kmeans_rdd(pts, 5, 3, 8);
         assert!(close(seq.cost, rdd.cost), "{} vs {}", seq.cost, rdd.cost);
+        assert_centroids_match(&rdd.centroids, &seq.centroids);
     }
 
     #[test]

@@ -110,6 +110,17 @@ fn bench_kmeans() {
     bench("kmeans/rdd_5k_k8_1iter", || {
         kmeans_rdd(small.clone(), 8, 1, 4);
     });
+    // Same data through both, at the end-to-end benchmark's k = 32 and
+    // partition count; k = 33 leaves a remainder after nearest()'s lanes.
+    let mid = gaussian_blobs(100_000, 32, 2.0, 42);
+    for k in [32, 33] {
+        bench(&format!("kmeans/native_100k_k{k}_1iter"), || {
+            lloyd(&mid, k, 1);
+        });
+        bench(&format!("kmeans/rdd_100k_k{k}_1iter"), || {
+            kmeans_rdd(mid.clone(), k, 1, 2);
+        });
+    }
 }
 
 fn bench_rdd() {

@@ -6,8 +6,8 @@
 //! workload lifecycles: it schedules Compute-Units across pilots and
 //! queues their documents in the coordination store (U.1–U.2).
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::{Cell, RefCell};
+use std::rc::{Rc, Weak};
 
 use rp_hpc::JobState;
 use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, Trace};
@@ -15,7 +15,7 @@ use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, Trace};
 use crate::agent::Agent;
 use crate::coordination::Revoked;
 use crate::description::{AccessMode, ComputeUnitDescription, PilotDescription};
-use crate::session::{PilotError, Session};
+use crate::session::{PilotError, Session, WeakSession};
 use crate::states::{Guarded, PilotState};
 use crate::unit::{when_all_done, PilotId, UnitHandle};
 
@@ -73,6 +73,11 @@ struct PilotRecord {
     agent: Option<Agent>,
     saga_job: Option<rp_saga::SagaJob>,
     assigned_units: u64,
+    /// Units bound to this pilot and not yet final: the load that
+    /// LoadBalanced and DataAware rank pilots by. Each bound unit holds a
+    /// clone and gives its count back when it is re-bound or reaches a
+    /// final state.
+    live_units: Rc<Cell<u64>>,
     /// Root lifecycle span ("pilot.run"): its id, kept after the run for
     /// the profilers, and the open span until the final state. Then the
     /// currently open child phase span. All `NONE` when tracing is
@@ -125,6 +130,24 @@ impl PilotHandle {
 
     pub fn assigned_units(&self) -> u64 {
         self.rec.borrow().assigned_units
+    }
+
+    /// Units bound to this pilot and not yet final.
+    pub(crate) fn live_units(&self) -> u64 {
+        self.rec.borrow().live_units.get()
+    }
+
+    /// Bind `unit` here: it counts toward this pilot's load, and no longer
+    /// toward its previous pilot's, until it reaches a final state.
+    fn bind(&self, unit: &UnitHandle) {
+        let mut pilot = self.rec.borrow_mut();
+        pilot.assigned_units += 1;
+        pilot.live_units.set(pilot.live_units.get() + 1);
+        let mut rec = unit.rec.borrow_mut();
+        rec.pilot = Some(pilot.id);
+        if let Some(prev) = rec.load.replace(pilot.live_units.clone()) {
+            prev.set(prev.get() - 1);
+        }
     }
 
     /// Root lifecycle span ("pilot.run"), for the phase profiler.
@@ -256,6 +279,7 @@ impl PilotManager {
                 agent: None,
                 saga_job: None,
                 assigned_units: 0,
+                live_units: Rc::default(),
                 span_root: SpanId::NONE,
                 span_run: OpenSpan::NONE,
                 span_open: OpenSpan::NONE,
@@ -351,7 +375,8 @@ pub enum UmScheduler {
     /// Cycle through pilots in registration order.
     #[default]
     RoundRobin,
-    /// Pick the pilot with the fewest assigned-but-unfinished units.
+    /// Pick the pilot with the fewest live units: bound to it and not yet
+    /// final. A cancelled, failed or re-bound unit stops counting.
     LoadBalanced,
     /// Everything to the first pilot.
     Direct,
@@ -410,10 +435,7 @@ impl UmInner {
             }
             UmScheduler::LoadBalanced | UmScheduler::DataAware => cands
                 .iter()
-                .min_by_key(|p| {
-                    let done = p.agent().map(|a| a.units_completed()).unwrap_or(0);
-                    p.assigned_units() - done
-                })
+                .min_by_key(|p| p.live_units())
                 .cloned()
                 .expect("pilots nonempty"),
         }
@@ -425,6 +447,21 @@ impl UmInner {
 pub struct UnitManager {
     session: Session,
     inner: Rc<RefCell<UmInner>>,
+}
+
+/// A [`UnitManager`] reference that does not keep it alive.
+struct WeakUnitManager {
+    session: WeakSession,
+    inner: Weak<RefCell<UmInner>>,
+}
+
+impl WeakUnitManager {
+    fn upgrade(&self) -> Option<UnitManager> {
+        Some(UnitManager {
+            session: self.session.upgrade()?,
+            inner: self.inner.upgrade()?,
+        })
+    }
 }
 
 impl UnitManager {
@@ -442,6 +479,13 @@ impl UnitManager {
                 bound_at: std::collections::BTreeMap::new(),
                 rebinds: 0,
             })),
+        }
+    }
+
+    fn downgrade(&self) -> WeakUnitManager {
+        WeakUnitManager {
+            session: self.session.downgrade(),
+            inner: Rc::downgrade(&self.inner),
         }
     }
 
@@ -488,11 +532,19 @@ impl UnitManager {
             }
             inner.lease_grace = Some(grace);
         }
-        let this = self.clone();
+        // The store lives in this UM's own session, so the client holds
+        // the UM weakly: a strong handle would be a cycle that keeps every
+        // finished session and its units alive. Dropping the caller's
+        // handle early loses nothing: while a tracked unit is live, the
+        // armed monitor tick holds the UM (`ensure_monitor`), and a unit
+        // returned once none is live is final, so `rebind` drops it anyway.
+        let this = self.downgrade();
         self.session
             .store()
             .enable_leases(duration, move |eng, pilot, units, cause| {
-                this.on_units_returned(eng, pilot, units, cause);
+                if let Some(um) = this.upgrade() {
+                    um.on_units_returned(eng, pilot, units, cause);
+                }
             });
         let pilots = self.inner.borrow().pilots.clone();
         for p in &pilots {
@@ -537,8 +589,7 @@ impl UnitManager {
         for d in descrs {
             let unit = UnitHandle::new(self.session.next_unit_id(), d);
             let pilot = self.pick_pilot_for(&unit);
-            unit.rec.borrow_mut().pilot = Some(pilot.id());
-            pilot.rec.borrow_mut().assigned_units += 1;
+            pilot.bind(&unit);
             unit.advance(engine, crate::states::UnitState::UmScheduling);
             per_pilot.entry(pilot.id()).or_default().push(unit.clone());
             self.inner.borrow_mut().tracked.push(unit.clone());
@@ -578,8 +629,7 @@ impl UnitManager {
         for d in descrs {
             let unit = UnitHandle::new(self.session.next_unit_id(), d);
             let pilot = self.pick_pilot_for(&unit);
-            unit.rec.borrow_mut().pilot = Some(pilot.id());
-            pilot.rec.borrow_mut().assigned_units += 1;
+            pilot.bind(&unit);
             planned.push((pilot.id(), unit.clone()));
             self.inner.borrow_mut().tracked.push(unit.clone());
             handles.push(unit);
@@ -602,8 +652,7 @@ impl UnitManager {
                             let cands = inner.candidates();
                             inner.pick_from(&cands)
                         };
-                        unit.rec.borrow_mut().pilot = Some(target.id());
-                        target.rec.borrow_mut().assigned_units += 1;
+                        target.bind(&unit);
                         target.id()
                     } else {
                         pilot
@@ -647,8 +696,7 @@ impl UnitManager {
                     .iter()
                     .min_by_key(|p| {
                         let remote = crate::data::remote_bytes(&deps, &p.description().resource);
-                        let done = p.agent().map(|a| a.units_completed()).unwrap_or(0);
-                        (remote, p.assigned_units() - done)
+                        (remote, p.live_units())
                     })
                     .cloned()
                     .expect("pilots nonempty");
@@ -759,8 +807,7 @@ impl UnitManager {
         if state != UnitState::UmScheduling {
             unit.advance(engine, UnitState::UmScheduling);
         }
-        unit.rec.borrow_mut().pilot = Some(target.id());
-        target.rec.borrow_mut().assigned_units += 1;
+        target.bind(&unit);
         {
             let mut inner = self.inner.borrow_mut();
             inner.rebinds += 1;
@@ -1146,11 +1193,45 @@ mod tests {
         for i in [0, 2, 3] {
             assert_eq!(units[i].state(), UnitState::Done, "{}", units[i].name());
         }
-        // LoadBalanced ranks pilots by assigned minus completed. The
-        // cancelled unit stays assigned and never completes, so it counts
-        // as outstanding for good, as a failed unit does.
+        // LoadBalanced ranks pilots by live units. The cancelled unit
+        // never completes, but it is final, so the load returns to 0.
         let done = pilot.agent().unwrap().units_completed();
         assert_eq!((pilot.assigned_units(), done), (4, 3));
+        assert_eq!(pilot.live_units(), 0);
+    }
+
+    #[test]
+    fn load_balanced_stops_counting_cancelled_units() {
+        let mut e = Engine::new(9);
+        let session = Session::new(SessionConfig::test_profile());
+        let pm = PilotManager::new(&session);
+        let pilots: Vec<PilotHandle> = (0..2)
+            .map(|_| {
+                pm.submit(
+                    &mut e,
+                    PilotDescription::new("localhost", 1, SimDuration::from_secs(600)),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
+        um.add_pilot(&pilots[0]);
+        um.add_pilot(&pilots[1]);
+        let first = um.submit_units(
+            &mut e,
+            (0..3).map(|i| sleep_unit(&format!("u{i}"), 30)).collect(),
+        );
+        let on_p0: Vec<&UnitHandle> = first
+            .iter()
+            .filter(|u| u.pilot() == Some(pilots[0].id()))
+            .collect();
+        assert_eq!(on_p0.len(), 2);
+        for u in on_p0 {
+            um.cancel_unit(&mut e, u);
+        }
+        assert_eq!((pilots[0].live_units(), pilots[1].live_units()), (0, 1));
+        let next = um.submit_units(&mut e, vec![sleep_unit("next", 30)]);
+        assert_eq!(next[0].pilot(), Some(pilots[0].id()));
     }
 
     #[test]
@@ -1647,5 +1728,66 @@ mod tests {
         pm.cancel(&mut e, &p2);
         e.run_until(SimTime::from_secs_f64(20.0));
         assert_eq!(p2.state(), PilotState::Canceled);
+    }
+
+    /// Short pilot (90 s) and long pilot, leases armed, and three units
+    /// too long for the short pilot, which its scheduler hands back
+    /// through the store's client for re-binding.
+    fn drain_session(seed: u64) -> (Engine, Session, UnitManager, PilotHandle, Vec<UnitHandle>) {
+        let mut e = Engine::new(seed);
+        let session = Session::new(SessionConfig::test_profile());
+        let pm = PilotManager::new(&session);
+        let short = pm
+            .submit(
+                &mut e,
+                PilotDescription::new("localhost", 2, SimDuration::from_secs(90)),
+            )
+            .unwrap();
+        let long = pm
+            .submit(
+                &mut e,
+                PilotDescription::new("localhost", 2, SimDuration::from_secs(7200)),
+            )
+            .unwrap();
+        let mut um = UnitManager::new(&session, UmScheduler::Direct);
+        um.add_pilot(&short);
+        um.add_pilot(&long);
+        arm_leases(&um, &mut e);
+        let units = um.submit_units(
+            &mut e,
+            (0..3).map(|i| sleep_unit(&format!("u{i}"), 300)).collect(),
+        );
+        (e, session, um, long, units)
+    }
+
+    #[test]
+    fn finished_lease_session_frees_its_units() {
+        let (mut e, session, um, long, units) = drain_session(27);
+        while units.iter().any(|u| !u.state().is_final()) {
+            assert!(e.step(), "stalled with live units");
+        }
+        assert!(um.rebinds() >= 3, "the units went through the client");
+        // Tear down as a finished run does: cancel what is still up.
+        PilotManager::new(&session).cancel(&mut e, &long);
+        e.run();
+        let recs: Vec<_> = units.iter().map(|u| Rc::downgrade(&u.rec)).collect();
+        drop((e, session, um, long, units));
+        assert!(
+            recs.iter().all(|r| r.upgrade().is_none()),
+            "a finished lease session keeps its units alive"
+        );
+    }
+
+    #[test]
+    fn units_returned_after_the_caller_drops_its_um_are_still_rebound() {
+        let (mut e, _session, um, long, units) = drain_session(28);
+        drop(um);
+        while units.iter().any(|u| !u.state().is_final()) {
+            assert!(e.step(), "stalled with live units");
+        }
+        assert!(units.iter().all(|u| u.state() == UnitState::Done));
+        assert!(units
+            .iter()
+            .all(|u| u.pilot() == Some(long.id()) && u.rebinds() == 1));
     }
 }

@@ -53,11 +53,18 @@ where
             for (k, v) in split {
                 mapper.map(k, v, &mut emitter);
             }
+            // Group by key first, so the partitioner hashes each distinct
+            // key once rather than once per pair. Each key's values keep
+            // their emit order.
+            let mut grouped: BTreeMap<KO, Vec<VO>> = BTreeMap::new();
+            for (k, v) in emitter.into_pairs() {
+                grouped.entry(k).or_default().push(v);
+            }
             let mut buckets: Vec<BTreeMap<KO, Vec<VO>>> =
                 (0..num_reducers).map(|_| BTreeMap::new()).collect();
-            for (k, v) in emitter.into_pairs() {
+            for (k, vs) in grouped {
                 let p = partition_of(&k, num_reducers);
-                buckets[p].entry(k).or_default().push(v);
+                buckets[p].insert(k, vs);
             }
             if let Some(c) = combiner {
                 for (k, vs) in buckets.iter_mut().flat_map(|b| b.iter_mut()) {

@@ -4,6 +4,7 @@
 //! the analytics kernels. Work is pulled from a shared index counter so
 //! uneven partitions balance dynamically.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -83,17 +84,27 @@ where
 /// Split `items` into `parts` contiguous chunks of near-equal size.
 /// Produces exactly `parts` chunks (possibly empty when items < parts).
 pub fn split_even<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    assert!(parts >= 1);
-    let n = items.len();
-    let base = n / parts;
-    let rem = n % parts;
-    let mut out = Vec::with_capacity(parts);
     let mut it = items.into_iter();
-    for p in 0..parts {
-        let take = base + usize::from(p < rem);
-        out.push(it.by_ref().take(take).collect());
-    }
-    out
+    even_ranges(it.len(), parts)
+        .into_iter()
+        .map(|r| it.by_ref().take(r.len()).collect())
+        .collect()
+}
+
+/// The index ranges [`split_even`] cuts `0..n` into: `parts` contiguous
+/// ranges, the first `n % parts` of them one longer than the rest.
+pub fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    assert!(parts >= 1);
+    let (base, rem) = (n / parts, n % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|p| {
+            let end = start + base + usize::from(p < rem);
+            let r = start..end;
+            start = end;
+            r
+        })
+        .collect()
 }
 
 #[cfg(test)]

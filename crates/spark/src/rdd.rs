@@ -9,25 +9,85 @@
 //! results the way Spark's storage layer retains RDDs in executor memory.
 //!
 //! Evaluation is push-based. A partition is evaluated by handing its
-//! lineage a sink, and each element flows through every narrow stage
-//! (`map`, `filter`, `flat_map`) into the action or the shuffle's map side
-//! without an intermediate `Vec`, as Spark pipelines the narrow stages of
-//! one stage. Only `map_partitions`, `cache` and the shuffle materialise.
+//! lineage a sink, and elements flow through every narrow stage (`map`,
+//! `filter`, `flat_map`) into the action or the shuffle's map side, as
+//! Spark pipelines the narrow stages of one stage. They move in batches of
+//! up to `BATCH` elements: a stage crosses its `dyn` boundary once per
+//! batch, and runs its closure on each element of the batch in a direct,
+//! inlinable loop. Only `map_partitions`, `cache` and the shuffle
+//! materialise a whole partition.
 //! The shuffle combines map-side into one `HashMap` per input partition and
 //! merges those in partition order, so each key's values fold in the same
 //! order on every run.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-use rp_sim::par::{default_threads, parallel_map_indexed, split_even};
+use rp_sim::par::{default_threads, even_ranges, parallel_map_indexed};
+
+/// Elements a stage hands downstream at a time.
+const BATCH: usize = 256;
+
+/// A downstream stage: takes a batch of elements, in order. What it leaves
+/// in the `Vec` is dropped.
+type Sink<'a, T> = dyn FnMut(&mut Vec<T>) + 'a;
 
 /// Partition evaluator: the lineage graph behind an [`Rdd`].
 trait RddNode<T>: Send + Sync {
     fn num_partitions(&self) -> usize;
-    /// Push every element of partition `part`, in order, into `sink`.
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T));
+    /// Push every element of partition `part`, in order and in batches,
+    /// into `sink`.
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, T>);
+    /// Partition `part`, if this node already holds it in memory. `cache()`
+    /// keeps this shared partition instead of materialising a copy.
+    fn stored(&self, _part: usize) -> Option<Stored<T>> {
+        None
+    }
+}
+
+/// One partition held in memory: a range of a shared buffer. Cloning it
+/// clones the `Arc`, not the elements.
+#[derive(Clone)]
+struct Stored<T> {
+    data: Arc<Vec<T>>,
+    range: Range<usize>,
+}
+
+/// Push clones of `items`, in order, as batches of up to [`BATCH`].
+fn push_cloned<T: Clone>(items: &[T], sink: &mut Sink<'_, T>) {
+    let mut batch = Vec::with_capacity(BATCH.min(items.len()));
+    for chunk in items.chunks(BATCH) {
+        batch.extend_from_slice(chunk);
+        sink(&mut batch);
+        batch.clear();
+    }
+}
+
+/// Feed every element of partition `part` to `f`, in order.
+fn for_each<T>(node: &dyn RddNode<T>, part: usize, mut f: impl FnMut(T)) {
+    node.for_each_batch(part, &mut |batch| batch.drain(..).for_each(&mut f));
+}
+
+/// Materialise one partition.
+fn collect_part<T>(node: &dyn RddNode<T>, part: usize) -> Vec<T> {
+    let mut out = Vec::new();
+    node.for_each_batch(part, &mut |batch| out.append(batch));
+    out
+}
+
+impl<T> Stored<T> {
+    fn whole(data: Vec<T>) -> Stored<T> {
+        Stored {
+            range: 0..data.len(),
+            data: Arc::new(data),
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.data[self.range.clone()]
+    }
 }
 
 /// A typed, lazy, partitioned dataset.
@@ -60,44 +120,79 @@ impl SparkContext {
         data: Vec<T>,
         partitions: usize,
     ) -> Rdd<T> {
-        assert!(partitions >= 1);
+        self.parallelize_shared(Arc::new(data), partitions)
+    }
+
+    /// Distribute a shared collection without copying it: each of the
+    /// `partitions` slices is a contiguous range of `data`, cut as
+    /// [`split_even`](rp_sim::par::split_even) cuts a `Vec`. The caller
+    /// may keep reading `data` alongside the RDD.
+    pub fn parallelize_shared<T: Clone + Send + Sync + 'static>(
+        &self,
+        data: Arc<Vec<T>>,
+        partitions: usize,
+    ) -> Rdd<T> {
+        let parts = even_ranges(data.len(), partitions)
+            .into_iter()
+            .map(|range| Stored {
+                data: data.clone(),
+                range,
+            })
+            .collect();
         Rdd {
-            node: Arc::new(Parallelize {
-                parts: split_even(data, partitions),
-            }),
+            node: Arc::new(Parallelize { parts }),
         }
     }
 }
 
 struct Parallelize<T> {
-    parts: Vec<Vec<T>>,
+    parts: Vec<Stored<T>>,
 }
 
 impl<T: Clone + Send + Sync> RddNode<T> for Parallelize<T> {
     fn num_partitions(&self) -> usize {
         self.parts.len()
     }
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T)) {
-        self.parts[part].iter().cloned().for_each(sink);
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, T>) {
+        push_cloned(self.parts[part].as_slice(), sink);
+    }
+    fn stored(&self, part: usize) -> Option<Stored<T>> {
+        Some(self.parts[part].clone())
     }
 }
 
-/// A per-element narrow stage: pushes zero or more outputs per input.
-type PipeFn<T, U> = dyn Fn(T, &mut dyn FnMut(U)) + Send + Sync;
-
-/// `map`, `filter` and `flat_map`: one element in, its outputs straight
-/// into the downstream sink.
-struct Pipe<T, U> {
+/// `map`, `filter` and `flat_map`: one element in, its outputs pushed to
+/// the downstream sink. The stage's closure `F` is a type parameter, so the
+/// loop over a batch calls it directly.
+struct Pipe<T, F> {
     parent: Arc<dyn RddNode<T>>,
-    f: Arc<PipeFn<T, U>>,
+    f: F,
 }
 
-impl<T: Send + Sync, U: Send + Sync> RddNode<U> for Pipe<T, U> {
+impl<T, U, F> RddNode<U> for Pipe<T, F>
+where
+    T: Send + Sync,
+    U: Send + Sync,
+    F: Fn(T, &mut dyn FnMut(U)) + Send + Sync,
+{
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut(U)) {
-        self.parent.for_each(part, &mut |x| (self.f)(x, &mut *sink));
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, U>) {
+        let mut out = Vec::with_capacity(BATCH);
+        self.parent.for_each_batch(part, &mut |batch| {
+            for x in batch.drain(..) {
+                (self.f)(x, &mut |u| out.push(u));
+                // `flat_map` may emit many outputs for one input.
+                if out.len() >= BATCH {
+                    sink(&mut out);
+                    out.clear();
+                }
+            }
+        });
+        if !out.is_empty() {
+            sink(&mut out);
+        }
     }
 }
 
@@ -110,26 +205,18 @@ impl<T: Send + Sync, U: Send + Sync> RddNode<U> for MapPartitions<T, U> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut(U)) {
-        (self.f)(collect_part(&*self.parent, part))
-            .into_iter()
-            .for_each(sink);
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, U>) {
+        sink(&mut (self.f)(collect_part(&*self.parent, part)));
     }
-}
-
-/// Materialise one partition.
-fn collect_part<T>(node: &dyn RddNode<T>, part: usize) -> Vec<T> {
-    let mut out = Vec::new();
-    node.for_each(part, &mut |x| out.push(x));
-    out
 }
 
 /// Wide dependency: combine parent output by key, then hash-partition the
 /// merged keys. The shuffle (all parent partitions) materialises once, on
-/// first access, like Spark's shuffle files.
-struct ShuffleReduce<K, V> {
+/// first access, like Spark's shuffle files. The reducer `F` is a type
+/// parameter, so the map-side combine calls it directly.
+struct ShuffleReduce<K, V, F> {
     parent: Arc<dyn RddNode<(K, V)>>,
-    reducer: Arc<dyn Fn(V, V) -> V + Send + Sync>,
+    reducer: F,
     num_out: usize,
     buckets: OnceLock<Vec<Vec<(K, V)>>>,
 }
@@ -147,16 +234,75 @@ fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
     clippy::disallowed_types,
     reason = "hash-combining is the shuffle's hot path; no output depends on its order"
 )]
-type Combiner<K, V> = std::collections::HashMap<K, Option<V>>;
+type Combiner<K, V> = std::collections::HashMap<K, Option<V>, BuildHasherDefault<MulHasher>>;
+
+/// The combiner's hasher: one rotate, xor and multiply per word (the
+/// scheme of rustc's `FxHasher`). It is deterministic and far cheaper
+/// than std's SipHash on the small keys a shuffle carries, and it is not
+/// DoS-resistant, which an in-process combiner does not need. Only the
+/// combiner uses it: `bucket_of` decides partition contents and keeps
+/// SipHash.
+#[derive(Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Fold `v` into `k`'s accumulator: one probe when `k` is already present.
 /// Values sit in an `Option` only so the reducer can take the accumulator
 /// by value; every stored slot is `Some`.
+#[inline]
 fn combine_into<K: Hash + Eq, V>(
     acc: &mut Combiner<K, V>,
     k: K,
     v: V,
-    reducer: &dyn Fn(V, V) -> V,
+    reducer: &impl Fn(V, V) -> V,
 ) {
     match acc.get_mut(&k) {
         Some(slot) => *slot = slot.take().map(|prev| reducer(prev, v)),
@@ -166,10 +312,11 @@ fn combine_into<K: Hash + Eq, V>(
     }
 }
 
-impl<K, V> ShuffleReduce<K, V>
+impl<K, V, F> ShuffleReduce<K, V, F>
 where
     K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
+    F: Fn(V, V) -> V + Send + Sync,
 {
     fn materialise(&self) -> &Vec<Vec<(K, V)>> {
         self.buckets.get_or_init(|| {
@@ -179,8 +326,8 @@ where
             // map, folding each key's values in arrival order.
             let per_part: Vec<Combiner<K, V>> = parallel_map_indexed(n_in, threads, |p| {
                 let mut combined = Combiner::default();
-                self.parent.for_each(p, &mut |(k, v)| {
-                    combine_into(&mut combined, k, v, &*self.reducer)
+                for_each(&*self.parent, p, |(k, v)| {
+                    combine_into(&mut combined, k, v, &self.reducer)
                 });
                 combined
             });
@@ -195,7 +342,7 @@ where
                 )]
                 for (k, v) in part {
                     if let Some(v) = v {
-                        combine_into(&mut merged, k, v, &*self.reducer);
+                        combine_into(&mut merged, k, v, &self.reducer);
                     }
                 }
             }
@@ -219,38 +366,48 @@ where
     }
 }
 
-impl<K, V> RddNode<(K, V)> for ShuffleReduce<K, V>
+impl<K, V, F> RddNode<(K, V)> for ShuffleReduce<K, V, F>
 where
     K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
+    F: Fn(V, V) -> V + Send + Sync,
 {
     fn num_partitions(&self) -> usize {
         self.num_out
     }
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut((K, V))) {
-        self.materialise()[part].iter().cloned().for_each(sink);
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, (K, V)>) {
+        push_cloned(&self.materialise()[part], sink);
     }
 }
 
 /// Memoising layer: partition results computed once, retained in memory.
+/// A partition the parent already holds in memory is shared, not copied.
 struct CacheNode<T> {
     parent: Arc<dyn RddNode<T>>,
-    slots: Vec<Mutex<Option<Arc<Vec<T>>>>>,
+    slots: Vec<OnceLock<Stored<T>>>,
+}
+
+impl<T: Clone + Send + Sync> CacheNode<T> {
+    /// The memoised partition; the first caller computes it, and
+    /// concurrent callers wait for that one computation.
+    fn slot(&self, part: usize) -> &Stored<T> {
+        self.slots[part].get_or_init(|| {
+            self.parent
+                .stored(part)
+                .unwrap_or_else(|| Stored::whole(collect_part(&*self.parent, part)))
+        })
+    }
 }
 
 impl<T: Clone + Send + Sync> RddNode<T> for CacheNode<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn for_each(&self, part: usize, sink: &mut dyn FnMut(T)) {
-        // Compute under the slot lock (each partition is computed once),
-        // but push with it released.
-        let data = {
-            let mut slot = self.slots[part].lock().expect("cache poisoned");
-            slot.get_or_insert_with(|| Arc::new(collect_part(&*self.parent, part)))
-                .clone()
-        };
-        data.iter().cloned().for_each(sink);
+    fn for_each_batch(&self, part: usize, sink: &mut Sink<'_, T>) {
+        push_cloned(self.slot(part).as_slice(), sink);
+    }
+    fn stored(&self, part: usize) -> Option<Stored<T>> {
+        Some(self.slot(part).clone())
     }
 }
 
@@ -262,10 +419,10 @@ impl<T: Send + Sync> RddNode<T> for UnionNode<T> {
     fn num_partitions(&self) -> usize {
         self.parents.iter().map(|p| p.num_partitions()).sum()
     }
-    fn for_each(&self, mut part: usize, sink: &mut dyn FnMut(T)) {
+    fn for_each_batch(&self, mut part: usize, sink: &mut Sink<'_, T>) {
         for p in &self.parents {
             if part < p.num_partitions() {
-                return p.for_each(part, sink);
+                return p.for_each_batch(part, sink);
             }
             part -= p.num_partitions();
         }
@@ -299,7 +456,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         Rdd {
             node: Arc::new(Pipe {
                 parent: self.node.clone(),
-                f: Arc::new(f),
+                f,
             }),
         }
     }
@@ -341,7 +498,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         Rdd {
             node: Arc::new(CacheNode {
                 parent: self.node.clone(),
-                slots: (0..n).map(|_| Mutex::new(None)).collect(),
+                slots: (0..n).map(|_| OnceLock::new()).collect(),
             }),
         }
     }
@@ -359,7 +516,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         let n = self.node.num_partitions();
         parallel_map_indexed(n, default_threads(n), |p| {
             let mut c = 0;
-            self.node.for_each(p, &mut |_| c += 1);
+            for_each(&*self.node, p, |_| c += 1);
             c
         })
         .into_iter()
@@ -372,7 +529,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         let n = self.node.num_partitions();
         let partials: Vec<Option<T>> = parallel_map_indexed(n, default_threads(n), |p| {
             let mut acc = None;
-            self.node.for_each(p, &mut |x| {
+            for_each(&*self.node, p, |x| {
                 acc = Some(match acc.take() {
                     Some(a) => f(a, x),
                     None => x,
@@ -396,8 +553,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         // value; it is `Some` between elements.
         let partials: Vec<Option<A>> = parallel_map_indexed(n, default_threads(n), |p| {
             let mut acc = Some(zero.clone());
-            self.node
-                .for_each(p, &mut |x| acc = acc.take().map(|a| f(a, x)));
+            for_each(&*self.node, p, |x| acc = acc.take().map(|a| f(a, x)));
             acc
         });
         partials.into_iter().flatten().fold(zero, combine)
@@ -420,7 +576,7 @@ where
         Rdd {
             node: Arc::new(ShuffleReduce {
                 parent: self.node.clone(),
-                reducer: Arc::new(f),
+                reducer: f,
                 num_out,
                 buckets: OnceLock::new(),
             }),
