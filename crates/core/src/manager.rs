@@ -7,7 +7,7 @@
 //! queues their documents in the coordination store (U.1–U.2).
 
 use std::cell::{Cell, RefCell};
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 use rp_hpc::JobState;
 use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, Trace};
@@ -15,7 +15,7 @@ use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, Trace};
 use crate::agent::Agent;
 use crate::coordination::Revoked;
 use crate::description::{AccessMode, ComputeUnitDescription, PilotDescription};
-use crate::session::{PilotError, Session, WeakSession};
+use crate::session::{PilotError, Session};
 use crate::states::{Guarded, PilotState};
 use crate::unit::{when_all_done, PilotId, UnitHandle};
 
@@ -449,21 +449,6 @@ pub struct UnitManager {
     inner: Rc<RefCell<UmInner>>,
 }
 
-/// A [`UnitManager`] reference that does not keep it alive.
-struct WeakUnitManager {
-    session: WeakSession,
-    inner: Weak<RefCell<UmInner>>,
-}
-
-impl WeakUnitManager {
-    fn upgrade(&self) -> Option<UnitManager> {
-        Some(UnitManager {
-            session: self.session.upgrade()?,
-            inner: self.inner.upgrade()?,
-        })
-    }
-}
-
 impl UnitManager {
     pub fn new(session: &Session, scheduler: UmScheduler) -> UnitManager {
         UnitManager {
@@ -479,13 +464,6 @@ impl UnitManager {
                 bound_at: std::collections::BTreeMap::new(),
                 rebinds: 0,
             })),
-        }
-    }
-
-    fn downgrade(&self) -> WeakUnitManager {
-        WeakUnitManager {
-            session: self.session.downgrade(),
-            inner: Rc::downgrade(&self.inner),
         }
     }
 
@@ -532,19 +510,11 @@ impl UnitManager {
             }
             inner.lease_grace = Some(grace);
         }
-        // The store lives in this UM's own session, so the client holds
-        // the UM weakly: a strong handle would be a cycle that keeps every
-        // finished session and its units alive. Dropping the caller's
-        // handle early loses nothing: while a tracked unit is live, the
-        // armed monitor tick holds the UM (`ensure_monitor`), and a unit
-        // returned once none is live is final, so `rebind` drops it anyway.
-        let this = self.downgrade();
+        let this = self.clone();
         self.session
             .store()
             .enable_leases(duration, move |eng, pilot, units, cause| {
-                if let Some(um) = this.upgrade() {
-                    um.on_units_returned(eng, pilot, units, cause);
-                }
+                this.on_units_returned(eng, pilot, units, cause);
             });
         let pilots = self.inner.borrow().pilots.clone();
         for p in &pilots {
@@ -1728,66 +1698,5 @@ mod tests {
         pm.cancel(&mut e, &p2);
         e.run_until(SimTime::from_secs_f64(20.0));
         assert_eq!(p2.state(), PilotState::Canceled);
-    }
-
-    /// Short pilot (90 s) and long pilot, leases armed, and three units
-    /// too long for the short pilot, which its scheduler hands back
-    /// through the store's client for re-binding.
-    fn drain_session(seed: u64) -> (Engine, Session, UnitManager, PilotHandle, Vec<UnitHandle>) {
-        let mut e = Engine::new(seed);
-        let session = Session::new(SessionConfig::test_profile());
-        let pm = PilotManager::new(&session);
-        let short = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 2, SimDuration::from_secs(90)),
-            )
-            .unwrap();
-        let long = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 2, SimDuration::from_secs(7200)),
-            )
-            .unwrap();
-        let mut um = UnitManager::new(&session, UmScheduler::Direct);
-        um.add_pilot(&short);
-        um.add_pilot(&long);
-        arm_leases(&um, &mut e);
-        let units = um.submit_units(
-            &mut e,
-            (0..3).map(|i| sleep_unit(&format!("u{i}"), 300)).collect(),
-        );
-        (e, session, um, long, units)
-    }
-
-    #[test]
-    fn finished_lease_session_frees_its_units() {
-        let (mut e, session, um, long, units) = drain_session(27);
-        while units.iter().any(|u| !u.state().is_final()) {
-            assert!(e.step(), "stalled with live units");
-        }
-        assert!(um.rebinds() >= 3, "the units went through the client");
-        // Tear down as a finished run does: cancel what is still up.
-        PilotManager::new(&session).cancel(&mut e, &long);
-        e.run();
-        let recs: Vec<_> = units.iter().map(|u| Rc::downgrade(&u.rec)).collect();
-        drop((e, session, um, long, units));
-        assert!(
-            recs.iter().all(|r| r.upgrade().is_none()),
-            "a finished lease session keeps its units alive"
-        );
-    }
-
-    #[test]
-    fn units_returned_after_the_caller_drops_its_um_are_still_rebound() {
-        let (mut e, _session, um, long, units) = drain_session(28);
-        drop(um);
-        while units.iter().any(|u| !u.state().is_final()) {
-            assert!(e.step(), "stalled with live units");
-        }
-        assert!(units.iter().all(|u| u.state() == UnitState::Done));
-        assert!(units
-            .iter()
-            .all(|u| u.pilot() == Some(long.id()) && u.rebinds() == 1));
     }
 }

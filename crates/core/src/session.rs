@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 use rp_hdfs::HdfsConfig;
 use rp_hpc::{BatchSystem, Cluster, MachineSpec};
@@ -112,15 +112,6 @@ pub struct Session {
     inner: Rc<RefCell<SessionInner>>,
 }
 
-/// A session reference that does not keep the session alive.
-pub(crate) struct WeakSession(Weak<RefCell<SessionInner>>);
-
-impl WeakSession {
-    pub(crate) fn upgrade(&self) -> Option<Session> {
-        self.0.upgrade().map(|inner| Session { inner })
-    }
-}
-
 /// Errors from Pilot-layer operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PilotError {
@@ -156,10 +147,6 @@ impl Session {
                 next_unit: 0,
             })),
         }
-    }
-
-    pub(crate) fn downgrade(&self) -> WeakSession {
-        WeakSession(Rc::downgrade(&self.inner))
     }
 
     pub fn store(&self) -> CoordinationStore {

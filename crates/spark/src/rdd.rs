@@ -269,18 +269,6 @@ impl Hasher for MulHasher {
         }
     }
     #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }
