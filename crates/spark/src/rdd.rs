@@ -236,12 +236,12 @@ fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
 )]
 type Combiner<K, V> = std::collections::HashMap<K, Option<V>, BuildHasherDefault<MulHasher>>;
 
-/// The combiner's hasher: one rotate, xor and multiply per word (the
-/// scheme of rustc's `FxHasher`). It is deterministic and far cheaper
-/// than std's SipHash on the small keys a shuffle carries, and it is not
-/// DoS-resistant, which an in-process combiner does not need. Only the
-/// combiner uses it: `bucket_of` decides partition contents and keeps
-/// SipHash.
+/// The combiner's hasher: one rotate, xor and multiply per integer, or
+/// per byte of other keys (the scheme of rustc's `FxHasher`). It is
+/// deterministic and far cheaper than std's SipHash on the small keys a
+/// shuffle carries. It is not DoS-resistant, which an in-process combiner
+/// does not need. Only the combiner uses it: `bucket_of` decides
+/// partition contents and keeps SipHash.
 #[derive(Default, Clone, Copy)]
 struct MulHasher(u64);
 
@@ -257,15 +257,8 @@ impl MulHasher {
 impl Hasher for MulHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(last));
+        for &b in bytes {
+            self.add(u64::from(b));
         }
     }
     #[inline]
@@ -753,6 +746,36 @@ mod tests {
         assert_eq!(by_mod.values().sum::<u64>(), (0..100).sum());
         assert_eq!(by_div.len(), 10);
         assert!(by_div.values().all(|&n| n == 10));
+    }
+
+    #[test]
+    fn parallelize_cuts_partitions_as_split_even_does() {
+        let sc = ctx();
+        for n in 0..20usize {
+            for parts in 1..6 {
+                let data: Vec<usize> = (0..n).collect();
+                let got = sc
+                    .parallelize(data.clone(), parts)
+                    .map_partitions(|p| vec![p])
+                    .collect();
+                assert_eq!(
+                    got,
+                    rp_sim::par::split_even(data, parts),
+                    "n {n} parts {parts}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_parallelize_shares_its_buffer() {
+        let sc = ctx();
+        let data = Arc::new((0..100u64).collect::<Vec<_>>());
+        let rdd = sc.parallelize_shared(data.clone(), 4).cache();
+        assert_eq!(rdd.collect(), *data);
+        // One reference here, one per partition of the parallelize and one
+        // per cached partition: the cache holds no copy of its own.
+        assert_eq!(Arc::strong_count(&data), 1 + 4 + 4);
     }
 
     #[test]
