@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use rp_mapreduce::{run_local, Emitter, Mapper, Reducer};
-use rp_sim::par::{default_threads, even_ranges, parallel_map};
+use rp_sim::par::{default_threads, even_ranges, parallel_map, parallel_map_mut};
 use rp_spark::SparkContext;
 
 use crate::dataset::Point3;
@@ -23,49 +23,85 @@ pub fn dist2(a: &Point3, b: &Point3) -> f64 {
     (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)
 }
 
-/// Independent running minima in [`nearest`].
+/// Independent running minima in [`scan`].
 const LANES: usize = 4;
 
 /// Index of the nearest centroid: the lowest index among those at the
 /// minimum distance, and 0 when no distance is below infinity (an empty
 /// slice, or only infinite or NaN distances).
+#[inline]
+pub fn nearest(p: &Point3, centroids: &[Point3]) -> usize {
+    scan::<false>(p, centroids).0
+}
+
+/// [`nearest`]'s index, its squared distance (infinite when no distance is
+/// below infinity), and (when `RUNNER_UP`) the runner-up: the smallest
+/// squared distance over every other index, so a duplicate of the winning
+/// centroid makes it equal to the best. NaN distances never count, and no
+/// other index leaves it infinite.
 ///
 /// Centroid `i` goes to lane `i % LANES`, and each lane keeps its own
 /// minimum, so the compares do not form one serial chain. A lane keeps the
 /// first index that reaches its minimum, and the merge breaks equal
 /// distances by the lower index. The result is the one a single
 /// `if d < best` scan from index 0 returns.
-#[inline]
-pub fn nearest(p: &Point3, centroids: &[Point3]) -> usize {
+#[inline(always)]
+fn scan<const RUNNER_UP: bool>(p: &Point3, centroids: &[Point3]) -> (usize, f64, f64) {
+    // `u32` indices keep the runner-up scan's selects in registers: on a
+    // 2-vCPU x86-64 VM at k = 32 it costs ~1.15x `nearest`, ~1.5x with
+    // `usize` indices.
+    assert!(
+        u32::try_from(centroids.len()).is_ok(),
+        "more than u32::MAX centroids"
+    );
     let mut best_d = [f64::INFINITY; LANES];
-    let mut best_i = [0usize; LANES];
-    let blocks = centroids.chunks_exact(LANES);
-    let tail = blocks.remainder();
-    for (b, block) in blocks.enumerate() {
-        for lane in 0..LANES {
-            let d = dist2(p, &block[lane]);
-            let lt = d < best_d[lane];
-            best_d[lane] = if lt { d } else { best_d[lane] };
-            best_i[lane] = if lt { b * LANES + lane } else { best_i[lane] };
+    let mut best_i = [0u32; LANES];
+    // Each lane's smallest distance other than its own minimum's.
+    let mut next_d = [f64::INFINITY; LANES];
+    let mut visit = |lane: usize, i: usize, d: f64| {
+        let i = i as u32;
+        let lt = d < best_d[lane];
+        if RUNNER_UP {
+            // min(next, max(best, d)) as compare-selects: NaN never wins.
+            let loser = if best_d[lane] > d { best_d[lane] } else { d };
+            next_d[lane] = if loser < next_d[lane] {
+                loser
+            } else {
+                next_d[lane]
+            };
+        }
+        best_d[lane] = if lt { d } else { best_d[lane] };
+        best_i[lane] = if lt { i } else { best_i[lane] };
+    };
+    let (blocks, tail) = centroids.as_chunks::<LANES>();
+    for (b, block) in blocks.iter().enumerate() {
+        for (lane, c) in block.iter().enumerate() {
+            visit(lane, b * LANES + lane, dist2(p, c));
         }
     }
     let base = centroids.len() - tail.len();
     for (lane, c) in tail.iter().enumerate() {
-        let d = dist2(p, c);
-        if d < best_d[lane] {
-            best_d[lane] = d;
-            best_i[lane] = base + lane;
-        }
+        visit(lane, base + lane, dist2(p, c));
     }
-    let (mut best, mut min) = (best_i[0], best_d[0]);
+    let (mut win, mut best, mut min) = (0, best_i[0], best_d[0]);
     for lane in 1..LANES {
         let (d, i) = (best_d[lane], best_i[lane]);
         if d < min || (d == min && i < best) {
-            best = i;
-            min = d;
+            (win, best, min) = (lane, i, d);
         }
     }
-    best
+    let mut runner_up = f64::INFINITY;
+    if RUNNER_UP {
+        for lane in 0..LANES {
+            let d = if lane == win {
+                next_d[lane]
+            } else {
+                best_d[lane]
+            };
+            runner_up = runner_up.min(d);
+        }
+    }
+    (best as usize, min, runner_up)
 }
 
 /// Result of a K-Means run.
@@ -84,29 +120,136 @@ pub fn init_centroids(points: &[Point3], k: usize) -> Vec<Point3> {
     points[..k].to_vec()
 }
 
+/// Relative slack by which every bound update widens its bound, at the
+/// scale of that update's own operands: far above the ≤ ~1e-15 relative
+/// rounding of [`dist2`], `sqrt` and the update, so rounding (even the
+/// cancellation in `lower - shift`) never makes a bound false, and a point
+/// that passes [`Bound::nearest`]'s strict test is strictly nearer its
+/// centroid than any other by the distances [`nearest`] computes.
+const SLACK: f64 = 1e-9;
+
+/// Absolute widening added to every bound update on top of [`SLACK`]. A
+/// squared distance below `f64::MIN_POSITIVE` rounds with an absolute
+/// error (up to a few times 5e-324), which is up to ~4e-162 in the
+/// distance, and a shift below ~1.5e-162 computes as 0; this term covers
+/// both with room to spare, and is far below any distance where it could
+/// cost a rescan.
+const ABS_SLACK: f64 = 1e-150;
+
+/// One point's Hamerly bounds (Hamerly, "Making k-means even faster", SDM
+/// 2010): its centroid, an upper bound on its distance to that centroid,
+/// and a lower bound on its distance to every other one.
+#[derive(Clone, Copy)]
+struct Bound {
+    upper: f64,
+    lower: f64,
+    centroid: u32,
+}
+
+impl Bound {
+    /// Bounds that fail the test, so a point's first pass scans.
+    const UNKNOWN: Bound = Bound {
+        upper: f64::INFINITY,
+        lower: 0.0,
+        centroid: 0,
+    };
+
+    /// `p`'s centroid after the centroids moved by `shifts` (per centroid:
+    /// its own shift, and the largest shift among the others): always
+    /// [`nearest`]'s answer. The bounds widen by the shifts, by [`SLACK`]
+    /// and by [`ABS_SLACK`]; the point keeps its centroid while its upper bound stays
+    /// strictly below its lower bound, and is rescanned otherwise, which
+    /// refreshes both bounds. A tie, a NaN or an infinite bound always
+    /// fails the test.
+    #[inline]
+    fn nearest(&mut self, p: &Point3, centroids: &[Point3], shifts: &[[f64; 2]]) -> usize {
+        let a = self.centroid as usize;
+        let [own, other] = shifts[a];
+        let upper = (self.upper + own) * (1.0 + SLACK) + ABS_SLACK;
+        let lower = self.lower * (1.0 - SLACK) - other * (1.0 + SLACK) - ABS_SLACK;
+        if upper < lower {
+            (self.upper, self.lower) = (upper, lower);
+            return a;
+        }
+        let (c, best, runner_up) = scan::<true>(p, centroids);
+        *self = Bound {
+            upper: best.sqrt() * (1.0 + SLACK) + ABS_SLACK,
+            lower: runner_up.sqrt() * (1.0 - SLACK) - ABS_SLACK,
+            centroid: c as u32,
+        };
+        c
+    }
+}
+
+/// Per centroid, how far it moved from `old` to `new`, and the largest
+/// move among the other centroids. A NaN move counts as infinite.
+fn centroid_shifts(old: &[Point3], new: &[Point3]) -> Vec<[f64; 2]> {
+    let moved: Vec<f64> = old
+        .iter()
+        .zip(new)
+        .map(|(a, b)| {
+            let d = dist2(a, b).sqrt();
+            if d.is_nan() {
+                f64::INFINITY
+            } else {
+                d
+            }
+        })
+        .collect();
+    // The two largest moves, and the index of the largest.
+    let (mut first, mut second, mut arg) = (0.0, 0.0, usize::MAX);
+    for (j, &d) in moved.iter().enumerate() {
+        if d > first {
+            (second, first, arg) = (first, d, j);
+        } else if d > second {
+            second = d;
+        }
+    }
+    moved
+        .iter()
+        .enumerate()
+        .map(|(j, &d)| [d, if j == arg { second } else { first }])
+        .collect()
+}
+
+/// The worker count for `points`, and the length of the chunks [`lloyd`]
+/// and [`cost_of`] cut them into, one chunk per worker.
+fn chunking(points: &[Point3]) -> (usize, usize) {
+    let threads = default_threads(points.len() / 4096 + 1);
+    (threads, points.len().div_ceil(threads).max(1))
+}
+
 /// Native parallel Lloyd iterations (the reference implementation).
+///
+/// Each point keeps distance bounds across the iterations and the final
+/// cost pass, so it is rescanned only when a centroid may have come closer
+/// than its own. The result is bit-identical to a full scan per pass:
+/// every point gets [`nearest`]'s centroid, and each chunk sums its points
+/// in order, as [`cost_of`] does. The bounds take 24 bytes per point, in
+/// one block that is freed at return.
 pub fn lloyd(points: &[Point3], k: usize, iterations: u32) -> KMeansResult {
     let mut centroids = init_centroids(points, k);
-    let threads = default_threads(points.len() / 4096 + 1);
-    let chunks: Vec<&[Point3]> = points
-        .chunks(points.len().div_ceil(threads).max(1))
-        .collect();
+    let (threads, len) = chunking(points);
+    let mut bounds = vec![Bound::UNKNOWN; points.len()];
+    let mut chunks: Vec<(&[Point3], &mut [Bound])> =
+        points.chunks(len).zip(bounds.chunks_mut(len)).collect();
+    let mut shifts = vec![[0.0; 2]; k];
     for _ in 0..iterations {
         // Assignment + partial sums per chunk, in parallel.
-        let partials: Vec<(Vec<[f64; 4]>,)> = parallel_map(&chunks, threads, |chunk| {
+        let partials = parallel_map_mut(&mut chunks, threads, |(chunk, bounds)| {
             let mut acc = vec![[0.0f64; 4]; k];
-            for p in chunk.iter() {
-                let c = nearest(p, &centroids);
+            for (p, b) in chunk.iter().zip(bounds.iter_mut()) {
+                let c = b.nearest(p, &centroids, &shifts);
                 acc[c][0] += p[0];
                 acc[c][1] += p[1];
                 acc[c][2] += p[2];
                 acc[c][3] += 1.0;
             }
-            (acc,)
+            acc
         });
         // Merge and update.
         let mut acc = vec![[0.0f64; 4]; k];
-        for (part,) in partials {
+        for part in partials {
             for (a, b) in acc.iter_mut().zip(part) {
                 a[0] += b[0];
                 a[1] += b[1];
@@ -114,13 +257,23 @@ pub fn lloyd(points: &[Point3], k: usize, iterations: u32) -> KMeansResult {
                 a[3] += b[3];
             }
         }
+        let old = centroids.clone();
         for (c, a) in centroids.iter_mut().zip(&acc) {
             if a[3] > 0.0 {
                 *c = [a[0] / a[3], a[1] / a[3], a[2] / a[3]];
             }
         }
+        shifts = centroid_shifts(&old, &centroids);
     }
-    let cost = cost_of(points, &centroids);
+    let cost = parallel_map_mut(&mut chunks, threads, |(chunk, bounds)| {
+        chunk
+            .iter()
+            .zip(bounds.iter_mut())
+            .map(|(p, b)| dist2(p, &centroids[b.nearest(p, &centroids, &shifts)]))
+            .sum::<f64>()
+    })
+    .into_iter()
+    .sum();
     KMeansResult {
         centroids,
         cost,
@@ -130,10 +283,8 @@ pub fn lloyd(points: &[Point3], k: usize, iterations: u32) -> KMeansResult {
 
 /// Within-cluster sum of squares (parallel).
 pub fn cost_of(points: &[Point3], centroids: &[Point3]) -> f64 {
-    let threads = default_threads(points.len() / 4096 + 1);
-    let chunks: Vec<&[Point3]> = points
-        .chunks(points.len().div_ceil(threads).max(1))
-        .collect();
+    let (threads, len) = chunking(points);
+    let chunks: Vec<&[Point3]> = points.chunks(len).collect();
     parallel_map(&chunks, threads, |chunk| {
         chunk
             .iter()
@@ -314,6 +465,20 @@ mod tests {
         best
     }
 
+    /// The runner-up [`scan`] must report: the smallest distance at any
+    /// index but `scalar_argmin`'s, by the same `<` (so NaN never counts).
+    fn scalar_runner_up(p: &Point3, centroids: &[Point3]) -> f64 {
+        let win = scalar_argmin(p, centroids);
+        let mut best_d = f64::INFINITY;
+        for (i, c) in centroids.iter().enumerate() {
+            let d = dist2(p, c);
+            if i != win && d < best_d {
+                best_d = d;
+            }
+        }
+        best_d
+    }
+
     #[test]
     fn nearest_matches_scalar_argmin() {
         // Small integer coordinates make exact ties common: equidistant
@@ -333,9 +498,14 @@ mod tests {
                 }
                 for _ in 0..32 {
                     let p = grid(&mut rng, 0.5);
+                    let want = scalar_argmin(&p, &cs);
+                    let (i, d, runner_up) = scan::<true>(&p, &cs);
+                    assert_eq!(nearest(&p, &cs), want, "k {k} case {case} p {p:?}");
+                    assert_eq!(i, want, "k {k} case {case} p {p:?}");
+                    assert_eq!(d.to_bits(), dist2(&p, &cs[want]).to_bits());
                     assert_eq!(
-                        nearest(&p, &cs),
-                        scalar_argmin(&p, &cs),
+                        runner_up.to_bits(),
+                        scalar_runner_up(&p, &cs).to_bits(),
                         "k {k} case {case} p {p:?}"
                     );
                 }
@@ -361,13 +531,231 @@ mod tests {
             cs[i] = near;
         }
         assert_eq!(nearest(&origin, &cs), 6);
-        // All duplicates: index 0.
+        // All duplicates: index 0, and a runner-up at the same distance.
         assert_eq!(nearest(&origin, &[near; 7]), 0);
+        assert_eq!(scan::<true>(&origin, &[near; 7]), (0, 1.0, 1.0));
+        // One centroid: no runner-up.
+        assert_eq!(scan::<true>(&origin, &[near]), (0, 1.0, f64::INFINITY));
         // No distance below infinity: index 0, as the serial scan gives.
         assert_eq!(nearest(&origin, &[]), 0);
         let nan = [f64::NAN, 0.0, 0.0];
         assert_eq!(nearest(&nan, &[near; 5]), 0);
         assert_eq!(nearest(&origin, &[[f64::INFINITY, 0.0, 0.0]; 6]), 0);
+        // A NaN centroid is never the runner-up.
+        let (i, _, runner_up) = scan::<true>(&origin, &[near, [f64::NAN; 3], far]);
+        assert_eq!((i, runner_up), (0, dist2(&origin, &far)));
+    }
+
+    /// [`lloyd`] without bounds: a full [`nearest`] scan of every point in
+    /// every pass, over `lloyd`'s chunks and in its summation order.
+    fn brute_lloyd(points: &[Point3], k: usize, iterations: u32) -> KMeansResult {
+        let mut centroids = init_centroids(points, k);
+        let (threads, len) = chunking(points);
+        let chunks: Vec<&[Point3]> = points.chunks(len).collect();
+        for _ in 0..iterations {
+            let partials = parallel_map(&chunks, threads, |chunk| {
+                let mut acc = vec![[0.0f64; 4]; k];
+                for p in chunk.iter() {
+                    let c = nearest(p, &centroids);
+                    acc[c][0] += p[0];
+                    acc[c][1] += p[1];
+                    acc[c][2] += p[2];
+                    acc[c][3] += 1.0;
+                }
+                acc
+            });
+            let mut acc = vec![[0.0f64; 4]; k];
+            for part in partials {
+                for (a, b) in acc.iter_mut().zip(part) {
+                    a[0] += b[0];
+                    a[1] += b[1];
+                    a[2] += b[2];
+                    a[3] += b[3];
+                }
+            }
+            for (c, a) in centroids.iter_mut().zip(&acc) {
+                if a[3] > 0.0 {
+                    *c = [a[0] / a[3], a[1] / a[3], a[2] / a[3]];
+                }
+            }
+        }
+        let cost = cost_of(points, &centroids);
+        KMeansResult {
+            centroids,
+            cost,
+            iterations,
+        }
+    }
+
+    /// `lloyd` and [`brute_lloyd`] agree to the bit, and the brute-force
+    /// result is returned for further checks.
+    fn assert_bit_identical(
+        points: &[Point3],
+        k: usize,
+        iterations: u32,
+        what: &str,
+    ) -> KMeansResult {
+        let (got, want) = (
+            lloyd(points, k, iterations),
+            brute_lloyd(points, k, iterations),
+        );
+        let bits = |cs: &[Point3]| cs.iter().map(|c| c.map(f64::to_bits)).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.centroids),
+            bits(&want.centroids),
+            "{what}: centroids"
+        );
+        assert_eq!(
+            got.cost.to_bits(),
+            want.cost.to_bits(),
+            "{what}: cost {} vs {}",
+            got.cost,
+            want.cost
+        );
+        want
+    }
+
+    const KS: [usize; 8] = [1, 2, 3, 4, 5, 31, 32, 33];
+
+    #[test]
+    fn lloyd_is_bit_identical_to_brute_force_on_blobs() {
+        // Blob centres are ~60–200 apart, so a spread of 100 overlaps
+        // them and points switch clusters from one iteration to the next.
+        for k in KS {
+            for (spread, what) in [(0.5, "separated"), (100.0, "overlapping")] {
+                let pts = gaussian_blobs(4_500, k, spread, 17 + k as u64);
+                for iterations in [0, 5] {
+                    assert_bit_identical(
+                        &pts,
+                        k,
+                        iterations,
+                        &format!("{what} k {k} it {iterations}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lloyd_is_bit_identical_on_ties_duplicates_and_empty_clusters() {
+        // Integer and half-integer grid points: exact ties everywhere, and
+        // the first k points (the initial centroids) repeat grid values.
+        let mut rng = SimRng::new(0x71E5);
+        let mut pts: Vec<Point3> = (0..4_500)
+            .map(|_| [0, 1, 2].map(|_| (rng.uniform_u64(0, 8) as f64 - 4.0) * 0.5))
+            .collect();
+        // Centroid 1 starts as a duplicate of centroid 0, so the first
+        // iteration gives every one of its points to 0 and leaves cluster 1
+        // empty.
+        pts[1] = pts[0];
+        for k in KS.into_iter().filter(|&k| k >= 2) {
+            let first = assert_bit_identical(&pts, k, 1, &format!("grid k {k}"));
+            assert_eq!(first.centroids[1], pts[1], "k {k}: cluster 1 is not empty");
+            assert_bit_identical(&pts, k, 5, &format!("grid k {k}"));
+        }
+    }
+
+    #[test]
+    fn lloyd_is_bit_identical_with_nan_and_infinite_points() {
+        let base = gaussian_blobs(4_500, 8, 2.0, 23);
+        let inf = f64::INFINITY;
+        let cases: [(&str, &[(usize, Point3)]); 4] = [
+            ("nan", &[(3_001, [f64::NAN, 0.0, 0.0])]),
+            ("inf", &[(2, [inf, 0.0, 0.0]), (4_400, [0.0, -inf, 1.0])]),
+            (
+                "+inf and -inf",
+                &[(1_000, [inf, 0.0, 0.0]), (1_001, [-inf, 0.0, 0.0])],
+            ),
+            (
+                "nan centroid",
+                &[(0, [0.0, f64::NAN, 0.0]), (4_499, [inf; 3])],
+            ),
+        ];
+        for (what, odd) in cases {
+            let mut pts = base.clone();
+            for &(i, p) in odd {
+                pts[i] = p;
+            }
+            for k in [1, 3, 8] {
+                assert_bit_identical(&pts, k, 4, &format!("{what} k {k}"));
+            }
+        }
+        // Coordinates near 1e-162: squared distances are subnormal or
+        // underflow, so their rounding error is absolute, and small
+        // centroid moves compute as a zero shift.
+        for (scale, spread) in [(1e-163, 100.0), (3e-164, 2.0)] {
+            let tiny: Vec<Point3> = gaussian_blobs(4_500, 8, spread, 29)
+                .iter()
+                .map(|p| p.map(|x| x * scale))
+                .collect();
+            for k in [2, 3, 8] {
+                assert_bit_identical(&tiny, k, 4, &format!("{scale:e} {spread} k {k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_keep_a_centroid_through_small_shifts_and_rescan_ties() {
+        let cs = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]];
+        let still = [[0.0; 2]; 2];
+        let p = [0.1, 0.0, 0.0];
+        // The first pass scans: centroid 0, bounds 0.1 and 1.9.
+        let mut b = Bound::UNKNOWN;
+        assert_eq!(b.nearest(&p, &cs, &still), 0);
+        // Small shifts keep centroid 0 without a scan: with centroid 1 now
+        // at the point, a scan would answer 1.
+        let small = [[0.01, 0.02], [0.02, 0.01]];
+        let moved = [[0.01, 0.0, 0.0], [0.1, 0.0, 0.0]];
+        assert_eq!(b.nearest(&p, &moved, &small), 0);
+        // A shift of another centroid as large as the gap forces a scan.
+        let large = [[0.0, 1.9], [1.9, 0.0]];
+        assert_eq!(b.nearest(&p, &moved, &large), 1);
+        // A centroid that moves straight at the point leaves its lower
+        // bound tight, and `lower - shift` cancels to ~1e-8 while keeping
+        // a rounding error near 1e-16. Centroid 1 ends ~1e-17 nearer than
+        // centroid 0, so the point must rescan; a slack applied only to
+        // the final test (1e-9 of 1e-8) would keep centroid 0.
+        let (e0, e1) = (
+            f64::from_bits(0x3e43_c044_e73f_6674),
+            f64::from_bits(0x3e43_c044_e6d2_907e),
+        );
+        let old = [[-e0, 0.0, 0.0], [1.0, 0.0, 0.0]];
+        let new = [[-e0, 0.0, 0.0], [e1, 0.0, 0.0]];
+        let origin = [0.0; 3];
+        let mut b = Bound::UNKNOWN;
+        assert_eq!(b.nearest(&origin, &old, &still), 0);
+        assert_eq!(nearest(&origin, &new), 1);
+        assert_eq!(b.nearest(&origin, &new, &centroid_shifts(&old, &new)), 1);
+        // Near 1e-162, both moves below compute as a zero shift, and both
+        // new squared distances round to the same two subnormal ulps: the
+        // point must rescan and take the lower index.
+        let old = [[4.6e-162, 0.0, 0.0], [3.0e-162, 0.0, 0.0]];
+        let new = [[3.5e-162, 0.0, 0.0], [3.3e-162, 0.0, 0.0]];
+        assert_eq!(centroid_shifts(&old, &new), [[0.0; 2]; 2]);
+        assert_eq!(dist2(&origin, &new[0]), dist2(&origin, &new[1]));
+        let mut b = Bound::UNKNOWN;
+        assert_eq!(b.nearest(&origin, &old, &still), 1);
+        assert_eq!(b.nearest(&origin, &new, &centroid_shifts(&old, &new)), 0);
+        // A point on the bisector of two centroids ties: however its
+        // bounds stand, it rescans and goes to the lower index.
+        let on_bisector = [1.0, 0.0, 0.0];
+        for (upper, lower) in [
+            (1.0, 1.0 + 1e-12),
+            (0.0, 0.0),
+            (f64::INFINITY, f64::INFINITY),
+        ] {
+            let mut b = Bound {
+                upper,
+                lower,
+                centroid: 1,
+            };
+            let at = if upper == 0.0 { [on_bisector; 2] } else { cs };
+            assert_eq!(
+                b.nearest(&on_bisector, &at, &still),
+                0,
+                "bounds {upper} {lower}"
+            );
+        }
     }
 
     #[test]

@@ -121,6 +121,12 @@ fn bench_kmeans() {
             kmeans_rdd(mid.clone(), k, 1, 2);
         });
     }
+    // The end-to-end benchmark's k and iteration count: the one shape
+    // where lloyd's distance bounds skip scans (one iteration scans
+    // every point twice, for the update and for the cost).
+    bench("kmeans/native_100k_k32_5iter", || {
+        lloyd(&mid, 32, 5);
+    });
 }
 
 fn bench_rdd() {

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use rp_sim::par::{default_threads, parallel_map_indexed};
+use rp_sim::par::{default_threads, parallel_map_mut};
 
 use crate::api::{partition_of, Combiner, Emitter, Mapper, Reducer};
 
@@ -18,7 +18,7 @@ use crate::api::{partition_of, Combiner, Emitter, Mapper, Reducer};
 ///
 /// Returns one `Vec<RO>` per reduce partition (key-ordered within each).
 pub fn run_local<KI, VI, KO, VO, RO>(
-    splits: Vec<Vec<(KI, VI)>>,
+    mut splits: Vec<Vec<(KI, VI)>>,
     mapper: &dyn Mapper<KI, VI, KO, VO>,
     combiner: Option<&dyn Combiner<KO, VO>>,
     reducer: &dyn Reducer<KO, VO, RO>,
@@ -37,20 +37,10 @@ where
 
     // ---- map phase (parallel over splits) ----
     // Each map task produces per-reducer buckets; combine runs map-side.
-    #[allow(clippy::type_complexity)]
-    let map_outputs: Vec<Vec<BTreeMap<KO, Vec<VO>>>> = {
-        let splits: Vec<std::sync::Mutex<Option<Vec<(KI, VI)>>>> = splits
-            .into_iter()
-            .map(|s| std::sync::Mutex::new(Some(s)))
-            .collect();
-        parallel_map_indexed(n_maps, threads, |i| {
-            let split = splits[i]
-                .lock()
-                .expect("split poisoned")
-                .take()
-                .expect("split taken twice");
+    let map_outputs: Vec<Vec<BTreeMap<KO, Vec<VO>>>> =
+        parallel_map_mut(&mut splits, threads, |split| {
             let mut emitter = Emitter::new();
-            for (k, v) in split {
+            for (k, v) in std::mem::take(split) {
                 mapper.map(k, v, &mut emitter);
             }
             // Group by key first, so the partitioner hashes each distinct
@@ -73,8 +63,7 @@ where
                 }
             }
             buckets
-        })
-    };
+        });
 
     // ---- shuffle: transpose map outputs into per-reducer groups ----
     let mut per_reducer: Vec<BTreeMap<KO, Vec<VO>>> =
@@ -89,19 +78,9 @@ where
     }
 
     // ---- reduce phase (parallel over partitions) ----
-    #[allow(clippy::type_complexity)]
-    let slots: Vec<std::sync::Mutex<Option<BTreeMap<KO, Vec<VO>>>>> = per_reducer
-        .into_iter()
-        .map(|g| std::sync::Mutex::new(Some(g)))
-        .collect();
-    parallel_map_indexed(num_reducers, threads, |r| {
-        let grouped = slots[r]
-            .lock()
-            .expect("partition poisoned")
-            .take()
-            .expect("partition taken twice");
+    parallel_map_mut(&mut per_reducer, threads, |grouped| {
         let mut out = Vec::new();
-        for (k, vs) in grouped {
+        for (k, vs) in std::mem::take(grouped) {
             reducer.reduce(k, vs, &mut out);
         }
         out

@@ -71,6 +71,25 @@ where
         .collect()
 }
 
+/// Apply `f` to every item of `items` on `threads` workers, each with
+/// `&mut` access to the one item it claimed; results are returned in item
+/// order.
+///
+/// Runs on [`parallel_map_indexed`]: every index is claimed once, so each
+/// item's lock is uncontended. For item-state kernels and owned inputs:
+/// `std::mem::take` moves an item out.
+pub fn parallel_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    parallel_map_indexed(cells.len(), threads, |i| {
+        f(&mut cells[i].lock().expect("item poisoned"))
+    })
+}
+
 /// Parallel map over a slice (by reference), preserving order.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -116,6 +135,29 @@ mod tests {
         let xs: Vec<u64> = (0..1000).collect();
         let ys = parallel_map(&xs, 8, |&x| x * 2);
         assert_eq!(ys, xs.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_map_mut_preserves_order_and_visits_each_item_once() {
+        for threads in [1, 3, 8] {
+            let mut xs: Vec<(u64, u32)> = (0..1000).map(|x| (x, 0)).collect();
+            let ys = parallel_map_mut(&mut xs, threads, |(x, visits)| {
+                *visits += 1;
+                *x * 2
+            });
+            assert_eq!(ys, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+            assert!(
+                xs.iter().all(|&(_, visits)| visits == 1),
+                "threads {threads}"
+            );
+        }
+        assert!(parallel_map_mut(&mut Vec::<u8>::new(), 4, |_| 1).is_empty());
+        let mut owned = vec![vec![1, 2], vec![3]];
+        let sums = parallel_map_mut(&mut owned, 2, |v| {
+            std::mem::take(v).into_iter().sum::<i32>()
+        });
+        assert_eq!(sums, vec![3, 3]);
+        assert!(owned.iter().all(Vec::is_empty));
     }
 
     #[test]
