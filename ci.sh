@@ -43,6 +43,16 @@ if cargo run --release -q -p rp-bench --bin paper -- --only nosuch > /dev/null 2
     echo "paper accepted the unknown experiment nosuch"; exit 1
 fi
 
+echo "==> bench_suite rejects an unknown option"
+# Were --quik ignored, this would run one scenario into target/, not the
+# whole suite over the checked-in BENCH_*.json.
+status=0
+cargo run --release -q -p rp-bench --bin bench_suite -- \
+    --quik --scenario fig5_startup --out-dir target/bench-reject > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "bench_suite did not reject the unknown option --quik (exit $status)"; exit 1
+fi
+
 echo "==> RDD example smoke (word count, K-Means, triangles; cold == warm cache pass)"
 cargo run --release -q --example spark_rdd_analytics > /dev/null
 

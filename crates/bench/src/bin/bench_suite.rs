@@ -4,34 +4,52 @@
 //!
 //! ```text
 //! cargo run -p rp-bench --release --bin bench_suite -- \
-//!     [--quick] [--out-dir DIR] [--scenario NAME]... [--markdown]
+//!     [--quick] [--out-dir DIR] [--scenario NAME]...
 //! ```
 //!
 //! `--quick` runs 1 repetition per scenario (CI); the default is 5 for
 //! meaningful median/p95 host statistics. `--scenario` limits the run to
-//! the named scenario(s); `--markdown` also prints each report as a
-//! GitHub table for pasting into PR descriptions.
+//! the named scenario(s). An unknown argument, an unknown scenario or a
+//! flag without its value exits 2 with the usage on stderr, before any
+//! scenario runs or any artifact is written.
 
 use std::path::PathBuf;
 
 use rp_bench::harness::{artifact_file_name, bench_scenario, SCENARIO_NAMES};
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_suite [--quick] [--out-dir DIR] [--scenario NAME]...\n  scenarios: {}",
+        SCENARIO_NAMES.join(", ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let out_dir: PathBuf = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let mut scenarios: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
+    let mut quick = false;
+    let mut out_dir = PathBuf::from(".");
+    let mut scenarios: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        // A flag's value may not itself look like a flag.
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| usage())
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out-dir" => out_dir = PathBuf::from(value()),
+            "--scenario" => {
+                let name = value();
+                if !SCENARIO_NAMES.contains(&name.as_str()) {
+                    usage();
+                }
+                scenarios.push(name);
+            }
+            _ => usage(),
+        }
+    }
     if scenarios.is_empty() {
         scenarios = SCENARIO_NAMES
             .iter()
@@ -41,12 +59,6 @@ fn main() {
             .filter(|s| !(quick && **s == "scale_10k"))
             .map(|s| s.to_string())
             .collect();
-    }
-    for s in &scenarios {
-        assert!(
-            SCENARIO_NAMES.contains(&s.as_str()),
-            "unknown scenario {s:?} (expected one of {SCENARIO_NAMES:?})"
-        );
     }
     let reps = if quick { 1 } else { 5 };
 
@@ -68,8 +80,5 @@ fn main() {
             art.median_ms(),
             path.display()
         );
-        if markdown {
-            println!("\n{}", art.markdown);
-        }
     }
 }

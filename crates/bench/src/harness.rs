@@ -17,8 +17,8 @@ use std::time::Instant;
 use rp_analytics::{fig6_session_config, run_rp_kmeans, run_rp_yarn_kmeans, KMeansCalibration};
 use rp_pilot::{
     install_faults, install_faults_multi, when_all_done, ComputeUnitDescription, PilotDescription,
-    PilotManager, PilotState, Session, SessionConfig, UmScheduler, UnitManager, UnitState,
-    WorkSpec,
+    PilotHandle, PilotManager, PilotState, Session, SessionConfig, UmScheduler, UnitHandle,
+    UnitManager, UnitState, WorkSpec,
 };
 use rp_sim::stats::percentile;
 use rp_sim::{
@@ -231,11 +231,34 @@ const PILOT_LOSS_UNITS: usize = 16;
 const PILOT_LOSS_SLEEP_S: u64 = 300;
 const PILOT_LOSS_KILL_AT_S: u64 = 180;
 
-/// One pilot-loss case: 2 three-node pilots with cross-pilot failover,
-/// optionally killing the first pilot mid-run. Returns the traced engine
-/// and the workload makespan.
-fn pilot_loss_case(kill: bool) -> (Engine, f64, u64) {
-    let mut e = Engine::with_trace(PILOT_LOSS_SEED);
+/// A finished two-pilot lease case (see [`lease_case`]).
+struct LeaseRun {
+    /// The traced engine, drained.
+    engine: Engine,
+    pilots: Vec<PilotHandle>,
+    units: Vec<UnitHandle>,
+    /// When the last unit finished, in virtual seconds.
+    makespan_s: f64,
+    rebinds: u64,
+    /// Writes the coordination store rejected at a stale fencing epoch.
+    fence_rejections: u64,
+}
+
+/// The set-up `pilot_loss` and `partition_heal` share: 2 three-node
+/// Stampede pilots on the test profile, RoundRobin placement and
+/// lease-based failover (`lease`, `grace`). `inject` runs on the engine
+/// and the pilots before the units are submitted; its result is handed
+/// back. Steps until every unit is final, cancels the pilots still live,
+/// then drains the engine, so a healed zombie's held completions are
+/// delivered (and fenced), not left pending. Every unit must end `Done`.
+fn lease_case<T>(
+    seed: u64,
+    lease: SimDuration,
+    grace: SimDuration,
+    descrs: Vec<ComputeUnitDescription>,
+    inject: impl FnOnce(&mut Engine, &[PilotHandle]) -> T,
+) -> (LeaseRun, T) {
+    let mut e = Engine::with_trace(seed);
     let session = Session::new(SessionConfig::test_profile());
     let pm = PilotManager::new(&session);
     let pilots: Vec<_> = (0..2)
@@ -251,43 +274,11 @@ fn pilot_loss_case(kill: bool) -> (Engine, f64, u64) {
     for p in &pilots {
         um.add_pilot(p);
     }
-    um.enable_leases(
-        &mut e,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(30),
-    );
-    if kill {
-        let victim = pilots[0].clone();
-        e.schedule_in(SimDuration::from_secs(PILOT_LOSS_KILL_AT_S), move |eng| {
-            victim.kill(eng)
-        });
-    }
-    let units = um.submit_units(
-        &mut e,
-        (0..PILOT_LOSS_UNITS)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(PILOT_LOSS_SLEEP_S)),
-                )
-            })
-            .collect(),
-    );
+    um.enable_leases(&mut e, lease, grace);
+    let injected = inject(&mut e, &pilots);
+    let units = um.submit_units(&mut e, descrs);
     while units.iter().any(|u| !u.state().is_final()) {
         assert!(e.step(), "simulation stalled with live units");
-    }
-    assert!(
-        units.iter().all(|u| u.state() == UnitState::Done),
-        "every unit must fail over to the surviving pilot"
-    );
-    if kill {
-        assert_eq!(pilots[0].state(), PilotState::Failed);
-        assert!(
-            units.iter().all(|u| u.pilot() == Some(pilots[1].id())),
-            "survivors must all land on the surviving pilot"
-        );
-        assert!(um.rebinds() > 0, "the kill must force re-binds");
     }
     for p in &pilots {
         if !p.state().is_final() {
@@ -295,13 +286,54 @@ fn pilot_loss_case(kill: bool) -> (Engine, f64, u64) {
         }
     }
     e.run();
-    let makespan = units
+    assert!(
+        units.iter().all(|u| u.state() == UnitState::Done),
+        "every unit must end Done"
+    );
+    let makespan_s = units
         .iter()
         .map(|u| u.times().done.expect("unit finished"))
         .max()
         .expect("the scenario submits units")
         .as_secs_f64();
-    (e, makespan, um.rebinds())
+    let run = LeaseRun {
+        engine: e,
+        pilots,
+        units,
+        makespan_s,
+        rebinds: um.rebinds(),
+        fence_rejections: session.store().fence_rejections(),
+    };
+    (run, injected)
+}
+
+/// One pilot-loss case: the two-pilot lease set-up, optionally killing
+/// the first pilot mid-run.
+fn pilot_loss_case(kill: bool) -> LeaseRun {
+    let descrs = (0..PILOT_LOSS_UNITS)
+        .map(|i| {
+            ComputeUnitDescription::new(
+                format!("u{i}"),
+                1,
+                WorkSpec::Sleep(SimDuration::from_secs(PILOT_LOSS_SLEEP_S)),
+            )
+        })
+        .collect();
+    let (run, ()) = lease_case(
+        PILOT_LOSS_SEED,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+        descrs,
+        |e, pilots| {
+            if kill {
+                let victim = pilots[0].clone();
+                e.schedule_in(SimDuration::from_secs(PILOT_LOSS_KILL_AT_S), move |eng| {
+                    victim.kill(eng)
+                });
+            }
+        },
+    );
+    run
 }
 
 /// Pilot loss: the same 2-pilot workload with and without a mid-run
@@ -312,16 +344,25 @@ pub fn run_pilot_loss() -> VirtualResult {
         "pilot_loss: {PILOT_LOSS_UNITS} sleep units on 2 pilots, \
          kill at {PILOT_LOSS_KILL_AT_S}s, seed {PILOT_LOSS_SEED}"
     ));
-    let (e, baseline_s, _) = pilot_loss_case(false);
-    absorb_run(&mut out, "2 pilots, no loss", &e, "unit.run");
-    let (e, kill_s, rebinds) = pilot_loss_case(true);
-    absorb_run(&mut out, "pilot 0 killed mid-run", &e, "unit.run");
+    let base = pilot_loss_case(false);
+    absorb_run(&mut out, "2 pilots, no loss", &base.engine, "unit.run");
+    let kill = pilot_loss_case(true);
+    absorb_run(&mut out, "pilot 0 killed mid-run", &kill.engine, "unit.run");
+    assert_eq!(kill.pilots[0].state(), PilotState::Failed);
+    assert!(
+        kill.units
+            .iter()
+            .all(|u| u.pilot() == Some(kill.pilots[1].id())),
+        "survivors must all land on the surviving pilot"
+    );
+    assert!(kill.rebinds > 0, "the kill must force re-binds");
+    let (baseline_s, kill_s) = (base.makespan_s, kill.makespan_s);
     assert!(
         kill_s > baseline_s,
         "failover must cost makespan ({kill_s} vs {baseline_s})"
     );
     out.counters
-        .insert("bench.pilot_loss_rebinds".into(), rebinds);
+        .insert("bench.pilot_loss_rebinds".into(), kill.rebinds);
     out.counters.insert(
         "bench.failover_overhead_ms".into(),
         ((kill_s - baseline_s) * 1e3).round() as u64,
@@ -341,93 +382,51 @@ const PARTITION_S: u64 = 300;
 const PARTITION_LEASE_S: u64 = 60;
 const PARTITION_GRACE_S: u64 = 30;
 
-/// One partition-heal case: 2 three-node pilots under lease-based
-/// ownership, optionally partitioning pilot 0 from the coordination store
-/// mid-run. Returns the traced engine, the workload makespan, the re-bind
-/// count and the stale-epoch rejection count.
-fn partition_heal_case(partition: bool) -> (Engine, f64, u64, u64) {
-    let mut e = Engine::with_trace(PARTITION_HEAL_SEED);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilots: Vec<_> = (0..2)
-        .map(|_| {
-            pm.submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
-            )
-            .expect("pilot submits")
-        })
-        .collect();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    for p in &pilots {
-        um.add_pilot(p);
-    }
-    um.enable_leases(
-        &mut e,
-        SimDuration::from_secs(PARTITION_LEASE_S),
-        SimDuration::from_secs(PARTITION_GRACE_S),
-    );
-    let injector = if partition {
-        // Asymmetric split-brain: the agent keeps receiving batches but
-        // its renewals and completions are held, so its lease lapses, it
-        // self-fences, and its held writes are rejected post-heal at a
-        // stale fencing epoch. `PARTITION_AT_S` must be past agent
-        // bootstrap (Active by ~47 s on the test profile) or the event is
-        // dropped.
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at: SimTime::from_secs_f64(PARTITION_AT_S as f64),
-                kind: FaultKind::Partition {
-                    pilot: 0,
-                    duration: SimDuration::from_secs(PARTITION_S),
-                    symmetric: false,
-                },
-            }],
-        };
-        Some(install_faults_multi(&mut e, &plan, &pilots))
-    } else {
-        None
-    };
+/// One partition-heal case: the two-pilot lease set-up, optionally
+/// partitioning pilot 0 from the coordination store mid-run.
+fn partition_heal_case(partition: bool) -> LeaseRun {
     // Staggered short sleeps: the first wave completes inside the
     // partition-to-fence window so its completions are held.
-    let units = um.submit_units(
-        &mut e,
-        (0..PARTITION_HEAL_UNITS)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(15 + (i as u64 % 4) * 10)),
-                )
+    let descrs = (0..PARTITION_HEAL_UNITS)
+        .map(|i| {
+            ComputeUnitDescription::new(
+                format!("u{i}"),
+                1,
+                WorkSpec::Sleep(SimDuration::from_secs(15 + (i as u64 % 4) * 10)),
+            )
+        })
+        .collect();
+    let (run, injector) = lease_case(
+        PARTITION_HEAL_SEED,
+        SimDuration::from_secs(PARTITION_LEASE_S),
+        SimDuration::from_secs(PARTITION_GRACE_S),
+        descrs,
+        |e, pilots| {
+            // Asymmetric split-brain: the agent keeps receiving batches
+            // but its renewals and completions are held, so its lease
+            // lapses, it self-fences, and its held writes are rejected
+            // post-heal at a stale fencing epoch. `PARTITION_AT_S` must be
+            // past agent bootstrap (Active by ~47 s on the test profile)
+            // or the event is dropped.
+            partition.then(|| {
+                let plan = FaultPlan {
+                    events: vec![FaultEvent {
+                        at: SimTime::from_secs_f64(PARTITION_AT_S as f64),
+                        kind: FaultKind::Partition {
+                            pilot: 0,
+                            duration: SimDuration::from_secs(PARTITION_S),
+                            symmetric: false,
+                        },
+                    }],
+                };
+                install_faults_multi(e, &plan, pilots)
             })
-            .collect(),
+        },
     );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
-    }
-    for p in &pilots {
-        if !p.state().is_final() {
-            pm.cancel(&mut e, p);
-        }
-    }
-    // Drain past the heal: the zombie's held completions must be
-    // delivered (and fenced), not left pending.
-    e.run();
     if let Some(injector) = injector {
         assert_eq!(injector.injected(), 1, "the partition must inject");
     }
-    assert!(
-        units.iter().all(|u| u.state() == UnitState::Done),
-        "every unit must survive the partition"
-    );
-    let makespan = units
-        .iter()
-        .map(|u| u.times().done.expect("unit finished"))
-        .max()
-        .expect("the scenario submits units")
-        .as_secs_f64();
-    let fence_rejections = session.store().fence_rejections();
-    (e, makespan, um.rebinds(), fence_rejections)
+    run
 }
 
 /// Partition heal: the same 2-pilot lease-owned workload with and without
@@ -440,25 +439,31 @@ pub fn run_partition_heal() -> VirtualResult {
         "partition_heal: {PARTITION_HEAL_UNITS} sleep units on 2 lease-owned pilots, \
          partition at {PARTITION_AT_S}s for {PARTITION_S}s, seed {PARTITION_HEAL_SEED}"
     ));
-    let (e, baseline_s, baseline_rebinds, baseline_fences) = partition_heal_case(false);
-    absorb_run(&mut out, "2 pilots, no partition", &e, "unit.run");
-    assert_eq!(baseline_rebinds, 0, "quiet leases must not re-bind");
-    assert_eq!(baseline_fences, 0, "quiet leases must not fence");
-    let (e, healed_s, rebinds, fence_rejections) = partition_heal_case(true);
-    absorb_run(&mut out, "pilot 0 partitioned mid-run", &e, "unit.run");
-    assert!(rebinds > 0, "the partition must force re-binds");
+    let base = partition_heal_case(false);
+    absorb_run(&mut out, "2 pilots, no partition", &base.engine, "unit.run");
+    assert_eq!(base.rebinds, 0, "quiet leases must not re-bind");
+    assert_eq!(base.fence_rejections, 0, "quiet leases must not fence");
+    let healed = partition_heal_case(true);
+    absorb_run(
+        &mut out,
+        "pilot 0 partitioned mid-run",
+        &healed.engine,
+        "unit.run",
+    );
+    assert!(healed.rebinds > 0, "the partition must force re-binds");
     assert!(
-        fence_rejections > 0,
+        healed.fence_rejections > 0,
         "the healed zombie must be fenced at a stale epoch"
     );
+    let (baseline_s, healed_s) = (base.makespan_s, healed.makespan_s);
     assert!(
         healed_s > baseline_s,
         "split-brain recovery must cost makespan ({healed_s} vs {baseline_s})"
     );
     out.counters
-        .insert("bench.partition_rebinds".into(), rebinds);
+        .insert("bench.partition_rebinds".into(), healed.rebinds);
     out.counters
-        .insert("bench.fence_rejections".into(), fence_rejections);
+        .insert("bench.fence_rejections".into(), healed.fence_rejections);
     out.counters.insert(
         "bench.partition_overhead_ms".into(),
         ((healed_s - baseline_s) * 1e3).round() as u64,
@@ -589,8 +594,6 @@ pub struct BenchArtifact {
     /// scenario reports a `scale.events_executed` counter. Turns the host
     /// median into an events-per-second throughput figure.
     pub virtual_events: Option<u64>,
-    /// Markdown rendering of the report (for PR descriptions).
-    pub markdown: String,
 }
 
 impl BenchArtifact {
@@ -642,7 +645,6 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
     let mut host_ms = Vec::with_capacity(reps as usize);
     let mut virtual_json: Option<String> = None;
     let mut virtual_events = None;
-    let mut markdown = String::new();
     for _ in 0..reps {
         let t0 = Instant::now();
         let v = run();
@@ -650,7 +652,6 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
         let vj = v.to_json();
         match &virtual_json {
             None => {
-                markdown = v.report.to_markdown();
                 virtual_events = v.counters.get("scale.events_executed").copied();
                 virtual_json = Some(vj);
             }
@@ -666,7 +667,6 @@ pub fn bench_with(scenario: &str, reps: u64, run: impl Fn() -> VirtualResult) ->
         virtual_json: virtual_json.expect("reps >= 1, so one repetition ran"),
         host_ms,
         virtual_events,
-        markdown,
     }
 }
 
@@ -792,7 +792,6 @@ mod tests {
             .get("median_ms")
             .and_then(json::Value::as_f64)
             .is_some());
-        assert!(art.markdown.contains("| case |"));
     }
 
     #[test]

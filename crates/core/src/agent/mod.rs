@@ -37,7 +37,7 @@ use rp_yarn::{AmHandle, HadoopEnv, Resource};
 use self::lrm::{NodeSlots, Runtime};
 use self::scheduler::Placement;
 use crate::coordination::{CoordinationStore, Fence};
-use crate::description::{AccessMode, StageEndpoint, StagingDirective};
+use crate::description::AccessMode;
 use crate::session::{MachineHandle, SessionConfig};
 use crate::states::UnitState;
 use crate::unit::{PilotId, UnitHandle};
@@ -440,32 +440,7 @@ impl Agent {
         }
         unit.rec.borrow_mut().attempts += 1;
         unit.advance(engine, UnitState::StagingInput);
-        // Pilot-Data dependencies not resident on this machine are pulled
-        // over the inter-site network onto the parallel filesystem first.
-        let (mut directives, remote, wan) = {
-            let (inner, d) = (self.inner.borrow(), unit.descr());
-            let remote = crate::data::remote_bytes(&d.data_deps, &inner.machine.name);
-            (d.input_staging.clone(), remote, inner.cfg.inter_site_mbps)
-        };
-        if remote > 0 {
-            engine.metrics.add("agent.wan_pull_bytes", remote);
-            if engine.trace.is_enabled() {
-                note(
-                    engine,
-                    format!("{:?} pulling {remote} B of pilot-data over WAN", unit.id()),
-                );
-            }
-            directives.insert(
-                0,
-                StagingDirective {
-                    bytes: remote as f64,
-                    from: StageEndpoint::Remote {
-                        bandwidth_mbps: wan,
-                    },
-                    to: StageEndpoint::Lustre,
-                },
-            );
-        }
+        let directives = unit.descr().input_staging.clone();
         let primary = run.placement.nodes().first().map(|&(n, _)| n);
         let this = self.clone();
         self.run_staging(

@@ -176,11 +176,6 @@ impl RetryPolicy {
 /// Description of a Compute-Unit.
 #[derive(Debug, Clone)]
 pub struct ComputeUnitDescription {
-    /// Pilot-Data dependencies: data units whose bytes must be resident
-    /// before execution. The DataAware Unit-Manager scheduler uses them
-    /// for placement; the agent pulls non-co-located bytes over the
-    /// inter-site network during stage-in.
-    pub data_deps: Vec<crate::data::DataUnit>,
     pub name: String,
     /// Cores the unit needs (on one node for non-MPI work; the agent
     /// scheduler may span nodes for `mpi = true`).
@@ -205,7 +200,6 @@ pub struct ComputeUnitDescription {
 impl ComputeUnitDescription {
     pub fn new(name: impl Into<String>, cores: u32, work: WorkSpec) -> Self {
         ComputeUnitDescription {
-            data_deps: Vec::new(),
             name: name.into(),
             cores,
             mem_mb: 1024,
@@ -240,12 +234,6 @@ impl ComputeUnitDescription {
 
     pub fn stage_in(mut self, d: StagingDirective) -> Self {
         self.input_staging.push(d);
-        self
-    }
-
-    /// Declare a Pilot-Data dependency.
-    pub fn with_data(mut self, du: crate::data::DataUnit) -> Self {
-        self.data_deps.push(du);
         self
     }
 

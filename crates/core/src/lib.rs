@@ -42,7 +42,6 @@
 
 pub mod agent;
 pub mod coordination;
-pub mod data;
 pub mod description;
 pub mod fault;
 pub mod launch;
@@ -53,10 +52,6 @@ pub mod unit;
 
 pub use agent::Agent;
 pub use coordination::{CoordinationConfig, CoordinationStore, Fence, LossProfile, Revoked};
-pub use data::{
-    remote_bytes, DataError, DataPilot, DataPilotBackend, DataPilotDescription, DataUnit,
-    DataUnitDescription, DataUnitId, DataUnitState, LogicalFile,
-};
 pub use description::{
     AccessMode, ComputeUnitDescription, PilotDescription, RetryPolicy, StageEndpoint,
     StagingDirective, UnitIoTarget, WorkSpec,

@@ -74,9 +74,8 @@ struct PilotRecord {
     saga_job: Option<rp_saga::SagaJob>,
     assigned_units: u64,
     /// Units bound to this pilot and not yet final: the load that
-    /// LoadBalanced and DataAware rank pilots by. Each bound unit holds a
-    /// clone and gives its count back when it is re-bound or reaches a
-    /// final state.
+    /// LoadBalanced ranks pilots by. Each bound unit holds a clone and
+    /// gives its count back when it is re-bound or reaches a final state.
     live_units: Rc<Cell<u64>>,
     /// Root lifecycle span ("pilot.run"): its id, kept after the run for
     /// the profilers, and the open span until the final state. Then the
@@ -380,11 +379,6 @@ pub enum UmScheduler {
     LoadBalanced,
     /// Everything to the first pilot.
     Direct,
-    /// Route each unit to the pilot co-located with the most of its
-    /// Pilot-Data dependency bytes (fewest WAN bytes to pull); ties and
-    /// dependency-free units fall back to LoadBalanced. The paper's
-    /// future-work "improved data-awareness" scheduling.
-    DataAware,
 }
 
 struct UmInner {
@@ -425,6 +419,12 @@ impl UmInner {
         }
     }
 
+    /// Pick a pilot among the [`candidates`](Self::candidates).
+    fn pick(&mut self) -> PilotHandle {
+        let cands = self.candidates();
+        self.pick_from(&cands)
+    }
+
     fn pick_from(&mut self, cands: &[PilotHandle]) -> PilotHandle {
         match self.scheduler {
             UmScheduler::Direct => cands[0].clone(),
@@ -433,7 +433,7 @@ impl UmInner {
                 self.rr_cursor = (i + 1) % cands.len();
                 cands[i % cands.len()].clone()
             }
-            UmScheduler::LoadBalanced | UmScheduler::DataAware => cands
+            UmScheduler::LoadBalanced => cands
                 .iter()
                 .min_by_key(|p| p.live_units())
                 .cloned()
@@ -558,7 +558,7 @@ impl UnitManager {
         let mut handles = Vec::with_capacity(descrs.len());
         for d in descrs {
             let unit = UnitHandle::new(self.session.next_unit_id(), d);
-            let pilot = self.pick_pilot_for(&unit);
+            let pilot = self.inner.borrow_mut().pick();
             pilot.bind(&unit);
             unit.advance(engine, crate::states::UnitState::UmScheduling);
             per_pilot.entry(pilot.id()).or_default().push(unit.clone());
@@ -598,7 +598,7 @@ impl UnitManager {
         let mut planned: Vec<(crate::unit::PilotId, UnitHandle)> = Vec::new();
         for d in descrs {
             let unit = UnitHandle::new(self.session.next_unit_id(), d);
-            let pilot = self.pick_pilot_for(&unit);
+            let pilot = self.inner.borrow_mut().pick();
             pilot.bind(&unit);
             planned.push((pilot.id(), unit.clone()));
             self.inner.borrow_mut().tracked.push(unit.clone());
@@ -617,11 +617,7 @@ impl UnitManager {
                     // The planned pilot may have died while the deps ran;
                     // late binding lets us re-pick at dispatch time.
                     let pilot = if this.inner.borrow().dead.contains(&pilot) {
-                        let target = {
-                            let mut inner = this.inner.borrow_mut();
-                            let cands = inner.candidates();
-                            inner.pick_from(&cands)
-                        };
+                        let target = this.inner.borrow_mut().pick();
                         target.bind(&unit);
                         target.id()
                     } else {
@@ -654,25 +650,6 @@ impl UnitManager {
             return;
         }
         unit.advance(engine, UnitState::Canceled);
-    }
-
-    fn pick_pilot_for(&self, unit: &UnitHandle) -> PilotHandle {
-        let mut inner = self.inner.borrow_mut();
-        let cands = inner.candidates();
-        if inner.scheduler == UmScheduler::DataAware {
-            let deps = unit.description().data_deps;
-            if !deps.is_empty() {
-                return cands
-                    .iter()
-                    .min_by_key(|p| {
-                        let remote = crate::data::remote_bytes(&deps, &p.description().resource);
-                        (remote, p.live_units())
-                    })
-                    .cloned()
-                    .expect("pilots nonempty");
-            }
-        }
-        inner.pick_from(&cands)
     }
 
     // ---- cross-pilot failover ----

@@ -35,9 +35,6 @@ pub struct SessionConfig {
     /// Size (nodes) of the dedicated Hadoop environment on machines that
     /// provide one (Wrangler's reservation).
     pub dedicated_nodes: u32,
-    /// Inter-site (WAN) bandwidth for pulling non-co-located Pilot-Data
-    /// bytes, MB/s (XSEDE backbone-era default).
-    pub inter_site_mbps: f64,
     /// Safety margin (s) for walltime-aware draining: the agent stops
     /// admitting units whose expected runtime exceeds remaining walltime
     /// minus this margin and hands them back to the Unit-Manager (only
@@ -57,7 +54,6 @@ impl Default for SessionConfig {
             am_reuse: false,
             compute_jitter_sigma: 0.08,
             dedicated_nodes: 4,
-            inter_site_mbps: 100.0,
             drain_margin_s: 30.0,
         }
     }
@@ -81,7 +77,6 @@ impl SessionConfig {
             am_reuse: false,
             compute_jitter_sigma: 0.0,
             dedicated_nodes: 2,
-            inter_site_mbps: 100.0,
             drain_margin_s: 5.0,
         }
     }

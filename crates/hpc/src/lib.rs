@@ -5,9 +5,9 @@
 //! * [`machine::MachineSpec`] — static profiles (Stampede, Wrangler,
 //!   localhost) with node shape, storage/network characteristics and the
 //!   batch-system latency model.
-//! * [`cluster::Cluster`] — runtime instance: per-node core/memory tokens,
-//!   a shared Lustre link, per-node local disks, and the fabric. All I/O in
-//!   the workspace goes through [`cluster::Cluster::storage_io`] and
+//! * [`cluster::Cluster`] — runtime instance: a shared Lustre link,
+//!   per-node local disks, and the fabric. All I/O in the workspace goes
+//!   through [`cluster::Cluster::storage_io`] and
 //!   [`cluster::Cluster::net_transfer`].
 //! * [`batch::BatchSystem`] — FCFS + EASY-backfill scheduling of whole-node
 //!   jobs; a Pilot-Job is exactly one of these placeholder jobs.

@@ -1,10 +1,9 @@
 //! Uniform run reports: labelled phase breakdowns rendered as an aligned
-//! table, CSV, JSON, or Markdown. Benches and examples all emit their
-//! Fig. 5 / Fig. 6 style decompositions through this one type. A report can
-//! also carry a critical-path section ([`RunReport::push_critical`]): the
-//! per-phase on-path / off-path / slack attribution from
-//! [`crate::critpath`], rendered alongside the wall-clock sweep in every
-//! format.
+//! table or as JSON. Benches and examples all emit their Fig. 5 / Fig. 6
+//! style decompositions through this one type. A report can also carry a
+//! critical-path section ([`RunReport::push_critical`]): the per-phase
+//! on-path / off-path / slack attribution from [`crate::critpath`],
+//! rendered alongside the wall-clock sweep in both formats.
 
 use crate::critpath::{CritPhaseRow, CriticalPath};
 use crate::profile::{Phase, PhaseBreakdown};
@@ -57,8 +56,8 @@ impl RunReport {
         &self.critical
     }
 
-    /// Phases that are non-zero in at least one row (the table and CSV
-    /// only carry these columns).
+    /// Phases that are non-zero in at least one row (the table only
+    /// carries these columns).
     fn active_phases(&self) -> Vec<Phase> {
         Phase::ALL
             .iter()
@@ -67,8 +66,8 @@ impl RunReport {
             .collect()
     }
 
-    /// Header + body cells of the phase table (shared by every renderer).
-    fn phase_matrix(&self, decimals: usize) -> (Vec<String>, Vec<Vec<String>>) {
+    /// Header + body cells of the phase table, in seconds to 0.1 s.
+    fn phase_matrix(&self) -> (Vec<String>, Vec<Vec<String>>) {
         let phases = self.active_phases();
         let mut header: Vec<String> = vec!["case".into()];
         header.extend(phases.iter().map(|p| p.label().to_string()));
@@ -78,8 +77,8 @@ impl RunReport {
             .iter()
             .map(|(label, b)| {
                 let mut row = vec![label.clone()];
-                row.extend(phases.iter().map(|&p| format!("{:.decimals$}", b.secs(p))));
-                row.push(format!("{:.decimals$}", b.total_secs()));
+                row.extend(phases.iter().map(|&p| format!("{:.1}", b.secs(p))));
+                row.push(format!("{:.1}", b.total_secs()));
                 row
             })
             .collect();
@@ -88,7 +87,7 @@ impl RunReport {
 
     /// Header + body cells of the critical-path table, or `None` when no
     /// critical-path summaries were attached.
-    fn crit_matrix(&self, decimals: usize) -> Option<(Vec<String>, Vec<Vec<String>>)> {
+    fn crit_matrix(&self) -> Option<(Vec<String>, Vec<Vec<String>>)> {
         if self.critical.is_empty() {
             return None;
         }
@@ -102,21 +101,18 @@ impl RunReport {
                 body.push(vec![
                     c.label.clone(),
                     r.phase.label().to_string(),
-                    format!("{:.decimals$}", r.path_s),
-                    format!("{:.decimals$}", r.off_path_s),
+                    format!("{:.1}", r.path_s),
+                    format!("{:.1}", r.off_path_s),
                     r.min_slack_s
-                        .map(|s| format!("{s:.decimals$}"))
+                        .map(|s| format!("{s:.1}"))
                         .unwrap_or_else(|| "-".into()),
                 ]);
             }
             body.push(vec![
                 c.label.clone(),
                 "total".into(),
-                format!("{:.decimals$}", c.makespan_s),
-                format!(
-                    "{:.decimals$}",
-                    c.rows.iter().map(|r| r.off_path_s).sum::<f64>()
-                ),
+                format!("{:.1}", c.makespan_s),
+                format!("{:.1}", c.rows.iter().map(|r| r.off_path_s).sum::<f64>()),
                 "-".into(),
             ]);
         }
@@ -129,39 +125,11 @@ impl RunReport {
         if !self.title.is_empty() {
             out.push_str(&format!("{}\n", self.title));
         }
-        let (header, body) = self.phase_matrix(1);
+        let (header, body) = self.phase_matrix();
         out.push_str(&render_aligned(&header, &body));
-        if let Some((header, body)) = self.crit_matrix(1) {
+        if let Some((header, body)) = self.crit_matrix() {
             out.push_str("critical path (s on path / s off path / min slack)\n");
             out.push_str(&render_aligned(&header, &body));
-        }
-        out
-    }
-
-    /// CSV export (seconds, 6 decimal places). The critical-path section,
-    /// when present, follows the phase table after a blank line with its
-    /// own header.
-    pub fn to_csv(&self) -> String {
-        let (header, body) = self.phase_matrix(6);
-        let mut out = render_csv(&header, &body);
-        if let Some((header, body)) = self.crit_matrix(6) {
-            out.push('\n');
-            out.push_str(&render_csv(&header, &body));
-        }
-        out
-    }
-
-    /// GitHub-flavoured Markdown (for pasting into PR descriptions).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            out.push_str(&format!("### {}\n\n", self.title));
-        }
-        let (header, body) = self.phase_matrix(2);
-        out.push_str(&render_markdown(&header, &body));
-        if let Some((header, body)) = self.crit_matrix(2) {
-            out.push_str("\nCritical path (seconds on / off the path, minimum local slack):\n\n");
-            out.push_str(&render_markdown(&header, &body));
         }
         out
     }
@@ -244,52 +212,6 @@ fn render_aligned(header: &[String], body: &[Vec<String>]) -> String {
     out
 }
 
-/// Render cells as CSV with minimal quoting.
-fn render_csv(header: &[String], body: &[Vec<String>]) -> String {
-    let quote = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut out = String::new();
-    for row in std::iter::once(header).chain(body.iter().map(|r| &r[..])) {
-        let cells: Vec<String> = row.iter().map(|c| quote(c)).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Render cells as a GitHub-flavoured Markdown table: first column
-/// left-aligned, the rest right-aligned.
-fn render_markdown(header: &[String], body: &[Vec<String>]) -> String {
-    let escape = |cell: &str| cell.replace('|', "\\|");
-    let mut out = format!(
-        "| {} |\n",
-        header
-            .iter()
-            .map(|c| escape(c))
-            .collect::<Vec<_>>()
-            .join(" | ")
-    );
-    let aligns: Vec<&str> = (0..header.len())
-        .map(|i| if i == 0 { ":--" } else { "--:" })
-        .collect();
-    out.push_str(&format!("| {} |\n", aligns.join(" | ")));
-    for row in body {
-        out.push_str(&format!(
-            "| {} |\n",
-            row.iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(" | ")
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,9 +260,9 @@ mod tests {
     fn csv_and_json_are_consistent() {
         let mut r = RunReport::new("x");
         r.push("a,b", breakdown());
-        let csv = r.to_csv();
-        assert!(csv.starts_with("case,queue_wait,overhead,total\n"));
-        assert!(csv.contains("\"a,b\",10.000000,15.000000,25.000000"));
+        let t = r.render_table();
+        assert!(t.contains("case  queue_wait  overhead  total\n"));
+        assert!(t.contains("a,b         10.0      15.0   25.0\n"));
         let json = r.to_json();
         assert!(json.contains("\"case\":\"a,b\""));
         assert!(json.contains("\"queue_wait\":10.000000"));
@@ -354,27 +276,7 @@ mod tests {
     fn empty_report_renders() {
         let r = RunReport::new("");
         let t = r.render_table();
-        assert!(t.contains("case"));
-        assert_eq!(r.to_csv(), "case,total\n");
-        assert_eq!(r.to_markdown(), "| case | total |\n| :-- | --: |\n");
-    }
-
-    #[test]
-    fn markdown_table_is_well_formed() {
-        let mut r = RunReport::new("fig6");
-        r.push("k|means", breakdown());
-        let md = r.to_markdown();
-        assert!(md.starts_with("### fig6\n\n| case |"));
-        assert!(md.contains("| :-- |"));
-        assert!(md.contains("k\\|means")); // pipes escaped inside cells
-        assert!(md.contains("| 10.00 |") || md.contains(" 10.00 |"));
-        // Every line of the table has the same number of pipes.
-        let counts: Vec<usize> = md
-            .lines()
-            .filter(|l| l.starts_with('|'))
-            .map(|l| l.matches('|').count() - l.matches("\\|").count())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(t, "case  total\n-----------\n");
     }
 
     #[test]
@@ -390,16 +292,9 @@ mod tests {
         let t = r.render_table();
         assert!(t.contains("critical path"));
         assert!(t.contains("min_slack"));
-
-        let csv = r.to_csv();
-        assert!(csv.contains("\ncase,phase,path,off_path,min_slack\n"));
         // Compute: on-path m1 (50) + reduce (30); off-path m2 (20), slack 30.
-        assert!(csv.contains("mr,compute,80.000000,20.000000,30.000000"));
-        assert!(csv.contains("mr,total,80.000000,20.000000,-"));
-
-        let md = r.to_markdown();
-        assert!(md.contains("Critical path"));
-        assert!(md.contains("| compute | 80.00 | 20.00 | 30.00 |"));
+        assert!(t.contains("mr    compute  80.0      20.0       30.0\n"));
+        assert!(t.contains("mr      total  80.0      20.0          -\n"));
 
         let json = r.to_json();
         let v = crate::json::parse(&json).expect("report JSON parses");
