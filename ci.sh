@@ -53,7 +53,16 @@ if [ "$status" -ne 2 ]; then
     echo "bench_suite did not reject the unknown option --quik (exit $status)"; exit 1
 fi
 
-echo "==> RDD example smoke (word count, K-Means, triangles; cold == warm cache pass)"
+echo "==> bench_compare rejects an unknown option"
+# Were --scenaro ignored, this would compare all eight scenarios and pass.
+status=0
+cargo run --release -q -p rp-bench --bin bench_compare -- \
+    --baseline . --candidate . --scenaro fig5_startup > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "bench_compare did not reject the unknown option --scenaro (exit $status)"; exit 1
+fi
+
+echo "==> RDD example smoke (word count, K-Means; cold == warm cache pass)"
 cargo run --release -q --example spark_rdd_analytics > /dev/null
 
 echo "==> fault_injection rejects an unknown option"

@@ -70,55 +70,6 @@ pub fn md_trajectory(atoms: usize, frames: usize, step: f64, seed: u64) -> Vec<F
     out
 }
 
-/// Undirected graph as an adjacency list (sorted, deduplicated).
-#[derive(Debug, Clone)]
-pub struct Graph {
-    pub adj: Vec<Vec<u32>>,
-}
-
-impl Graph {
-    pub fn nodes(&self) -> usize {
-        self.adj.len()
-    }
-
-    pub fn edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
-    }
-}
-
-/// Erdős–Rényi-style random graph with ~`avg_degree` mean degree.
-pub fn random_graph(nodes: usize, avg_degree: f64, seed: u64) -> Graph {
-    assert!(nodes >= 2);
-    let mut rng = SimRng::new(seed);
-    let p = (avg_degree / (nodes as f64 - 1.0)).clamp(0.0, 1.0);
-    let mut adj = vec![Vec::new(); nodes];
-    // Sample edges u<v with probability p via geometric skipping.
-    for u in 0..nodes as u32 {
-        let mut v = u + 1;
-        while (v as usize) < nodes {
-            if rng.chance(p) {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-            }
-            v += 1;
-        }
-    }
-    for l in adj.iter_mut() {
-        l.sort_unstable();
-        l.dedup();
-    }
-    Graph { adj }
-}
-
-/// A small deterministic triangle-rich graph for exact-count tests:
-/// complete graph on `n` nodes (C(n,3) triangles).
-pub fn complete_graph(n: usize) -> Graph {
-    let adj = (0..n as u32)
-        .map(|u| (0..n as u32).filter(|&v| v != u).collect())
-        .collect();
-    Graph { adj }
-}
-
 fn normal(rng: &mut SimRng) -> f64 {
     rng.standard_normal()
 }
@@ -153,25 +104,5 @@ mod tests {
             .map(|(p, q)| (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2))
             .sum::<f64>()
             .sqrt()
-    }
-
-    #[test]
-    fn random_graph_degree_close_to_target() {
-        let g = random_graph(2000, 10.0, 5);
-        let mean = 2.0 * g.edges() as f64 / g.nodes() as f64;
-        assert!((mean - 10.0).abs() < 1.5, "{mean}");
-        // Symmetry.
-        for (u, l) in g.adj.iter().enumerate() {
-            for &v in l {
-                assert!(g.adj[v as usize].contains(&(u as u32)));
-            }
-        }
-    }
-
-    #[test]
-    fn complete_graph_shape() {
-        let g = complete_graph(6);
-        assert_eq!(g.nodes(), 6);
-        assert_eq!(g.edges(), 15);
     }
 }

@@ -346,7 +346,7 @@ pub fn kmeans_mapreduce(
         let mapper = KMeansMapper {
             centroids: centroids.clone(),
         };
-        let out = run_local(splits, &mapper, None, &KMeansReducer, reducers);
+        let out = run_local(splits, &mapper, &KMeansReducer, reducers);
         for (idx, c) in out.into_iter().flatten() {
             centroids[idx] = c;
         }

@@ -7,21 +7,17 @@
 //!   models and the run harnesses the benchmark binaries call.
 //! * [`trajectory`] — molecular-dynamics trajectory analysis (RMSD
 //!   series, moments, PCA), the paper's motivating domain.
-//! * [`graph`] — triangle counting (network-science workload, ref \[12\]).
 //! * [`dataset`] — seeded synthetic data generators for all of the above.
 
 pub mod dataset;
-pub mod graph;
 pub mod kmeans;
 pub mod scenarios;
 pub mod trajectory;
-pub mod workloads;
 
-pub use dataset::{gaussian_blobs, md_trajectory, random_graph, Frame, Graph, Point3};
+pub use dataset::{gaussian_blobs, md_trajectory, Frame, Point3};
 pub use kmeans::{kmeans_mapreduce, kmeans_rdd, lloyd, lloyd_sequential, KMeansResult};
 pub use scenarios::{
     fig6_session_config, nodes_for_tasks, run_rp_kmeans, run_rp_spark_kmeans, run_rp_yarn_kmeans,
     KMeansCalibration, KMeansRunStats, KMeansScenario, SCENARIOS,
 };
-pub use trajectory::{leaflet_finder, moments, pca, rmsd, rmsd_series, Moments, Pca};
-pub use workloads::{grep, inverted_index, rmsd_histogram_mapreduce, word_count};
+pub use trajectory::{moments, pca, rmsd, rmsd_series, Moments, Pca};

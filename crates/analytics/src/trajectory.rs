@@ -176,102 +176,6 @@ fn power_iteration(m: &[[f64; 3]; 3], iters: u32, tol: f64, seed: u64) -> (f64, 
     (lambda, v)
 }
 
-/// LeafletFinder (the MDAnalysis graph-based algorithm the paper's
-/// future work targets, ref \[9\]): partition atoms into spatially
-/// connected components — two components for the two leaflets of a lipid
-/// bilayer. Atoms are connected when within `cutoff`; neighbour search
-/// uses a uniform grid, components a union-find, so large frames stay
-/// near-linear.
-///
-/// Returns components sorted by size (largest first), each a sorted list
-/// of atom indices.
-pub fn leaflet_finder(frame: &Frame, cutoff: f64) -> Vec<Vec<usize>> {
-    assert!(cutoff > 0.0);
-    let pts = &frame.positions;
-    let n = pts.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Uniform grid with cell size = cutoff.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed by cell; its one loop is visit-order independent"
-    )]
-    let mut grid: std::collections::HashMap<(i64, i64, i64), Vec<usize>> =
-        std::collections::HashMap::new();
-    let cell = |p: &Point3| {
-        (
-            (p[0] / cutoff).floor() as i64,
-            (p[1] / cutoff).floor() as i64,
-            (p[2] / cutoff).floor() as i64,
-        )
-    };
-    for (i, p) in pts.iter().enumerate() {
-        grid.entry(cell(p)).or_default().push(i);
-    }
-    let mut uf = UnionFind::new(n);
-    let c2 = cutoff * cutoff;
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "union-find components are visit-order independent"
-    )]
-    for (&(cx, cy, cz), members) in &grid {
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    let Some(others) = grid.get(&(cx + dx, cy + dy, cz + dz)) else {
-                        continue;
-                    };
-                    for &i in members {
-                        for &j in others {
-                            if i < j && crate::kmeans::dist2(&pts[i], &pts[j]) <= c2 {
-                                uf.union(i, j);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Group by root: each group fills in ascending atom order.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        groups[uf.find(i)].push(i);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-    out.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    out
-}
-
-/// Path-compressing union-find.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
 fn normalize(v: &mut Point3) {
     let n = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
     for x in v.iter_mut() {
@@ -333,43 +237,6 @@ mod tests {
         // Eigenvalues descending.
         assert!(p.eigenvalues[0] >= p.eigenvalues[1]);
         assert!(p.eigenvalues[1] >= p.eigenvalues[2] - 1e-12);
-    }
-
-    #[test]
-    fn leaflet_finder_separates_two_planes() {
-        // Two parallel "leaflets" 10 apart, atoms 1 apart within each.
-        let mut positions = Vec::new();
-        for leaflet in 0..2 {
-            for x in 0..10 {
-                for y in 0..10 {
-                    positions.push([x as f64, y as f64, leaflet as f64 * 10.0]);
-                }
-            }
-        }
-        let frame = Frame { positions };
-        let leaflets = leaflet_finder(&frame, 1.5);
-        assert_eq!(leaflets.len(), 2);
-        assert_eq!(leaflets[0].len(), 100);
-        assert_eq!(leaflets[1].len(), 100);
-        // No atom in both; indices partition 0..200.
-        let all: std::collections::BTreeSet<usize> = leaflets.iter().flatten().copied().collect();
-        assert_eq!(all.len(), 200);
-    }
-
-    #[test]
-    fn leaflet_finder_single_component_when_cutoff_large() {
-        let frame = Frame {
-            positions: vec![[0.0; 3], [3.0, 0.0, 0.0], [6.0, 0.0, 0.0]],
-        };
-        assert_eq!(leaflet_finder(&frame, 10.0).len(), 1);
-        assert_eq!(leaflet_finder(&frame, 1.0).len(), 3);
-        assert_eq!(leaflet_finder(&frame, 3.5).len(), 1); // chain connects
-    }
-
-    #[test]
-    fn leaflet_finder_handles_empty_frame() {
-        let frame = Frame { positions: vec![] };
-        assert!(leaflet_finder(&frame, 1.0).is_empty());
     }
 
     #[test]

@@ -10,33 +10,51 @@
 //!     --baseline DIR --candidate DIR [--scenario NAME]...
 //! ```
 //!
-//! Exits non-zero on any failure, listing each one.
+//! Exits 1 on any failure, listing each one. An unknown argument, an
+//! unknown scenario, a missing `--baseline` or `--candidate`, or a flag
+//! without its value exits 2 with the usage on stderr, before any
+//! artifact is read.
 
 use std::path::{Path, PathBuf};
 
 use rp_bench::harness::{artifact_file_name, compare_artifacts, SCENARIO_NAMES};
 
-fn dir_arg(args: &[String], flag: &str) -> PathBuf {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--scenario NAME]...");
-            std::process::exit(2);
-        })
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_compare --baseline DIR --candidate DIR [--scenario NAME]...\n  scenarios: {}",
+        SCENARIO_NAMES.join(", ")
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_dir = dir_arg(&args, "--baseline");
-    let candidate_dir = dir_arg(&args, "--candidate");
-    let mut scenarios: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
+    let mut baseline_dir = None;
+    let mut candidate_dir = None;
+    let mut scenarios: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        // A flag's value may not itself look like a flag.
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| usage())
+        };
+        match arg.as_str() {
+            "--baseline" => baseline_dir = Some(PathBuf::from(value())),
+            "--candidate" => candidate_dir = Some(PathBuf::from(value())),
+            "--scenario" => {
+                let name = value();
+                if !SCENARIO_NAMES.contains(&name.as_str()) {
+                    usage();
+                }
+                scenarios.push(name);
+            }
+            _ => usage(),
+        }
+    }
+    let (Some(baseline_dir), Some(candidate_dir)) = (baseline_dir, candidate_dir) else {
+        usage();
+    };
     if scenarios.is_empty() {
         scenarios = SCENARIO_NAMES.iter().map(|s| s.to_string()).collect();
     }

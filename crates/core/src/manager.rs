@@ -6,7 +6,7 @@
 //! workload lifecycles: it schedules Compute-Units across pilots and
 //! queues their documents in the coordination store (U.1–U.2).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use rp_hpc::JobState;
@@ -73,10 +73,6 @@ struct PilotRecord {
     agent: Option<Agent>,
     saga_job: Option<rp_saga::SagaJob>,
     assigned_units: u64,
-    /// Units bound to this pilot and not yet final: the load that
-    /// LoadBalanced ranks pilots by. Each bound unit holds a clone and
-    /// gives its count back when it is re-bound or reaches a final state.
-    live_units: Rc<Cell<u64>>,
     /// Root lifecycle span ("pilot.run"): its id, kept after the run for
     /// the profilers, and the open span until the final state. Then the
     /// currently open child phase span. All `NONE` when tracing is
@@ -131,22 +127,11 @@ impl PilotHandle {
         self.rec.borrow().assigned_units
     }
 
-    /// Units bound to this pilot and not yet final.
-    pub(crate) fn live_units(&self) -> u64 {
-        self.rec.borrow().live_units.get()
-    }
-
-    /// Bind `unit` here: it counts toward this pilot's load, and no longer
-    /// toward its previous pilot's, until it reaches a final state.
+    /// Bind `unit` here and count it in [`assigned_units`](Self::assigned_units).
     fn bind(&self, unit: &UnitHandle) {
         let mut pilot = self.rec.borrow_mut();
         pilot.assigned_units += 1;
-        pilot.live_units.set(pilot.live_units.get() + 1);
-        let mut rec = unit.rec.borrow_mut();
-        rec.pilot = Some(pilot.id);
-        if let Some(prev) = rec.load.replace(pilot.live_units.clone()) {
-            prev.set(prev.get() - 1);
-        }
+        unit.rec.borrow_mut().pilot = Some(pilot.id);
     }
 
     /// Root lifecycle span ("pilot.run"), for the phase profiler.
@@ -278,7 +263,6 @@ impl PilotManager {
                 agent: None,
                 saga_job: None,
                 assigned_units: 0,
-                live_units: Rc::default(),
                 span_root: SpanId::NONE,
                 span_run: OpenSpan::NONE,
                 span_open: OpenSpan::NONE,
@@ -374,9 +358,6 @@ pub enum UmScheduler {
     /// Cycle through pilots in registration order.
     #[default]
     RoundRobin,
-    /// Pick the pilot with the fewest live units: bound to it and not yet
-    /// final. A cancelled, failed or re-bound unit stops counting.
-    LoadBalanced,
     /// Everything to the first pilot.
     Direct,
 }
@@ -433,11 +414,6 @@ impl UmInner {
                 self.rr_cursor = (i + 1) % cands.len();
                 cands[i % cands.len()].clone()
             }
-            UmScheduler::LoadBalanced => cands
-                .iter()
-                .min_by_key(|p| p.live_units())
-                .cloned()
-                .expect("pilots nonempty"),
         }
     }
 }
@@ -1127,7 +1103,7 @@ mod tests {
                 PilotDescription::new("localhost", 1, SimDuration::from_secs(600)),
             )
             .unwrap();
-        let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
+        let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
         um.add_pilot(&pilot);
         let units = um.submit_units(
             &mut e,
@@ -1140,45 +1116,9 @@ mod tests {
         for i in [0, 2, 3] {
             assert_eq!(units[i].state(), UnitState::Done, "{}", units[i].name());
         }
-        // LoadBalanced ranks pilots by live units. The cancelled unit
-        // never completes, but it is final, so the load returns to 0.
+        // The cancelled unit stays assigned but never completes.
         let done = pilot.agent().unwrap().units_completed();
         assert_eq!((pilot.assigned_units(), done), (4, 3));
-        assert_eq!(pilot.live_units(), 0);
-    }
-
-    #[test]
-    fn load_balanced_stops_counting_cancelled_units() {
-        let mut e = Engine::new(9);
-        let session = Session::new(SessionConfig::test_profile());
-        let pm = PilotManager::new(&session);
-        let pilots: Vec<PilotHandle> = (0..2)
-            .map(|_| {
-                pm.submit(
-                    &mut e,
-                    PilotDescription::new("localhost", 1, SimDuration::from_secs(600)),
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
-        um.add_pilot(&pilots[0]);
-        um.add_pilot(&pilots[1]);
-        let first = um.submit_units(
-            &mut e,
-            (0..3).map(|i| sleep_unit(&format!("u{i}"), 30)).collect(),
-        );
-        let on_p0: Vec<&UnitHandle> = first
-            .iter()
-            .filter(|u| u.pilot() == Some(pilots[0].id()))
-            .collect();
-        assert_eq!(on_p0.len(), 2);
-        for u in on_p0 {
-            um.cancel_unit(&mut e, u);
-        }
-        assert_eq!((pilots[0].live_units(), pilots[1].live_units()), (0, 1));
-        let next = um.submit_units(&mut e, vec![sleep_unit("next", 30)]);
-        assert_eq!(next[0].pilot(), Some(pilots[0].id()));
     }
 
     #[test]
@@ -1382,64 +1322,42 @@ mod tests {
     }
 
     #[test]
-    fn load_balanced_respects_unequal_pilot_sizes_and_death() {
-        // LoadBalanced counts assigned-minus-done, so the bigger pilot —
-        // finishing faster — absorbs more of the stream; after one pilot
-        // dies, everything lands on the survivor.
+    fn round_robin_never_picks_a_killed_pilot() {
+        // Round-robin spreads the first wave over both pilots; after one
+        // pilot dies, every new unit lands on the survivor.
         let mut e = Engine::new(25);
         let session = Session::new(SessionConfig::test_profile());
         let pm = PilotManager::new(&session);
-        let small = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 1, SimDuration::from_secs(7200)),
-            )
-            .unwrap();
-        let big = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 3, SimDuration::from_secs(7200)),
-            )
-            .unwrap();
-        let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
-        um.add_pilot(&small);
-        um.add_pilot(&big);
+        let pilots: Vec<PilotHandle> = (0..2)
+            .map(|_| {
+                pm.submit(
+                    &mut e,
+                    PilotDescription::new("localhost", 1, SimDuration::from_secs(7200)),
+                )
+                .unwrap()
+            })
+            .collect();
+        let (victim, survivor) = (&pilots[0], &pilots[1]);
+        let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+        um.add_pilot(victim);
+        um.add_pilot(survivor);
         arm_leases(&um, &mut e);
-        // Full-node units (8 cores): the small pilot runs 1 at a time,
-        // the big one 3. Feed waves faster than the small pilot drains so
-        // assigned-minus-done steers later waves toward the big pilot.
-        let full_node = |name: &str| {
-            ComputeUnitDescription::new(name, 8, WorkSpec::Sleep(SimDuration::from_secs(60)))
-        };
-        let mut all = Vec::new();
-        for wave in 0..6u64 {
-            let units = um.submit_units(
-                &mut e,
-                (0..8).map(|i| full_node(&format!("w{wave}u{i}"))).collect(),
-            );
-            all.extend(units);
-            e.run_until(SimTime::from_secs_f64(70.0 * (wave + 1) as f64));
-        }
-        while all.iter().any(|u| !u.state().is_final()) {
+        let first = um.submit_units(
+            &mut e,
+            (0..4).map(|i| sleep_unit(&format!("u{i}"), 10)).collect(),
+        );
+        while first.iter().any(|u| !u.state().is_final()) {
             assert!(e.step());
         }
-        assert!(all.iter().all(|u| u.state() == UnitState::Done));
-        // 3-node pilot must have completed more than the 1-node pilot.
-        let big_done = big.agent().unwrap().units_completed();
-        let small_done = small.agent().unwrap().units_completed();
-        assert!(
-            big_done > small_done,
-            "big {big_done} vs small {small_done}"
-        );
+        assert_eq!(victim.assigned_units(), 2);
 
-        // Now kill the small pilot and submit more: all go to `big`.
-        small.kill(&mut e);
+        victim.kill(&mut e);
         e.run_until(e.now() + SimDuration::from_secs(5));
         let tail = um.submit_units(
             &mut e,
             (0..4).map(|i| sleep_unit(&format!("t{i}"), 10)).collect(),
         );
-        assert!(tail.iter().all(|u| u.pilot() == Some(big.id())));
+        assert!(tail.iter().all(|u| u.pilot() == Some(survivor.id())));
         while tail.iter().any(|u| !u.state().is_final()) {
             assert!(e.step());
         }

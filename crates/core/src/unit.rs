@@ -1,6 +1,6 @@
 //! Compute-Unit runtime records and handles.
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use rp_hpc::NodeId;
@@ -77,9 +77,6 @@ pub(crate) struct UnitRecord {
     pub state: Guarded<UnitState>,
     pub times: UnitTimestamps,
     pub pilot: Option<PilotId>,
-    /// The live-unit count of the pilot this unit is bound to; the unit
-    /// gives its count back on a re-bind or at its final state.
-    pub load: Option<Rc<Cell<u64>>>,
     pub exec_nodes: Vec<NodeId>,
     pub failure: Option<String>,
     /// Stats of the MapReduce job, for `WorkSpec::MapReduce` units.
@@ -124,7 +121,6 @@ impl UnitHandle {
                 state: Guarded::<UnitState>::new(),
                 times: UnitTimestamps::default(),
                 pilot: None,
-                load: None,
                 exec_nodes: Vec::new(),
                 failure: None,
                 mr_stats: None,
@@ -273,9 +269,6 @@ impl UnitHandle {
                     rec.next_phase(&mut engine.trace, now, Some("unit.stage_out"));
                 }
                 UnitState::Done | UnitState::Canceled | UnitState::Failed => {
-                    if let Some(load) = rec.load.take() {
-                        load.set(load.get() - 1);
-                    }
                     rec.times.done = Some(now);
                     if rec.times.exec_end.is_none() {
                         rec.times.exec_end = rec.times.done;

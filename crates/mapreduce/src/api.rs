@@ -1,13 +1,13 @@
 //! Hadoop-style MapReduce programming API.
 //!
-//! `Mapper`, `Combiner` and `Reducer` are the user-facing traits; the
+//! `Mapper` and `Reducer` are the user-facing traits; the
 //! [`crate::local`] runner executes them for real on threads, and
 //! [`crate::simjob`] reuses the same job *shape* with calibrated cost
 //! models inside the discrete-event simulation.
 
 use std::hash::{Hash, Hasher};
 
-/// Collects key/value pairs emitted by a map or combine invocation.
+/// Collects key/value pairs emitted by a map invocation.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     out: Vec<(K, V)>,
@@ -49,11 +49,6 @@ pub trait Mapper<KI, VI, KO, VO>: Send + Sync {
 /// Reduce phase: one key and all its values, any number of outputs.
 pub trait Reducer<K, VI, VO>: Send + Sync {
     fn reduce(&self, key: K, values: Vec<VI>, out: &mut Vec<VO>);
-}
-
-/// Map-side pre-aggregation (a reducer whose output feeds the shuffle).
-pub trait Combiner<K, V>: Send + Sync {
-    fn combine(&self, key: &K, values: Vec<V>) -> V;
 }
 
 /// Blanket impls so closures can be used directly as mappers/reducers.

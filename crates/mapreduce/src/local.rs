@@ -1,7 +1,7 @@
 //! Native multi-threaded MapReduce runner.
 //!
 //! Executes a job for real: map tasks in parallel over input splits,
-//! optional map-side combine, hash shuffle, reduce tasks in parallel.
+//! hash shuffle, reduce tasks in parallel.
 //! Output within each reduce partition is ordered by key so runs are
 //! deterministic regardless of thread interleaving.
 
@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use rp_sim::par::{default_threads, parallel_map_mut};
 
-use crate::api::{partition_of, Combiner, Emitter, Mapper, Reducer};
+use crate::api::{partition_of, Emitter, Mapper, Reducer};
 
 /// Run a MapReduce job natively.
 ///
@@ -20,7 +20,6 @@ use crate::api::{partition_of, Combiner, Emitter, Mapper, Reducer};
 pub fn run_local<KI, VI, KO, VO, RO>(
     mut splits: Vec<Vec<(KI, VI)>>,
     mapper: &dyn Mapper<KI, VI, KO, VO>,
-    combiner: Option<&dyn Combiner<KO, VO>>,
     reducer: &dyn Reducer<KO, VO, RO>,
     num_reducers: usize,
 ) -> Vec<Vec<RO>>
@@ -36,7 +35,7 @@ where
     let threads = default_threads(n_maps.max(num_reducers));
 
     // ---- map phase (parallel over splits) ----
-    // Each map task produces per-reducer buckets; combine runs map-side.
+    // Each map task produces per-reducer buckets.
     let map_outputs: Vec<Vec<BTreeMap<KO, Vec<VO>>>> =
         parallel_map_mut(&mut splits, threads, |split| {
             let mut emitter = Emitter::new();
@@ -55,12 +54,6 @@ where
             for (k, vs) in grouped {
                 let p = partition_of(&k, num_reducers);
                 buckets[p].insert(k, vs);
-            }
-            if let Some(c) = combiner {
-                for (k, vs) in buckets.iter_mut().flat_map(|b| b.iter_mut()) {
-                    let combined = c.combine(k, std::mem::take(vs));
-                    vs.push(combined);
-                }
             }
             buckets
         });
@@ -108,13 +101,6 @@ mod tests {
         }
     }
 
-    struct SumCombiner;
-    impl Combiner<String, u64> for SumCombiner {
-        fn combine(&self, _key: &String, values: Vec<u64>) -> u64 {
-            values.into_iter().sum()
-        }
-    }
-
     fn wc_input() -> Vec<Vec<(u64, String)>> {
         vec![
             vec![
@@ -127,7 +113,7 @@ mod tests {
 
     #[test]
     fn word_count_without_combiner() {
-        let out = run_local(wc_input(), &WordCountMapper, None, &SumReducer, 3);
+        let out = run_local(wc_input(), &WordCountMapper, &SumReducer, 3);
         let all: std::collections::BTreeMap<String, u64> = out.into_iter().flatten().collect();
         assert_eq!(all["the"], 3);
         assert_eq!(all["quick"], 1);
@@ -135,21 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn combiner_does_not_change_result() {
-        let a = run_local(wc_input(), &WordCountMapper, None, &SumReducer, 2);
-        let b = run_local(
-            wc_input(),
-            &WordCountMapper,
-            Some(&SumCombiner),
-            &SumReducer,
-            2,
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn output_is_key_ordered_per_partition() {
-        let out = run_local(wc_input(), &WordCountMapper, None, &SumReducer, 1);
+        let out = run_local(wc_input(), &WordCountMapper, &SumReducer, 1);
         let keys: Vec<&String> = out[0].iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -161,7 +134,6 @@ mod tests {
         let out = run_local(
             Vec::<Vec<(u64, String)>>::new(),
             &WordCountMapper,
-            None,
             &SumReducer,
             4,
         );
@@ -175,7 +147,6 @@ mod tests {
         let out = run_local(
             splits,
             &|_k: u64, v: u64, e: &mut Emitter<u64, u64>| e.emit(v % 2, v),
-            None,
             &|k: u64, vs: Vec<u64>, out: &mut Vec<(u64, u64)>| out.push((k, vs.into_iter().sum())),
             2,
         );

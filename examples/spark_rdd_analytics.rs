@@ -1,13 +1,12 @@
-//! The native mini-RDD engine doing real analytics: word count, K-Means
-//! and triangle counting — the Spark-side capabilities the Pilot layer
-//! provisions (paper §III-D), here exercised directly.
+//! The native mini-RDD engine doing real analytics: word count and
+//! K-Means — the Spark-side capabilities the Pilot layer provisions
+//! (paper §III-D), here exercised directly.
 //!
 //! ```text
 //! cargo run --release --example spark_rdd_analytics
 //! ```
 
-use hadoop_hpc::analytics::dataset::{gaussian_blobs, random_graph};
-use hadoop_hpc::analytics::graph::count_triangles_rdd;
+use hadoop_hpc::analytics::dataset::gaussian_blobs;
 use hadoop_hpc::analytics::kmeans::kmeans_rdd;
 use hadoop_hpc::spark::SparkContext;
 
@@ -51,15 +50,6 @@ fn main() {
     println!(
         "\nK-Means (50k pts, k=8, 5 iters on 8 partitions): cost {:.1} in {took:?}",
         result.cost
-    );
-
-    // ---- triangle counting ----
-    let g = random_graph(20_000, 12.0, 7);
-    let (triangles, took) = timed(|| count_triangles_rdd(&g, 8));
-    println!(
-        "\ntriangles in G(n={}, avg deg 12): {} in {took:?}",
-        g.nodes(),
-        triangles
     );
 
     // ---- caching effect ----

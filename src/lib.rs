@@ -9,7 +9,7 @@
 //! ## Layering
 //!
 //! ```text
-//!  rp-analytics   K-Means / MD trajectory / triangle counting workloads
+//!  rp-analytics   K-Means / MD trajectory workloads
 //!  rp-pilot       Pilot-Manager · Unit-Manager · coordination store · Agent
 //!                 (Mode I: Hadoop on HPC · Mode II: HPC on Hadoop · Spark)
 //!  rp-saga        SAGA job/file API · SAGA-Hadoop cluster tool

@@ -66,55 +66,6 @@ fn two_machines_one_unit_manager() {
 }
 
 #[test]
-fn load_balanced_scheduler_prefers_idle_pilot() {
-    let mut e = Engine::new(2);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let p1 = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("localhost", 1, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
-    let p2 = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("localhost", 1, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::LoadBalanced);
-    um.add_pilot(&p1);
-    um.add_pilot(&p2);
-    // Load p1 with a long unit first.
-    let first = um.submit_units(
-        &mut e,
-        vec![ComputeUnitDescription::new(
-            "long",
-            1,
-            WorkSpec::Sleep(SimDuration::from_secs(300)),
-        )],
-    );
-    assert_eq!(first[0].pilot(), Some(p1.id()));
-    // The next burst should favour p2 (fewer outstanding units).
-    let burst = um.submit_units(
-        &mut e,
-        (0..3)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("s{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(5)),
-                )
-            })
-            .collect(),
-    );
-    // With load-balancing, at least 2 of 3 land on p2.
-    let on_p2 = burst.iter().filter(|u| u.pilot() == Some(p2.id())).count();
-    assert!(on_p2 >= 2, "{on_p2}");
-    drive_until_final(&mut e, &burst);
-}
-
-#[test]
 fn hybrid_pipeline_hpc_stage_then_mapreduce_stage() {
     // The integration the paper is about: simulation CUs on a plain view
     // of the pilot, then a MapReduce analysis on the same pilot's Mode I

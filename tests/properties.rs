@@ -145,7 +145,6 @@ fn mapreduce_matches_sequential_reference() {
         let out = run_local(
             split_input,
             &|_k: u64, w: String, e: &mut Emitter<String, u64>| e.emit(w, 1),
-            None,
             &|k: String, vs: Vec<u64>, out: &mut Vec<(String, u64)>| {
                 out.push((k, vs.into_iter().sum()))
             },
