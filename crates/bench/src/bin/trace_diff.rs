@@ -3,48 +3,24 @@
 //! segments / spans that moved (regressed, improved, new, vanished).
 //!
 //! ```text
-//! cargo run -p rp-bench --release --bin trace_diff -- \
-//!     BASELINE.json CANDIDATE.json [--json] [--eps SECONDS]
+//! cargo run -p rp-bench --release --bin trace_diff -- BASELINE.json CANDIDATE.json
 //! ```
 //!
 //! Both files must be the same kind — either two artifacts written by
-//! `bench_suite` or two Chrome traces written by `trace_validate` /
-//! [`rp_sim::trace::Trace::write_chrome_json`]; the kind is sniffed from
-//! the document shape. Exit status: 0 when no virtual-time quantity moved
-//! beyond `--eps` (default 1e-6; host timings never count), 1 when
+//! `bench_suite` or two Chrome traces written by
+//! [`rp_sim::trace::Trace::write_chrome_json`] (e.g. the quickstart's
+//! `--trace-out`); the kind is sniffed from the document shape. Exit
+//! status: 0 when no virtual-time quantity moved beyond
+//! [`rp_bench::diff::EPS`] (1e-6; host timings never count), 1 when
 //! something did, 2 on usage or unreadable/malformed input.
 
-use rp_bench::diff::{diff_documents, DEFAULT_EPS};
-
-fn usage() -> ! {
-    eprintln!("usage: trace_diff BASELINE.json CANDIDATE.json [--json] [--eps SECONDS]");
-    std::process::exit(2);
-}
+use rp_bench::diff::diff_documents;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files: Vec<&String> = Vec::new();
-    let mut as_json = false;
-    let mut eps = DEFAULT_EPS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => as_json = true,
-            "--eps" => {
-                i += 1;
-                eps = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(e) => e,
-                    None => usage(),
-                };
-            }
-            flag if flag.starts_with("--") => usage(),
-            _ => files.push(&args[i]),
-        }
-        i += 1;
-    }
-    let (base_path, cand_path) = match files.as_slice() {
-        [b, c] => (b.as_str(), c.as_str()),
-        _ => usage(),
+    let [base_path, cand_path] = args.as_slice() else {
+        eprintln!("usage: trace_diff BASELINE.json CANDIDATE.json");
+        std::process::exit(2);
     };
     let read = |path: &str| -> String {
         match std::fs::read_to_string(path) {
@@ -63,10 +39,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if as_json {
-        println!("{}", report.to_json(eps));
-    } else {
-        print!("{}", report.render_table(eps));
-    }
-    std::process::exit(if report.is_clean(eps) { 0 } else { 1 });
+    print!("{}", report.render_table());
+    std::process::exit(if report.is_clean() { 0 } else { 1 });
 }

@@ -22,10 +22,10 @@ use std::collections::BTreeMap;
 
 use rp_sim::json::{self, Value};
 
-/// Deltas smaller than this (seconds for durations, absolute units for
+/// Deltas no larger than this (seconds for durations, absolute units for
 /// counters) are noise, not movement. `{:.6}` artifact formatting means
 /// anything under a microsecond is a rounding artifact by construction.
-pub const DEFAULT_EPS: f64 = 1e-6;
+pub const EPS: f64 = 1e-6;
 
 /// Direction of one compared quantity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +65,11 @@ impl Entry {
         self.cand.unwrap_or(0.0) - self.base.unwrap_or(0.0)
     }
 
-    /// Classification is eps-gated across the board: a label present on
-    /// only one side but worth 0.0 is layout noise (a phase column that
+    /// Classification is [`EPS`]-gated across the board: a label present
+    /// on only one side but worth 0.0 is layout noise (a phase column that
     /// happens to be empty), not a new or vanished quantity.
-    pub fn change(&self, eps: f64) -> Change {
-        if self.delta().abs() <= eps {
+    pub fn change(&self) -> Change {
+        if self.delta().abs() <= EPS {
             Change::Unchanged
         } else {
             match (self.base, self.cand) {
@@ -91,11 +91,11 @@ pub struct Section {
 }
 
 impl Section {
-    fn changed(&self, eps: f64) -> Vec<&Entry> {
+    fn changed(&self) -> Vec<&Entry> {
         let mut moved: Vec<&Entry> = self
             .entries
             .iter()
-            .filter(|e| e.change(eps) != Change::Unchanged)
+            .filter(|e| e.change() != Change::Unchanged)
             .collect();
         moved.sort_by(|a, b| {
             b.delta()
@@ -130,20 +130,20 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// True when no virtual-time quantity moved beyond `eps`. Host
+    /// True when no virtual-time quantity moved beyond [`EPS`]. Host
     /// timings are excluded — they vary run to run by construction.
-    pub fn is_clean(&self, eps: f64) -> bool {
+    pub fn is_clean(&self) -> bool {
         self.sections
             .iter()
-            .all(|s| s.entries.iter().all(|e| e.change(eps) == Change::Unchanged))
+            .all(|s| s.entries.iter().all(|e| e.change() == Change::Unchanged))
     }
 
     /// The single largest virtual-time mover (by |delta|), if any: the
     /// headline of the attribution. Searches sections in order, so phase
     /// totals outrank critical-path segments outrank counters.
-    pub fn top_mover(&self, eps: f64) -> Option<(&'static str, &Entry)> {
+    pub fn top_mover(&self) -> Option<(&'static str, &Entry)> {
         for s in &self.sections {
-            if let Some(e) = s.changed(eps).first() {
+            if let Some(e) = s.changed().first() {
                 return Some((s.title, e));
             }
         }
@@ -152,12 +152,12 @@ impl DiffReport {
 
     /// One-line verdict naming the top mover, e.g.
     /// `phase totals: fault_matrix/compute regressed +120.000000s`.
-    pub fn headline(&self, eps: f64) -> String {
-        match self.top_mover(eps) {
+    pub fn headline(&self) -> String {
+        match self.top_mover() {
             Some((title, e)) => format!(
                 "{title}: {} {} {:+.6}{}",
                 e.label,
-                e.change(eps).label(),
+                e.change().label(),
                 e.delta(),
                 self.sections
                     .iter()
@@ -171,11 +171,11 @@ impl DiffReport {
 
     /// Aligned human rendering: headline first, then every section's
     /// movers sorted by |delta|, then host context.
-    pub fn render_table(&self, eps: f64) -> String {
-        let mut out = format!("trace_diff ({}): {}\n", self.kind, self.headline(eps));
+    pub fn render_table(&self) -> String {
+        let mut out = format!("trace_diff ({}): {}\n", self.kind, self.headline());
         out.push_str(self.divergence.as_deref().unwrap_or(""));
         for s in &self.sections {
-            let moved = s.changed(eps);
+            let moved = s.changed();
             if moved.is_empty() {
                 continue;
             }
@@ -187,7 +187,7 @@ impl DiffReport {
                     fmt_side(e.base),
                     fmt_side(e.cand),
                     e.delta(),
-                    e.change(eps).label()
+                    e.change().label()
                 ));
             }
         }
@@ -208,54 +208,12 @@ impl DiffReport {
         }
         out
     }
-
-    /// Machine-readable form of the same attribution.
-    pub fn to_json(&self, eps: f64) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"{}\",\"clean\":{},\"headline\":\"{}\",\"sections\":[",
-            self.kind,
-            self.is_clean(eps),
-            rp_sim::trace::escape_json(&self.headline(eps))
-        );
-        for (i, s) in self.sections.iter().chain([&self.host]).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"title\":\"{}\",\"unit\":\"{}\",\"entries\":[",
-                s.title, s.unit
-            ));
-            for (j, e) in s.entries.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"label\":\"{}\",\"base\":{},\"cand\":{},\"delta\":{:.6},\"change\":\"{}\"}}",
-                    rp_sim::trace::escape_json(&e.label),
-                    fmt_json_side(e.base),
-                    fmt_json_side(e.cand),
-                    e.delta(),
-                    e.change(eps).label()
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 fn fmt_side(v: Option<f64>) -> String {
     match v {
         Some(x) => format!("{x:.6}"),
         None => "-".to_string(),
-    }
-}
-
-fn fmt_json_side(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.6}"),
-        None => "null".to_string(),
     }
 }
 
@@ -592,22 +550,22 @@ mod tests {
     #[test]
     fn self_diff_is_clean() {
         let d = diff_documents(ART, ART).expect("diff");
-        assert!(d.is_clean(DEFAULT_EPS));
-        assert_eq!(d.headline(DEFAULT_EPS), "no virtual-time differences");
+        assert!(d.is_clean());
+        assert_eq!(d.headline(), "no virtual-time differences");
     }
 
     #[test]
     fn artifact_diff_names_the_moved_phase() {
         let d = diff_documents(ART, &perturbed()).expect("diff");
-        assert!(!d.is_clean(DEFAULT_EPS));
-        let (section, top) = d.top_mover(DEFAULT_EPS).expect("a mover");
+        assert!(!d.is_clean());
+        let (section, top) = d.top_mover().expect("a mover");
         assert_eq!(section, "phase totals");
         assert_eq!(top.label, "c1/compute");
-        assert_eq!(top.change(DEFAULT_EPS), Change::Regressed);
+        assert_eq!(top.change(), Change::Regressed);
         assert!((top.delta() - 2.5).abs() < 1e-9);
-        assert!(d.headline(DEFAULT_EPS).contains("c1/compute"));
+        assert!(d.headline().contains("c1/compute"));
         // Host medians are identical here and never count as movement.
-        let rendered = d.render_table(DEFAULT_EPS);
+        let rendered = d.render_table();
         assert!(rendered.contains("regressed"));
     }
 
@@ -627,9 +585,9 @@ mod tests {
                 .find(|e| e.label == l)
                 .expect("entry")
         };
-        assert_eq!(by_label("a").change(DEFAULT_EPS), Change::Vanished);
-        assert_eq!(by_label("c").change(DEFAULT_EPS), Change::New);
-        assert_eq!(by_label("b").change(DEFAULT_EPS), Change::Unchanged);
+        assert_eq!(by_label("a").change(), Change::Vanished);
+        assert_eq!(by_label("c").change(), Change::New);
+        assert_eq!(by_label("b").change(), Change::Unchanged);
     }
 
     #[test]
@@ -642,13 +600,13 @@ mod tests {
                        {"name":"v","ph":"e","ts":1000000,"id":"0x2"}]"#;
         let d = diff_documents(base, cand).expect("diff");
         assert_eq!(d.kind, "chrome");
-        let (section, top) = d.top_mover(DEFAULT_EPS).expect("mover");
+        let (section, top) = d.top_mover().expect("mover");
         assert_eq!(section, "span totals");
         assert_eq!(top.label, "u");
         assert!((top.delta() - 1.0).abs() < 1e-9);
         let spans = &d.sections[0];
         let v = spans.entries.iter().find(|e| e.label == "v").expect("v");
-        assert_eq!(v.change(DEFAULT_EPS), Change::New);
+        assert_eq!(v.change(), Change::New);
     }
 
     #[test]
@@ -699,7 +657,7 @@ mod tests {
             baseline:  e unit.exec 0x3 at 4.000000s; ancestors: unit.run 0x2; unit=7; pilot=0\n  \
             candidate: e unit.exec 0x3 at 4.500000s; ancestors: unit.run 0x2; unit=7; pilot=0\n";
         assert_eq!(d.divergence.as_deref(), Some(div));
-        assert!(d.render_table(DEFAULT_EPS).contains(div));
+        assert!(d.render_table().contains(div));
     }
 
     #[test]
@@ -707,18 +665,5 @@ mod tests {
         assert!(diff_documents(ART, "[]").is_err());
         let dangling = r#"[{"name":"u","ph":"b","ts":0,"id":"0x1"}]"#;
         assert!(diff_documents(dangling, dangling).is_err());
-    }
-
-    #[test]
-    fn json_output_reports_clean_flag_and_changes() {
-        let d = diff_documents(ART, &perturbed()).expect("diff");
-        let doc = json::parse(&d.to_json(DEFAULT_EPS)).expect("valid JSON");
-        assert_eq!(doc.get("kind").and_then(Value::as_str), Some("artifact"));
-        assert_eq!(doc.get("clean"), Some(&Value::Bool(false)));
-        let headline = doc
-            .get("headline")
-            .and_then(Value::as_str)
-            .expect("headline");
-        assert!(headline.contains("c1/compute"));
     }
 }

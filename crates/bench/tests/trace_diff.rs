@@ -3,7 +3,7 @@
 //! diff clean, and the Chrome-trace reduction must agree with the
 //! engine-side [`Trace::name_totals`] aggregation it claims to mirror.
 
-use rp_bench::diff::{diff_documents, Change, DEFAULT_EPS};
+use rp_bench::diff::{diff_documents, Change};
 use rp_bench::harness::{bench_with, run_fault_matrix, FaultMatrixParams};
 use rp_sim::trace::{SpanId, Trace};
 use rp_sim::{SimDuration, SimTime};
@@ -24,7 +24,7 @@ fn repeat_run_diffs_clean_and_perturbation_names_the_compute_phase() {
     // which attribution reports but never counts as movement.
     let same = bench_with("fault_matrix", 1, || run_fault_matrix(small_params()));
     let d = diff_documents(&baseline.to_json(), &same.to_json()).expect("diff");
-    assert!(d.is_clean(DEFAULT_EPS), "{}", d.render_table(DEFAULT_EPS));
+    assert!(d.is_clean(), "{}", d.render_table());
 
     // Longer sleeps: the regression must land on the compute phase, and
     // the headline must say so.
@@ -35,17 +35,17 @@ fn repeat_run_diffs_clean_and_perturbation_names_the_compute_phase() {
         })
     });
     let d = diff_documents(&baseline.to_json(), &perturbed.to_json()).expect("diff");
-    assert!(!d.is_clean(DEFAULT_EPS));
-    let (section, top) = d.top_mover(DEFAULT_EPS).expect("a mover");
+    assert!(!d.is_clean());
+    let (section, top) = d.top_mover().expect("a mover");
     assert_eq!(section, "phase totals", "top mover section");
     assert!(
         top.label.ends_with("/compute"),
         "expected the compute phase to lead the attribution, got {:?}",
         top.label
     );
-    assert_eq!(top.change(DEFAULT_EPS), Change::Regressed);
+    assert_eq!(top.change(), Change::Regressed);
     assert!(top.delta() > 0.0);
-    let headline = d.headline(DEFAULT_EPS);
+    let headline = d.headline();
     assert!(
         headline.contains("compute") && headline.contains("regressed"),
         "headline {headline:?}"
@@ -59,13 +59,13 @@ fn repeat_run_diffs_clean_and_perturbation_names_the_compute_phase() {
     assert!(
         crit.entries
             .iter()
-            .any(|e| e.label.ends_with("/compute") && e.change(DEFAULT_EPS) == Change::Regressed),
+            .any(|e| e.label.ends_with("/compute") && e.change() == Change::Regressed),
         "critical path must attribute the same phase"
     );
     // Reversed operands classify the same movement as an improvement.
     let rev = diff_documents(&perturbed.to_json(), &baseline.to_json()).expect("diff");
-    let (_, top) = rev.top_mover(DEFAULT_EPS).expect("a mover");
-    assert_eq!(top.change(DEFAULT_EPS), Change::Improved);
+    let (_, top) = rev.top_mover().expect("a mover");
+    assert_eq!(top.change(), Change::Improved);
 }
 
 /// Build a toy trace: `n` spans named `unit.run` of `secs` seconds each,
@@ -88,7 +88,7 @@ fn chrome_diff_agrees_with_engine_side_name_totals() {
     let cand = toy_trace(3, 14);
     let d = diff_documents(&base.to_chrome_json(), &cand.to_chrome_json()).expect("diff");
     assert_eq!(d.kind, "chrome");
-    let (section, top) = d.top_mover(DEFAULT_EPS).expect("a mover");
+    let (section, top) = d.top_mover().expect("a mover");
     assert_eq!(section, "span totals");
     assert_eq!(top.label, "unit.run");
 
@@ -117,9 +117,9 @@ fn chrome_diff_agrees_with_engine_side_name_totals() {
         .expect("unit.run counts");
     assert_eq!(unit.base, Some(bc as f64));
     assert_eq!(unit.cand, Some(cc as f64));
-    assert_eq!(unit.change(DEFAULT_EPS), Change::Unchanged);
+    assert_eq!(unit.change(), Change::Unchanged);
 
     // Identical traces diff clean.
     let same = diff_documents(&base.to_chrome_json(), &base.to_chrome_json()).expect("diff");
-    assert!(same.is_clean(DEFAULT_EPS));
+    assert!(same.is_clean());
 }

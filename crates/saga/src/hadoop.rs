@@ -24,15 +24,6 @@ pub enum Framework {
     Yarn { config: YarnConfig, with_hdfs: bool },
     /// Spark standalone.
     Spark { config: SparkConfig },
-    /// A user-supplied framework plugin — the extensibility point the
-    /// paper calls out ("new frameworks, e.g. Flink, can easily be
-    /// added"). Only the bootstrap shape is modelled: fixed preparation
-    /// plus per-node daemon starts (paid as the max, nodes in parallel).
-    Custom {
-        name: String,
-        prepare_s: f64,
-        daemon_start_s: f64,
-    },
 }
 
 /// A running framework cluster handed to the user once bootstrapped.
@@ -40,8 +31,6 @@ pub enum Framework {
 pub enum FrameworkHandle {
     Yarn(HadoopEnv),
     Spark(SparkCluster),
-    /// Name + node count of a custom framework.
-    Custom(String, usize),
 }
 
 /// A SAGA-Hadoop managed cluster: placeholder batch job + framework.
@@ -68,12 +57,6 @@ impl ManagedCluster {
                     job.complete(eng);
                 });
             }
-            FrameworkHandle::Custom(name, _) => {
-                engine
-                    .trace
-                    .record(engine.now(), "saga", format!("stopping {name}"));
-                self.job.complete(engine);
-            }
         }
     }
 
@@ -98,7 +81,6 @@ pub fn start_cluster(
         match &framework {
             Framework::Yarn { .. } => "saga-hadoop-bootstrap-yarn",
             Framework::Spark { .. } => "saga-hadoop-bootstrap-spark",
-            Framework::Custom { .. } => "saga-hadoop-bootstrap-custom",
         },
         nodes,
         walltime,
@@ -140,38 +122,6 @@ pub fn start_cluster(
                             );
                         },
                     );
-                }
-                Framework::Custom {
-                    name,
-                    prepare_s,
-                    daemon_start_s,
-                } => {
-                    let on_ready = on_ready.clone();
-                    let alloc2 = alloc.clone();
-                    let n = alloc.nodes.len();
-                    let mut daemons_max = 0.0f64;
-                    for _ in 0..n {
-                        daemons_max = daemons_max.max(eng.rng.normal_min(
-                            daemon_start_s,
-                            daemon_start_s * 0.15,
-                            0.01,
-                        ));
-                    }
-                    let total = rp_sim::SimDuration::from_secs_f64(
-                        eng.rng.normal_min(prepare_s, prepare_s * 0.1, 0.01) + daemons_max,
-                    );
-                    eng.schedule_in(total, move |eng| {
-                        let cb = on_ready.borrow_mut().take().expect("ready fired twice");
-                        cb(
-                            eng,
-                            ManagedCluster {
-                                framework: FrameworkHandle::Custom(name, n),
-                                allocation: alloc2,
-                                job,
-                                startup_time: eng.now().since(t0),
-                            },
-                        );
-                    });
                 }
                 Framework::Spark { config } => {
                     let on_ready = on_ready.clone();
@@ -286,41 +236,6 @@ mod tests {
         } else {
             panic!("expected spark handle");
         }
-        mc.stop(&mut e);
-        e.run();
-        assert_eq!(mc.job_state(), JobState::Completed);
-    }
-
-    #[test]
-    fn custom_framework_plugin_bootstraps() {
-        // "This architecture allows for extensibility – new frameworks,
-        // e.g. Flink, can easily be added."
-        let mut e = Engine::new(5);
-        let svc = service();
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        start_cluster(
-            &mut e,
-            &svc,
-            Framework::Custom {
-                name: "flink".into(),
-                prepare_s: 5.0,
-                daemon_start_s: 3.0,
-            },
-            2,
-            SimDuration::from_secs(3600),
-            move |_, mc| *g.borrow_mut() = Some(mc),
-        );
-        e.run_until(rp_sim::SimTime::from_secs_f64(60.0));
-        let mc = got.borrow_mut().take().expect("cluster ready");
-        match &mc.framework {
-            FrameworkHandle::Custom(name, nodes) => {
-                assert_eq!(name, "flink");
-                assert_eq!(*nodes, 2);
-            }
-            _ => panic!("expected custom handle"),
-        }
-        assert!(mc.startup_time.as_secs_f64() > 7.0);
         mc.stop(&mut e);
         e.run();
         assert_eq!(mc.job_state(), JobState::Completed);

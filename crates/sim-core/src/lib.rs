@@ -56,8 +56,8 @@ pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Message, OpenSpan,
-    Span, SpanId, SpanIndex, Trace, TraceEvent,
+    escape_json, validate_chrome_json, ChromeTraceStats, Message, OpenSpan, Span, SpanId,
+    SpanIndex, Trace, TraceEvent,
 };
 
 /// Convenience: megabytes → bytes (storage models are specified in MB/s).

@@ -630,59 +630,10 @@ pub struct ChromeTraceStats {
     pub ends: usize,
 }
 
-/// Shared per-element check between the in-memory and streaming
-/// validators.
-fn check_chrome_element(
-    item: &crate::json::Value,
-    i: usize,
-    stats: &mut ChromeTraceStats,
-    open: &mut std::collections::BTreeMap<String, i64>,
-) -> Result<(), String> {
-    use crate::json;
-    let json::Value::Object(fields) = item else {
-        return Err(format!("array element {i} is not an object"));
-    };
-    let get = |key: &str| -> Option<&json::Value> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    };
-    let Some(json::Value::String(ph)) = get("ph") else {
-        return Err(format!("array element {i} has no \"ph\" field"));
-    };
-    match ph.as_str() {
-        "i" => stats.instants += 1,
-        "b" | "e" => {
-            let Some(json::Value::String(id)) = get("id") else {
-                return Err(format!("async event {i} has no \"id\" field"));
-            };
-            let n = open.entry(id.clone()).or_insert(0);
-            if ph == "b" {
-                stats.begins += 1;
-                *n += 1;
-            } else {
-                stats.ends += 1;
-                *n -= 1;
-                if *n < 0 {
-                    return Err(format!("\"e\" for id {id} without a matching \"b\""));
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-fn check_chrome_balance(open: &std::collections::BTreeMap<String, i64>) -> Result<(), String> {
-    if let Some((id, n)) = open.iter().find(|(_, &n)| n != 0) {
-        return Err(format!("id {id} has {n} unclosed \"b\" event(s)"));
-    }
-    Ok(())
-}
-
-/// Validate a Chrome tracing JSON document held in memory: it must parse
-/// as a JSON array of objects, and every async `"ph":"b"` must have a
-/// matching `"ph":"e"` with the same id (balanced, never closing an
-/// unopened id). For large on-disk traces use [`validate_chrome_reader`],
-/// which checks the same properties chunk-by-chunk in bounded memory.
+/// Validate a Chrome tracing JSON document: it must parse as a JSON array
+/// of objects, each with a `"ph"` field, and every async `"ph":"b"` must
+/// have a matching `"ph":"e"` with the same id (balanced, never closing an
+/// unopened id).
 pub fn validate_chrome_json(s: &str) -> Result<ChromeTraceStats, String> {
     use crate::json;
     let value = json::parse(s)?;
@@ -697,123 +648,39 @@ pub fn validate_chrome_json(s: &str) -> Result<ChromeTraceStats, String> {
     };
     let mut open: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
     for (i, item) in items.iter().enumerate() {
-        check_chrome_element(item, i, &mut stats, &mut open)?;
-    }
-    check_chrome_balance(&open)?;
-    Ok(stats)
-}
-
-/// Streaming variant of [`validate_chrome_json`]: scans the top-level
-/// array one element at a time, parsing each object individually, so peak
-/// memory is one element plus the open-id table — a multi-GB scale-run
-/// trace validates without being materialized. Byte-for-byte the same
-/// accept/reject decisions as the in-memory validator.
-pub fn validate_chrome_reader<R: io::Read>(r: R) -> Result<ChromeTraceStats, String> {
-    use io::Read as _;
-    let mut bytes = io::BufReader::new(r).bytes();
-    let mut next = || -> Result<Option<u8>, String> {
-        match bytes.next() {
-            Some(Ok(b)) => Ok(Some(b)),
-            Some(Err(e)) => Err(format!("read error: {e}")),
-            None => Ok(None),
-        }
-    };
-    // Leading whitespace then '['.
-    let mut c = next()?;
-    while matches!(c, Some(b) if (b as char).is_ascii_whitespace()) {
-        c = next()?;
-    }
-    if c != Some(b'[') {
-        return Err("top-level JSON value is not an array".into());
-    }
-    let mut stats = ChromeTraceStats {
-        objects: 0,
-        instants: 0,
-        begins: 0,
-        ends: 0,
-    };
-    let mut open: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
-    let mut expect_element = false; // after a comma an element is mandatory
-    loop {
-        // Between elements: skip whitespace, handle ',' and ']'.
-        let mut b = match next()? {
-            Some(b) => b,
-            None => return Err("unexpected end of document inside array".into()),
+        let json::Value::Object(fields) = item else {
+            return Err(format!("array element {i} is not an object"));
         };
-        if (b as char).is_ascii_whitespace() {
-            continue;
-        }
-        match b {
-            b']' if !expect_element => break,
-            b',' if !expect_element && stats.objects > 0 => {
-                expect_element = true;
-                continue;
+        let get = |key: &str| -> Option<&json::Value> {
+            fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        };
+        let Some(json::Value::String(ph)) = get("ph") else {
+            return Err(format!("array element {i} has no \"ph\" field"));
+        };
+        match ph.as_str() {
+            "i" => stats.instants += 1,
+            "b" | "e" => {
+                let Some(json::Value::String(id)) = get("id") else {
+                    return Err(format!("async event {i} has no \"id\" field"));
+                };
+                let n = open.entry(id.clone()).or_insert(0);
+                if ph == "b" {
+                    stats.begins += 1;
+                    *n += 1;
+                } else {
+                    stats.ends += 1;
+                    *n -= 1;
+                    if *n < 0 {
+                        return Err(format!("\"e\" for id {id} without a matching \"b\""));
+                    }
+                }
             }
-            b',' | b']' => return Err("malformed array separators".into()),
             _ => {}
         }
-        // Accumulate one balanced element. Trace documents contain only
-        // objects; scalars are accumulated too and rejected by the parse.
-        let mut elem: Vec<u8> = Vec::new();
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut escaped = false;
-        loop {
-            elem.push(b);
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if b == b'\\' {
-                    escaped = true;
-                } else if b == b'"' {
-                    in_str = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' => {
-                        depth = depth
-                            .checked_sub(1)
-                            .ok_or_else(|| "unbalanced brackets in array element".to_string())?;
-                    }
-                    _ => {}
-                }
-                // A scalar element ends at the next top-level ',' or ']';
-                // push-back is handled by peeking below.
-                if depth == 0 && !matches!(b, b'0'..=b'9' | b'a'..=b'z' | b'.' | b'-' | b'+' | b'E')
-                {
-                    break;
-                }
-            }
-            b = match next()? {
-                Some(b) => b,
-                None => {
-                    if depth == 0 && !in_str {
-                        break;
-                    }
-                    return Err("unexpected end of document inside array element".into());
-                }
-            };
-            // Scalar elements (numbers, literals) end before ',' / ']'.
-            if depth == 0 && !in_str && (b == b',' || b == b']') {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&elem).map_err(|e| format!("invalid UTF-8: {e}"))?;
-        let value = crate::json::parse(text.trim())?;
-        check_chrome_element(&value, stats.objects, &mut stats, &mut open)?;
-        stats.objects += 1;
-        expect_element = false;
-        // If the element scan stopped *on* the separator byte, honor it.
-        if depth == 0 && !in_str && (b == b',' || b == b']') {
-            if b == b']' {
-                break;
-            }
-            expect_element = true;
-        }
     }
-    check_chrome_balance(&open)?;
+    if let Some((id, n)) = open.iter().find(|(_, &n)| n != 0) {
+        return Err(format!("id {id} has {n} unclosed \"b\" event(s)"));
+    }
     Ok(stats)
 }
 
@@ -971,44 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_validator_matches_in_memory_validator() {
-        let mut t = Trace::enabled();
-        t.record(SimTime(1), "pilot", "launch \"x\"\nnext");
-        let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
-        let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root.id());
-        t.span_attr(child.id(), "bytes", "1024");
-        t.span_end(SimTime(9), child);
-        t.span_end(SimTime(20), root);
-        let j = t.to_chrome_json();
-        let a = validate_chrome_json(&j).unwrap();
-        let b = validate_chrome_reader(j.as_bytes()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streaming_validator_rejects_what_the_in_memory_one_rejects() {
-        for doc in [
-            "[",
-            "{}",
-            "[1]",
-            r#"[{"name":"s","cat":"c","ph":"b","ts":1,"pid":1,"tid":1,"id":"0x1","args":{}}]"#,
-            r#"[{"name":"s","cat":"c","ph":"e","ts":1,"pid":1,"tid":1,"id":"0x1"}]"#,
-            "[{\"ph\":\"i\",\"name\":\"a\nb\"}]",
-            "[,]",
-            "[{\"ph\":\"i\"},]",
-        ] {
-            assert!(
-                validate_chrome_reader(doc.as_bytes()).is_err(),
-                "accepted {doc:?}"
-            );
-        }
-        // Whitespace layouts the in-memory parser accepts also pass.
-        let ok = " [ {\"ph\":\"i\"} , {\"ph\":\"i\"} ] ";
-        assert_eq!(validate_chrome_reader(ok.as_bytes()).unwrap().instants, 2);
-        assert_eq!(validate_chrome_reader("[]".as_bytes()).unwrap().objects, 0);
-    }
-
-    #[test]
     fn validator_rejects_broken_documents() {
         assert!(validate_chrome_json("[").is_err());
         assert!(validate_chrome_json("{}").is_err());
@@ -1022,6 +851,13 @@ mod tests {
         assert!(validate_chrome_json(inverted).is_err());
         // Raw newline inside a string is invalid JSON.
         assert!(validate_chrome_json("[{\"ph\":\"i\",\"name\":\"a\nb\"}]").is_err());
+        // Empty and trailing array separators.
+        assert!(validate_chrome_json("[,]").is_err());
+        assert!(validate_chrome_json("[{\"ph\":\"i\"},]").is_err());
+        // Whitespace around elements and separators is accepted.
+        let spaced = " [ {\"ph\":\"i\"} , {\"ph\":\"i\"} ] ";
+        assert_eq!(validate_chrome_json(spaced).unwrap().instants, 2);
+        assert_eq!(validate_chrome_json("[]").unwrap().objects, 0);
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Property-style tests for the scaling substrate: the `Symbol` interner,
-//! the slab-backed event queue's generational ids, and the streaming
-//! Chrome-trace validator. Cases are generated deterministically from
+//! the slab-backed event queue's generational ids, and the Chrome-trace
+//! validator on a >10 MB document. Cases are generated deterministically from
 //! fixed `SimRng` seeds, mirroring `engine_properties.rs`.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use rp_sim::{
-    validate_chrome_json, validate_chrome_reader, Engine, SimRng, SimTime, SpanId, Symbol,
-    SymbolTable, Trace,
-};
+use rp_sim::{validate_chrome_json, Engine, SimRng, SimTime, SpanId, Symbol, SymbolTable, Trace};
 
 /// Intern/resolve round-trips, re-interning is stable, and two tables fed
 /// the same sequence assign identical ids (the bit-identical-replay
@@ -156,10 +153,9 @@ fn slab_reuse_never_aliases_live_events() {
     }
 }
 
-/// The streaming validator handles a >10 MB document chunk-by-chunk and
-/// agrees exactly with the in-memory validator.
+/// The validator accepts a >10 MB document and counts every span pair.
 #[test]
-fn streaming_validator_handles_10mb_trace() {
+fn validator_handles_10mb_trace() {
     let mut tr = Trace::enabled();
     let mut open = Vec::new();
     // ~90k spans with longish names: comfortably past 10 MB of JSON.
@@ -190,12 +186,7 @@ fn streaming_validator_handles_10mb_trace() {
         "synthetic trace only {} bytes — not a >10 MB regression case",
         doc.len()
     );
-    let streamed = validate_chrome_reader(doc.as_bytes()).expect("streamed validation");
-    let in_memory = validate_chrome_json(&doc).expect("in-memory validation");
-    assert_eq!(streamed.begins, 90_000);
-    assert_eq!(streamed.ends, 90_000);
-    assert_eq!(streamed.begins, in_memory.begins);
-    assert_eq!(streamed.ends, in_memory.ends);
-    assert_eq!(streamed.instants, in_memory.instants);
-    assert_eq!(streamed.objects, in_memory.objects);
+    let stats = validate_chrome_json(&doc).expect("validation");
+    assert_eq!(stats.begins, 90_000);
+    assert_eq!(stats.ends, 90_000);
 }

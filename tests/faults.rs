@@ -275,8 +275,8 @@ fn yarn_pilot_survives_container_kills() {
     assert!(units.iter().any(|u| u.attempts() > 1));
 }
 
-/// The `fault_injection` example's workload: 12 eight-core `Compute`
-/// units of 3,200 core-s, each staging 32 MiB in from Lustre.
+/// The staged Compute workload: 12 eight-core `Compute` units of
+/// 3,200 core-s, each staging 32 MiB in from Lustre.
 fn staged_compute_units() -> Vec<ComputeUnitDescription> {
     (0..12)
         .map(|i| {
@@ -300,7 +300,7 @@ fn staged_compute_units() -> Vec<ComputeUnitDescription> {
 }
 
 /// 3 seeds × 3 intensities: every sleep-bag run must terminate with every
-/// unit in a final state. On the `fault_injection` example's workload
+/// unit in a final state. On the staged Compute workload
 /// (default session), every planned fault fires, every unit ends Done or
 /// Failed within 4 attempts, and intensities up to 6 lose no unit.
 #[test]

@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use hadoop_hpc::sim::json::{self, Value};
-use rp_bench::diff::{diff_artifacts, diff_values, DEFAULT_EPS};
+use rp_bench::diff::{diff_artifacts, diff_values};
 use rp_bench::harness::{artifact_file_name, run_scenario, SCENARIO_NAMES};
 
 /// `{"virtual": v}`: the part of an artifact that `diff_artifacts` reads
@@ -35,7 +35,7 @@ fn every_bench_virtual_subtree_matches_its_artifact() {
             continue;
         }
         let attribution = diff_artifacts(&virtual_doc(expected), &virtual_doc(actual))
-            .map_or_else(|e| e, |d| d.render_table(DEFAULT_EPS));
+            .map_or_else(|e| e, |d| d.render_table());
         drift.push(format!(
             "{name}: {} path(s) moved off {file}\n  {}\n{attribution}",
             moved.len(),

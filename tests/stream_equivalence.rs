@@ -18,7 +18,7 @@
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{aggregate_roots, critical_path_run, profile_span, Engine, RunReport};
-use rp_bench::diff::{diff_documents, DEFAULT_EPS};
+use rp_bench::diff::diff_documents;
 
 mod common;
 use common::traced_mixed;
@@ -61,8 +61,7 @@ fn check(golden_path: &str, actual: &str) {
         )
     });
     if golden_path.ends_with(".json") && actual != expect {
-        let report =
-            diff_documents(&expect, actual).map_or_else(|err| err, |d| d.render_table(DEFAULT_EPS));
+        let report = diff_documents(&expect, actual).map_or_else(|err| err, |d| d.render_table());
         panic!("{golden_path}: the Chrome export moved off the golden\n{report}");
     }
     assert_eq!(
