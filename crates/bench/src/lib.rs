@@ -73,7 +73,6 @@ pub enum Variant {
     Rp,
     RpYarnModeI,
     RpYarnModeII,
-    RpSpark,
 }
 
 impl Variant {
@@ -82,7 +81,6 @@ impl Variant {
             Variant::Rp => "RADICAL-Pilot",
             Variant::RpYarnModeI => "RP-YARN (Mode I)",
             Variant::RpYarnModeII => "RP-YARN (Mode II)",
-            Variant::RpSpark => "RP-Spark (Mode I)",
         }
     }
 
@@ -91,7 +89,6 @@ impl Variant {
             Variant::Rp => AccessMode::Plain,
             Variant::RpYarnModeI => AccessMode::YarnModeI { with_hdfs: true },
             Variant::RpYarnModeII => AccessMode::YarnModeII,
-            Variant::RpSpark => AccessMode::SparkModeI,
         }
     }
 }

@@ -97,7 +97,9 @@ impl Runtime {
     }
 
     /// Reject units this pilot can never run on an allocation of `nodes`
-    /// nodes (fail fast, like the agent scheduler's sanity checks).
+    /// nodes (fail fast, like the agent scheduler's sanity checks). A
+    /// Spark pilot runs `SparkJob` and `Sleep` units and checks only the
+    /// executor cores they ask for against the whole pilot.
     pub(super) fn validate(
         &self,
         d: &ComputeUnitDescription,
@@ -113,11 +115,10 @@ impl Runtime {
                 }
                 Some(_) => None,
             },
-            WorkSpec::SparkApp { .. } if !spark => Some("Spark unit requires a Spark pilot"),
             WorkSpec::SparkJob(_) if !spark => Some("Spark job requires a Spark pilot"),
             WorkSpec::Compute { .. } | WorkSpec::Native(_) if spark => Some(
                 "Compute and Native units cannot run on a Spark pilot \
-                 (it runs SparkApp, SparkJob and Sleep units)",
+                 (it runs SparkJob and Sleep units)",
             ),
             _ => None,
         };
@@ -125,6 +126,18 @@ impl Runtime {
             return Err(reason.into());
         }
         let total_cores = nodes * spec.cores_per_node;
+        if spark {
+            // A Spark pilot admits by executor cores (`gate`), and the
+            // executors spread over every worker: the one limit is the
+            // pilot's size, not a node's.
+            let demand = self.gate(d).vcores;
+            if demand > total_cores {
+                return Err(format!(
+                    "Spark unit needs {demand} executor cores, pilot has {total_cores}"
+                ));
+            }
+            return Ok(());
+        }
         if d.cores > total_cores {
             return Err(format!(
                 "unit needs {} cores, pilot has {total_cores}",
@@ -184,7 +197,6 @@ impl Runtime {
             };
         }
         match &d.work {
-            WorkSpec::SparkApp { cores, .. } => Resource::new(*cores, 0),
             WorkSpec::SparkJob(spec) => Resource::new(spec.executor_cores.max(1), 0),
             _ => Resource::new(d.cores.max(1), 0),
         }

@@ -122,7 +122,10 @@ pub struct Agent {
 impl Agent {
     /// Start the agent inside a granted allocation. `on_active` fires once
     /// the LRM finished provisioning (the pilot becomes Active then).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the allocation, the session's handles and the bootstrap span the agent starts from"
+    )]
     pub(crate) fn start(
         engine: &mut Engine,
         pilot: PilotId,

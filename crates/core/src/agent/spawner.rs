@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rp_hpc::{IoKind, NodeId, StorageTarget};
+use rp_hpc::{NodeId, StorageTarget};
 use rp_sim::{Engine, OpenSpan, SimDuration};
 use rp_spark::SparkCluster;
 use rp_yarn::{AmHandle, HadoopEnv, ResourceRequest};
@@ -232,25 +232,13 @@ impl Agent {
                     .compute_duration(core_seconds / total_cores as f64)
                     .mul_f64(pressure * jitter);
                 let cluster2 = cluster.clone();
-                cluster.storage_io(
-                    engine,
-                    target,
-                    IoKind::Read,
-                    read_mb * rp_sim::MB,
-                    move |eng| {
-                        eng.schedule_in(compute, move |eng| {
-                            cluster2.storage_io(
-                                eng,
-                                target,
-                                IoKind::Write,
-                                write_mb * rp_sim::MB,
-                                done,
-                            );
-                        });
-                    },
-                );
+                cluster.storage_io(engine, target, read_mb * rp_sim::MB, move |eng| {
+                    eng.schedule_in(compute, move |eng| {
+                        cluster2.storage_io(eng, target, write_mb * rp_sim::MB, done);
+                    });
+                });
             }
-            WorkSpec::MapReduce(_) | WorkSpec::SparkApp { .. } | WorkSpec::SparkJob(_) => {
+            WorkSpec::MapReduce(_) | WorkSpec::SparkJob(_) => {
                 unreachable!("validated: framework work never placed on plain slots")
             }
         }
@@ -450,10 +438,6 @@ impl Agent {
         let (cores, core_seconds) = {
             let d = run.unit.descr();
             match d.work {
-                WorkSpec::SparkApp {
-                    cores,
-                    core_seconds,
-                } => (cores, core_seconds),
                 // Sleep work runs as a trivial one-stage app.
                 WorkSpec::Sleep(dur) => (d.cores.max(1), dur.as_secs_f64() * d.cores.max(1) as f64),
                 // `Runtime::validate` admits no other kind on a Spark pilot.

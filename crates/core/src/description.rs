@@ -80,7 +80,8 @@ pub enum UnitIoTarget {
 /// What a Compute-Unit does when it executes.
 #[derive(Clone)]
 pub enum WorkSpec {
-    /// Fixed virtual duration (calibration, tests).
+    /// Fixed virtual duration (calibration, tests). On a Spark pilot it
+    /// runs as a one-stage app on the unit's `cores` executor cores.
     Sleep(SimDuration),
     /// Compute with optional read-before / write-after I/O phases.
     Compute {
@@ -93,11 +94,10 @@ pub enum WorkSpec {
     },
     /// A MapReduce job on the pilot's YARN cluster (Mode I/II pilots only).
     MapReduce(MrJobSpec),
-    /// A Spark application on the pilot's Spark cluster: executor cores and
-    /// a perfectly-parallel compute model.
-    SparkApp { cores: u32, core_seconds: f64 },
     /// A full simulated Spark job (stage DAG with cached-RDD semantics)
-    /// on the pilot's Spark cluster.
+    /// on the pilot's Spark cluster, asking for the spec's
+    /// `executor_cores`. A Spark pilot runs this and `Sleep`, no other
+    /// kind.
     SparkJob(rp_spark::SparkJobSpec),
     /// Run a real closure (native compute) — virtual duration is the
     /// measured wall time, so this trades determinism for realism; used by
@@ -119,12 +119,6 @@ impl std::fmt::Debug for WorkSpec {
                 "Compute({core_seconds} core-s, r{read_mb}MB w{write_mb}MB {io:?})"
             ),
             WorkSpec::MapReduce(spec) => write!(f, "MapReduce({})", spec.name),
-            WorkSpec::SparkApp {
-                cores,
-                core_seconds,
-            } => {
-                write!(f, "SparkApp({cores} cores, {core_seconds} core-s)")
-            }
             WorkSpec::SparkJob(spec) => {
                 write!(f, "SparkJob({}, {} stages)", spec.name, spec.stages.len())
             }

@@ -50,7 +50,6 @@ pub fn select(
 ) -> LaunchMethod {
     match &unit.work {
         WorkSpec::MapReduce(_) => LaunchMethod::YarnSubmit,
-        WorkSpec::SparkApp { .. } => LaunchMethod::SparkSubmit,
         _ if has_spark => LaunchMethod::SparkSubmit,
         _ if has_yarn => LaunchMethod::YarnSubmit,
         _ if unit.mpi => match machine.name {

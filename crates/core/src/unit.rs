@@ -46,8 +46,6 @@ impl PilotId {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnitTimestamps {
     pub submitted: Option<SimTime>,
-    /// Agent pulled the doc from the coordination store (U.3).
-    pub agent_pickup: Option<SimTime>,
     /// Execution slot granted; work launched (U.6).
     pub exec_start: Option<SimTime>,
     pub exec_end: Option<SimTime>,
@@ -254,7 +252,6 @@ impl UnitHandle {
                     rec.next_phase(&mut engine.trace, now, Some("unit.scheduling"));
                 }
                 UnitState::AgentScheduling => {
-                    rec.times.agent_pickup = Some(now);
                     rec.next_phase(&mut engine.trace, now, Some("unit.scheduling"));
                 }
                 UnitState::StagingInput => {

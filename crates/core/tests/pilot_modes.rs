@@ -190,13 +190,11 @@ fn spark_pilot_runs_spark_apps() {
     um.add_pilot(&pilot);
     let units = um.submit_units(
         &mut e,
+        // A Sleep unit runs as a one-stage app on 4 executor cores.
         vec![ComputeUnitDescription::new(
             "spark-job",
             4,
-            WorkSpec::SparkApp {
-                cores: 4,
-                core_seconds: 40.0,
-            },
+            WorkSpec::Sleep(SimDuration::from_secs(10)),
         )],
     );
     e.run_until(SimTime::from_secs_f64(600.0));
@@ -207,7 +205,7 @@ fn spark_pilot_runs_spark_apps() {
         units[0].failure()
     );
     assert!(!units[0].exec_nodes().is_empty());
-    // 40 core-s on 4 cores → ~10 s execution.
+    // 10 s on 4 cores → ~10 s execution.
     let exec = units[0].times().execution_time().unwrap().as_secs_f64();
     assert!((9.0..12.0).contains(&exec), "{exec}");
 }
@@ -346,10 +344,12 @@ fn spark_unit_on_plain_pilot_fails_cleanly() {
         vec![ComputeUnitDescription::new(
             "spark",
             2,
-            WorkSpec::SparkApp {
-                cores: 2,
-                core_seconds: 1.0,
-            },
+            WorkSpec::SparkJob(rp_spark::SparkJobSpec {
+                name: "spark".into(),
+                executor_cores: 2,
+                stages: Vec::new(),
+                jitter_sigma: 0.0,
+            }),
         )],
     );
     e.run_until(SimTime::from_secs_f64(600.0));

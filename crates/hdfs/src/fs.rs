@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rp_hpc::{Cluster, IoKind, NodeId, StorageTarget};
+use rp_hpc::{Cluster, NodeId, StorageTarget};
 use rp_sim::{Engine, SimDuration};
 
 use crate::meta::{split_blocks, BlockMeta, FileMeta, StoragePolicy};
@@ -174,17 +174,6 @@ impl Hdfs {
             .ok_or_else(|| HdfsError::NotFound(path.into()))
     }
 
-    pub fn delete(&self, path: &str) -> Result<(), HdfsError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.files.remove(path) {
-            Some(f) => {
-                inner.used_bytes -= replica_bytes(&f);
-                Ok(())
-            }
-            None => Err(HdfsError::NotFound(path.into())),
-        }
-    }
-
     /// Register a file without simulating the ingest (pre-loaded input data
     /// for experiments), split at the configured block size.
     pub fn create_synthetic(
@@ -298,23 +287,11 @@ impl Hdfs {
                 }
             };
             if replica == client {
-                cluster.storage_io(
-                    engine,
-                    StorageTarget::LocalDisk(replica),
-                    IoKind::Write,
-                    bytes,
-                    finish,
-                );
+                cluster.storage_io(engine, StorageTarget::LocalDisk(replica), bytes, finish);
             } else {
                 let cluster2 = cluster.clone();
                 cluster.net_transfer(engine, client, replica, bytes, move |eng| {
-                    cluster2.storage_io(
-                        eng,
-                        StorageTarget::LocalDisk(replica),
-                        IoKind::Write,
-                        bytes,
-                        finish,
-                    );
+                    cluster2.storage_io(eng, StorageTarget::LocalDisk(replica), bytes, finish);
                 });
             }
         }
@@ -410,7 +387,6 @@ impl Hdfs {
             cluster.storage_io(
                 engine,
                 StorageTarget::LocalDisk(src),
-                IoKind::Read,
                 bytes as f64,
                 move |eng| {
                     let cluster3 = cluster2.clone();
@@ -418,7 +394,6 @@ impl Hdfs {
                         cluster3.storage_io(
                             eng,
                             StorageTarget::LocalDisk(dst),
-                            IoKind::Write,
                             bytes as f64,
                             move |eng| {
                                 this2.inner.borrow_mut().used_bytes += bytes;
@@ -435,42 +410,6 @@ impl Hdfs {
                     });
                 },
             );
-        }
-    }
-
-    /// Read a whole file to `client`, choosing the closest replica of each
-    /// block (node-local if available, otherwise the first replica).
-    /// Blocks are read in parallel (MapReduce-style streaming readers).
-    pub fn read_file(
-        &self,
-        engine: &mut Engine,
-        client: NodeId,
-        path: &str,
-        done: impl FnOnce(&mut Engine, Result<u64, HdfsError>) + 'static,
-    ) {
-        let meta = match self.file_meta(path) {
-            Ok(m) => m,
-            Err(e) => {
-                engine.schedule_now(move |eng| done(eng, Err(e)));
-                return;
-            }
-        };
-        let total = meta.size_bytes;
-        let n = meta.blocks.len();
-        let remaining = Rc::new(RefCell::new(n));
-        let done = Rc::new(RefCell::new(Some(done)));
-        for block in meta.blocks {
-            let remaining = remaining.clone();
-            let done = done.clone();
-            self.read_block(engine, client, &block, meta.policy, move |eng| {
-                let mut r = remaining.borrow_mut();
-                *r -= 1;
-                if *r == 0 {
-                    drop(r);
-                    let cb = done.borrow_mut().take().expect("read completion raced");
-                    cb(eng, Ok(total));
-                }
-            });
         }
     }
 
@@ -491,19 +430,12 @@ impl Hdfs {
         };
         let cluster = self.cluster.clone();
         if source == client {
-            cluster.storage_io(
-                engine,
-                StorageTarget::LocalDisk(source),
-                IoKind::Read,
-                bytes,
-                done,
-            );
+            cluster.storage_io(engine, StorageTarget::LocalDisk(source), bytes, done);
         } else {
             let cluster2 = cluster.clone();
             cluster.storage_io(
                 engine,
                 StorageTarget::LocalDisk(source),
-                IoKind::Read,
                 bytes,
                 move |eng| {
                     cluster2.net_transfer(eng, source, client, bytes, done);
@@ -658,18 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_frees_space() {
-        let mut e = Engine::new(1);
-        let fs = deploy_localhost(&mut e);
-        fs.create_synthetic("/x", 1024, StoragePolicy::Default)
-            .unwrap();
-        assert!(fs.used_bytes() > 0);
-        fs.delete("/x").unwrap();
-        assert_eq!(fs.used_bytes(), 0);
-        assert!(matches!(fs.delete("/x"), Err(HdfsError::NotFound(_))));
-    }
-
-    #[test]
     fn write_file_lands_first_replica_on_client() {
         let mut e = Engine::new(1);
         let fs = deploy_localhost(&mut e);
@@ -715,6 +635,24 @@ mod tests {
         assert!(*failed.borrow());
     }
 
+    /// Virtual seconds `fs.read_block` takes to bring `block` to `client`.
+    fn read_block_secs(
+        e: &mut Engine,
+        fs: &Hdfs,
+        client: NodeId,
+        block: &BlockMeta,
+        policy: StoragePolicy,
+    ) -> f64 {
+        let took = Rc::new(RefCell::new(None));
+        let t = took.clone();
+        let start = e.now();
+        fs.read_block(e, client, block, policy, move |eng| {
+            *t.borrow_mut() = Some(eng.now().since(start).as_secs_f64());
+        });
+        e.run();
+        took.take().expect("read completes")
+    }
+
     #[test]
     fn local_read_is_faster_than_remote() {
         let mut e = Engine::new(1);
@@ -722,59 +660,42 @@ mod tests {
         let meta = fs
             .create_synthetic("/data", 128 * 1024 * 1024, StoragePolicy::Default)
             .unwrap();
-        let holder = meta.blocks[0].replicas[0];
-        let non_holder = fs
+        let block = &meta.blocks[0];
+        let holder = block.replicas[0];
+        let remote = fs
             .datanodes()
             .into_iter()
-            .find(|n| !meta.blocks[0].replicas.contains(n));
-
-        let t_local = Rc::new(RefCell::new(0.0));
-        let tl = t_local.clone();
-        let start = e.now();
-        fs.read_file(&mut e, holder, "/data", move |eng, res| {
-            res.unwrap();
-            *tl.borrow_mut() = eng.now().since(start).as_secs_f64();
-        });
-        e.run();
-
-        if let Some(remote) = non_holder {
-            let t_remote = Rc::new(RefCell::new(0.0));
-            let tr = t_remote.clone();
-            let start = e.now();
-            fs.read_file(&mut e, remote, "/data", move |eng, res| {
-                res.unwrap();
-                *tr.borrow_mut() = eng.now().since(start).as_secs_f64();
-            });
-            e.run();
-            assert!(
-                *t_remote.borrow() > *t_local.borrow(),
-                "remote {} must exceed local {}",
-                t_remote.borrow(),
-                t_local.borrow()
-            );
-        }
+            .find(|n| !block.replicas.contains(n))
+            .expect("4 datanodes, 3 replicas");
+        let t_local = read_block_secs(&mut e, &fs, holder, block, meta.policy);
+        let t_remote = read_block_secs(&mut e, &fs, remote, block, meta.policy);
+        assert!(
+            t_remote > t_local,
+            "remote {t_remote} must exceed local {t_local}"
+        );
     }
 
     #[test]
     fn ssd_policy_reads_faster() {
         let mut e = Engine::new(1);
         let fs = deploy_localhost(&mut e);
-        fs.create_synthetic("/hot", 256 * 1024 * 1024, StoragePolicy::AllSsd)
-            .unwrap();
-        fs.create_synthetic("/cold", 256 * 1024 * 1024, StoragePolicy::Archive)
-            .unwrap();
-        let times = Rc::new(RefCell::new(Vec::new()));
-        for path in ["/hot", "/cold"] {
-            let t = times.clone();
-            let meta = fs.file_meta(path).unwrap();
-            let client = meta.blocks[0].replicas[0];
-            let start = e.now();
-            fs.read_file(&mut e, client, path, move |eng, _| {
-                t.borrow_mut().push(eng.now().since(start).as_secs_f64());
-            });
-            e.run();
+        let mut times = Vec::new();
+        for (path, policy) in [
+            ("/hot", StoragePolicy::AllSsd),
+            ("/cold", StoragePolicy::Archive),
+        ] {
+            let meta = fs
+                .create_synthetic(path, 256 * 1024 * 1024, policy)
+                .unwrap();
+            let block = &meta.blocks[0];
+            times.push(read_block_secs(
+                &mut e,
+                &fs,
+                block.replicas[0],
+                block,
+                policy,
+            ));
         }
-        let times = times.borrow();
         assert!(
             times[0] < times[1],
             "ssd {} vs archive {}",
@@ -787,13 +708,13 @@ mod tests {
     fn read_missing_file_errors() {
         let mut e = Engine::new(1);
         let fs = deploy_localhost(&mut e);
-        let got = Rc::new(RefCell::new(false));
-        let g = got.clone();
-        fs.read_file(&mut e, NodeId(0), "/nope", move |_, res| {
-            *g.borrow_mut() = matches!(res, Err(HdfsError::NotFound(_)));
-        });
-        e.run();
-        assert!(*got.borrow());
+        // A read starts from the path's block locations (MapReduce splits
+        // its input by them), so a missing path fails there.
+        assert!(matches!(
+            fs.block_locations("/nope"),
+            Err(HdfsError::NotFound(_))
+        ));
+        assert!(matches!(fs.file_meta("/nope"), Err(HdfsError::NotFound(_))));
     }
 
     #[test]

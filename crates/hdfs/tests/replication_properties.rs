@@ -80,8 +80,8 @@ fn failure_rereplication_invariants() {
     }
 }
 
-/// used_bytes equals the sum of replica bytes across the namespace, before
-/// and after deletes.
+/// used_bytes equals the sum of replica bytes across the namespace,
+/// before and after a datanode failure and its re-replication.
 #[test]
 fn used_bytes_accounting() {
     let mut rng = SimRng::new(0x05EDB);
@@ -90,31 +90,24 @@ fn used_bytes_accounting() {
         let sizes: Vec<u64> = (0..n_files)
             .map(|_| rng.uniform_u64(1, 500_000_000))
             .collect();
+        let victim_idx = rng.uniform_u64(0, 3) as usize;
+        let mut e = Engine::new(1);
         let cluster = Cluster::new(MachineSpec::localhost());
         let nodes: Vec<NodeId> = cluster.node_ids().collect();
-        let fs = Hdfs::attach(cluster, nodes, HdfsConfig::default());
-        let mut expect = 0u64;
+        let fs = Hdfs::attach(cluster, nodes.clone(), HdfsConfig::default());
+        let replica_bytes = |fs: &Hdfs| -> u64 {
+            (0..sizes.len())
+                .flat_map(|i| fs.block_locations(&format!("/f{i}")).unwrap())
+                .map(|b| b.size_bytes * b.replicas.len() as u64)
+                .sum()
+        };
         for (i, &size) in sizes.iter().enumerate() {
-            let meta = fs
-                .create_synthetic(&format!("/f{i}"), size, StoragePolicy::Default)
+            fs.create_synthetic(&format!("/f{i}"), size, StoragePolicy::Default)
                 .unwrap();
-            expect += meta
-                .blocks
-                .iter()
-                .map(|b| b.size_bytes * b.replicas.len() as u64)
-                .sum::<u64>();
         }
-        assert_eq!(fs.used_bytes(), expect, "case {case}");
-        // Delete every other file.
-        for i in (0..sizes.len()).step_by(2) {
-            let meta = fs.file_meta(&format!("/f{i}")).unwrap();
-            expect -= meta
-                .blocks
-                .iter()
-                .map(|b| b.size_bytes * b.replicas.len() as u64)
-                .sum::<u64>();
-            fs.delete(&format!("/f{i}")).unwrap();
-        }
-        assert_eq!(fs.used_bytes(), expect, "case {case}");
+        assert_eq!(fs.used_bytes(), replica_bytes(&fs), "case {case}");
+        fs.fail_datanode(&mut e, nodes[victim_idx], |_, _| {});
+        e.run();
+        assert_eq!(fs.used_bytes(), replica_bytes(&fs), "case {case}");
     }
 }

@@ -30,14 +30,6 @@ pub enum StorageTarget {
     LocalDisk(NodeId),
 }
 
-/// Direction of a storage operation (reads and writes contend on the same
-/// backend link; the distinction is kept for tracing/metrics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoKind {
-    Read,
-    Write,
-}
-
 /// Access pattern of a storage operation. Random/small I/O runs at the
 /// backend's `random_factor` fraction of streaming throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,11 +116,10 @@ impl Cluster {
         &self,
         engine: &mut Engine,
         target: StorageTarget,
-        kind: IoKind,
         bytes: f64,
         done: impl FnOnce(&mut Engine) + 'static,
     ) {
-        self.storage_io_pattern(engine, target, kind, IoPattern::Streaming, bytes, done)
+        self.storage_io_pattern(engine, target, IoPattern::Streaming, bytes, done)
     }
 
     /// [`Cluster::storage_io`] with an explicit access pattern; random
@@ -138,7 +129,6 @@ impl Cluster {
         &self,
         engine: &mut Engine,
         target: StorageTarget,
-        _kind: IoKind,
         pattern: IoPattern,
         bytes: f64,
         done: impl FnOnce(&mut Engine) + 'static,
@@ -216,15 +206,9 @@ mod tests {
         let done_at = Rc::new(RefCell::new(SimTime::ZERO));
         let d = done_at.clone();
         // 500 MB at 500 MB/s (per-stream == aggregate) + 0.5 ms latency ≈ 1.0005 s
-        c.storage_io(
-            &mut e,
-            StorageTarget::Lustre,
-            IoKind::Read,
-            500.0 * MB,
-            move |eng| {
-                *d.borrow_mut() = eng.now();
-            },
-        );
+        c.storage_io(&mut e, StorageTarget::Lustre, 500.0 * MB, move |eng| {
+            *d.borrow_mut() = eng.now();
+        });
         e.run();
         let t = done_at.borrow().as_secs_f64();
         assert!((t - 1.0005).abs() < 0.01, "{t}");
@@ -237,15 +221,9 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..4 {
             let t = times.clone();
-            c.storage_io(
-                &mut e,
-                StorageTarget::Lustre,
-                IoKind::Write,
-                250.0 * MB,
-                move |eng| {
-                    t.borrow_mut().push(eng.now().as_secs_f64());
-                },
-            );
+            c.storage_io(&mut e, StorageTarget::Lustre, 250.0 * MB, move |eng| {
+                t.borrow_mut().push(eng.now().as_secs_f64());
+            });
         }
         e.run();
         // 4 × 250 MB over a 500 MB/s shared link → ~2 s each.
@@ -264,7 +242,6 @@ mod tests {
             c.storage_io(
                 &mut e,
                 StorageTarget::LocalDisk(NodeId(n)),
-                IoKind::Write,
                 400.0 * MB,
                 move |eng| t.borrow_mut().push(eng.now().as_secs_f64()),
             );
@@ -320,13 +297,7 @@ mod tests {
         spec.local_disk = None;
         let c = Cluster::new(spec);
         let mut e = Engine::new(1);
-        c.storage_io(
-            &mut e,
-            StorageTarget::LocalDisk(NodeId(0)),
-            IoKind::Read,
-            1.0,
-            |_| {},
-        );
+        c.storage_io(&mut e, StorageTarget::LocalDisk(NodeId(0)), 1.0, |_| {});
         e.run();
     }
 }

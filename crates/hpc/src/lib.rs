@@ -17,5 +17,5 @@ pub mod cluster;
 pub mod machine;
 
 pub use batch::{Allocation, BatchSystem, JobId, JobRequest, JobState};
-pub use cluster::{Cluster, IoKind, IoPattern, NodeId, StorageTarget};
+pub use cluster::{Cluster, IoPattern, NodeId, StorageTarget};
 pub use machine::{FsSpec, MachineSpec, SchedulerKind};

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rp_hdfs::Hdfs;
-use rp_hpc::{Cluster, IoKind, IoPattern, NodeId, StorageTarget};
+use rp_hpc::{Cluster, IoPattern, NodeId, StorageTarget};
 use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, MB};
 use rp_yarn::{Resource, ResourceRequest, YarnCluster};
 
@@ -192,7 +192,6 @@ pub fn run_on_yarn(
     let spec = Rc::new(spec);
     let state2 = state.clone();
     let spec2 = spec.clone();
-    let yarn2 = yarn.clone();
     engine.metrics.incr("mr.jobs_submitted");
     yarn.submit_app(
         engine,
@@ -210,27 +209,26 @@ pub fn run_on_yarn(
                 let hdfs = hdfs.clone();
                 let am2 = am.clone();
                 let done = done.clone();
-                let yarn = yarn2.clone();
                 let req = ResourceRequest {
                     resource: spec.container,
                     preferred_node: Some(block.replicas[0]),
                 };
                 am.request_container(eng, req, move |eng, container| {
-                    run_map_task(
-                        eng, cluster, hdfs, yarn, am2, spec, state, block, container, done,
-                    );
+                    run_map_task(eng, cluster, hdfs, am2, spec, state, block, container, done);
                 });
             }
         },
     );
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one map task's whole context, moved into its event chain"
+)]
 fn run_map_task(
     engine: &mut Engine,
     cluster: Cluster,
     hdfs: Hdfs,
-    yarn: YarnCluster,
     am: rp_yarn::AmHandle,
     spec: Rc<MrJobSpec>,
     state: Rc<RefCell<JobState>>,
@@ -251,8 +249,7 @@ fn run_map_task(
     hdfs.read_block(engine, node, &block, policy, move |eng| {
         // 2. Map compute (with optional speculative-execution tail cap).
         let base = spec2.cost.map_fixed_s + spec2.cost.map_core_s_per_input_mb * (input_bytes / MB);
-        let jitter = jitter(eng, spec2.cost.task_jitter_sigma);
-        let mut effective = base * jitter;
+        let mut effective = base * jitter(eng, spec2.cost.task_jitter_sigma);
         let threshold = spec2.cost.speculative_threshold;
         if threshold > 0.0 && effective > base * threshold {
             // Backup attempt launched at the threshold: it pays a fresh
@@ -261,7 +258,7 @@ fn run_map_task(
             let backup_overhead = 2.0 + 4.0; // alloc + launch, seconds
             let backup = base * threshold
                 + backup_overhead
-                + base * jitter2(eng, spec2.cost.task_jitter_sigma);
+                + base * jitter(eng, spec2.cost.task_jitter_sigma);
             if backup < effective {
                 eng.trace.record(
                     eng.now(),
@@ -292,7 +289,7 @@ fn run_map_task(
                 if maps_done {
                     state3.borrow_mut().t_maps_done = eng.now();
                     advance_phase_span(eng, &state3, "mr", "mr.shuffle");
-                    start_reduce_phase(eng, cluster4, yarn, am, spec3, state3, done);
+                    start_reduce_phase(eng, cluster4, am, spec3, state3, done);
                 }
             };
             match spec2.shuffle {
@@ -304,7 +301,6 @@ fn run_map_task(
                 ShuffleBackend::LocalDisk => cluster3.storage_io_pattern(
                     eng,
                     StorageTarget::LocalDisk(node),
-                    IoKind::Write,
                     IoPattern::Random,
                     out_bytes,
                     after_spill,
@@ -312,7 +308,6 @@ fn run_map_task(
                 ShuffleBackend::Lustre => cluster3.storage_io_pattern(
                     eng,
                     StorageTarget::Lustre,
-                    IoKind::Write,
                     IoPattern::Random,
                     out_bytes,
                     after_spill,
@@ -327,7 +322,6 @@ type DoneSlot = Rc<RefCell<Option<Box<dyn FnOnce(&mut Engine, MrJobStats)>>>>;
 fn start_reduce_phase(
     engine: &mut Engine,
     cluster: Cluster,
-    yarn: YarnCluster,
     am: rp_yarn::AmHandle,
     spec: Rc<MrJobSpec>,
     state: Rc<RefCell<JobState>>,
@@ -344,7 +338,6 @@ fn start_reduce_phase(
         let state = state.clone();
         let am2 = am.clone();
         let done = done.clone();
-        let yarn2 = yarn.clone();
         am.request_container(
             engine,
             ResourceRequest {
@@ -352,17 +345,15 @@ fn start_reduce_phase(
                 preferred_node: None,
             },
             move |eng, container| {
-                run_reduce_task(eng, cluster, yarn2, am2, spec, state, container, done);
+                run_reduce_task(eng, cluster, am2, spec, state, container, done);
             },
         );
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_reduce_task(
     engine: &mut Engine,
     cluster: Cluster,
-    _yarn: YarnCluster,
     am: rp_yarn::AmHandle,
     spec: Rc<MrJobSpec>,
     state: Rc<RefCell<JobState>>,
@@ -427,7 +418,7 @@ fn run_reduce_task(
                     } else {
                         StorageTarget::Lustre
                     };
-                    cluster4.storage_io(eng, target, IoKind::Write, out, move |eng| {
+                    cluster4.storage_io(eng, target, out, move |eng| {
                         am2.release_container(eng, container.id);
                         let finished = {
                             let mut st = state2.borrow_mut();
@@ -471,7 +462,6 @@ fn run_reduce_task(
             ShuffleBackend::LocalDisk => cluster.storage_io_pattern(
                 engine,
                 StorageTarget::LocalDisk(map_node),
-                IoKind::Read,
                 IoPattern::Random,
                 bytes,
                 after_read,
@@ -479,7 +469,6 @@ fn run_reduce_task(
             ShuffleBackend::Lustre => cluster.storage_io_pattern(
                 engine,
                 StorageTarget::Lustre,
-                IoKind::Read,
                 IoPattern::Random,
                 bytes,
                 after_read,
@@ -494,11 +483,6 @@ fn jitter(engine: &mut Engine, sigma: f64) -> f64 {
     } else {
         engine.rng.lognormal(0.0, sigma)
     }
-}
-
-/// A second, independent jitter draw (the backup attempt's own luck).
-fn jitter2(engine: &mut Engine, sigma: f64) -> f64 {
-    jitter(engine, sigma)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! these endpoint pairs; the Pilot agent's Stage-In/Stage-Out workers call
 //! [`transfer`] for each directive.
 
-use rp_hpc::{Cluster, IoKind, NodeId, StorageTarget};
+use rp_hpc::{Cluster, NodeId, StorageTarget};
 use rp_sim::{Engine, SimDuration, MB};
 
 /// One end of a transfer.
@@ -110,7 +110,7 @@ fn read_local(
         Endpoint::Local(n) => StorageTarget::LocalDisk(n),
         Endpoint::Remote { .. } => unreachable!("remote handled by caller"),
     };
-    cluster.storage_io(engine, target, IoKind::Read, bytes, done);
+    cluster.storage_io(engine, target, bytes, done);
 }
 
 fn write_local(
@@ -125,7 +125,7 @@ fn write_local(
         Endpoint::Local(n) => StorageTarget::LocalDisk(n),
         Endpoint::Remote { .. } => unreachable!("remote handled by caller"),
     };
-    cluster.storage_io(engine, target, IoKind::Write, bytes, done);
+    cluster.storage_io(engine, target, bytes, done);
 }
 
 #[cfg(test)]

@@ -56,20 +56,16 @@ impl std::fmt::Display for SagaUrl {
 #[derive(Debug, Clone)]
 pub struct JobDescription {
     pub executable: String,
-    pub arguments: Vec<String>,
     pub nodes: u32,
     pub wall_time: SimDuration,
-    pub project: Option<String>,
 }
 
 impl JobDescription {
     pub fn new(executable: impl Into<String>, nodes: u32, wall_time: SimDuration) -> Self {
         JobDescription {
             executable: executable.into(),
-            arguments: Vec::new(),
             nodes,
             wall_time,
-            project: None,
         }
     }
 }

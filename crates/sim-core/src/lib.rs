@@ -45,7 +45,7 @@ pub use critpath::{critical_path, critical_path_run, CritPhaseRow, CriticalPath,
 pub use engine::{Engine, EventId};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use intern::{Symbol, SymbolTable};
-pub use link::{FairLink, FlowId};
+pub use link::FairLink;
 pub use metrics::{metric_key, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
     aggregate_roots, mean_breakdown, pilot_utilization, profile_roots, profile_span, Phase,

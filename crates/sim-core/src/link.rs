@@ -18,17 +18,13 @@ use std::rc::Rc;
 use crate::engine::{Engine, EventId};
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of an in-flight flow (usable for cancellation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId(u64);
-
 type DoneFn = Box<dyn FnOnce(&mut Engine)>;
 
 struct Flow {
     remaining: f64, // bytes
     cap: f64,       // bytes/sec, may be INFINITY
     rate: f64,      // current assigned rate
-    done: Option<DoneFn>,
+    done: DoneFn,
 }
 
 struct Inner {
@@ -102,18 +98,17 @@ impl FairLink {
         bytes: f64,
         per_flow_cap: f64,
         done: impl FnOnce(&mut Engine) + 'static,
-    ) -> FlowId {
+    ) {
         assert!(
             bytes >= 0.0 && bytes.is_finite(),
             "invalid transfer size {bytes}"
         );
         assert!(per_flow_cap > 0.0, "per-flow cap must be positive");
         let now = engine.now();
-        let id;
         {
             let mut inner = self.inner.borrow_mut();
             inner.advance(now);
-            id = inner.next_id;
+            let id = inner.next_id;
             inner.next_id += 1;
             inner.flows.insert(
                 id,
@@ -121,25 +116,9 @@ impl FairLink {
                     remaining: bytes.max(0.0),
                     cap: per_flow_cap,
                     rate: 0.0,
-                    done: Some(Box::new(done)),
+                    done: Box::new(done),
                 },
             );
-            inner.recompute_rates();
-        }
-        self.fire_finished_and_reschedule(engine);
-        FlowId(id)
-    }
-
-    /// Cancel an in-flight flow; its completion callback never fires.
-    /// Cancelling an already-finished flow is a no-op.
-    pub fn cancel(&self, engine: &mut Engine, id: FlowId) {
-        let now = engine.now();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.advance(now);
-            if inner.flows.remove(&id.0).is_none() {
-                return;
-            }
             inner.recompute_rates();
         }
         self.fire_finished_and_reschedule(engine);
@@ -177,10 +156,8 @@ impl FairLink {
                 .map(|(&id, _)| id)
                 .collect();
             for id in done_ids {
-                let mut flow = inner.flows.remove(&id).expect("flow vanished");
-                if let Some(cb) = flow.done.take() {
-                    finished.push(cb);
-                }
+                let flow = inner.flows.remove(&id).expect("flow vanished");
+                finished.push(flow.done);
             }
             inner.recompute_rates();
 
@@ -259,7 +236,6 @@ impl Inner {
     }
 
     /// Time until the next flow completes under current rates.
-    #[allow(clippy::type_complexity)]
     fn next_completion(&self) -> Option<SimDuration> {
         let mut best: Option<f64> = None;
         for flow in self.flows.values() {
@@ -283,7 +259,10 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a test helper returning the log and its callback factory"
+    )]
     fn done_log() -> (
         Rc<RefCell<Vec<(u32, SimTime)>>>,
         impl Fn(u32) -> DoneFn + Clone,
@@ -394,24 +373,6 @@ mod tests {
         link.transfer(&mut e, 0.0, f64::INFINITY, mk(0));
         e.run();
         assert_eq!(log.borrow()[0].1, SimTime::ZERO);
-    }
-
-    #[test]
-    fn cancel_suppresses_callback_and_frees_bandwidth() {
-        let mut e = Engine::new(1);
-        let link = FairLink::new("disk", 100.0);
-        let (log, mk) = done_log();
-        let id = link.transfer(&mut e, 10_000.0, f64::INFINITY, mk(0));
-        link.transfer(&mut e, 500.0, f64::INFINITY, mk(1));
-        let link2 = link.clone();
-        e.schedule_in(SimDuration::from_secs(1), move |eng| {
-            link2.cancel(eng, id);
-        });
-        e.run();
-        let log = log.borrow();
-        assert_eq!(log.len(), 1);
-        // Flow 1: 50 B in first second, then full 100 B/s for 450 B → t=5.5.
-        assert!((log[0].1.as_secs_f64() - 5.5).abs() < 0.01, "{}", log[0].1);
     }
 
     #[test]

@@ -392,25 +392,6 @@ impl<T: Clone + Send + Sync> RddNode<T> for CacheNode<T> {
     }
 }
 
-struct UnionNode<T> {
-    parents: Vec<Arc<dyn RddNode<T>>>,
-}
-
-impl<T: Send + Sync> RddNode<T> for UnionNode<T> {
-    fn num_partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.num_partitions()).sum()
-    }
-    fn for_each_batch(&self, mut part: usize, sink: &mut Sink<'_, T>) {
-        for p in &self.parents {
-            if part < p.num_partitions() {
-                return p.for_each_batch(part, sink);
-            }
-            part -= p.num_partitions();
-        }
-        panic!("partition index out of range");
-    }
-}
-
 impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     pub fn num_partitions(&self) -> usize {
         self.node.num_partitions()
@@ -462,15 +443,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         f: impl Fn(T) -> I + Send + Sync + 'static,
     ) -> Rdd<U> {
         self.pipe(move |x, sink| f(x).into_iter().for_each(sink))
-    }
-
-    /// Concatenate two RDDs (partitions of `self` first).
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        Rdd {
-            node: Arc::new(UnionNode {
-                parents: vec![self.node.clone(), other.node.clone()],
-            }),
-        }
     }
 
     /// Memoise partition results (Spark `.cache()`).
@@ -651,16 +623,6 @@ mod tests {
         let m = rdd.collect_as_map();
         assert_eq!(m.len(), 10);
         assert!(m.values().all(|&v| v == 100));
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let sc = ctx();
-        let a = sc.parallelize(vec![1, 2], 2);
-        let b = sc.parallelize(vec![3, 4, 5], 2);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 4);
-        assert_eq!(u.collect(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rp_hpc::{Cluster, IoKind, StorageTarget};
+use rp_hpc::{Cluster, StorageTarget};
 use rp_sim::{Engine, SimDuration, SimTime, MB};
 
 use crate::deploy::{SparkCluster, SparkError};
@@ -83,7 +83,10 @@ pub fn run_simulated_app(
 
 type DoneFn = Box<dyn FnOnce(&mut Engine, Result<SparkJobStats, SparkError>)>;
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one stage's whole context, moved into its event chain"
+)]
 fn run_stage(
     engine: &mut Engine,
     cluster: Cluster,
@@ -206,26 +209,23 @@ fn run_stage(
         for _ in 0..n {
             let remaining = remaining.clone();
             let after = after.clone();
-            cluster.storage_io(
-                engine,
-                StorageTarget::Lustre,
-                IoKind::Read,
-                per_node,
-                move |eng| {
-                    let mut r = remaining.borrow_mut();
-                    *r -= 1;
-                    if *r == 0 {
-                        drop(r);
-                        let f = after.borrow_mut().take().expect("read raced");
-                        f(eng);
-                    }
-                },
-            );
+            cluster.storage_io(engine, StorageTarget::Lustre, per_node, move |eng| {
+                let mut r = remaining.borrow_mut();
+                *r -= 1;
+                if *r == 0 {
+                    drop(r);
+                    let f = after.borrow_mut().take().expect("read raced");
+                    f(eng);
+                }
+            });
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one stage's whole context, moved into its event chain"
+)]
 fn finish_stage(
     engine: &mut Engine,
     cluster: Cluster,

@@ -17,6 +17,6 @@ pub mod rm;
 pub use bootstrap::{bootstrap_mode_i, connect_mode_ii, dedicated_cluster, HadoopEnv};
 pub use config::{ContainerRuntime, YarnConfig};
 pub use rm::{
-    AmHandle, AppId, AppReport, AppState, ClusterState, Container, ContainerId, Resource,
-    ResourceRequest, YarnCluster,
+    AmHandle, AppId, AppState, ClusterState, Container, ContainerId, Resource, ResourceRequest,
+    YarnCluster,
 };

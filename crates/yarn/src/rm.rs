@@ -93,17 +93,6 @@ pub enum AppState {
     Killed,
 }
 
-/// Per-application report (the RM `getApplicationReport` RPC).
-#[derive(Debug, Clone)]
-pub struct AppReport {
-    pub id: AppId,
-    pub state: AppState,
-    pub running_containers: u32,
-    /// Submission → now (or → final state).
-    pub elapsed: rp_sim::SimDuration,
-    pub am_startup: Option<rp_sim::SimDuration>,
-}
-
 /// Point-in-time cluster metrics — the stand-in for the RM REST API the
 /// paper's agent scheduler polls.
 #[derive(Debug, Clone)]
@@ -111,7 +100,6 @@ pub struct ClusterState {
     pub total: Resource,
     pub available: Resource,
     pub apps_running: u32,
-    pub apps_pending: u32,
     pub containers_running: u32,
     pub per_node: Vec<(NodeId, Resource, Resource)>, // (node, total, free)
 }
@@ -140,8 +128,6 @@ struct NmState {
 }
 
 struct App {
-    #[allow(dead_code)]
-    name: String,
     state: AppState,
     am_container: Option<ContainerId>,
     containers: BTreeSet<ContainerId>,
@@ -241,7 +227,6 @@ impl YarnCluster {
             inner.apps.insert(
                 id,
                 App {
-                    name: name.clone(),
                     state: AppState::Accepted,
                     am_container: None,
                     containers: BTreeSet::new(),
@@ -288,30 +273,6 @@ impl YarnCluster {
         app.am_start_time.map(|t| t.since(app.submit_time))
     }
 
-    /// Kill an application, releasing its AM and task containers.
-    pub fn kill_app(&self, engine: &mut Engine, id: AppId) {
-        self.finish_app(engine, id, AppState::Killed);
-    }
-
-    /// Per-application report (`yarn application -status`).
-    pub fn app_report(&self, engine: &Engine, id: AppId) -> AppReport {
-        let inner = self.inner.borrow();
-        let app = &inner.apps[&id];
-        let running = app.containers.len() as u32
-            + app
-                .am_container
-                .map(|_| 1)
-                .unwrap_or(0)
-                .min(if app.state.is_final() { 0 } else { 1 });
-        AppReport {
-            id,
-            state: app.state,
-            running_containers: if app.state.is_final() { 0 } else { running },
-            elapsed: engine.now().saturating_since(app.submit_time),
-            am_startup: app.am_start_time.map(|t| t.since(app.submit_time)),
-        }
-    }
-
     /// Free resources summed over the NodeManagers: `cluster_state().available`
     /// without the allocation or the app walk. O(NodeManagers); this is the
     /// read for scheduling hot paths.
@@ -343,16 +304,10 @@ impl YarnCluster {
             .values()
             .filter(|a| a.state == AppState::Running)
             .count() as u32;
-        let apps_pending = inner
-            .apps
-            .values()
-            .filter(|a| a.state == AppState::Accepted)
-            .count() as u32;
         ClusterState {
             total,
             available,
             apps_running,
-            apps_pending,
             containers_running: inner.containers.len() as u32,
             per_node,
         }
@@ -1042,27 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_app_frees_everything() {
-        let mut e = Engine::new(1);
-        let (_c, yarn) = test_cluster(&mut e);
-        let id = yarn.submit_app(
-            &mut e,
-            "victim",
-            ResourceRequest::new(1, 1024),
-            move |eng, am| {
-                am.request_container(eng, ResourceRequest::new(4, 4096), |_, _| {});
-            },
-        );
-        e.run_until(SimTime::from_secs_f64(2.0));
-        yarn.kill_app(&mut e, id);
-        e.run();
-        assert_eq!(yarn.app_state(id), AppState::Killed);
-        let s = yarn.cluster_state();
-        assert_eq!(s.available.vcores, s.total.vcores);
-        assert_eq!(s.containers_running, 0);
-    }
-
-    #[test]
     fn cluster_state_reflects_usage() {
         let mut e = Engine::new(1);
         let (_c, yarn) = test_cluster(&mut e);
@@ -1358,37 +1292,6 @@ mod tests {
         assert_eq!(yarn.app_state(id), AppState::Killed);
         let s = yarn.cluster_state();
         assert_eq!(s.available.vcores, s.total.vcores);
-    }
-
-    #[test]
-    fn app_report_tracks_lifecycle() {
-        let mut e = Engine::new(1);
-        let (_c, yarn) = test_cluster(&mut e);
-        let held = Rc::new(RefCell::new(None));
-        let h = held.clone();
-        let id = yarn.submit_app(
-            &mut e,
-            "rep",
-            ResourceRequest::new(1, 1024),
-            move |eng, am| {
-                let h = h.clone();
-                let am2 = am.clone();
-                am.request_container(eng, ResourceRequest::new(2, 2048), move |_, c| {
-                    *h.borrow_mut() = Some((am2, c));
-                });
-            },
-        );
-        e.run();
-        let r = yarn.app_report(&e, id);
-        assert_eq!(r.state, AppState::Running);
-        assert_eq!(r.running_containers, 2); // AM + task
-        assert!(r.am_startup.is_some());
-        let (am, c) = held.borrow_mut().take().unwrap();
-        am.release_container(&mut e, c.id);
-        am.finish(&mut e);
-        let r = yarn.app_report(&e, id);
-        assert_eq!(r.state, AppState::Finished);
-        assert_eq!(r.running_containers, 0);
     }
 
     #[test]

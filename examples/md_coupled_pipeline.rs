@@ -67,7 +67,10 @@ fn main() {
         // 2. Analysis stage: a Native unit that really computes. The
         //    closure runs on host threads; its wall time becomes the
         //    unit's virtual execution time.
-        #[allow(clippy::type_complexity)]
+        #[expect(
+            clippy::type_complexity,
+            reason = "the analysis result slot, filled by the closure"
+        )]
         let analysis_out: Rc<RefCell<Option<(f64, f64, [f64; 3])>>> = Rc::new(RefCell::new(None));
         let out = analysis_out.clone();
         let seed = 90 + generation as u64;

@@ -24,6 +24,35 @@ fn plain_pilot(e: &mut Engine, session: &Session, nodes: u32) -> (PilotHandle, U
     (pilot, um)
 }
 
+fn spark_pilot(e: &mut Engine, session: &Session, nodes: u32) -> (PilotHandle, UnitManager) {
+    let pm = PilotManager::new(session);
+    let pilot = pm
+        .submit(
+            e,
+            PilotDescription::new("xsede.stampede", nodes, SimDuration::from_secs(7200))
+                .with_access(AccessMode::SparkModeI),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    (pilot, um)
+}
+
+/// A one-stage Spark job asking for `executor_cores` executor cores.
+fn spark_job(executor_cores: u32) -> WorkSpec {
+    WorkSpec::SparkJob(hadoop_hpc::spark::SparkJobSpec {
+        name: "probe".into(),
+        executor_cores,
+        stages: vec![hadoop_hpc::spark::SparkStage {
+            name: "map".into(),
+            compute_core_s: 240.0,
+            input_read_mb: 0.0,
+            shuffle_mb: 0.0,
+        }],
+        jitter_sigma: 0.0,
+    })
+}
+
 fn mr_spec() -> hadoop_hpc::mapreduce::MrJobSpec {
     hadoop_hpc::mapreduce::MrJobSpec {
         name: "probe".into(),
@@ -92,14 +121,7 @@ fn spark_unit_rejected_on_plain_pilot() {
     let (_pilot, um) = plain_pilot(&mut e, &session, 2);
     let units = um.submit_units(
         &mut e,
-        vec![ComputeUnitDescription::new(
-            "spark",
-            4,
-            WorkSpec::SparkApp {
-                cores: 4,
-                core_seconds: 40.0,
-            },
-        )],
+        vec![ComputeUnitDescription::new("spark", 4, spark_job(4))],
     );
     drive(&mut e, &units);
     assert_eq!(units[0].state(), UnitState::Failed);
@@ -180,16 +202,7 @@ fn mpi_unit_cannot_span_yarn_containers() {
 fn compute_and_native_units_rejected_on_spark_pilot() {
     let mut e = Engine::new(5);
     let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
-                .with_access(AccessMode::SparkModeI),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
+    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
     let ran = std::rc::Rc::new(std::cell::Cell::new(false));
     let ran2 = ran.clone();
     let units = um.submit_units(
@@ -218,10 +231,49 @@ fn compute_and_native_units_rejected_on_spark_pilot() {
         assert_eq!(
             u.failure().unwrap(),
             "Compute and Native units cannot run on a Spark pilot \
-             (it runs SparkApp, SparkJob and Sleep units)"
+             (it runs SparkJob and Sleep units)"
         );
     }
     assert!(!ran.get(), "a rejected Native closure must never run");
+}
+
+#[test]
+fn spark_job_wider_than_pilot_rejected() {
+    let mut e = Engine::new(7);
+    let session = Session::new(SessionConfig::test_profile());
+    // 2 nodes x 16 cores = 32 executor cores; the job asks for 64.
+    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
+    let units = um.submit_units(
+        &mut e,
+        vec![ComputeUnitDescription::new("wide", 4, spark_job(64))],
+    );
+    drive(&mut e, &units);
+    assert_eq!(units[0].state(), UnitState::Failed);
+    assert_eq!(
+        units[0].failure().unwrap(),
+        "Spark unit needs 64 executor cores, pilot has 32"
+    );
+    // Rejected at pickup, not after waiting out the 7200 s walltime.
+    assert!(e.now() < SimTime::from_secs_f64(600.0), "{}", e.now());
+}
+
+#[test]
+fn spark_job_executors_spread_over_workers() {
+    let mut e = Engine::new(8);
+    let session = Session::new(SessionConfig::test_profile());
+    // 24 executor cores fit no 16-core node, but they fit the pilot.
+    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
+    let units = um.submit_units(
+        &mut e,
+        vec![ComputeUnitDescription::new("spread", 24, spark_job(24))],
+    );
+    drive(&mut e, &units);
+    assert_eq!(
+        units[0].state(),
+        UnitState::Done,
+        "{:?}",
+        units[0].failure()
+    );
 }
 
 // ---- scheduler skip behaviour ----

@@ -336,15 +336,14 @@ fn clean_framework_runs_close_every_span() {
     let sleep = |name: String| {
         ComputeUnitDescription::new(name, 1, WorkSpec::Sleep(SimDuration::from_secs(30)))
     };
+    // Sleep units on a Spark pilot run as one-stage apps and open the
+    // Spark compute span.
     let spark_units = (0..4)
         .map(|i| {
             ComputeUnitDescription::new(
                 format!("spark{i}"),
                 2,
-                WorkSpec::SparkApp {
-                    cores: 2,
-                    core_seconds: 20.0 + i as f64,
-                },
+                WorkSpec::Sleep(SimDuration::from_secs_f64(10.0 + f64::from(i) / 2.0)),
             )
         })
         .collect();
