@@ -301,7 +301,8 @@ fn run_mr_job(
         move |_, stats| {
             *o.borrow_mut() = Some(stats);
         },
-    );
+    )
+    .expect("the input was just created");
     e.run();
     let stats = out.borrow_mut().take().expect("job finished");
     stats

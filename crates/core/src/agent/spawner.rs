@@ -258,7 +258,8 @@ impl Agent {
             let this = self.clone();
             let cluster = self.inner.borrow().machine.cluster.clone();
             let parent = run.unit.open_span();
-            rp_mapreduce::run_on_yarn(
+            let (unit, placement) = (run.unit.clone(), run.placement.clone());
+            let submitted = rp_mapreduce::run_on_yarn(
                 engine,
                 &cluster,
                 &env.yarn,
@@ -274,6 +275,10 @@ impl Agent {
                     this.complete_unit(eng, run.unit, run.placement);
                 },
             );
+            if let Err(e) = submitted {
+                let reason = format!("mapreduce input unavailable: {e}");
+                self.fail_and_release(engine, unit, placement, &reason);
+            }
             return;
         }
         // Ordinary unit wrapped in the RADICAL-Pilot YARN app: allocate an
@@ -426,7 +431,10 @@ impl Agent {
                     return;
                 }
                 match res {
-                    Ok(_stats) => this.complete_unit(eng, run.unit, run.placement),
+                    Ok(stats) => {
+                        run.unit.rec.borrow_mut().exec_nodes = stats.nodes;
+                        this.complete_unit(eng, run.unit, run.placement);
+                    }
                     Err(e) => {
                         let reason = format!("spark job failed: {e}");
                         this.fail_and_release(eng, run.unit, run.placement, &reason);

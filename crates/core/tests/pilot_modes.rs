@@ -211,6 +211,46 @@ fn spark_pilot_runs_spark_apps() {
 }
 
 #[test]
+fn spark_job_records_its_executor_nodes() {
+    let mut e = Engine::new(29);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
+                .with_access(AccessMode::SparkModeI),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    // 24 executor cores fit no 16-core Stampede node, so both workers
+    // host executors.
+    let job = WorkSpec::SparkJob(rp_spark::SparkJobSpec {
+        name: "spread".into(),
+        executor_cores: 24,
+        stages: vec![rp_spark::SparkStage {
+            name: "map".into(),
+            compute_core_s: 240.0,
+            input_read_mb: 0.0,
+            shuffle_mb: 0.0,
+        }],
+        jitter_sigma: 0.0,
+    });
+    let units = um.submit_units(&mut e, vec![ComputeUnitDescription::new("spread", 24, job)]);
+    e.run_until(SimTime::from_secs_f64(1200.0));
+    assert_eq!(
+        units[0].state(),
+        UnitState::Done,
+        "{:?}",
+        units[0].failure()
+    );
+    let nodes = units[0].exec_nodes();
+    assert_eq!(nodes.len(), 2, "{nodes:?}");
+    assert_ne!(nodes[0], nodes[1]);
+}
+
+#[test]
 fn mapreduce_unit_runs_on_mode_i_pilot() {
     let mut e = Engine::new(31);
     let session = Session::new(SessionConfig::test_profile());

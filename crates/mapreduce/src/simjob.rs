@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rp_hdfs::Hdfs;
+use rp_hdfs::{BlockMeta, FileMeta, Hdfs, HdfsError, StoragePolicy};
 use rp_hpc::{Cluster, IoPattern, NodeId, StorageTarget};
 use rp_sim::{Engine, OpenSpan, SimDuration, SimTime, SpanId, MB};
 use rp_yarn::{Resource, ResourceRequest, YarnCluster};
@@ -146,8 +146,10 @@ fn advance_phase_span(
 /// `yarn.am_allocation` (submit → AM running), then `mr.map`, `mr.shuffle`
 /// and `mr.reduce` back to back. Pass [`SpanId::NONE`] for an untraced job.
 ///
-/// Panics if the input path does not exist (experiment setup bug) or if the
-/// shuffle backend is `LocalDisk` on a machine without local disks.
+/// Fails with [`HdfsError::NotFound`] before submitting anything when the
+/// input path does not exist; `done` is then dropped without running.
+/// Panics if the shuffle backend is `LocalDisk` on a machine without
+/// local disks.
 pub fn run_on_yarn(
     engine: &mut Engine,
     cluster: &Cluster,
@@ -156,10 +158,10 @@ pub fn run_on_yarn(
     spec: MrJobSpec,
     parent: SpanId,
     done: impl FnOnce(&mut Engine, MrJobStats) + 'static,
-) {
-    let blocks = hdfs
-        .block_locations(&spec.input_path)
-        .unwrap_or_else(|e| panic!("MR input missing: {e}"));
+) -> Result<(), HdfsError> {
+    // HDFS files are immutable once written, so one metadata read serves
+    // every map task of the job.
+    let FileMeta { blocks, policy, .. } = hdfs.file_meta(&spec.input_path)?;
     assert!(!blocks.is_empty());
     if spec.shuffle == ShuffleBackend::LocalDisk {
         assert!(
@@ -214,11 +216,14 @@ pub fn run_on_yarn(
                     preferred_node: Some(block.replicas[0]),
                 };
                 am.request_container(eng, req, move |eng, container| {
-                    run_map_task(eng, cluster, hdfs, am2, spec, state, block, container, done);
+                    run_map_task(
+                        eng, cluster, hdfs, policy, am2, spec, state, block, container, done,
+                    );
                 });
             }
         },
     );
+    Ok(())
 }
 
 #[expect(
@@ -229,19 +234,16 @@ fn run_map_task(
     engine: &mut Engine,
     cluster: Cluster,
     hdfs: Hdfs,
+    policy: StoragePolicy,
     am: rp_yarn::AmHandle,
     spec: Rc<MrJobSpec>,
     state: Rc<RefCell<JobState>>,
-    block: rp_hdfs::BlockMeta,
+    block: BlockMeta,
     container: rp_yarn::Container,
     done: DoneSlot,
 ) {
     let node = container.node;
     let input_bytes = block.size_bytes as f64;
-    let policy = hdfs
-        .file_meta(&spec.input_path)
-        .map(|f| f.policy)
-        .unwrap_or_default();
     // 1. Read the split (node-local when placement succeeded).
     let cluster2 = cluster.clone();
     let spec2 = spec.clone();
@@ -488,7 +490,7 @@ fn jitter(engine: &mut Engine, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_hdfs::{HdfsConfig, StoragePolicy};
+    use rp_hdfs::HdfsConfig;
     use rp_hpc::MachineSpec;
     use rp_yarn::YarnConfig;
 
@@ -527,7 +529,8 @@ mod tests {
             move |_, stats| {
                 *o.borrow_mut() = Some(stats);
             },
-        );
+        )
+        .expect("input exists");
         engine.run();
         let got = out.borrow_mut().take().expect("job finished");
         got
@@ -633,18 +636,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn missing_input_panics() {
+    fn missing_input_is_an_error_and_submits_nothing() {
         let mut e = Engine::new(1);
         let (cluster, yarn, hdfs) = setup(&mut e);
-        run_on_yarn(
+        let pending = e.pending();
+        let got = run_on_yarn(
             &mut e,
             &cluster,
             &yarn,
             &hdfs,
             spec("nope", ShuffleBackend::LocalDisk),
             SpanId::NONE,
-            |_, _| {},
+            |_, _| panic!("a job without input must not finish"),
         );
+        assert_eq!(got, Err(HdfsError::NotFound("/in".into())));
+        assert_eq!(e.pending(), pending);
+        assert_eq!(e.metrics.counter("mr.jobs_submitted"), 0);
     }
 }

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rp_hpc::{Cluster, StorageTarget};
+use rp_hpc::{Cluster, NodeId, StorageTarget};
 use rp_sim::{Engine, SimDuration, SimTime, MB};
 
 use crate::deploy::{SparkCluster, SparkError};
@@ -45,6 +45,8 @@ pub struct SparkJobSpec {
 pub struct SparkJobStats {
     pub total: SimDuration,
     pub per_stage: Vec<SimDuration>,
+    /// The node of each executor grant, in grant order.
+    pub nodes: Vec<NodeId>,
 }
 
 /// Run `spec` against a running standalone cluster. `done` receives the
@@ -92,7 +94,7 @@ fn run_stage(
     cluster: Cluster,
     spark: SparkCluster,
     app_id: crate::deploy::SparkAppId,
-    nodes: Vec<rp_hpc::NodeId>,
+    nodes: Vec<NodeId>,
     spec: SparkJobSpec,
     idx: usize,
     t0: SimTime,
@@ -104,6 +106,7 @@ fn run_stage(
         let out = SparkJobStats {
             total: engine.now().since(t0),
             per_stage: stats.borrow().clone(),
+            nodes,
         };
         done(engine, Ok(out));
         return;
@@ -231,7 +234,7 @@ fn finish_stage(
     cluster: Cluster,
     spark: SparkCluster,
     app_id: crate::deploy::SparkAppId,
-    nodes: Vec<rp_hpc::NodeId>,
+    nodes: Vec<NodeId>,
     spec: SparkJobSpec,
     idx: usize,
     t0: SimTime,
@@ -258,7 +261,7 @@ fn finish_stage(
 mod tests {
     use super::*;
     use crate::deploy::SparkConfig;
-    use rp_hpc::{MachineSpec, NodeId};
+    use rp_hpc::MachineSpec;
 
     fn boot(engine: &mut Engine) -> (Cluster, SparkCluster) {
         let cluster = Cluster::new(MachineSpec::localhost());

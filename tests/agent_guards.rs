@@ -276,6 +276,51 @@ fn spark_job_executors_spread_over_workers() {
     );
 }
 
+#[test]
+fn mapreduce_unit_with_missing_input_fails_alone() {
+    let mut e = Engine::new(3);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
+                .with_access(AccessMode::YarnModeI { with_hdfs: true }),
+        )
+        .unwrap();
+    while pilot.state() != PilotState::Active {
+        assert!(e.step(), "pilot never became active");
+    }
+    let hdfs = pilot.agent().unwrap().hadoop_env().unwrap().hdfs.unwrap();
+    hdfs.create_synthetic(
+        "/in",
+        256 * 1024 * 1024,
+        hadoop_hpc::hdfs::StoragePolicy::Default,
+    )
+    .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let mut missing = mr_spec();
+    missing.input_path = "/no/such/input".into();
+    let units = um.submit_units(
+        &mut e,
+        vec![
+            ComputeUnitDescription::new("missing", 1, WorkSpec::MapReduce(missing)),
+            ComputeUnitDescription::new("valid", 1, WorkSpec::MapReduce(mr_spec())),
+        ],
+    );
+    drive(&mut e, &units);
+    assert_eq!(units[0].state(), UnitState::Failed);
+    let reason = units[0].failure().unwrap();
+    assert!(reason.contains("/no/such/input"), "{reason}");
+    assert_eq!(
+        units[1].state(),
+        UnitState::Done,
+        "{:?}",
+        units[1].failure()
+    );
+}
+
 // ---- scheduler skip behaviour ----
 
 #[test]
