@@ -16,6 +16,11 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> chaos soak at 1,000 seeds (release)"
+# The test suite's default 32 seeds missed a pilot stopped while it
+# booted; 1,000 seeds hit that path on 22 of them.
+CHAOS_SEEDS=1000 cargo test --release -q --test chaos
+
 echo "==> e2e benchmark package (public rp_pilot API + pinned fingerprints)"
 # Its own package, outside the workspace: it builds against the public
 # rp_pilot API and checks the virtual fingerprints at the smoke sizes.

@@ -16,9 +16,8 @@ use std::time::Instant;
 
 use rp_analytics::{fig6_session_config, run_rp_kmeans, run_rp_yarn_kmeans, KMeansCalibration};
 use rp_pilot::{
-    install_faults, install_faults_multi, when_all_done, ComputeUnitDescription, PilotDescription,
-    PilotHandle, PilotManager, PilotState, Session, SessionConfig, UmScheduler, UnitHandle,
-    UnitManager, UnitState, WorkSpec,
+    ComputeUnitDescription, PilotDescription, PilotState, Session, SessionConfig, UmScheduler,
+    UnitHandle, UnitState,
 };
 use rp_sim::stats::percentile;
 use rp_sim::{
@@ -26,6 +25,7 @@ use rp_sim::{
     MetricsSnapshot, RunReport, SimDuration, SimTime,
 };
 
+use crate::scenario::{self, sleep_units, Run, Scenario};
 use crate::{run_pilot_startup, run_unit_startup, Variant};
 
 /// Bumped whenever the artifact layout changes; `bench_compare` refuses to
@@ -172,6 +172,21 @@ impl Default for FaultMatrixParams {
     }
 }
 
+/// A Stampede pilot of `nodes` plain nodes with a 4 h walltime.
+fn stampede(nodes: u32) -> PilotDescription {
+    PilotDescription::new("xsede.stampede", nodes, SimDuration::from_secs(14_400))
+}
+
+/// When the last unit finished, in virtual seconds.
+fn makespan_s(units: &[UnitHandle]) -> f64 {
+    units
+        .iter()
+        .map(|u| u.times().done.expect("unit finished"))
+        .max()
+        .expect("the scenario submits units")
+        .as_secs_f64()
+}
+
 /// Fault matrix: a 4-node sleep workload under a generated fault plan;
 /// recovery must still complete every unit.
 pub fn run_fault_matrix(params: FaultMatrixParams) -> VirtualResult {
@@ -179,48 +194,32 @@ pub fn run_fault_matrix(params: FaultMatrixParams) -> VirtualResult {
         "fault_matrix: {} sleep units, seed {}, intensity {}",
         params.units, params.seed, params.intensity
     ));
-    let mut e = Engine::with_trace(params.seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 4, SimDuration::from_secs(14_400)),
-        )
-        .expect("pilot submits");
-    let plan = FaultPlan::generate(
-        params.seed,
-        SimDuration::from_secs(1800),
-        4,
-        params.intensity,
-    );
-    let injector = install_faults(&mut e, &plan, &pilot);
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..params.units)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(params.sleep_s)),
-                )
-            })
-            .collect(),
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
-    }
-    pm.cancel(&mut e, &pilot);
-    e.run();
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![stampede(4)],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: Some(FaultPlan::generate(
+            params.seed,
+            SimDuration::from_secs(1800),
+            4,
+            params.intensity,
+        )),
+        units: sleep_units(params.units, "u", |_| params.sleep_s),
+    };
+    let run = scenario::run(&scenario, Engine::with_trace(params.seed)).expect("fault matrix");
     assert!(
-        units.iter().all(|u| u.state() == UnitState::Done),
+        run.units.iter().all(|u| u.state() == UnitState::Done),
         "under-budget fault plan must not lose units"
     );
+    let injected = run
+        .injector
+        .as_ref()
+        .expect("the plan is installed")
+        .injected();
     out.counters
-        .insert("bench.faults_injected".into(), injector.injected() as u64);
-    absorb_run(&mut out, "stampede 4-node sleep", &e, "unit.run");
+        .insert("bench.faults_injected".into(), injected as u64);
+    absorb_run(&mut out, "stampede 4-node sleep", &run.engine, "unit.run");
     out
 }
 
@@ -231,109 +230,56 @@ const PILOT_LOSS_UNITS: usize = 16;
 const PILOT_LOSS_SLEEP_S: u64 = 300;
 const PILOT_LOSS_KILL_AT_S: u64 = 180;
 
-/// A finished two-pilot lease case (see [`lease_case`]).
-struct LeaseRun {
-    /// The traced engine, drained.
-    engine: Engine,
-    pilots: Vec<PilotHandle>,
-    units: Vec<UnitHandle>,
-    /// When the last unit finished, in virtual seconds.
-    makespan_s: f64,
-    rebinds: u64,
-    /// Writes the coordination store rejected at a stale fencing epoch.
-    fence_rejections: u64,
-}
-
 /// The set-up `pilot_loss` and `partition_heal` share: 2 three-node
 /// Stampede pilots on the test profile, RoundRobin placement and
-/// lease-based failover (`lease`, `grace`). `inject` runs on the engine
-/// and the pilots before the units are submitted; its result is handed
-/// back. Steps until every unit is final, cancels the pilots still live,
-/// then drains the engine, so a healed zombie's held completions are
-/// delivered (and fenced), not left pending. Every unit must end `Done`.
-fn lease_case<T>(
+/// lease-based failover (`lease_s`, `grace_s`), with the one `fault`, if
+/// any, installed before the units are submitted. The run
+/// cancels the pilots still live, then drains the engine, so a healed
+/// zombie's held completions are delivered (and fenced), not left
+/// pending. Every unit must end `Done`.
+fn lease_case(
     seed: u64,
-    lease: SimDuration,
-    grace: SimDuration,
-    descrs: Vec<ComputeUnitDescription>,
-    inject: impl FnOnce(&mut Engine, &[PilotHandle]) -> T,
-) -> (LeaseRun, T) {
-    let mut e = Engine::with_trace(seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilots: Vec<_> = (0..2)
-        .map(|_| {
-            pm.submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
-            )
-            .expect("pilot submits")
-        })
-        .collect();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    for p in &pilots {
-        um.add_pilot(p);
-    }
-    um.enable_leases(&mut e, lease, grace);
-    let injected = inject(&mut e, &pilots);
-    let units = um.submit_units(&mut e, descrs);
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
-    }
-    for p in &pilots {
-        if !p.state().is_final() {
-            pm.cancel(&mut e, p);
-        }
-    }
-    e.run();
+    lease_s: u64,
+    grace_s: u64,
+    units: Vec<ComputeUnitDescription>,
+    fault: Option<FaultEvent>,
+) -> Run {
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![stampede(3); 2],
+        scheduler: UmScheduler::RoundRobin,
+        leases: Some((
+            SimDuration::from_secs(lease_s),
+            SimDuration::from_secs(grace_s),
+        )),
+        faults: fault.map(|ev| FaultPlan { events: vec![ev] }),
+        units,
+    };
+    let run = scenario::run(&scenario, Engine::with_trace(seed)).expect("lease case");
     assert!(
-        units.iter().all(|u| u.state() == UnitState::Done),
+        run.units.iter().all(|u| u.state() == UnitState::Done),
         "every unit must end Done"
     );
-    let makespan_s = units
-        .iter()
-        .map(|u| u.times().done.expect("unit finished"))
-        .max()
-        .expect("the scenario submits units")
-        .as_secs_f64();
-    let run = LeaseRun {
-        engine: e,
-        pilots,
-        units,
-        makespan_s,
-        rebinds: um.rebinds(),
-        fence_rejections: session.store().fence_rejections(),
-    };
-    (run, injected)
+    if let Some(injector) = &run.injector {
+        assert_eq!(injector.injected(), 1, "the fault must inject");
+    }
+    run
 }
 
 /// One pilot-loss case: the two-pilot lease set-up, optionally killing
 /// the first pilot mid-run.
-fn pilot_loss_case(kill: bool) -> LeaseRun {
-    let descrs = (0..PILOT_LOSS_UNITS)
-        .map(|i| {
-            ComputeUnitDescription::new(
-                format!("u{i}"),
-                1,
-                WorkSpec::Sleep(SimDuration::from_secs(PILOT_LOSS_SLEEP_S)),
-            )
-        })
-        .collect();
-    let (run, ()) = lease_case(
+fn pilot_loss_case(kill: bool) -> Run {
+    let kill = kill.then(|| FaultEvent {
+        at: SimTime::from_secs_f64(PILOT_LOSS_KILL_AT_S as f64),
+        kind: FaultKind::PilotKill { pilot: 0 },
+    });
+    lease_case(
         PILOT_LOSS_SEED,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(30),
-        descrs,
-        |e, pilots| {
-            if kill {
-                let victim = pilots[0].clone();
-                e.schedule_in(SimDuration::from_secs(PILOT_LOSS_KILL_AT_S), move |eng| {
-                    victim.kill(eng)
-                });
-            }
-        },
-    );
-    run
+        60,
+        30,
+        sleep_units(PILOT_LOSS_UNITS, "u", |_| PILOT_LOSS_SLEEP_S),
+        kill,
+    )
 }
 
 /// Pilot loss: the same 2-pilot workload with and without a mid-run
@@ -355,14 +301,15 @@ pub fn run_pilot_loss() -> VirtualResult {
             .all(|u| u.pilot() == Some(kill.pilots[1].id())),
         "survivors must all land on the surviving pilot"
     );
-    assert!(kill.rebinds > 0, "the kill must force re-binds");
-    let (baseline_s, kill_s) = (base.makespan_s, kill.makespan_s);
+    let rebinds = kill.um.rebinds();
+    assert!(rebinds > 0, "the kill must force re-binds");
+    let (baseline_s, kill_s) = (makespan_s(&base.units), makespan_s(&kill.units));
     assert!(
         kill_s > baseline_s,
         "failover must cost makespan ({kill_s} vs {baseline_s})"
     );
     out.counters
-        .insert("bench.pilot_loss_rebinds".into(), kill.rebinds);
+        .insert("bench.pilot_loss_rebinds".into(), rebinds);
     out.counters.insert(
         "bench.failover_overhead_ms".into(),
         ((kill_s - baseline_s) * 1e3).round() as u64,
@@ -384,49 +331,29 @@ const PARTITION_GRACE_S: u64 = 30;
 
 /// One partition-heal case: the two-pilot lease set-up, optionally
 /// partitioning pilot 0 from the coordination store mid-run.
-fn partition_heal_case(partition: bool) -> LeaseRun {
+fn partition_heal_case(partition: bool) -> Run {
+    // Asymmetric split-brain: the agent keeps receiving batches but its
+    // renewals and completions are held, so its lease lapses, it
+    // self-fences, and its held writes are rejected post-heal at a stale
+    // fencing epoch. `PARTITION_AT_S` must be past agent bootstrap
+    // (Active by ~47 s on the test profile) or the event is dropped.
+    let partition = partition.then(|| FaultEvent {
+        at: SimTime::from_secs_f64(PARTITION_AT_S as f64),
+        kind: FaultKind::Partition {
+            pilot: 0,
+            duration: SimDuration::from_secs(PARTITION_S),
+            symmetric: false,
+        },
+    });
     // Staggered short sleeps: the first wave completes inside the
     // partition-to-fence window so its completions are held.
-    let descrs = (0..PARTITION_HEAL_UNITS)
-        .map(|i| {
-            ComputeUnitDescription::new(
-                format!("u{i}"),
-                1,
-                WorkSpec::Sleep(SimDuration::from_secs(15 + (i as u64 % 4) * 10)),
-            )
-        })
-        .collect();
-    let (run, injector) = lease_case(
+    lease_case(
         PARTITION_HEAL_SEED,
-        SimDuration::from_secs(PARTITION_LEASE_S),
-        SimDuration::from_secs(PARTITION_GRACE_S),
-        descrs,
-        |e, pilots| {
-            // Asymmetric split-brain: the agent keeps receiving batches
-            // but its renewals and completions are held, so its lease
-            // lapses, it self-fences, and its held writes are rejected
-            // post-heal at a stale fencing epoch. `PARTITION_AT_S` must be
-            // past agent bootstrap (Active by ~47 s on the test profile)
-            // or the event is dropped.
-            partition.then(|| {
-                let plan = FaultPlan {
-                    events: vec![FaultEvent {
-                        at: SimTime::from_secs_f64(PARTITION_AT_S as f64),
-                        kind: FaultKind::Partition {
-                            pilot: 0,
-                            duration: SimDuration::from_secs(PARTITION_S),
-                            symmetric: false,
-                        },
-                    }],
-                };
-                install_faults_multi(e, &plan, pilots)
-            })
-        },
-    );
-    if let Some(injector) = injector {
-        assert_eq!(injector.injected(), 1, "the partition must inject");
-    }
-    run
+        PARTITION_LEASE_S,
+        PARTITION_GRACE_S,
+        sleep_units(PARTITION_HEAL_UNITS, "u", |i| 15 + (i as u64 % 4) * 10),
+        partition,
+    )
 }
 
 /// Partition heal: the same 2-pilot lease-owned workload with and without
@@ -441,8 +368,12 @@ pub fn run_partition_heal() -> VirtualResult {
     ));
     let base = partition_heal_case(false);
     absorb_run(&mut out, "2 pilots, no partition", &base.engine, "unit.run");
-    assert_eq!(base.rebinds, 0, "quiet leases must not re-bind");
-    assert_eq!(base.fence_rejections, 0, "quiet leases must not fence");
+    assert_eq!(base.um.rebinds(), 0, "quiet leases must not re-bind");
+    assert_eq!(
+        base.session.store().fence_rejections(),
+        0,
+        "quiet leases must not fence"
+    );
     let healed = partition_heal_case(true);
     absorb_run(
         &mut out,
@@ -450,20 +381,24 @@ pub fn run_partition_heal() -> VirtualResult {
         &healed.engine,
         "unit.run",
     );
-    assert!(healed.rebinds > 0, "the partition must force re-binds");
+    let (rebinds, fence_rejections) = (
+        healed.um.rebinds(),
+        healed.session.store().fence_rejections(),
+    );
+    assert!(rebinds > 0, "the partition must force re-binds");
     assert!(
-        healed.fence_rejections > 0,
+        fence_rejections > 0,
         "the healed zombie must be fenced at a stale epoch"
     );
-    let (baseline_s, healed_s) = (base.makespan_s, healed.makespan_s);
+    let (baseline_s, healed_s) = (makespan_s(&base.units), makespan_s(&healed.units));
     assert!(
         healed_s > baseline_s,
         "split-brain recovery must cost makespan ({healed_s} vs {baseline_s})"
     );
     out.counters
-        .insert("bench.partition_rebinds".into(), healed.rebinds);
+        .insert("bench.partition_rebinds".into(), rebinds);
     out.counters
-        .insert("bench.fence_rejections".into(), healed.fence_rejections);
+        .insert("bench.fence_rejections".into(), fence_rejections);
     out.counters.insert(
         "bench.partition_overhead_ms".into(),
         ((healed_s - baseline_s) * 1e3).round() as u64,
@@ -509,45 +444,20 @@ pub fn run_scale(params: ScaleParams) -> VirtualResult {
         "scale: {} one-core sleep units on a plain {}-node pilot, seed {}",
         params.units, params.nodes, params.seed
     ));
-    let mut e = Engine::with_trace(params.seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new(
-                "xsede.stampede",
-                params.nodes,
-                SimDuration::from_secs(14_400),
-            ),
-        )
-        .expect("pilot submits");
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..params.units)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(60 + (i as u64 % 13) * 15)),
-                )
-            })
-            .collect(),
-    );
-    // Event-driven completion: polling the unit vector per step would
-    // itself be O(units × events) and dominate the measurement.
-    let sess = session.clone();
-    let p = pilot.clone();
-    when_all_done(&mut e, &units, move |eng| {
-        PilotManager::new(&sess).cancel(eng, &p);
-    });
-    e.run();
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![stampede(params.nodes)],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: None,
+        units: sleep_units(params.units, "u", |i| 60 + (i as u64 % 13) * 15),
+    };
+    let run = scenario::run(&scenario, Engine::with_trace(params.seed)).expect("scale run");
     assert!(
-        units.iter().all(|u| u.state() == UnitState::Done),
+        run.units.iter().all(|u| u.state() == UnitState::Done),
         "scale run must complete every unit"
     );
+    let e = &run.engine;
     out.counters
         .insert("scale.units".into(), params.units as u64);
     out.counters
@@ -561,7 +471,7 @@ pub fn run_scale(params: ScaleParams) -> VirtualResult {
     absorb_run(
         &mut out,
         &format!("{} sleep units", params.units),
-        &e,
+        e,
         "unit.run",
     );
     out

@@ -1,5 +1,6 @@
 //! Paper-evaluation harness: the [`experiments`] registry behind the
-//! `paper` binary, the BENCH artifact [`harness`] and its [`diff`], and
+//! `paper` binary, the BENCH artifact [`harness`] and its [`diff`], the
+//! [`scenario`] value and drive loop the harness and the tests share, and
 //! the shared pieces they use — traced startup runners, a plain-text
 //! table formatter that renders the same rows/series the paper's figures
 //! report, and the shape-check collector.
@@ -7,6 +8,7 @@
 pub mod diff;
 pub mod experiments;
 pub mod harness;
+pub mod scenario;
 
 use rp_pilot::{
     AccessMode, ComputeUnitDescription, PilotDescription, PilotManager, PilotState, Session,

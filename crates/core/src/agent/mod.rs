@@ -147,7 +147,22 @@ impl Agent {
         let lrm_machine = machine.clone();
         let lrm_nodes = alloc.nodes.clone();
         let lrm_cfg = cfg.clone();
+        let job = alloc.job_id;
+        // A pilot stopped while it boots (cancel, kill, walltime) has no
+        // batch job and no allocation left: the LRM starts nothing more,
+        // stops what it already started, and no agent starts.
+        let released = move |eng: &mut Engine, machine: &MachineHandle| {
+            let gone = machine.batch.state(job).is_final();
+            if gone {
+                note(eng, format!("{pilot:?} stopped before its agent started"));
+            }
+            gone
+        };
         let finish = move |eng: &mut Engine, runtime: Runtime, framework_bootstrap: SimDuration| {
+            if released(eng, &machine) {
+                runtime.shutdown(eng);
+                return;
+            }
             let slots = NodeSlots::new(&alloc.nodes, machine.cluster.spec().cores_per_node);
             let deadline = machine.batch.deadline(alloc.job_id);
             let agent = Agent {
@@ -200,6 +215,9 @@ impl Agent {
         };
 
         engine.schedule_in(agent_boot, move |eng| {
+            if released(eng, &lrm_machine) {
+                return;
+            }
             Runtime::bootstrap(
                 eng,
                 access,

@@ -75,7 +75,6 @@ impl Agent {
     fn resolve_endpoint(&self, e: StageEndpoint, exec_node: Option<NodeId>) -> Endpoint {
         let inner = self.inner.borrow();
         match e {
-            StageEndpoint::Remote { bandwidth_mbps } => Endpoint::Remote { bandwidth_mbps },
             StageEndpoint::Lustre => Endpoint::Lustre,
             StageEndpoint::ExecNode => {
                 match (exec_node, inner.machine.cluster.has_local_disk()) {

@@ -54,7 +54,6 @@ impl PilotDescription {
 /// local disk of whichever node the unit lands on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StageEndpoint {
-    Remote { bandwidth_mbps: f64 },
     Lustre,
     ExecNode,
 }

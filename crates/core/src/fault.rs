@@ -1,10 +1,10 @@
 //! Bridge between the sim-core fault injector and the Pilot layer.
 //!
-//! [`install_faults`] wires a [`FaultPlan`] to a pilot: every scheduled
-//! fault is dispatched to the pilot's agent (once it is Active), which
-//! owns the recovery paths — dead-node detection via the Heartbeat
-//! Monitor, retry with capped exponential backoff, YARN/HDFS failure
-//! propagation for Mode I pilots.
+//! [`install_faults_multi`] wires a [`FaultPlan`] to a set of pilots:
+//! every scheduled fault is dispatched to a pilot's agent (once it is
+//! Active), which owns the recovery paths — dead-node detection via the
+//! Heartbeat Monitor, retry with capped exponential backoff, YARN/HDFS
+//! failure propagation for Mode I pilots.
 
 use std::cell::Cell;
 
@@ -12,21 +12,15 @@ use rp_sim::{Engine, FaultInjector, FaultKind, FaultPlan};
 
 use crate::manager::PilotHandle;
 
-/// Install `plan` against `pilot` and return the injector (for fault
-/// counting or registering extra handlers). Faults that fire before the
-/// pilot's agent is up are dropped — a fault plan normally targets the
-/// workload phase, not bootstrap.
-pub fn install_faults(engine: &mut Engine, plan: &FaultPlan, pilot: &PilotHandle) -> FaultInjector {
-    install_faults_multi(engine, plan, std::slice::from_ref(pilot))
-}
-
-/// Install `plan` against a set of pilots. [`FaultKind::PilotKill`] kills
+/// Install `plan` against a set of pilots and return the injector (for
+/// fault counting or registering extra handlers). Faults that fire
+/// before a pilot's agent is up are dropped — a fault plan normally
+/// targets the workload phase, not bootstrap. [`FaultKind::PilotKill`] kills
 /// `pilots[pilot % len]` outright (batch-job loss);
 /// [`FaultKind::Partition`] cuts `pilots[pilot % len]`'s agent off from
 /// the coordination store for the window's duration; every other fault
 /// kind targets one pilot's agent, rotating round-robin so a multi-pilot
-/// session degrades evenly. With a single pilot this is exactly
-/// [`install_faults`].
+/// session degrades evenly.
 pub fn install_faults_multi(
     engine: &mut Engine,
     plan: &FaultPlan,

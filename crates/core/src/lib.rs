@@ -56,7 +56,7 @@ pub use description::{
     AccessMode, ComputeUnitDescription, PilotDescription, RetryPolicy, StageEndpoint,
     StagingDirective, UnitIoTarget, WorkSpec,
 };
-pub use fault::{install_faults, install_faults_multi};
+pub use fault::install_faults_multi;
 pub use launch::LaunchMethod;
 pub use manager::{PilotHandle, PilotManager, PilotTimestamps, UmScheduler, UnitManager};
 pub use session::{MachineHandle, PilotError, Session, SessionConfig};

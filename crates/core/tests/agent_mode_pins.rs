@@ -148,7 +148,7 @@ fn run_row(mode: Mode, event: Event) -> Pin {
             .map(|(at, kind)| FaultEvent { at, kind })
             .collect(),
     };
-    install_faults(&mut e, &plan, &pilot);
+    install_faults_multi(&mut e, &plan, std::slice::from_ref(&pilot));
     e.run_until(SimTime::from_secs_f64(4000.0));
 
     let agent = pilot.agent().unwrap();

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rp_pilot::*;
-use rp_sim::{Engine, FaultEvent, FaultKind, FaultPlan, Message, SimDuration};
+use rp_sim::{Engine, FaultEvent, FaultKind, FaultPlan, Message, SimDuration, MB};
 
 /// A lifecycle table, seen through the public state API.
 trait Lifecycle: Copy + Eq + std::fmt::Debug + 'static {
@@ -123,26 +123,27 @@ fn untaken<S: Lifecycle>(taken: &BTreeSet<(&str, &str, &str)>) -> Vec<String> {
     missing
 }
 
-fn remote(mb: f64) -> StagingDirective {
+/// `mb` megabytes between Lustre and the unit's node-local disk.
+fn staged(mb: f64, from: StageEndpoint, to: StageEndpoint) -> StagingDirective {
     StagingDirective {
-        bytes: mb * 1e6,
-        from: StageEndpoint::Remote {
-            bandwidth_mbps: 1.0,
-        },
-        to: StageEndpoint::Lustre,
+        bytes: mb * MB,
+        from,
+        to,
     }
 }
 
-/// A whole-node unit that stages 10 MB in from a 1 MB/s remote site,
-/// sleeps, and stages 10 MB out, so each staging phase lasts ~10 s.
+/// A whole-node unit that stages 800 MB in from Lustre to its node's
+/// disk, sleeps, and stages 800 MB back, so each staging phase lasts
+/// ~10 s (a 120 MB/s Lustre stream, then a 250 MB/s disk write).
 fn staged_unit(i: usize) -> ComputeUnitDescription {
+    use StageEndpoint::{ExecNode, Lustre};
     ComputeUnitDescription::new(
         format!("u{i}"),
         16,
         WorkSpec::Sleep(SimDuration::from_secs(300)),
     )
-    .stage_in(remote(10.0))
-    .stage_out(remote(10.0))
+    .stage_in(staged(800.0, Lustre, ExecNode))
+    .stage_out(staged(800.0, ExecNode, Lustre))
 }
 
 fn submit(pm: &PilotManager, e: &mut Engine, nodes: u32, walltime_s: u64) -> PilotHandle {
@@ -206,7 +207,7 @@ fn node_crash_in(phase: UnitState) -> Engine {
             kind: FaultKind::NodeCrash { node: 0 },
         }],
     };
-    install_faults(&mut e, &plan, &pilot);
+    install_faults_multi(&mut e, &plan, std::slice::from_ref(&pilot));
     step_until(&mut e, &label, || units[0].state().is_final());
     assert_eq!(units[0].state(), UnitState::Done, "{label}");
     assert_eq!(units[0].attempts(), 2, "{label}: one retry");
@@ -265,6 +266,95 @@ fn every_table_edge_is_taken_by_a_run() {
         "table edges no run takes:\n  {}",
         missing.join("\n  ")
     );
+}
+
+/// A pilot cancelled or killed while it boots ends in its final state
+/// without ever starting an agent. Stopped as its batch job starts, the
+/// LRM starts nothing; stopped once YARN or Spark is being deployed, the
+/// deployment finishes and is shut down. Either way the engine drains,
+/// no pilot or framework span is left open, and the unit bound to the
+/// pilot never runs.
+#[test]
+fn pilot_stopped_while_launching_starts_no_agent() {
+    let yarn = AccessMode::YarnModeI { with_hdfs: true };
+    let cases = [
+        (AccessMode::Plain, false),
+        (yarn.clone(), false),
+        (yarn, true),
+        (AccessMode::SparkModeI, false),
+        (AccessMode::SparkModeI, true),
+    ];
+    for (access, deploying) in cases {
+        for kill in [false, true] {
+            let stop = if kill { "kill" } else { "cancel" };
+            let label = format!("{access:?}, {stop}, framework deploying: {deploying}");
+            let mut e = Engine::with_trace(4);
+            let session = Session::new(SessionConfig::test_profile());
+            let pm = PilotManager::new(&session);
+            let pilot = pm
+                .submit(
+                    &mut e,
+                    PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(3600))
+                        .with_access(access.clone()),
+                )
+                .expect("stampede accepts the pilot");
+            let mut um = UnitManager::new(&session, UmScheduler::Direct);
+            um.add_pilot(&pilot);
+            let units = um.submit_units(
+                &mut e,
+                vec![ComputeUnitDescription::new(
+                    "u0",
+                    1,
+                    WorkSpec::Sleep(SimDuration::from_secs(30)),
+                )],
+            );
+            step_until(&mut e, &label, || pilot.state() == PilotState::Launching);
+            if deploying {
+                while e.trace.find("bootstrap on").is_none() {
+                    assert!(e.step(), "{label}: the run ended first");
+                }
+                assert_eq!(pilot.state(), PilotState::Launching, "{label}");
+            }
+            if kill {
+                pilot.kill(&mut e);
+            } else {
+                pm.cancel(&mut e, &pilot);
+            }
+            // Bounded, so a wedged engine fails here instead of hanging.
+            let mut steps = 0;
+            while e.step() {
+                steps += 1;
+                assert!(steps < 100_000, "{label}: the engine does not drain");
+            }
+            let want = if kill {
+                PilotState::Failed
+            } else {
+                PilotState::Canceled
+            };
+            assert_eq!(pilot.state(), want, "{label}");
+            assert!(pilot.agent().is_none(), "{label}: an agent started");
+            assert_eq!(
+                e.trace.find("bootstrap on").is_some(),
+                deploying,
+                "{label}: the LRM started a framework"
+            );
+            let torn_down = e
+                .trace
+                .in_category("yarn")
+                .chain(e.trace.in_category("spark"))
+                .any(|ev| ev.message.contains("shutdown") || ev.message.contains("stop-all.sh"));
+            assert_eq!(torn_down, deploying, "{label}: framework teardown");
+            let open: Vec<&str> = e
+                .trace
+                .iter_spans()
+                .filter(|s| s.end.is_none() && s.category != "unit")
+                .map(|s| e.trace.span_name(s))
+                .collect();
+            assert!(open.is_empty(), "{label}: {open:?} left open");
+            assert_eq!(units[0].times().exec_start, None, "{label}: the unit ran");
+            assert_eq!(e.metrics.counter("agent.units_completed"), 0, "{label}");
+        }
+    }
 }
 
 /// Graphviz rendering of a lifecycle table: states and explicit edges in

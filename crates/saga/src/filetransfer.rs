@@ -1,30 +1,26 @@
-//! SAGA file transfer: staging data between the outside world, the shared
-//! parallel filesystem and node-local storage.
+//! SAGA file transfer: staging data between the shared parallel
+//! filesystem and node-local storage.
 //!
 //! Compute-Unit `input_staging` / `output_staging` directives resolve to
 //! these endpoint pairs; the Pilot agent's Stage-In/Stage-Out workers call
 //! [`transfer`] for each directive.
 
 use rp_hpc::{Cluster, NodeId, StorageTarget};
-use rp_sim::{Engine, SimDuration, MB};
+use rp_sim::Engine;
 
 /// One end of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Endpoint {
-    /// Outside the machine (campus storage, web): fixed WAN bandwidth.
-    Remote { bandwidth_mbps: f64 },
     /// The machine's shared parallel filesystem.
     Lustre,
     /// A node's local disk.
     Local(NodeId),
 }
 
-/// Move `bytes` from `from` to `to`; `done` fires at completion.
-///
-/// Remote legs run at the remote endpoint's bandwidth; machine-internal
-/// legs go through the storage/network models (and therefore contend with
-/// everything else). Remote→Remote is rejected — it never touches this
-/// machine and has no meaning here.
+/// Move `bytes` from `from` to `to`; `done` fires at completion. Each
+/// leg goes through the storage/network models (and therefore contends
+/// with everything else): read the source, cross the fabric between
+/// two different nodes, write the target.
 pub fn transfer(
     engine: &mut Engine,
     cluster: &Cluster,
@@ -36,44 +32,16 @@ pub fn transfer(
     assert!(bytes >= 0.0 && bytes.is_finite());
     engine.metrics.incr("saga.transfers");
     engine.metrics.add("saga.transfer_bytes", bytes as u64);
-    match (from, to) {
-        (Endpoint::Remote { .. }, Endpoint::Remote { .. }) => {
-            panic!("remote→remote transfer does not involve this machine")
-        }
-        // Ingest: WAN leg, then write to the target backend.
-        (Endpoint::Remote { bandwidth_mbps }, to) => {
-            let wan = SimDuration::from_secs_f64(bytes / (bandwidth_mbps * MB));
-            let cluster = cluster.clone();
-            engine.schedule_in(wan, move |eng| {
-                write_local(eng, &cluster, to, bytes, done);
+    let cluster2 = cluster.clone();
+    storage_io(engine, cluster, from, bytes, move |eng| match (from, to) {
+        (Endpoint::Local(a), Endpoint::Local(b)) if a != b => {
+            let c3 = cluster2.clone();
+            cluster2.net_transfer(eng, a, b, bytes, move |eng| {
+                storage_io(eng, &c3, to, bytes, done);
             });
         }
-        // Egress: read from the source backend, then the WAN leg.
-        (from, Endpoint::Remote { bandwidth_mbps }) => {
-            let cluster2 = cluster.clone();
-            read_local(engine, cluster, from, bytes, move |eng| {
-                let wan = SimDuration::from_secs_f64(bytes / (bandwidth_mbps * MB));
-                eng.schedule_in(wan, done);
-                let _ = &cluster2;
-            });
-        }
-        // Machine-internal: read source, move over fabric if needed, write.
-        (from, to) => {
-            let cluster2 = cluster.clone();
-            read_local(engine, cluster, from, bytes, move |eng| {
-                let (src_node, dst_node) = (node_of(from), node_of(to));
-                match (src_node, dst_node) {
-                    (Some(a), Some(b)) if a != b => {
-                        let c3 = cluster2.clone();
-                        cluster2.net_transfer(eng, a, b, bytes, move |eng| {
-                            write_local(eng, &c3, to, bytes, done);
-                        });
-                    }
-                    _ => write_local(eng, &cluster2, to, bytes, done),
-                }
-            });
-        }
-    }
+        _ => storage_io(eng, &cluster2, to, bytes, done),
+    });
 }
 
 /// Direct node-to-node streaming (the paper's §V future work: "data can
@@ -91,39 +59,16 @@ pub fn stream(
     cluster.net_transfer(engine, from_node, to_node, bytes, done);
 }
 
-fn node_of(e: Endpoint) -> Option<NodeId> {
-    match e {
-        Endpoint::Local(n) => Some(n),
-        _ => None,
-    }
-}
-
-fn read_local(
+fn storage_io(
     engine: &mut Engine,
     cluster: &Cluster,
-    from: Endpoint,
+    at: Endpoint,
     bytes: f64,
     done: impl FnOnce(&mut Engine) + 'static,
 ) {
-    let target = match from {
+    let target = match at {
         Endpoint::Lustre => StorageTarget::Lustre,
         Endpoint::Local(n) => StorageTarget::LocalDisk(n),
-        Endpoint::Remote { .. } => unreachable!("remote handled by caller"),
-    };
-    cluster.storage_io(engine, target, bytes, done);
-}
-
-fn write_local(
-    engine: &mut Engine,
-    cluster: &Cluster,
-    to: Endpoint,
-    bytes: f64,
-    done: impl FnOnce(&mut Engine) + 'static,
-) {
-    let target = match to {
-        Endpoint::Lustre => StorageTarget::Lustre,
-        Endpoint::Local(n) => StorageTarget::LocalDisk(n),
-        Endpoint::Remote { .. } => unreachable!("remote handled by caller"),
     };
     cluster.storage_io(engine, target, bytes, done);
 }
@@ -132,6 +77,7 @@ fn write_local(
 mod tests {
     use super::*;
     use rp_hpc::MachineSpec;
+    use rp_sim::MB;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -146,31 +92,6 @@ mod tests {
         e.run();
         let out = *t.borrow();
         out
-    }
-
-    #[test]
-    fn ingest_pays_wan_plus_write() {
-        // 100 MB over a 10 MB/s WAN (10 s) + Lustre write (~0.2 s).
-        let t = finish_time(
-            Endpoint::Remote {
-                bandwidth_mbps: 10.0,
-            },
-            Endpoint::Lustre,
-            100.0,
-        );
-        assert!((10.0..11.0).contains(&t), "{t}");
-    }
-
-    #[test]
-    fn egress_pays_read_plus_wan() {
-        let t = finish_time(
-            Endpoint::Lustre,
-            Endpoint::Remote {
-                bandwidth_mbps: 50.0,
-            },
-            100.0,
-        );
-        assert!((2.0..3.0).contains(&t), "{t}");
     }
 
     #[test]
@@ -249,19 +170,5 @@ mod tests {
     fn zero_bytes_complete_fast() {
         let t = finish_time(Endpoint::Lustre, Endpoint::Local(NodeId(0)), 0.0);
         assert!(t < 0.01, "{t}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn remote_to_remote_rejected() {
-        finish_time(
-            Endpoint::Remote {
-                bandwidth_mbps: 1.0,
-            },
-            Endpoint::Remote {
-                bandwidth_mbps: 1.0,
-            },
-            1.0,
-        );
     }
 }

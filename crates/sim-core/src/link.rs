@@ -139,9 +139,19 @@ impl FairLink {
         let finished: Vec<Flow> = {
             let mut inner = self.inner.borrow_mut();
             inner.advance(engine.now());
-            let finished = inner
-                .flows
-                .extract_if(.., |f| f.remaining <= EPS_BYTES)
+            let Inner {
+                flows, total_bytes, ..
+            } = &mut *inner;
+            let finished = flows
+                .extract_if(.., |f| {
+                    // An infinite rate moves no bytes over zero time, so
+                    // the flow lands in the event that finds it.
+                    if f.rate == f64::INFINITY {
+                        *total_bytes += f.remaining;
+                        f.remaining = 0.0;
+                    }
+                    f.remaining <= EPS_BYTES
+                })
                 .collect();
             inner.recompute_rates();
 
@@ -469,6 +479,32 @@ mod tests {
         link.set_capacity(&mut e, 25.0);
         assert_eq!(e.pending(), 0);
         assert_eq!(link.capacity(), 25.0);
+    }
+
+    /// An uncapped flow on an infinite link gets an infinite rate; it
+    /// lands in the event that finds it, at the instant it started, both
+    /// on an infinite link and after `set_capacity(∞)` lifts a finite
+    /// one. Steps are bounded, so a spin at one instant fails here
+    /// instead of hanging.
+    #[test]
+    fn infinite_rate_flow_completes_at_once() {
+        let mut e = Engine::new(1);
+        let ideal = FairLink::new("ideal", f64::INFINITY);
+        let lifted = FairLink::new("disk", 100.0);
+        let (log, mk) = done_log();
+        ideal.transfer(&mut e, 500.0, f64::INFINITY, mk(0));
+        lifted.transfer(&mut e, 1000.0, f64::INFINITY, mk(1));
+        e.schedule_in(SimDuration::from_secs(4), move |eng| {
+            lifted.set_capacity(eng, f64::INFINITY)
+        });
+        let mut steps = 0;
+        while e.step() {
+            steps += 1;
+            assert!(steps < 100, "the link spins at {}", e.now());
+        }
+        let t = SimTime::from_secs_f64;
+        assert_eq!(*log.borrow(), vec![(0, t(0.0)), (1, t(4.0))]);
+        assert_eq!(ideal.total_bytes(), 500.0);
     }
 
     /// The flow-table `FairLink` this one replaced, kept verbatim in its

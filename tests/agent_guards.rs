@@ -4,6 +4,7 @@
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
+use rp_bench::scenario::{run, Run, Scenario};
 
 fn drive(e: &mut Engine, units: &[UnitHandle]) {
     while units.iter().any(|u| !u.state().is_final()) {
@@ -11,31 +12,24 @@ fn drive(e: &mut Engine, units: &[UnitHandle]) {
     }
 }
 
-fn plain_pilot(e: &mut Engine, session: &Session, nodes: u32) -> (PilotHandle, UnitManager) {
-    let pm = PilotManager::new(session);
-    let pilot = pm
-        .submit(
-            e,
-            PilotDescription::new("xsede.stampede", nodes, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    (pilot, um)
+/// `units` on one 7,200 s Stampede pilot of `nodes` nodes with `access`.
+fn one_pilot(nodes: u32, access: AccessMode, units: Vec<ComputeUnitDescription>) -> Scenario {
+    Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![
+            PilotDescription::new("xsede.stampede", nodes, SimDuration::from_secs(7200))
+                .with_access(access),
+        ],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: None,
+        units,
+    }
 }
 
-fn spark_pilot(e: &mut Engine, session: &Session, nodes: u32) -> (PilotHandle, UnitManager) {
-    let pm = PilotManager::new(session);
-    let pilot = pm
-        .submit(
-            e,
-            PilotDescription::new("xsede.stampede", nodes, SimDuration::from_secs(7200))
-                .with_access(AccessMode::SparkModeI),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    (pilot, um)
+/// Run [`one_pilot`] on an untraced engine seeded with `seed`.
+fn run_on(seed: u64, nodes: u32, access: AccessMode, units: Vec<ComputeUnitDescription>) -> Run {
+    run(&one_pilot(nodes, access, units), Engine::new(seed)).expect("simulation stalled")
 }
 
 /// A one-stage Spark job asking for `executor_cores` executor cores.
@@ -68,18 +62,17 @@ fn mr_spec() -> hadoop_hpc::mapreduce::MrJobSpec {
 
 #[test]
 fn mapreduce_unit_rejected_on_plain_pilot() {
-    let mut e = Engine::new(1);
-    let session = Session::new(SessionConfig::test_profile());
-    let (_pilot, um) = plain_pilot(&mut e, &session, 2);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        1,
+        2,
+        AccessMode::Plain,
         vec![ComputeUnitDescription::new(
             "mr",
             1,
             WorkSpec::MapReduce(mr_spec()),
         )],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert!(units[0]
         .failure()
@@ -89,41 +82,30 @@ fn mapreduce_unit_rejected_on_plain_pilot() {
 
 #[test]
 fn mapreduce_unit_rejected_on_yarn_pilot_without_hdfs() {
-    let mut e = Engine::new(1);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
-                .with_access(AccessMode::YarnModeI { with_hdfs: false }),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        1,
+        2,
+        AccessMode::YarnModeI { with_hdfs: false },
         vec![ComputeUnitDescription::new(
             "mr",
             1,
             WorkSpec::MapReduce(mr_spec()),
         )],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert!(units[0].failure().unwrap().contains("requires HDFS"));
 }
 
 #[test]
 fn spark_unit_rejected_on_plain_pilot() {
-    let mut e = Engine::new(2);
-    let session = Session::new(SessionConfig::test_profile());
-    let (_pilot, um) = plain_pilot(&mut e, &session, 2);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        2,
+        2,
+        AccessMode::Plain,
         vec![ComputeUnitDescription::new("spark", 4, spark_job(4))],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert!(units[0]
         .failure()
@@ -133,63 +115,51 @@ fn spark_unit_rejected_on_plain_pilot() {
 
 #[test]
 fn oversized_unit_rejected() {
-    let mut e = Engine::new(3);
-    let session = Session::new(SessionConfig::test_profile());
     // 2 nodes x 16 cores = 32 total.
-    let (_pilot, um) = plain_pilot(&mut e, &session, 2);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        3,
+        2,
+        AccessMode::Plain,
         vec![
             ComputeUnitDescription::new("huge", 64, WorkSpec::Sleep(SimDuration::from_secs(1)))
                 .with_mpi(),
         ],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert!(units[0].failure().unwrap().contains("pilot has 32"));
 }
 
 #[test]
 fn wide_non_mpi_unit_rejected() {
-    let mut e = Engine::new(4);
-    let session = Session::new(SessionConfig::test_profile());
-    let (_pilot, um) = plain_pilot(&mut e, &session, 2);
     // 20 cores without MPI cannot fit a single 16-core node.
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        4,
+        2,
+        AccessMode::Plain,
         vec![ComputeUnitDescription::new(
             "wide",
             20,
             WorkSpec::Sleep(SimDuration::from_secs(1)),
         )],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert!(units[0].failure().unwrap().contains("on one node"));
 }
 
 #[test]
 fn mpi_unit_cannot_span_yarn_containers() {
-    let mut e = Engine::new(5);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(7200))
-                .with_access(AccessMode::YarnModeI { with_hdfs: false }),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        5,
+        3,
+        AccessMode::YarnModeI { with_hdfs: false },
         vec![
             ComputeUnitDescription::new("mpi", 24, WorkSpec::Sleep(SimDuration::from_secs(1)))
                 .with_mpi(),
         ],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert_eq!(
         units[0].failure().unwrap(),
@@ -200,13 +170,12 @@ fn mpi_unit_cannot_span_yarn_containers() {
 
 #[test]
 fn compute_and_native_units_rejected_on_spark_pilot() {
-    let mut e = Engine::new(5);
-    let session = Session::new(SessionConfig::test_profile());
-    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
     let ran = std::rc::Rc::new(std::cell::Cell::new(false));
     let ran2 = ran.clone();
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        5,
+        2,
+        AccessMode::SparkModeI,
         vec![
             ComputeUnitDescription::new(
                 "compute",
@@ -224,8 +193,8 @@ fn compute_and_native_units_rejected_on_spark_pilot() {
                 WorkSpec::Native(std::rc::Rc::new(move || ran2.set(true))),
             ),
         ],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     for u in &units {
         assert_eq!(u.state(), UnitState::Failed);
         assert_eq!(
@@ -239,15 +208,15 @@ fn compute_and_native_units_rejected_on_spark_pilot() {
 
 #[test]
 fn spark_job_wider_than_pilot_rejected() {
-    let mut e = Engine::new(7);
-    let session = Session::new(SessionConfig::test_profile());
     // 2 nodes x 16 cores = 32 executor cores; the job asks for 64.
-    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
-    let units = um.submit_units(
-        &mut e,
+    let Run {
+        engine: e, units, ..
+    } = run_on(
+        7,
+        2,
+        AccessMode::SparkModeI,
         vec![ComputeUnitDescription::new("wide", 4, spark_job(64))],
     );
-    drive(&mut e, &units);
     assert_eq!(units[0].state(), UnitState::Failed);
     assert_eq!(
         units[0].failure().unwrap(),
@@ -259,15 +228,14 @@ fn spark_job_wider_than_pilot_rejected() {
 
 #[test]
 fn spark_job_executors_spread_over_workers() {
-    let mut e = Engine::new(8);
-    let session = Session::new(SessionConfig::test_profile());
     // 24 executor cores fit no 16-core node, but they fit the pilot.
-    let (_pilot, um) = spark_pilot(&mut e, &session, 2);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        8,
+        2,
+        AccessMode::SparkModeI,
         vec![ComputeUnitDescription::new("spread", 24, spark_job(24))],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     assert_eq!(
         units[0].state(),
         UnitState::Done,
@@ -325,12 +293,11 @@ fn mapreduce_unit_with_missing_input_fails_alone() {
 
 #[test]
 fn small_unit_skips_ahead_of_blocked_wide_unit() {
-    let mut e = Engine::new(6);
-    let session = Session::new(SessionConfig::test_profile());
     // One 16-core node.
-    let (_pilot, um) = plain_pilot(&mut e, &session, 1);
-    let units = um.submit_units(
-        &mut e,
+    let units = run_on(
+        6,
+        1,
+        AccessMode::Plain,
         vec![
             // Takes most of the node.
             ComputeUnitDescription::new("a", 10, WorkSpec::Sleep(SimDuration::from_secs(100))),
@@ -339,8 +306,8 @@ fn small_unit_skips_ahead_of_blocked_wide_unit() {
             // FIFO-with-skip: fits in the 6 cores A left free.
             ComputeUnitDescription::new("c", 4, WorkSpec::Sleep(SimDuration::from_secs(5))),
         ],
-    );
-    drive(&mut e, &units);
+    )
+    .units;
     for u in &units {
         assert_eq!(u.state(), UnitState::Done, "{:?}", u.failure());
     }
@@ -376,7 +343,14 @@ fn idle_agent_emits_no_heartbeats() {
 fn heartbeats_stop_once_work_drains() {
     let mut e = Engine::new(8);
     let session = Session::new(SessionConfig::test_profile());
-    let (pilot, um) = plain_pilot(&mut e, &session, 1);
+    let pilot = PilotManager::new(&session)
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(7200)),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
     let units = um.submit_units(
         &mut e,
         vec![ComputeUnitDescription::new(
@@ -401,33 +375,31 @@ fn heartbeats_stop_once_work_drains() {
 
 #[test]
 fn heartbeat_monitor_detects_crash_and_requeues() {
-    let mut e = Engine::with_trace(9);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
     let plan = FaultPlan {
         events: vec![FaultEvent {
             at: SimTime::from_secs_f64(150.0),
             kind: FaultKind::NodeCrash { node: 0 },
         }],
     };
-    install_faults(&mut e, &plan, &pilot);
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        vec![ComputeUnitDescription::new(
-            "survivor",
-            1,
-            WorkSpec::Sleep(SimDuration::from_secs(600)),
-        )],
-    );
-    drive(&mut e, &units);
+    let scenario = Scenario {
+        faults: Some(plan),
+        ..one_pilot(
+            2,
+            AccessMode::Plain,
+            vec![ComputeUnitDescription::new(
+                "survivor",
+                1,
+                WorkSpec::Sleep(SimDuration::from_secs(600)),
+            )],
+        )
+    };
+    let Run {
+        engine: e,
+        units,
+        pilots,
+        ..
+    } = run(&scenario, Engine::with_trace(9)).expect("simulation stalled");
+    let pilot = &pilots[0];
     let agent = pilot.agent().unwrap();
     assert_eq!(
         units[0].state(),

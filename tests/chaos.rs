@@ -27,6 +27,7 @@ use hadoop_hpc::sim::{
     Engine, FaultEvent, FaultKind, FaultPlan, MetricsSnapshot, SimDuration, SimTime, Span,
     TraceEvent,
 };
+use rp_bench::scenario::{run, sleep_units, Run, Scenario};
 
 const UNITS: usize = 12;
 const SLEEP_S: u64 = 150;
@@ -57,21 +58,68 @@ struct Outcome {
     msgs_duplicated: u64,
     dup_applies_ignored: u64,
     faults_injected: usize,
+    partition_windows: u64,
+    fence_rejections: u64,
 }
 
-fn counter(metrics: &MetricsSnapshot, key: &str) -> u64 {
-    metrics
-        .counters
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
+/// 2 three-node pilots, RoundRobin Unit-Manager with lease-based
+/// failover (60 s leases, 30 s grace), `faults` installed before
+/// `units` are submitted. Lease renewals bypass the lossy transport, so
+/// dropped heartbeats never make a live pilot look dead.
+fn lease_scenario(
+    config: SessionConfig,
+    faults: Option<FaultPlan>,
+    units: Vec<ComputeUnitDescription>,
+) -> Scenario {
+    Scenario {
+        config,
+        pilots: vec![PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)); 2],
+        scheduler: UmScheduler::RoundRobin,
+        leases: Some((SimDuration::from_secs(60), SimDuration::from_secs(30))),
+        faults,
+        units,
+    }
 }
 
-/// One soak scenario: 2 three-node pilots, RoundRobin Unit-Manager with
-/// lease-based failover (60 s leases, 30 s grace), `UNITS` sleep units.
+/// Run `scenario` traced. Invariant (a): terminate without wedging.
+/// Walltime expiry is the backstop, so the run is bounded in virtual
+/// time. The pilots still live are then canceled and the engine drained
+/// past every heal: held zombie messages are delivered (and fenced), not
+/// left pending in the queue.
+fn drive(seed: u64, scenario: &Scenario) -> Run {
+    run(scenario, Engine::with_trace(seed)).unwrap_or_else(|err| panic!("seed {seed}: {err}"))
+}
+
+fn outcome(run: &Run) -> Outcome {
+    let (e, units, store) = (&run.engine, &run.units, run.session.store());
+    Outcome {
+        states: units.iter().map(|u| u.state()).collect(),
+        done: units
+            .iter()
+            .filter(|u| u.state() == UnitState::Done)
+            .count(),
+        units_completed: e.metrics.counter("agent.units_completed"),
+        events: e.trace.events().to_vec(),
+        spans: e.trace.iter_spans().cloned().collect(),
+        open_spans: e
+            .trace
+            .iter_spans()
+            .filter(|s| s.end.is_none())
+            .map(|s| (s.category, e.trace.span_name(s).to_string()))
+            .collect(),
+        metrics: e.metrics.snapshot(),
+        rebinds: run.um.rebinds(),
+        msgs_dropped: store.msgs_dropped(),
+        msgs_duplicated: store.msgs_duplicated(),
+        dup_applies_ignored: store.dup_applies_ignored(),
+        faults_injected: run.injector.as_ref().map_or(0, |i| i.injected()),
+        partition_windows: store.partition_windows(),
+        fence_rejections: store.fence_rejections(),
+    }
+}
+
+/// One soak scenario: the lease set-up running `UNITS` sleep units.
 fn chaos_run(seed: u64, mode: Mode) -> Outcome {
-    let mut e = Engine::with_trace(seed);
     let mut cfg = SessionConfig::test_profile();
     if mode == Mode::Chaos {
         // Seed-derived loss: every scenario shakes the transport
@@ -83,83 +131,19 @@ fn chaos_run(seed: u64, mode: Mode) -> Outcome {
             seed,
         };
     }
-    let session = Session::new(cfg);
-    let pm = PilotManager::new(&session);
-    let pilots: Vec<PilotHandle> = (0..2)
-        .map(|_| {
-            pm.submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
-            )
-            .unwrap()
-        })
-        .collect();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    for p in &pilots {
-        um.add_pilot(p);
-    }
-    // Lease renewals bypass the lossy transport, so dropped heartbeats
-    // never make a live pilot look dead.
-    um.enable_leases(
-        &mut e,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(30),
-    );
-    let injector = match mode {
+    let faults = match mode {
         Mode::Baseline => None,
-        Mode::ZeroFault => Some(install_faults_multi(&mut e, &FaultPlan::none(), &pilots)),
-        Mode::Chaos => {
-            let plan =
-                FaultPlan::generate_mixed(seed, SimDuration::from_secs(1_800), 3, pilots.len(), 8);
-            Some(install_faults_multi(&mut e, &plan, &pilots))
-        }
+        Mode::ZeroFault => Some(FaultPlan::none()),
+        Mode::Chaos => Some(FaultPlan::generate_mixed(
+            seed,
+            SimDuration::from_secs(1_800),
+            3,
+            2,
+            8,
+        )),
     };
-    let units = um.submit_units(
-        &mut e,
-        (0..UNITS)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("c{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(SLEEP_S)),
-                )
-            })
-            .collect(),
-    );
-    // Invariant (a): terminate without wedging. Walltime expiry is the
-    // backstop, so the loop is bounded by virtual time.
-    let horizon = SimTime::from_secs_f64(20_000.0);
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "seed {seed}: sim wedged with live units");
-        assert!(
-            e.now() < horizon,
-            "seed {seed}: units still live past the walltime backstop"
-        );
-    }
-    e.run();
-    let store = session.store();
-    Outcome {
-        states: units.iter().map(|u| u.state()).collect(),
-        done: units
-            .iter()
-            .filter(|u| u.state() == UnitState::Done)
-            .count(),
-        units_completed: counter(&e.metrics.snapshot(), "agent.units_completed"),
-        events: e.trace.events().to_vec(),
-        spans: e.trace.iter_spans().cloned().collect(),
-        open_spans: e
-            .trace
-            .iter_spans()
-            .filter(|s| s.end.is_none())
-            .map(|s| (s.category, e.trace.span_name(s).to_string()))
-            .collect(),
-        metrics: e.metrics.snapshot(),
-        rebinds: um.rebinds(),
-        msgs_dropped: store.msgs_dropped(),
-        msgs_duplicated: store.msgs_duplicated(),
-        dup_applies_ignored: store.dup_applies_ignored(),
-        faults_injected: injector.map(|i| i.injected()).unwrap_or(0),
-    }
+    let units = sleep_units(UNITS, "c", |_| SLEEP_S);
+    outcome(&drive(seed, &lease_scenario(cfg, faults, units)))
 }
 
 fn seed_count() -> u64 {
@@ -175,8 +159,11 @@ fn check_invariants(seed: u64, out: &Outcome) {
         assert!(s.is_final(), "seed {seed}: c{i} not terminal: {s:?}");
     }
     // (b) exactly-once side effects: the agent completion counter equals
-    // the number of Done units — no unit was completed twice — and every
-    // duplicated store delivery had its second apply suppressed.
+    // the number of Done units — no unit was completed twice, so no stale
+    // or duplicated completion got through — and every duplicated store
+    // delivery had its second apply suppressed. Per-message exactly-once
+    // apply is checked against a model in
+    // `crates/core/tests/store_model.rs`.
     assert_eq!(
         out.units_completed, out.done as u64,
         "seed {seed}: completion side effects diverge from Done count"
@@ -251,29 +238,13 @@ fn chaos_reruns_are_bit_identical() {
 
 // ---- split-brain tier: partition × heal × lossy grid ----
 
-struct PartitionOutcome {
-    states: Vec<UnitState>,
-    events: Vec<TraceEvent>,
-    spans: Vec<Span>,
-    open_spans: Vec<(&'static str, String)>,
-    metrics: MetricsSnapshot,
-    done: usize,
-    units_completed: u64,
-    msgs_duplicated: u64,
-    dup_applies_ignored: u64,
-    rebinds: u64,
-    partition_windows: u64,
-    fence_rejections: u64,
-}
-
-/// One split-brain scenario: 2 three-node pilots under lease-based
-/// ownership (60 s leases, 30 s grace), a partition-bearing fault plan,
-/// and optionally the lossy transport on top. A deterministic long
-/// asymmetric/symmetric window against one pilot is appended to the
-/// generated plan so every seed exercises the heal-after-rebind zombie
-/// path, not just whatever `generate_partitioned` happened to draw.
-fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
-    let mut e = Engine::with_trace(seed);
+/// One split-brain scenario: the lease set-up under a partition-bearing
+/// fault plan, and optionally the lossy transport on top. A
+/// deterministic long asymmetric/symmetric window against one pilot is
+/// appended to the generated plan so every seed exercises the
+/// heal-after-rebind zombie path, not just whatever
+/// `generate_partitioned` happened to draw.
+fn partition_run(seed: u64, lossy: bool) -> Outcome {
     let mut cfg = SessionConfig::test_profile();
     if lossy {
         cfg.coordination.loss = LossProfile {
@@ -283,28 +254,7 @@ fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
             seed,
         };
     }
-    let session = Session::new(cfg);
-    let pm = PilotManager::new(&session);
-    let pilots: Vec<PilotHandle> = (0..2)
-        .map(|_| {
-            pm.submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
-            )
-            .unwrap()
-        })
-        .collect();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    for p in &pilots {
-        um.add_pilot(p);
-    }
-    um.enable_leases(
-        &mut e,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(30),
-    );
-    let mut plan =
-        FaultPlan::generate_partitioned(seed, SimDuration::from_secs(1_800), 3, pilots.len(), 6);
+    let mut plan = FaultPlan::generate_partitioned(seed, SimDuration::from_secs(1_800), 3, 2, 6);
     // Guaranteed zombie: partition one pilot at 50 s (agents are Active
     // by ~47 s) for 300 s — long past lease expiry (60 s) + grace (30 s),
     // so the victim self-fences and its units re-bind while the window is
@@ -318,53 +268,28 @@ fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
             symmetric: seed.is_multiple_of(2),
         },
     });
-    let injector = install_faults_multi(&mut e, &plan, &pilots);
     // Staggered short sleeps: pilots only become Active around t ≈ 40 s
     // (queue wait + bootstrap), so the first wave completes inside the
     // partition-to-fence window (~40–100 s) and its completions are held;
     // the rest re-bind after the fence.
-    let units = um.submit_units(
-        &mut e,
-        (0..UNITS)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("c{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(15 + (i as u64 % 4) * 10)),
-                )
-            })
-            .collect(),
-    );
-    let horizon = SimTime::from_secs_f64(20_000.0);
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "seed {seed}: sim wedged with live units");
-        assert!(
-            e.now() < horizon,
-            "seed {seed}: units still live past the walltime backstop"
-        );
-    }
-    // Drain past every heal: held zombie messages must be delivered (and
-    // fenced), not left pending in the queue.
-    e.run();
+    let units = sleep_units(UNITS, "c", |i| 15 + (i as u64 % 4) * 10);
+    let run = drive(seed, &lease_scenario(cfg, Some(plan), units));
+    let out = outcome(&run);
     assert!(
-        injector.injected() > 0,
+        out.faults_injected > 0,
         "seed {seed}: plan injected nothing"
     );
-    let store = session.store();
     if std::env::var("CHAOS_DEBUG").is_ok() {
         eprintln!(
             "seed {seed}: injected={} windows={} holds={} fenced={} rebinds={} done={}",
-            injector.injected(),
-            store.partition_windows(),
-            store.partition_holds(),
-            store.fence_rejections(),
-            um.rebinds(),
-            units
-                .iter()
-                .filter(|u| u.state() == UnitState::Done)
-                .count()
+            out.faults_injected,
+            out.partition_windows,
+            run.session.store().partition_holds(),
+            out.fence_rejections,
+            out.rebinds,
+            out.done
         );
-        for ev in e.trace.events() {
+        for ev in &out.events {
             if ev.message.contains("lease")
                 || ev.message.contains("fenc")
                 || ev.message.contains("partition")
@@ -376,54 +301,7 @@ fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
             }
         }
     }
-    PartitionOutcome {
-        states: units.iter().map(|u| u.state()).collect(),
-        done: units
-            .iter()
-            .filter(|u| u.state() == UnitState::Done)
-            .count(),
-        units_completed: counter(&e.metrics.snapshot(), "agent.units_completed"),
-        events: e.trace.events().to_vec(),
-        spans: e.trace.iter_spans().cloned().collect(),
-        open_spans: e
-            .trace
-            .iter_spans()
-            .filter(|s| s.end.is_none())
-            .map(|s| (s.category, e.trace.span_name(s).to_string()))
-            .collect(),
-        metrics: e.metrics.snapshot(),
-        msgs_duplicated: store.msgs_duplicated(),
-        dup_applies_ignored: store.dup_applies_ignored(),
-        rebinds: um.rebinds(),
-        partition_windows: store.partition_windows(),
-        fence_rejections: store.fence_rejections(),
-    }
-}
-
-fn check_partition_invariants(seed: u64, out: &PartitionOutcome) {
-    // (a) every unit terminal.
-    for (i, s) in out.states.iter().enumerate() {
-        assert!(s.is_final(), "seed {seed}: c{i} not terminal: {s:?}");
-    }
-    // (b) exactly-once side effects: a stale or duplicated completion
-    // that got through would count a unit completed twice. Per-message
-    // exactly-once apply is checked against a model in
-    // `crates/core/tests/store_model.rs`.
-    assert_eq!(
-        out.units_completed, out.done as u64,
-        "seed {seed}: completion side effects diverge from Done count"
-    );
-    assert_eq!(
-        out.dup_applies_ignored, out.msgs_duplicated,
-        "seed {seed}: every duplicated message must be applied exactly once"
-    );
-    // (c) open spans at shutdown are only abandoned attempt spans.
-    for (category, name) in &out.open_spans {
-        assert_eq!(
-            name, "unit.compute",
-            "seed {seed}: unexpected open span {category:?}/{name} at shutdown"
-        );
-    }
+    out
 }
 
 #[test]
@@ -436,7 +314,7 @@ fn partition_heal_grid() {
     let mut any_failed = 0usize;
     for seed in 1..=seeds {
         let out = partition_run(seed, seed.is_multiple_of(2));
-        check_partition_invariants(seed, &out);
+        check_invariants(seed, &out);
         total_rebinds += out.rebinds;
         total_windows += out.partition_windows;
         total_fenced += out.fence_rejections;
@@ -486,63 +364,24 @@ fn leases_without_partitions_are_quiet() {
     // fence rejections, no self-fences, no re-binding — and the run stays
     // deterministic.
     for seed in [1u64, 9] {
-        let run = |seed: u64| {
-            let mut e = Engine::with_trace(seed);
-            let session = Session::new(SessionConfig::test_profile());
-            let pm = PilotManager::new(&session);
-            let pilots: Vec<PilotHandle> = (0..2)
-                .map(|_| {
-                    pm.submit(
-                        &mut e,
-                        PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-            for p in &pilots {
-                um.add_pilot(p);
-            }
-            um.enable_leases(
-                &mut e,
-                SimDuration::from_secs(60),
-                SimDuration::from_secs(30),
-            );
-            let units = um.submit_units(
-                &mut e,
-                (0..UNITS)
-                    .map(|i| {
-                        ComputeUnitDescription::new(
-                            format!("c{i}"),
-                            1,
-                            WorkSpec::Sleep(SimDuration::from_secs(SLEEP_S)),
-                        )
-                    })
-                    .collect(),
-            );
-            while units.iter().any(|u| !u.state().is_final()) {
-                assert!(e.step(), "seed {seed}: sim wedged");
-            }
-            e.run();
-            let store = session.store();
-            (
-                units.iter().map(|u| u.state()).collect::<Vec<_>>(),
-                e.trace.events().to_vec(),
-                e.metrics.snapshot(),
-                store.fence_rejections(),
-                store.partition_windows(),
-                um.rebinds(),
-            )
-        };
-        let (states, events, metrics, fenced, windows, rebinds) = run(seed);
-        assert!(states.iter().all(|s| *s == UnitState::Done), "seed {seed}");
-        assert_eq!(fenced, 0, "seed {seed}: healthy renewals must not fence");
-        assert_eq!(windows, 0, "seed {seed}");
-        assert_eq!(rebinds, 0, "seed {seed}: healthy leases must not re-bind");
-        let (states2, events2, metrics2, ..) = run(seed);
-        assert_eq!(states, states2, "seed {seed}");
-        assert_eq!(events, events2, "seed {seed}");
-        assert_eq!(metrics, metrics2, "seed {seed}");
+        let out = chaos_run(seed, Mode::Baseline);
+        assert!(
+            out.states.iter().all(|s| *s == UnitState::Done),
+            "seed {seed}"
+        );
+        assert_eq!(
+            out.fence_rejections, 0,
+            "seed {seed}: healthy renewals must not fence"
+        );
+        assert_eq!(out.partition_windows, 0, "seed {seed}");
+        assert_eq!(
+            out.rebinds, 0,
+            "seed {seed}: healthy leases must not re-bind"
+        );
+        let again = chaos_run(seed, Mode::Baseline);
+        assert_eq!(out.states, again.states, "seed {seed}");
+        assert_eq!(out.events, again.events, "seed {seed}");
+        assert_eq!(out.metrics, again.metrics, "seed {seed}");
     }
 }
 
@@ -571,7 +410,6 @@ fn lossy_lease_run_pins_the_transport_rng_stream() {
     // the lossy transport's loss and jitter draws. Those draws decide the
     // fate of every later message, so removing them (or adding a consumer
     // of the stream) moves these recorded done times.
-    let mut e = Engine::new(5);
     let mut cfg = SessionConfig::test_profile();
     cfg.coordination.loss = LossProfile {
         drop_p: 0.2,
@@ -579,41 +417,16 @@ fn lossy_lease_run_pins_the_transport_rng_stream() {
         delay_jitter_ms: 25.0,
         seed: 5,
     };
-    let session = Session::new(cfg);
-    let pm = PilotManager::new(&session);
-    let pilots: Vec<PilotHandle> = (0..2)
-        .map(|_| {
-            pm.submit(
-                &mut e,
-                PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(3_600)),
-            )
-            .unwrap()
-        })
-        .collect();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    for p in &pilots {
-        um.add_pilot(p);
-    }
-    um.enable_leases(
-        &mut e,
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(30),
-    );
-    let units = um.submit_units(
-        &mut e,
-        (0..6u64)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("p{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(20 + 15 * i)),
-                )
-            })
-            .collect(),
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "sim wedged with live units");
-    }
+    let scenario = Scenario {
+        config: cfg,
+        pilots: vec![PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(3_600)); 2],
+        scheduler: UmScheduler::RoundRobin,
+        leases: Some((SimDuration::from_secs(60), SimDuration::from_secs(30))),
+        faults: None,
+        units: sleep_units(6, "p", |i| 20 + 15 * i as u64),
+    };
+    let Run { units, session, .. } =
+        run(&scenario, Engine::new(5)).expect("sim wedged with live units");
     let got: Vec<(UnitState, u64)> = units
         .iter()
         .map(|u| (u.state(), u.times().done.map_or(0, |t| t.0)))

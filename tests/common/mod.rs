@@ -2,25 +2,20 @@
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, SimDuration};
+use rp_bench::scenario::{run, Scenario};
 
-/// The `determinism.rs` mixed workload, but traced: a 2-node pilot with the
-/// given access mode running 12 heterogeneous Compute units to completion,
-/// then canceled so every lifecycle span closes.
-pub fn traced_mixed(seed: u64, machine: &str, access: AccessMode) -> Engine {
-    let mut e = Engine::with_trace(seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
+/// The mixed workload: a 2-node pilot with the given access mode running
+/// 12 heterogeneous Compute units, half on Lustre, half on local disk.
+pub fn mixed(machine: &str, access: AccessMode) -> Scenario {
+    Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![
             PilotDescription::new(machine, 2, SimDuration::from_secs(7200)).with_access(access),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..12)
+        ],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: None,
+        units: (0..12)
             .map(|i| {
                 ComputeUnitDescription::new(
                     format!("u{i}"),
@@ -38,11 +33,13 @@ pub fn traced_mixed(seed: u64, machine: &str, access: AccessMode) -> Engine {
                 )
             })
             .collect(),
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
     }
-    pm.cancel(&mut e, &pilot);
-    e.run();
-    e
+}
+
+/// The mixed workload, traced: run to completion, then the pilot is
+/// canceled so every lifecycle span closes.
+pub fn traced_mixed(seed: u64, machine: &str, access: AccessMode) -> Engine {
+    run(&mixed(machine, access), Engine::with_trace(seed))
+        .expect("the mixed workload completes")
+        .engine
 }

@@ -5,66 +5,34 @@ use hadoop_hpc::analytics::{
     fig6_session_config, run_rp_kmeans, run_rp_yarn_kmeans, KMeansCalibration, SCENARIOS,
 };
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
+use hadoop_hpc::sim::{Engine, SimTime};
+use rp_bench::scenario::run;
+
+// `pub`: this test takes only `mixed`, and the rest of the module is
+// not dead code.
+pub mod common;
 
 /// A full mixed workload; returns every unit's (startup, done) pair.
 fn mixed_run(seed: u64) -> Vec<(SimTime, SimTime)> {
-    mixed_run_with(seed, false).1
+    mixed_run_with(Engine::new(seed)).1
 }
 
-/// Same workload with the engine handed back, optionally traced — so the
-/// observability guarantees (bit-identical spans/metrics per seed, zero
-/// behavioural cost when disabled) can be checked against the exact runs
-/// the timeline tests use.
-fn mixed_run_with(seed: u64, traced: bool) -> (Engine, Vec<(SimTime, SimTime)>) {
-    let mut e = if traced {
-        Engine::with_trace(seed)
-    } else {
-        Engine::new(seed)
-    };
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200))
-                .with_access(AccessMode::YarnModeI { with_hdfs: true }),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..12)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1 + (i % 4),
-                    WorkSpec::Compute {
-                        core_seconds: 30.0 + i as f64,
-                        read_mb: 5.0 * i as f64,
-                        write_mb: 2.0 * i as f64,
-                        io: if i % 2 == 0 {
-                            UnitIoTarget::Lustre
-                        } else {
-                            UnitIoTarget::LocalDisk
-                        },
-                    },
-                )
-            })
-            .collect(),
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step());
-    }
-    let timeline = units
+/// Same workload on a given engine, handed back — so the observability
+/// guarantees (bit-identical spans/metrics per seed, zero behavioural
+/// cost when disabled) can be checked against the exact runs the
+/// timeline tests use.
+fn mixed_run_with(engine: Engine) -> (Engine, Vec<(SimTime, SimTime)>) {
+    let scenario = common::mixed("xsede.stampede", AccessMode::YarnModeI { with_hdfs: true });
+    let run = run(&scenario, engine).expect("the mixed workload completes");
+    let timeline = run
+        .units
         .iter()
         .map(|u| {
             let t = u.times();
             (t.exec_start.unwrap(), t.done.unwrap())
         })
         .collect();
-    (e, timeline)
+    (run.engine, timeline)
 }
 
 #[test]
@@ -82,8 +50,8 @@ fn different_seeds_different_timelines() {
 /// snapshots, not just identical unit timelines.
 #[test]
 fn same_seed_same_spans_and_metrics() {
-    let (e1, t1) = mixed_run_with(42, true);
-    let (e2, t2) = mixed_run_with(42, true);
+    let (e1, t1) = mixed_run_with(Engine::with_trace(42));
+    let (e2, t2) = mixed_run_with(Engine::with_trace(42));
     assert_eq!(t1, t2);
     assert!(e1.trace.iter_spans().eq(e2.trace.iter_spans()));
     assert_eq!(e1.trace.render_spans(), e2.trace.render_spans());
@@ -103,8 +71,8 @@ fn same_seed_same_spans_and_metrics() {
 /// nothing when enabled.
 #[test]
 fn tracing_does_not_perturb_the_timeline() {
-    let (off_engine, off) = mixed_run_with(42, false);
-    let (on_engine, on) = mixed_run_with(42, true);
+    let (off_engine, off) = mixed_run_with(Engine::new(42));
+    let (on_engine, on) = mixed_run_with(Engine::with_trace(42));
     assert_eq!(off, on, "enabling tracing must not move a single event");
     // The disabled engine recorded nothing; the traced one recorded spans.
     assert_eq!(off_engine.trace.span_count(), 0);

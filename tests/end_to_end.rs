@@ -3,7 +3,8 @@
 //! pipeline the paper motivates.
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
+use hadoop_hpc::sim::{Engine, SimDuration};
+use rp_bench::scenario::{run, Run, Scenario};
 
 fn drive_until_final(engine: &mut Engine, units: &[UnitHandle]) {
     while units.iter().any(|u| !u.state().is_final()) {
@@ -13,27 +14,15 @@ fn drive_until_final(engine: &mut Engine, units: &[UnitHandle]) {
 
 #[test]
 fn two_machines_one_unit_manager() {
-    let mut e = Engine::new(1);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let p_stampede = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
-    let p_wrangler = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.wrangler", 1, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
-    um.add_pilot(&p_stampede);
-    um.add_pilot(&p_wrangler);
-    let units = um.submit_units(
-        &mut e,
-        (0..10)
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: ["xsede.stampede", "xsede.wrangler"]
+            .map(|m| PilotDescription::new(m, 1, SimDuration::from_secs(7200)))
+            .into(),
+        scheduler: UmScheduler::RoundRobin,
+        leases: None,
+        faults: None,
+        units: (0..10)
             .map(|i| {
                 ComputeUnitDescription::new(
                     format!("u{i}"),
@@ -47,8 +36,9 @@ fn two_machines_one_unit_manager() {
                 )
             })
             .collect(),
-    );
-    drive_until_final(&mut e, &units);
+    };
+    let Run { units, pilots, .. } = run(&scenario, Engine::new(1)).expect("the session completes");
+    let (p_stampede, p_wrangler) = (&pilots[0], &pilots[1]);
     assert!(units.iter().all(|u| u.state() == UnitState::Done));
     // Both pilots got work.
     assert_eq!(p_stampede.assigned_units(), 5);
@@ -62,7 +52,7 @@ fn two_machines_one_unit_manager() {
             .collect();
         xs.iter().sum::<f64>() / xs.len() as f64
     };
-    assert!(mean_exec(&p_wrangler) < mean_exec(&p_stampede));
+    assert!(mean_exec(p_wrangler) < mean_exec(p_stampede));
 }
 
 #[test]
@@ -179,27 +169,24 @@ fn pilot_walltime_cancels_leftover_units() {
 
 #[test]
 fn trace_records_full_causal_chain() {
-    let mut e = Engine::with_trace(5);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![
             PilotDescription::new("localhost", 1, SimDuration::from_secs(600))
                 .with_access(AccessMode::YarnModeI { with_hdfs: false }),
-        )
-        .unwrap();
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        vec![ComputeUnitDescription::new(
+        ],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: None,
+        units: vec![ComputeUnitDescription::new(
             "traced",
             1,
             WorkSpec::Sleep(SimDuration::from_secs(2)),
         )],
-    );
-    drive_until_final(&mut e, &units);
+    };
+    let e = run(&scenario, Engine::with_trace(5))
+        .expect("the unit completes")
+        .engine;
     for needle in [
         "PendingLaunch",
         "radical-pilot-agent",
@@ -215,7 +202,6 @@ fn trace_records_full_causal_chain() {
     let active_t = e.trace.find("active").unwrap().time;
     let done_t = e.trace.find("-> Done").unwrap().time;
     assert!(done_t > active_t);
-    let _ = SimTime::ZERO;
 }
 
 #[test]

@@ -6,6 +6,27 @@
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, TraceEvent};
+use rp_bench::scenario::{run, sleep_units, Run, Scenario};
+
+/// `pilot` running `units` under `config` with `plan` installed, on a
+/// traced engine.
+fn faulted(
+    seed: u64,
+    config: SessionConfig,
+    pilot: PilotDescription,
+    units: Vec<ComputeUnitDescription>,
+    plan: Option<&FaultPlan>,
+) -> Run {
+    let scenario = Scenario {
+        config,
+        pilots: vec![pilot],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: plan.cloned(),
+        units,
+    };
+    run(&scenario, Engine::with_trace(seed)).expect("simulation stalled with live units")
+}
 
 /// A plain 4-node pilot running `descrs` under `config`, with `plan`
 /// installed. Returns the unit handles, the pilot and the full trace.
@@ -15,26 +36,10 @@ fn faulted_run(
     descrs: Vec<ComputeUnitDescription>,
     plan: Option<&FaultPlan>,
 ) -> (Vec<UnitHandle>, PilotHandle, Vec<TraceEvent>) {
-    let mut e = Engine::with_trace(seed);
-    let session = Session::new(config);
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 4, SimDuration::from_secs(14_400)),
-        )
-        .unwrap();
-    if let Some(plan) = plan {
-        install_faults(&mut e, plan, &pilot);
-    }
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(&mut e, descrs);
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step(), "simulation stalled with live units");
-    }
-    e.run();
-    (units, pilot, e.trace.events().to_vec())
+    let pilot = PilotDescription::new("xsede.stampede", 4, SimDuration::from_secs(14_400));
+    let mut run = faulted(seed, config, pilot, descrs, plan);
+    let events = run.engine.trace.events().to_vec();
+    (run.units, run.pilots.remove(0), events)
 }
 
 /// `n` one-core sleep units of `sleep_s` on the test profile.
@@ -44,15 +49,7 @@ fn sleep_run(
     sleep_s: u64,
     plan: Option<&FaultPlan>,
 ) -> (Vec<UnitHandle>, PilotHandle, Vec<TraceEvent>) {
-    let descrs = (0..n)
-        .map(|i| {
-            ComputeUnitDescription::new(
-                format!("u{i}"),
-                1,
-                WorkSpec::Sleep(SimDuration::from_secs(sleep_s)),
-            )
-        })
-        .collect();
+    let descrs = sleep_units(n, "u", |_| sleep_s);
     faulted_run(seed, SessionConfig::test_profile(), descrs, plan)
 }
 
@@ -184,36 +181,25 @@ fn zero_fault_plan_is_bit_identical_to_baseline() {
 #[test]
 fn unit_fails_terminally_once_retry_budget_is_spent() {
     // Crash the node under the unit, with a policy that forbids retries.
-    let mut e = Engine::new(3);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200)),
-        )
-        .unwrap();
     let plan = FaultPlan {
         events: vec![FaultEvent {
             at: SimTime::from_secs_f64(150.0),
             kind: FaultKind::NodeCrash { node: 0 },
         }],
     };
-    install_faults(&mut e, &plan, &pilot);
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
+    let units = faulted(
+        3,
+        SessionConfig::test_profile(),
+        PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(7200)),
         vec![ComputeUnitDescription::new(
             "fragile",
             1,
             WorkSpec::Sleep(SimDuration::from_secs(600)),
         )
         .with_retry(RetryPolicy::never())],
-    );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step());
-    }
+        Some(&plan),
+    )
+    .units;
     assert_eq!(units[0].state(), UnitState::Failed);
     assert_eq!(units[0].attempts(), 1);
     assert!(units[0].failure().unwrap().contains("no attempts left"));
@@ -221,16 +207,6 @@ fn unit_fails_terminally_once_retry_budget_is_spent() {
 
 #[test]
 fn yarn_pilot_survives_container_kills() {
-    let mut e = Engine::new(17);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400))
-                .with_access(AccessMode::YarnModeI { with_hdfs: false }),
-        )
-        .unwrap();
     let plan = FaultPlan {
         events: vec![
             FaultEvent {
@@ -243,11 +219,11 @@ fn yarn_pilot_survives_container_kills() {
             },
         ],
     };
-    install_faults(&mut e, &plan, &pilot);
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
+    let Run { units, pilots, .. } = faulted(
+        17,
+        SessionConfig::test_profile(),
+        PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400))
+            .with_access(AccessMode::YarnModeI { with_hdfs: false }),
         (0..6)
             .map(|i| {
                 ComputeUnitDescription::new(
@@ -257,10 +233,9 @@ fn yarn_pilot_survives_container_kills() {
                 )
             })
             .collect(),
+        Some(&plan),
     );
-    while units.iter().any(|u| !u.state().is_final()) {
-        assert!(e.step());
-    }
+    let pilot = &pilots[0];
     for u in &units {
         assert_eq!(
             u.state(),

@@ -20,6 +20,7 @@ use hadoop_hpc::sim::{validate_chrome_json, Engine, FaultPlan, SimDuration, Span
 
 mod common;
 use common::traced_mixed;
+use rp_bench::scenario::{run, sleep_units, Scenario};
 
 fn name_counts(tr: &Trace) -> BTreeMap<&str, usize> {
     let mut counts = BTreeMap::new();
@@ -206,36 +207,26 @@ fn fault_matrix_span_invariants_survive_crash_requeue() {
     let mut saw_abandoned = false;
     for seed in [1u64, 2, 3] {
         for intensity in [2usize, 6, 12] {
-            let plan = FaultPlan::generate(seed, SimDuration::from_secs(1800), 4, intensity);
-            let mut e = Engine::with_trace(seed);
-            let session = Session::new(SessionConfig::test_profile());
-            let pm = PilotManager::new(&session);
-            let pilot = pm
-                .submit(
-                    &mut e,
-                    PilotDescription::new("xsede.stampede", 4, SimDuration::from_secs(14_400)),
-                )
-                .unwrap();
-            install_faults(&mut e, &plan, &pilot);
-            let mut um = UnitManager::new(&session, UmScheduler::Direct);
-            um.add_pilot(&pilot);
-            let units = um.submit_units(
-                &mut e,
-                (0..8)
-                    .map(|i| {
-                        ComputeUnitDescription::new(
-                            format!("u{i}"),
-                            1,
-                            WorkSpec::Sleep(SimDuration::from_secs(150)),
-                        )
-                    })
-                    .collect(),
-            );
-            while units.iter().any(|u| !u.state().is_final()) {
-                assert!(e.step(), "seed={seed} intensity={intensity}: stalled");
-            }
-            pm.cancel(&mut e, &pilot);
-            e.run();
+            let scenario = Scenario {
+                config: SessionConfig::test_profile(),
+                pilots: vec![PilotDescription::new(
+                    "xsede.stampede",
+                    4,
+                    SimDuration::from_secs(14_400),
+                )],
+                scheduler: UmScheduler::Direct,
+                leases: None,
+                faults: Some(FaultPlan::generate(
+                    seed,
+                    SimDuration::from_secs(1800),
+                    4,
+                    intensity,
+                )),
+                units: sleep_units(8, "u", |_| 150),
+            };
+            let run = run(&scenario, Engine::with_trace(seed))
+                .unwrap_or_else(|err| panic!("seed={seed} intensity={intensity}: {err}"));
+            let (e, units) = (run.engine, run.units);
 
             let tr = &e.trace;
             assert_span_invariants(tr);

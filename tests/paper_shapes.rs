@@ -6,6 +6,7 @@ use hadoop_hpc::analytics::{
 };
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, SimDuration};
+use rp_bench::scenario::{run, Scenario};
 
 /// Fig. 5 (main): Mode I adds a bootstrap in the paper's 50–85 s band;
 /// Mode II is comparable to plain RP.
@@ -133,21 +134,18 @@ fn fig6_kmeans_shape() {
 #[test]
 fn memory_pressure_slows_oversubscribed_nodes() {
     let exec_time = |mem_mb: u64| -> f64 {
-        let mut e = Engine::new(9);
-        let session = Session::new(SessionConfig::test_profile());
-        let pm = PilotManager::new(&session);
         // One localhost node: 8 cores, 16 GB.
-        let pilot = pm
-            .submit(
-                &mut e,
-                PilotDescription::new("localhost", 1, SimDuration::from_secs(7200)),
-            )
-            .unwrap();
-        let mut um = UnitManager::new(&session, UmScheduler::Direct);
-        um.add_pilot(&pilot);
-        let units = um.submit_units(
-            &mut e,
-            (0..8)
+        let scenario = Scenario {
+            config: SessionConfig::test_profile(),
+            pilots: vec![PilotDescription::new(
+                "localhost",
+                1,
+                SimDuration::from_secs(7200),
+            )],
+            scheduler: UmScheduler::Direct,
+            leases: None,
+            faults: None,
+            units: (0..8)
                 .map(|i| {
                     ComputeUnitDescription::new(
                         format!("u{i}"),
@@ -162,10 +160,8 @@ fn memory_pressure_slows_oversubscribed_nodes() {
                     .with_memory(mem_mb)
                 })
                 .collect(),
-        );
-        while units.iter().any(|u| !u.state().is_final()) {
-            assert!(e.step());
-        }
+        };
+        let units = run(&scenario, Engine::new(9)).unwrap().units;
         units
             .iter()
             .map(|u| u.times().execution_time().unwrap().as_secs_f64())

@@ -24,6 +24,7 @@
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
 use hadoop_hpc::{hdfs, mapreduce, yarn};
+use rp_bench::scenario::{run, sleep_units, Scenario};
 
 fn scale_units_env() -> Option<usize> {
     std::env::var("SCALE_UNITS")
@@ -57,42 +58,24 @@ const CORES_PER_NODE: usize = 16; // xsede.stampede
 /// plain pilot. Returns the drained engine, the units, and the
 /// coordination store's dedup backlog at quiescence.
 fn scale_run(seed: u64, n: usize) -> (Engine, Vec<UnitHandle>, usize) {
-    let mut e = Engine::with_trace(seed);
-    let session = Session::new(SessionConfig::test_profile());
-    let pm = PilotManager::new(&session);
     // Walltime sized to the workload so draining never kicks in: n units
     // averaging 150 core-seconds over 512 cores, plus generous startup.
     let walltime = 7_200 + (n as u64 * 300) / (NODES as u64 * CORES_PER_NODE as u64);
-    let pilot = pm
-        .submit(
-            &mut e,
-            PilotDescription::new("xsede.stampede", NODES, SimDuration::from_secs(walltime)),
-        )
-        .expect("pilot submits");
-    let mut um = UnitManager::new(&session, UmScheduler::Direct);
-    um.add_pilot(&pilot);
-    let units = um.submit_units(
-        &mut e,
-        (0..n)
-            .map(|i| {
-                ComputeUnitDescription::new(
-                    format!("u{i}"),
-                    1,
-                    WorkSpec::Sleep(SimDuration::from_secs(60 + (i as u64 % 13) * 15)),
-                )
-            })
-            .collect(),
-    );
-    // Event-driven completion: polling the unit vector per step would be
-    // O(units × events) and dwarf the simulation itself.
-    let sess = session.clone();
-    let p = pilot.clone();
-    when_all_done(&mut e, &units, move |eng| {
-        PilotManager::new(&sess).cancel(eng, &p);
-    });
-    e.run();
-    let backlog = session.store().dedup_backlog();
-    (e, units, backlog)
+    let scenario = Scenario {
+        config: SessionConfig::test_profile(),
+        pilots: vec![PilotDescription::new(
+            "xsede.stampede",
+            NODES,
+            SimDuration::from_secs(walltime),
+        )],
+        scheduler: UmScheduler::Direct,
+        leases: None,
+        faults: None,
+        units: sleep_units(n, "u", |i| 60 + (i as u64 % 13) * 15),
+    };
+    let run = run(&scenario, Engine::with_trace(seed)).expect("the scale run completes");
+    let backlog = run.session.store().dedup_backlog();
+    (run.engine, run.units, backlog)
 }
 
 #[test]
