@@ -164,8 +164,10 @@ impl Runtime {
 
     /// Capacity a scheduling pass may still hand out, read once per pass:
     /// O(NodeManagers) for YARN, O(workers) for Spark, O(1) for plain
-    /// pilots. `None` when a plain pilot is saturated: every unit needs at
-    /// least one core, so the queue scan can be skipped entirely.
+    /// pilots. `None` only when a plain pilot is saturated: every unit
+    /// needs at least one core, so the queue scan can be skipped entirely.
+    /// YARN and Spark pilots always get a value; the scheduler skips
+    /// their scan when the queue floor does not fit it.
     pub(super) fn headroom(&self, slots: &NodeSlots, inflight: Resource) -> Option<Headroom> {
         match self {
             Runtime::Plain => (slots.free_total > 0).then_some(Headroom::Slots),

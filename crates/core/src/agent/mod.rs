@@ -35,7 +35,7 @@ use rp_spark::SparkCluster;
 use rp_yarn::{AmHandle, HadoopEnv, Resource};
 
 use self::lrm::{NodeSlots, Runtime};
-use self::scheduler::Placement;
+use self::scheduler::{Placement, NO_FLOOR};
 use crate::coordination::{CoordinationStore, Fence};
 use crate::description::AccessMode;
 use crate::session::{MachineHandle, SessionConfig};
@@ -65,6 +65,14 @@ struct AgentInner {
     /// own placement, and the agent avoids flooding it.
     framework_inflight: Resource,
     queue: VecDeque<UnitHandle>,
+    /// Framework pilots: the componentwise minimum of the queued units'
+    /// gates, a lower bound that a scan running to the end makes exact.
+    /// While it does not fit the headroom, no queued unit does.
+    queue_floor: Resource,
+    /// Framework pilots: set when a unit this agent queued became
+    /// cancelled or failed, so it may still sit in the queue; cleared by
+    /// a scan that runs to the end, which drops such units.
+    final_maybe_queued: Rc<Cell<bool>>,
     /// Units staged and waiting for the (serial) Task Spawner.
     spawn_queue: VecDeque<ActiveRun>,
     spawner_busy: bool,
@@ -176,6 +184,8 @@ impl Agent {
                     slots,
                     framework_inflight: Resource::new(0, 0),
                     queue: VecDeque::new(),
+                    queue_floor: NO_FLOOR,
+                    final_maybe_queued: Rc::new(Cell::new(false)),
                     spawn_queue: VecDeque::new(),
                     spawner_busy: false,
                     running: 0,
@@ -440,7 +450,7 @@ impl Agent {
                 unit.fail(engine, reason);
                 continue;
             }
-            self.inner.borrow_mut().queue.push_back(unit);
+            self.enqueue(engine, unit);
         }
         self.try_schedule(engine);
         self.ensure_heartbeat(engine);

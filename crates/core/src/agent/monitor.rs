@@ -366,7 +366,7 @@ impl Agent {
                 unit.advance(eng, UnitState::Canceled);
                 return;
             }
-            this.inner.borrow_mut().queue.push_back(unit);
+            this.enqueue(eng, unit);
             this.try_schedule(eng);
             this.ensure_heartbeat(eng);
         });

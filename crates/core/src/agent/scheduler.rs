@@ -8,15 +8,27 @@
 //! cores for Spark.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use rp_hpc::NodeId;
 use rp_sim::{Engine, SimDuration, SimTime};
 use rp_yarn::Resource;
 
-use super::lrm::Headroom;
+use super::lrm::{Headroom, Runtime};
 use super::{note, Agent, AgentInner};
 use crate::description::{ComputeUnitDescription, WorkSpec};
+use crate::states::UnitState;
 use crate::unit::UnitHandle;
+
+/// The queue floor of an empty queue: it fits no headroom.
+pub(super) const NO_FLOOR: Resource = Resource {
+    vcores: u32::MAX,
+    mem_mb: u64::MAX,
+};
+
+fn componentwise_min(a: Resource, b: Resource) -> Resource {
+    Resource::new(a.vcores.min(b.vcores), a.mem_mb.min(b.mem_mb))
+}
 
 /// Where a scheduled unit runs.
 #[derive(Clone)]
@@ -44,6 +56,35 @@ impl Placement {
 }
 
 impl Agent {
+    /// Append a unit to the scheduling queue. On framework pilots this
+    /// lowers the queue floor and watches the unit, so the scheduler
+    /// knows when a cancelled unit may still be queued. Plain pilots
+    /// only push.
+    pub(super) fn enqueue(&self, engine: &mut Engine, unit: UnitHandle) {
+        let mut inner = self.inner.borrow_mut();
+        if !matches!(inner.runtime, Runtime::Plain) {
+            let gate = inner.runtime.gate(&unit.descr());
+            inner.queue_floor = componentwise_min(inner.queue_floor, gate);
+            let flag = inner.final_maybe_queued.clone();
+            if unit.state().is_final() {
+                // Cancelled during its retry backoff.
+                flag.set(true);
+            } else {
+                // Done is reached only after the unit left the queue.
+                let rec = Rc::downgrade(&unit.rec);
+                unit.on_done(engine, move |_| {
+                    let done = rec
+                        .upgrade()
+                        .is_some_and(|r| r.borrow().state.get() == UnitState::Done);
+                    if !done {
+                        flag.set(true);
+                    }
+                });
+            }
+        }
+        inner.queue.push_back(unit);
+    }
+
     pub(super) fn try_schedule(&self, engine: &mut Engine) {
         self.fence_if_overdue(engine);
         let mut drained = Vec::new();
@@ -119,11 +160,14 @@ impl AgentInner {
     ///   queued description. It is the one path left that walks the whole
     ///   queue on every pop;
     /// - one headroom read (see `Runtime::headroom`);
+    /// - on framework pilots, O(1) when the queue floor does not fit the
+    ///   headroom and no cancelled unit may be queued: nothing can be
+    ///   admitted, so there is no scan;
     /// - candidate scan up to the first placement: per candidate a borrow
     ///   of its description and an O(1) gate (YARN, Spark) or an
     ///   O(nodes) first fit (plain). A pop costs O(position of the
-    ///   admitted unit); only the last, fruitless call of a scheduling
-    ///   round scans the whole queue.
+    ///   admitted unit). The last, fruitless call of a scheduling round
+    ///   scans the whole queue unless the floor check above returned.
     fn pop_schedulable(
         &mut self,
         now: SimTime,
@@ -150,11 +194,21 @@ impl AgentInner {
         let headroom = self
             .runtime
             .headroom(&self.slots, self.framework_inflight)?;
+        // Every queued gate is at least the floor, so when the floor does
+        // not fit, no unit does. The scan would only drop cancelled
+        // units, which `heartbeat_busy` sees through the queue length:
+        // skip it only while none may be queued.
+        if let Headroom::Framework(free) = headroom {
+            if !self.queue_floor.fits_in(&free) && !self.final_maybe_queued.get() {
+                return None;
+            }
+        }
         // Final (cancelled) units are dropped lazily as the scan reaches
-        // them instead of a full `retain` sweep per call: the last call of
-        // every scheduling round scans the whole queue (it returns `None`
-        // only after finding nothing placeable), so the queue still ends
-        // each round fully compacted.
+        // them instead of a full `retain` sweep per call: a scheduling
+        // round ends in a full scan or in the floor check above, which
+        // only returns while no cancelled unit may be queued, so the queue
+        // still ends each round fully compacted.
+        let mut floor = NO_FLOOR;
         let mut i = 0;
         while i < self.queue.len() {
             if self.queue[i].state().is_final() {
@@ -167,6 +221,7 @@ impl AgentInner {
                     Headroom::Slots => self.place_on_nodes(&d),
                     Headroom::Framework(free) => {
                         let need = self.runtime.gate(&d);
+                        floor = componentwise_min(floor, need);
                         need.fits_in(&free).then_some(Placement::Framework(need))
                     }
                 }
@@ -178,6 +233,9 @@ impl AgentInner {
             }
             i += 1;
         }
+        // The scan saw every queued unit and dropped the final ones.
+        self.queue_floor = floor;
+        self.final_maybe_queued.set(false);
         None
     }
 

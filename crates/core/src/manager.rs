@@ -1153,6 +1153,71 @@ mod tests {
     }
 
     #[test]
+    fn queue_of_cancelled_units_behind_a_full_cluster_stops_the_heartbeat() {
+        // A Mode II pilot shares the machine's YARN cluster. Another
+        // tenant fills it, units queue behind the agent's gate, and all
+        // of them are cancelled. When the pilot's one running unit
+        // completes, the queue holds only cancelled units: the heartbeat
+        // must stop as for an empty queue.
+        use rp_yarn::ResourceRequest;
+        let mut e = Engine::new(9);
+        let session = Session::new(SessionConfig::test_profile());
+        let pm = PilotManager::new(&session);
+        let pilot = pm
+            .submit(
+                &mut e,
+                PilotDescription::new("xsede.wrangler", 1, SimDuration::from_secs(600))
+                    .with_access(AccessMode::YarnModeII),
+            )
+            .unwrap();
+        let mut um = UnitManager::new(&session, UmScheduler::Direct);
+        um.add_pilot(&pilot);
+        let running = um.submit_units(&mut e, vec![sleep_unit("running", 60)]);
+        while running[0].state() != UnitState::Executing {
+            assert!(e.step(), "the unit never ran");
+        }
+        let later = |e: &Engine, s: u64| e.now() + SimDuration::from_secs(s);
+        let machine = session.machine(&mut e, "xsede.wrangler").unwrap();
+        let yarn = machine
+            .dedicated
+            .expect("wrangler has dedicated Hadoop")
+            .yarn;
+        let free = yarn.available().vcores;
+        yarn.submit_app(
+            &mut e,
+            "tenant",
+            ResourceRequest::new(1, 1024),
+            move |eng, am| {
+                for _ in 1..free {
+                    am.request_container(eng, ResourceRequest::new(1, 1024), |_, _| {});
+                }
+            },
+        );
+        e.run_until(later(&e, 10));
+        assert_eq!(yarn.available().vcores, 0);
+        // Two cores each: the running unit's one core freed later does
+        // not admit them.
+        let queued = um.submit_units(
+            &mut e,
+            (0..3)
+                .map(|i| {
+                    let work = WorkSpec::Sleep(SimDuration::from_secs(10));
+                    ComputeUnitDescription::new(format!("q{i}"), 2, work)
+                })
+                .collect(),
+        );
+        e.run_until(later(&e, 5));
+        for u in &queued {
+            assert_eq!(u.state(), UnitState::AgentScheduling);
+            um.cancel_unit(&mut e, u);
+        }
+        e.run();
+        assert_eq!(running[0].state(), UnitState::Done);
+        let hb = pilot.agent().unwrap().heartbeats();
+        assert_eq!((hb, e.now().0), (7, 601_388_841));
+    }
+
+    #[test]
     fn cancel_during_input_staging_does_not_resurrect() {
         let mut e = Engine::new(21);
         let session = Session::new(SessionConfig::test_profile());

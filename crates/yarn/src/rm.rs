@@ -144,6 +144,10 @@ struct RmInner {
     preempt_handlers: BTreeMap<ContainerId, PreemptFn>,
     apps: BTreeMap<AppId, App>,
     containers: BTreeMap<ContainerId, Container>,
+    /// Vcores of the AM containers that non-final apps hold: the
+    /// maxAMShare numerator, kept as a running count so a placement does
+    /// not walk `apps` (every app ever submitted).
+    am_vcores_held: u32,
     pending: VecDeque<Pending>,
     next_app: u64,
     next_container: u64,
@@ -195,6 +199,7 @@ impl YarnCluster {
                 preempt_handlers: BTreeMap::new(),
                 apps: BTreeMap::new(),
                 containers: BTreeMap::new(),
+                am_vcores_held: 0,
                 pending: VecDeque::new(),
                 next_app: 0,
                 next_container: 0,
@@ -286,9 +291,9 @@ impl YarnCluster {
     }
 
     /// RM REST-style cluster metrics snapshot. O(apps ever submitted) — it
-    /// walks the app table twice and allocates the per-node list — so it is
-    /// for reports and tests, not hot paths; use [`YarnCluster::available`]
-    /// there.
+    /// walks the app table to count running apps and allocates the
+    /// per-node list — so it is for reports and tests, not hot paths; use
+    /// [`YarnCluster::available`] there.
     pub fn cluster_state(&self) -> ClusterState {
         let inner = self.inner.borrow();
         let mut total = Resource::new(0, 0);
@@ -322,13 +327,14 @@ impl YarnCluster {
         let mut notified = Vec::new();
         {
             let mut inner = self.inner.borrow_mut();
+            // Every held container that is not an AM is a task container
+            // of exactly one live app: final apps hold none.
             let victims: Vec<ContainerId> = inner
-                .apps
+                .containers
                 .values()
-                .flat_map(|a| a.containers.iter().copied())
-                .collect::<BTreeSet<_>>()
-                .into_iter()
                 .rev() // newest container ids first
+                .filter(|c| inner.apps[&c.app].am_container != Some(c.id))
+                .map(|c| c.id)
                 .take(n)
                 .collect();
             for cid in victims {
@@ -469,18 +475,27 @@ impl YarnCluster {
     }
 
     /// One heartbeat round: walk pending requests FIFO and place what fits.
+    /// Each placement resumes the scan where the last one stopped, so a
+    /// round costs O(pending) plus O(NodeManagers) per placement. Exact:
+    /// nothing frees capacity during a round (free space and the AM-vcore
+    /// count only shrink, `launch` only schedules), so a request passed
+    /// over earlier in the round still does not fit.
     fn tick(&self, engine: &mut Engine) {
+        let mut from = 0;
         loop {
-            // Pop the first placeable request; hold the borrow only briefly.
+            // Pop the next placeable request; hold the borrow only briefly.
             let placed = {
                 let mut inner = self.inner.borrow_mut();
                 if inner.stopped {
                     return;
                 }
-                inner.place_one()
+                inner.place_one(from)
             };
             match placed {
-                Some((pending, container)) => self.launch(engine, pending, container),
+                Some((at, pending, container)) => {
+                    from = at;
+                    self.launch(engine, pending, container);
+                }
                 None => break,
             }
         }
@@ -575,13 +590,13 @@ impl YarnCluster {
                 _ => return,
             };
             app.state = state;
-            let mut to_free: Vec<ContainerId> = app.containers.iter().copied().collect();
-            if let Some(am) = app.am_container.take() {
-                to_free.push(am);
-            }
-            app.containers.clear();
+            let to_free = std::mem::take(&mut app.containers);
+            let am = app.am_container.take();
             for cid in to_free {
                 inner.free_container(cid);
+            }
+            if let Some(am) = am.and_then(|cid| inner.free_container(cid)) {
+                inner.am_vcores_held -= am.resource.vcores;
             }
             // Drop pending requests of this app.
             inner.pending.retain(|p| p.app != id);
@@ -605,19 +620,24 @@ impl AppState {
 
 impl RmInner {
     /// Find and reserve a placement for the first satisfiable pending
-    /// request (FIFO with locality delay). Returns the request + container.
-    fn place_one(&mut self) -> Option<(Pending, Container)> {
+    /// request at or after index `from` (FIFO with locality delay).
+    /// Returns its index, the request and the container. Cost:
+    /// O(NodeManagers) to read the largest free vcores and memory, then
+    /// O(1) per request skipped because it fits no node or would break
+    /// maxAMShare, and O(NodeManagers) per request that fits some node.
+    fn place_one(&mut self, from: usize) -> Option<(usize, Pending, Container)> {
+        // A request larger than every node's free space fits nowhere. Every
+        // request holds at least one vcore (`round_up`), so with no free
+        // vcore anywhere nothing is placeable.
+        let max_vcores = self.nms.iter().map(|nm| nm.free.vcores).max().unwrap_or(0);
+        let max_mem = self.nms.iter().map(|nm| nm.free.mem_mb).max().unwrap_or(0);
+        if max_vcores == 0 {
+            return None;
+        }
         // maxAMShare: refuse AM placements that would let AMs starve task
         // containers of every vcore (the AM-deadlock guard).
         let total_vcores: u32 = self.nms.iter().map(|nm| nm.total.vcores).sum();
-        let am_vcores_held: u32 = self
-            .apps
-            .values()
-            .filter(|a| !a.state.is_final())
-            .filter_map(|a| a.am_container)
-            .filter_map(|cid| self.containers.get(&cid))
-            .map(|c| c.resource.vcores)
-            .sum();
+        let am_vcores_held = self.am_vcores_held;
         let am_share_ok = |p: &Pending| {
             if !matches!(p.kind, ReqKind::Am(_)) {
                 return true;
@@ -629,8 +649,8 @@ impl RmInner {
         let locality_delay = self.config.locality_delay_ticks;
         let n = self.nms.len();
         let mut chosen: Option<(usize, usize)> = None; // (pending idx, nm idx)
-        'scan: for (pi, p) in self.pending.iter().enumerate() {
-            if !am_share_ok(p) {
+        'scan: for (pi, p) in (from..).zip(self.pending.range(from..)) {
+            if p.resource.vcores > max_vcores || p.resource.mem_mb > max_mem || !am_share_ok(p) {
                 continue;
             }
             // Preferred node first.
@@ -674,19 +694,37 @@ impl RmInner {
                 }
                 ReqKind::Am(_) => {
                     app.am_container = Some(cid);
+                    if !app.state.is_final() {
+                        self.am_vcores_held += pending.resource.vcores;
+                    }
                 }
             }
         }
-        Some((pending, container))
+        Some((pi, pending, container))
     }
 
-    fn free_container(&mut self, id: ContainerId) {
+    /// Drop a container and return its resources to its NodeManager (if
+    /// that is still alive). Returns the container if it was held.
+    fn free_container(&mut self, id: ContainerId) -> Option<Container> {
         self.preempt_handlers.remove(&id);
-        if let Some(c) = self.containers.remove(&id) {
-            if let Some(nm) = self.nms.iter_mut().find(|nm| nm.node == c.node) {
-                nm.free.add(&c.resource);
-            }
+        let c = self.containers.remove(&id)?;
+        if let Some(nm) = self.nms.iter_mut().find(|nm| nm.node == c.node) {
+            nm.free.add(&c.resource);
         }
+        Some(c)
+    }
+
+    /// `am_vcores_held` recomputed by walking every app: the definition
+    /// the running count must match.
+    #[cfg(test)]
+    fn am_vcores_walk(&self) -> u32 {
+        self.apps
+            .values()
+            .filter(|a| !a.state.is_final())
+            .filter_map(|a| a.am_container)
+            .filter_map(|cid| self.containers.get(&cid))
+            .map(|c| c.resource.vcores)
+            .sum()
     }
 }
 
@@ -756,11 +794,15 @@ impl AmHandle {
     pub fn release_container(&self, engine: &mut Engine, id: ContainerId) {
         {
             let mut inner = self.yarn.inner.borrow_mut();
+            let mut is_am = false;
             if let Some(app) = inner.apps.get_mut(&self.app) {
                 app.containers.remove(&id);
+                is_am = app.am_container == Some(id);
             }
-            inner.preempt_handlers.remove(&id);
-            inner.free_container(id);
+            let freed = inner.free_container(id);
+            if let Some(am) = freed.filter(|_| is_am) {
+                inner.am_vcores_held -= am.resource.vcores;
+            }
         }
         self.yarn.ensure_tick(engine);
     }
@@ -1155,6 +1197,62 @@ mod tests {
     }
 
     #[test]
+    fn preemption_skips_finished_apps_and_ams() {
+        let mut e = Engine::new(1);
+        let (_c, yarn) = test_cluster(&mut e);
+        // Finished apps stay in the app table: one released its task
+        // container, one left it for `finish` to free.
+        for release in [true, false] {
+            yarn.submit_app(
+                &mut e,
+                "done",
+                ResourceRequest::new(1, 1024),
+                move |eng, am| {
+                    let am2 = am.clone();
+                    am.request_container(eng, ResourceRequest::new(1, 1024), move |eng, c| {
+                        if release {
+                            am2.release_container(eng, c.id);
+                        }
+                        am2.finish(eng);
+                    });
+                },
+            );
+            e.run();
+        }
+        // Two live apps hold task containers; the newest ids go first.
+        let granted = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let g = granted.clone();
+            yarn.submit_app(
+                &mut e,
+                "live",
+                ResourceRequest::new(1, 1024),
+                move |eng, am| {
+                    for _ in 0..2 {
+                        let g = g.clone();
+                        am.request_container(eng, ResourceRequest::new(1, 1024), move |_, c| {
+                            g.borrow_mut().push(c.id)
+                        });
+                    }
+                },
+            );
+            e.run();
+        }
+        let before = yarn.cluster_state();
+        assert_eq!(before.containers_running, 6, "2 AMs + 4 tasks");
+        let victims: Vec<ContainerId> = yarn.preempt(&mut e, 3).iter().map(|c| c.id).collect();
+        let mut newest = granted.borrow().clone();
+        newest.sort();
+        newest.reverse();
+        assert_eq!(victims, newest[..3]);
+        let after = yarn.cluster_state();
+        assert_eq!(after.available.vcores, before.available.vcores + 3);
+        assert_eq!(after.apps_running, 2);
+        // Only one task container is left: a larger ask takes just it.
+        assert_eq!(yarn.preempt(&mut e, 5).len(), 1);
+    }
+
+    #[test]
     fn preempt_never_touches_am_containers() {
         let mut e = Engine::new(1);
         let (_c, yarn) = test_cluster(&mut e);
@@ -1305,5 +1403,103 @@ mod tests {
         let end = e.run(); // would hang/never return if ticks self-perpetuated
         assert!(end.as_secs_f64() < 5.0);
         assert_eq!(yarn.app_state(id), AppState::Finished);
+    }
+
+    /// Seeded app mixes through task and AM node failures, preemption,
+    /// `finish` and an AM releasing its own container: after every event,
+    /// heartbeat ticks included, the running AM-vcore count equals the
+    /// full walk over the app table.
+    #[test]
+    fn am_vcore_count_matches_the_full_walk() {
+        use rp_sim::SimRng;
+        let kills = Rc::new(std::cell::Cell::new((0, 0))); // (AM nodes, task nodes)
+        let mut peak = 0;
+        for seed in 1..=6 {
+            let mut e = Engine::new(seed);
+            let (_c, yarn) = test_cluster(&mut e);
+            let mut rng = SimRng::new(seed);
+            for i in 0..48 {
+                let am_vcores = 1 + rng.index(2) as u32;
+                let tasks = rng.index(4) as u32;
+                let hold = SimDuration::from_secs_f64(rng.uniform(0.5, 15.0));
+                let release_am = rng.chance(0.1);
+                let at = SimDuration::from_secs_f64(rng.uniform(0.0, 40.0));
+                let y = yarn.clone();
+                e.schedule_in(at, move |eng| {
+                    let y2 = y.clone();
+                    // AMs prefer nodes 0 and 1, tasks node 3, so some
+                    // nodes hold only task containers.
+                    let req = ResourceRequest::new(am_vcores, 1024).on_node(NodeId(i % 2));
+                    y.submit_app(eng, format!("a{i}"), req, move |eng, am| {
+                        for t in 0..tasks {
+                            let req = ResourceRequest::new(1 + t % 3, 1024 * (1 + t as u64 % 2))
+                                .on_node(NodeId(3));
+                            if t % 2 == 0 {
+                                am.request_container_preemptible(eng, req, |_, _| {}, |_, _| {});
+                            } else {
+                                am.request_container(eng, req, |_, _| {});
+                            }
+                        }
+                        if release_am {
+                            let own = y2.inner.borrow().apps[&am.app_id()].am_container;
+                            am.release_container(eng, own.expect("AM is running"));
+                        }
+                        let am2 = am.clone();
+                        eng.schedule_in(hold, move |eng| am2.finish(eng));
+                    });
+                });
+            }
+            // A preemption every 3 s; at 12 s and 30 s a node holding an
+            // AM fails, at 20 s a node holding only task containers.
+            for k in 1..20 {
+                let y = yarn.clone();
+                let n = 1 + k as usize % 3;
+                e.schedule_in(SimDuration::from_secs(3 * k), move |eng| {
+                    y.preempt(eng, n);
+                });
+            }
+            for (at, on_am_node) in [(12, true), (20, false), (30, true)] {
+                let y = yarn.clone();
+                let kills = kills.clone();
+                e.schedule_in(SimDuration::from_secs(at), move |eng| {
+                    let victim = {
+                        let inner = y.inner.borrow();
+                        let am_of = |c: &Container| inner.apps[&c.app].am_container == Some(c.id);
+                        let hosts_am =
+                            |n: NodeId| inner.containers.values().any(|c| c.node == n && am_of(c));
+                        let hosts_task =
+                            |n: NodeId| inner.containers.values().any(|c| c.node == n && !am_of(c));
+                        inner.nms.iter().map(|nm| nm.node).find(|&n| {
+                            if on_am_node {
+                                hosts_am(n)
+                            } else {
+                                hosts_task(n) && !hosts_am(n)
+                            }
+                        })
+                    };
+                    if let Some(node) = victim {
+                        y.fail_node(eng, node);
+                        let (a, t) = kills.get();
+                        kills.set(if on_am_node { (a + 1, t) } else { (a, t + 1) });
+                    }
+                });
+            }
+            let end = SimTime::from_secs_f64(90.0);
+            while e.now() < end && e.step() {
+                let inner = yarn.inner.borrow();
+                assert_eq!(
+                    inner.am_vcores_held,
+                    inner.am_vcores_walk(),
+                    "seed {seed} at {:?}",
+                    e.now()
+                );
+                peak = peak.max(inner.am_vcores_held);
+            }
+        }
+        // The mixes reach the maxAMShare limit (half of 32 vcores) and
+        // fail both kinds of node.
+        assert_eq!(peak, 16);
+        let (am_nodes, task_nodes) = kills.get();
+        assert!(am_nodes == 12 && task_nodes > 0, "{am_nodes} {task_nodes}");
     }
 }

@@ -12,9 +12,8 @@
 //!      coordination dedup backlog stay bounded — the O(1)-per-event
 //!      working-set guarantees.
 //!
-//! `SCALE_UNITS` overrides the unit count: ci.sh runs a 1k smoke in
-//! release, and `CI_SCALE=1` drives a 100k-unit run through the same
-//! assertions (see ci.sh).
+//! `SCALE_UNITS` overrides the unit count, and `CI_SCALE=1` drives a
+//! 100k-unit run through the same assertions (see ci.sh).
 //!
 //! A second tier runs a MapReduce bag through a Mode I (YARN + HDFS)
 //! pilot, where every unit is admitted against the ResourceManager's
